@@ -42,8 +42,9 @@ from .fields import (
     Tensor11Field,
     VectorField,
     canonical_tangent_structure,
-    vectorized_scalar,
+    evaluate_on,
 )
+from .geometry import lie_scalar
 
 __all__ = [
     "TangentStructure",
@@ -53,13 +54,6 @@ __all__ = [
 ]
 
 _ZERO_FIELD_TOL = 1e-12
-
-
-def _directional(gamma: VectorField, expr: Expression) -> Expression:
-    total: Expression = Const(0.0)
-    for name, comp in zip(gamma.ctx.names, gamma.components):
-        total = add(total, mul(comp, differentiate(expr, name)))
-    return total
 
 
 def _is_zero(expr: Expression) -> bool:
@@ -77,19 +71,12 @@ def _second_partials_vanish(
     return True
 
 
-def _stack_jacobian(
+def _jacobian_on(
     components: Sequence[Expression], ctx: VariableContext, points: np.ndarray
 ) -> np.ndarray:
     """Rows d(component)/d(coord) evaluated on points, shape (m, len(components), dim)."""
-    m = len(points)
-    rows = []
-    for comp in components:
-        cols = []
-        for name in ctx.names:
-            values = vectorized_scalar(differentiate(comp, name), ctx)(points)
-            cols.append(np.broadcast_to(np.asarray(values, dtype=float), (m,)))
-        rows.append(np.stack(cols, axis=-1))
-    return np.stack(rows, axis=1)
+    partials = [differentiate(comp, name) for comp in components for name in ctx.names]
+    return evaluate_on(partials, ctx, points).reshape(-1, len(components), ctx.dim)
 
 
 def _newton_solve(
@@ -178,7 +165,10 @@ class TangentStructure:
     @cached_property
     def acceleration_exprs(self) -> tuple[Expression, ...]:
         """Force block over the source context: the field applied twice to the base."""
-        return tuple(_directional(self.gamma, v) for v in self.velocity_exprs)
+        gamma = self.gamma
+        return tuple(
+            lie_scalar(gamma, ScalarField(gamma.ctx, v)).expr for v in self.velocity_exprs
+        )
 
     def inverse(self, chart_point, *, guess=None) -> np.ndarray:
         target = np.asarray(chart_point, dtype=float)
@@ -298,12 +288,12 @@ def build(
         raise ValueError("at least one base function is required")
     dim = ctx.dim
 
-    velocity_exprs = [_directional(gamma, q) for q in base_exprs]
+    velocity_exprs = [lie_scalar(gamma, ScalarField(ctx, q)).expr for q in base_exprs]
     chart_components = tuple(base_exprs) + tuple(velocity_exprs)
     points = box.sample(seed=seed, n_random=n_random, grid_points=grid_points)
 
     # base differentials must stay independent everywhere on the grid
-    base_jac = _stack_jacobian(base_exprs, ctx, points)
+    base_jac = _jacobian_on(base_exprs, ctx, points)
     base_sigma = np.linalg.svd(base_jac, compute_uv=False)
     base_sigma = np.nan_to_num(base_sigma, nan=0.0)
     if n <= dim:
@@ -320,16 +310,7 @@ def build(
         )
 
     # a field with no motion anywhere has no velocity functions to offer
-    gamma_values = np.stack(
-        [
-            np.broadcast_to(
-                np.asarray(vectorized_scalar(c, ctx)(points), dtype=float),
-                (len(points),),
-            )
-            for c in gamma.components
-        ],
-        axis=-1,
-    )
+    gamma_values = evaluate_on(gamma.components, ctx, points)
     pointwise = np.max(np.abs(gamma_values), axis=1)
     warnings: list[str] = []
     if float(np.max(pointwise)) <= _ZERO_FIELD_TOL:
@@ -344,7 +325,7 @@ def build(
         raise FunctionalDependenceError(
             f"{2 * n} chart functions on a {dim}-dimensional space have rank at most {dim}"
         )
-    full_jac = _stack_jacobian(chart_components, ctx, points)
+    full_jac = _jacobian_on(chart_components, ctx, points)
     sigma = np.linalg.svd(full_jac, compute_uv=False)
     sigma = np.nan_to_num(sigma, nan=0.0)
     ratio = sigma[:, -1] - rank_rtol * (1.0 + sigma[:, 0])
@@ -475,11 +456,9 @@ def express_in_chart(
     The velocity block is the structure's velocity functions; the force block
     is the field applied to them once more.
     """
-    if gamma.ctx != structure.src_ctx:
-        raise ValueError("field context does not match the structure")
-    velocity = structure.velocity_exprs
-    force = tuple(_directional(gamma, v) for v in velocity)
-    return velocity, force
+    if gamma != structure.gamma:
+        raise ValueError("the structure was built for a different field")
+    return structure.velocity_exprs, structure.acceleration_exprs
 
 
 def structure_sode_residual(

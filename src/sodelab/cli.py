@@ -26,7 +26,7 @@ from . import kepler as kp
 from . import motions as mo
 from . import scenarios as sc
 from .bundle import structure_sode_residual
-from .dynamics import estimate_period, integrate
+from .dynamics import estimate_period, integrate, write_csv
 from .errors import SodelabError
 from .fields import Box, canonical_tangent_structure
 from .geometry import verify_tangent_structure
@@ -36,10 +36,6 @@ __all__ = ["main"]
 
 class _UsageError(Exception):
     pass
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _dump_json(payload) -> str:
@@ -369,11 +365,8 @@ def _cmd_integrate(run: _Run, opts: dict) -> int:
     path = run.path("trajectory.csv")
     if csv_samples > 0 and traj.status == "completed":
         times = np.linspace(traj.times[0], traj.final_time, csv_samples)
-        states = traj.sample_many(times)
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(ctx.names) + "\n")
-            for t, row in zip(times, states):
-                fh.write(",".join([_fmt(t)] + [_fmt(v) for v in row]) + "\n")
+        table = np.column_stack([times, traj.sample_many(times)])
+        write_csv(path, ["t", *ctx.names], table)
     else:
         traj.write_csv(path, names=ctx.names)
     summary = {
@@ -424,12 +417,9 @@ def _cmd_kepler_demo(run: _Run, opts: dict) -> int:
     reference = direct.sample_many(times)
     gap = float(np.max(np.abs(projected[:, :3] - reference[:, :3])))
 
-    names = kp.THREE_CTX.names
+    header = ["t", *kp.THREE_CTX.names]
     for fname, table in (("projected.csv", projected), ("direct.csv", reference)):
-        with open(run.path(fname), "w") as fh:
-            fh.write("t," + ",".join(names) + "\n")
-            for t, row in zip(times, table):
-                fh.write(",".join([_fmt(t)] + [_fmt(v) for v in row]) + "\n")
+        write_csv(run.path(fname), header, np.column_stack([times, table]))
 
     est = estimate_period(
         kp.chart_field(params).ode_rhs, kp.shell_representative(energy, params)

@@ -17,7 +17,15 @@ import numpy as np
 
 from .errors import SignChangeError
 from .expr import Const, Expression, add, call, differentiate, mul, neg, sub
-from .fields import Box, OneFormField, ScalarField, VectorField, vectorized_scalar
+from .fields import (
+    Box,
+    OneFormField,
+    ScalarField,
+    VectorField,
+    evaluate_on,
+    max_abs_on,
+    vectorized_scalar,
+)
 from .geometry import lie_bracket, lie_oneform, lie_scalar
 
 __all__ = [
@@ -64,8 +72,7 @@ def rescale(
     if field.ctx != factor.ctx or field.ctx != box.ctx:
         raise ValueError("field, factor, and box must share one context")
     points = box.sample(seed=seed, n_random=n_random, grid_points=grid_points)
-    values = np.asarray(vectorized_scalar(factor.expr, factor.ctx)(points), dtype=float)
-    values = np.broadcast_to(values, (len(points),))
+    values = evaluate_on((factor.expr,), factor.ctx, points)
     if not np.all(np.isfinite(values)):
         raise SignChangeError("factor is not finite everywhere on the domain")
     if float(np.min(np.abs(values))) <= zero_tol:
@@ -73,17 +80,6 @@ def rescale(
     if float(np.min(values)) < 0.0 < float(np.max(values)):
         raise SignChangeError("factor changes sign on the domain")
     return ConformalPair(field, factor, field.scaled(factor.expr))
-
-
-def _max_abs_at(components, ctx, points) -> float:
-    worst = 0.0
-    for comp in components:
-        values = vectorized_scalar(comp, ctx)(points)
-        peak = float(np.max(np.abs(values)))
-        if math.isnan(peak):
-            peak = math.inf
-        worst = max(worst, peak)
-    return worst
 
 
 def oneform_rescaling_residual(
@@ -111,7 +107,7 @@ def oneform_rescaling_residual(
             mul(factor.expr, moved.components[j]),
         )
         residuals.append(sub(lhs.components[j], rhs))
-    return _max_abs_at(residuals, ctx, points)
+    return max_abs_on(residuals, ctx, points)
 
 
 def bracket_rescaling_residual(
@@ -132,7 +128,7 @@ def bracket_rescaling_residual(
             mul(factor.expr, plain.components[i]),
         )
         residuals.append(sub(lhs.components[i], rhs))
-    return _max_abs_at(residuals, ctx, points)
+    return max_abs_on(residuals, ctx, points)
 
 
 def shared_constants_residual(
@@ -149,8 +145,8 @@ def shared_constants_residual(
     plain = lie_scalar(field, quantity)
     scaled = lie_scalar(field.scaled(factor.expr), quantity)
     return (
-        _max_abs_at([plain.expr], field.ctx, points),
-        _max_abs_at([scaled.expr], field.ctx, points),
+        max_abs_on([plain.expr], field.ctx, points),
+        max_abs_on([scaled.expr], field.ctx, points),
     )
 
 
@@ -196,7 +192,7 @@ def regularize_complete(
     )
     damped_rate = mul(factor_expr, rate)
     points = box.sample(seed=seed, n_random=n_random, grid_points=grid_points)
-    grid_bound = _max_abs_at([damped_rate], field.ctx, points)
+    grid_bound = max_abs_on([damped_rate], field.ctx, points)
     return CompletenessCertificate(
         pair=pair,
         witness=witness,

@@ -25,6 +25,7 @@ __all__ = [
     "PeriodEstimate",
     "estimate_period",
     "conserved_drift",
+    "write_csv",
 ]
 
 # Dormand-Prince 5(4) tableau; row 7 equals the 5th-order weights (FSAL)
@@ -154,11 +155,22 @@ class Trajectory:
             names = [f"x{k + 1}" for k in range(dim)]
         if len(names) != dim:
             raise ValueError(f"need {dim} column names, got {len(names)}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t," + ",".join(names) + "\n")
-            for t, row in zip(self.times, self.states):
-                cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in row]
-                fh.write(",".join(cells) + "\n")
+        write_csv(path, ["t", *names], np.column_stack([self.times, self.states]))
+
+
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write ``header``, then one line per row (an array or a sequence of rows).
+
+    Floats carry 17 significant digits, so they read back exactly; string
+    cells such as labels are written as they are.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = [c if isinstance(c, str) else f"{c:.17g}" for c in row]
+            fh.write(",".join(cells) + "\n")
 
 
 def integrate(

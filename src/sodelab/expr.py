@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     EvaluationDomainError,
@@ -678,65 +680,91 @@ def to_source(e: Expression) -> str:
 
 # --- compilation ------------------------------------------------------------
 
+# namespaces of the two backends; ``_c`` makes a backend float from a literal
+_SCALAR_NAMESPACE = {f"_{name}": fn for name, fn in _FUNCTIONS.items()}
+_SCALAR_NAMESPACE.update(_pow=math.pow, _c=float)
+_BATCH_NAMESPACE = {f"_{name}": getattr(np, name) for name in _FUNCTIONS}
+_BATCH_NAMESPACE.update(_pow=np.power, _c=np.float64)
 
-def _python_source(e: Expression) -> str:
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
+def _python_source(e: Expression, batch: bool) -> str:
     if isinstance(e, Const):
-        return repr(e.value)
+        text = repr(e.value)
+        if not math.isfinite(e.value):
+            return f"_c({text!r})"
+        # batch constants are numpy floats: a constant 1/0 gives inf, not a raise
+        return f"_c({text})" if batch else text
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        return f"(-{_python_source(e.arg)})"
-    if isinstance(e, Add):
-        return f"({_python_source(e.left)} + {_python_source(e.right)})"
-    if isinstance(e, Sub):
-        return f"({_python_source(e.left)} - {_python_source(e.right)})"
-    if isinstance(e, Mul):
-        return f"({_python_source(e.left)} * {_python_source(e.right)})"
-    if isinstance(e, Div):
-        return f"({_python_source(e.left)} / {_python_source(e.right)})"
+        return f"(-{_python_source(e.arg, batch)})"
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        op = _BINARY_OPS[type(e)]
+        left = _python_source(e.left, batch)
+        return f"({left} {op} {_python_source(e.right, batch)})"
     if isinstance(e, Pow):
-        return f"_pow({_python_source(e.base)}, {_python_source(e.exponent)})"
+        base = _python_source(e.base, batch)
+        return f"_pow({base}, {_python_source(e.exponent, batch)})"
     if isinstance(e, Call):
-        return f"_{e.fn}({_python_source(e.arg)})"
+        return f"_{e.fn}({_python_source(e.arg, batch)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def compile_scalar(e: Expression, ctx: VariableContext) -> Callable[..., float]:
-    """Compile to ``f(point) -> float`` with the same semantics as :func:`evaluate`.
+def _emit(
+    e: Expression | Sequence[Expression], ctx: VariableContext, batch: bool
+) -> Callable:
+    """Generate one function for a tree, or one returning a tuple for a sequence.
 
-    The hot paths (integration, dense sampling, grid certification) call the
-    compiled form; ``evaluate`` remains the reference tree walk.
+    The function takes the coordinates as a list of floats (scalar backend) or
+    as an (m, dim) array (batch backend, one row per point).
     """
-    used = free_variables(e)
+    exprs = (e,) if isinstance(e, Expression) else tuple(e)
+    used = frozenset().union(*(free_variables(x) for x in exprs))
     unknown = used - set(ctx.names)
     if unknown:
         raise UnboundVariableError(
             f"expression uses {sorted(unknown)} outside context {ctx.names}"
         )
-    lines = ["def _compiled(_p):"]
-    for index, name in enumerate(ctx.names):
-        if name in used:
-            lines.append(f"    {name} = _p[{index}]")
-    lines.append(f"    return {_python_source(e)}")
-    namespace: dict[str, object] = {
-        "_pow": math.pow,
-        "_sin": math.sin,
-        "_cos": math.cos,
-        "_exp": math.exp,
-        "_log": math.log,
-        "_sqrt": math.sqrt,
-        "_abs": math.fabs,
-        "__builtins__": {},
-    }
-    exec(compile("\n".join(lines), "<sodelab-expr>", "exec"), namespace)
-    raw = namespace["_compiled"]
+    if isinstance(e, Expression):
+        body = _python_source(e, batch)
+    else:
+        body = "(" + "".join(f"{_python_source(x, batch)}, " for x in exprs) + ")"
+    targets = ", ".join(name if name in used else "_" for name in ctx.names)
+    source = (
+        "def _compiled(_p):\n"
+        f"    {targets}, = _p{'.T' if batch else ''}\n"
+        f"    return {body}\n"
+    )
+    namespace = dict(_BATCH_NAMESPACE if batch else _SCALAR_NAMESPACE)
+    namespace["__builtins__"] = {}
+    exec(compile(source, "<sodelab-expr>", "exec"), namespace)
+    return namespace["_compiled"]
 
-    def compiled(point, _raw=raw) -> float:
+
+def compile_scalar(
+    e: Expression | Sequence[Expression], ctx: VariableContext
+) -> Callable[..., float | tuple[float, ...]]:
+    """Compile to ``f(point)`` with exactly the values of :func:`evaluate`.
+
+    One tree gives a float; a sequence of trees gives a tuple of floats from
+    one call.  Coordinates are bound as Python floats.  Where the generated
+    code raises (a domain error, or an overflow that ``evaluate`` may
+    saturate or pass on), the point is evaluated again by ``evaluate``
+    itself, so the two agree by construction.
+    """
+    if not isinstance(e, Expression):
+        e = tuple(e)
+    raw = _emit(e, ctx, batch=False)
+
+    def compiled(point):
         try:
-            return _raw(point)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise EvaluationDomainError(str(exc)) from None
-        except OverflowError:
-            return math.inf
+            return raw(np.asarray(point, dtype=float).tolist())
+        except (ValueError, ZeroDivisionError, OverflowError):
+            env = ctx.env(point)
+            if isinstance(e, Expression):
+                return evaluate(e, env)
+            return tuple(evaluate(x, env) for x in e)
 
     return compiled

@@ -1,14 +1,16 @@
 """Coordinate fields over a variable context.
 
 A field here is a tuple (or matrix) of expression trees tied to one
-:class:`~sodelab.expr.VariableContext`.  Evaluation compiles each entry once
-and caches the callables, so repeated sampling (verification grids, numeric
+:class:`~sodelab.expr.VariableContext`.  Evaluation compiles all entries once
+into one cached function, so repeated sampling (verification grids, numeric
 integration) stays cheap while every derivative used to build the field was
-taken symbolically.
+taken symbolically.  :func:`evaluate_on` and :func:`max_abs_on` evaluate
+trees on whole point arrays through the batch backend.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -20,13 +22,13 @@ from .expr import (
     Const,
     Expression,
     VariableContext,
+    _emit,
     compile_scalar,
     differentiate,
     free_variables,
     parse,
     to_source,
 )
-from .expr import _python_source  # shared codegen for the vectorized path
 
 __all__ = [
     "ScalarField",
@@ -39,43 +41,51 @@ __all__ = [
     "canonical_tangent_structure",
     "canonical_symplectic",
     "vectorized_scalar",
+    "evaluate_on",
+    "max_abs_on",
 ]
 
 
-def vectorized_scalar(e: Expression, ctx: VariableContext):
-    """Compile an expression to a function of a (m, dim) point array.
+def vectorized_scalar(
+    e: Expression | Sequence[Expression], ctx: VariableContext
+) -> Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, ...]]:
+    """Compile a tree, or a sequence of trees, to a function of an (m, dim) array.
 
-    Uses numpy ufuncs, so domain violations produce nan/inf entries instead of
-    raising; callers scanning for residual maxima treat non-finite as failure.
-    May return a scalar when the expression is constant.
+    Uses numpy ufuncs and never raises on values: domain violations and
+    overflow give nan/inf entries, and callers scanning for residual maxima
+    treat non-finite as failure.  A sequence gives a tuple of values; a
+    constant tree may give a scalar instead of an (m,) array.
     """
-    used = free_variables(e)
-    extra = used - set(ctx.names)
-    if extra:
-        raise ValueError(f"expression uses {sorted(extra)} outside {ctx.names}")
-    lines = ["def _compiled(_p):"]
-    for index, name in enumerate(ctx.names):
-        if name in used:
-            lines.append(f"    {name} = _p[:, {index}]")
-    lines.append(f"    return {_python_source(e)}")
-    namespace: dict[str, object] = {
-        "_pow": np.power,
-        "_sin": np.sin,
-        "_cos": np.cos,
-        "_exp": np.exp,
-        "_log": np.log,
-        "_sqrt": np.sqrt,
-        "_abs": np.abs,
-        "__builtins__": {},
-    }
-    exec(compile("\n".join(lines), "<sodelab-vec>", "exec"), namespace)
-    raw = namespace["_compiled"]
+    raw = _emit(e, ctx, batch=True)
 
     def vectorized(points, _raw=raw):
         with np.errstate(all="ignore"):
             return _raw(np.asarray(points, dtype=float))
 
     return vectorized
+
+
+def evaluate_on(
+    exprs: Sequence[Expression], ctx: VariableContext, points: np.ndarray
+) -> np.ndarray:
+    """Batch values of the trees on an (m, dim) point array, shape (m, k)."""
+    values = vectorized_scalar(exprs, ctx)(points)
+    return np.stack([np.broadcast_to(v, (len(points),)) for v in values], axis=-1)
+
+
+def max_abs_on(
+    exprs: Sequence[Expression], ctx: VariableContext, points: np.ndarray
+) -> float:
+    """Largest |value| of the trees over the points; nan counts as inf.
+
+    Evaluates one tree at a time, so memory stays at one (m,) column however
+    many trees there are.
+    """
+    worst = 0.0
+    for e in exprs:
+        peak = float(np.max(np.abs(vectorized_scalar(e, ctx)(points))))
+        worst = max(worst, math.inf if math.isnan(peak) else peak)
+    return worst
 
 
 def _as_expressions(
@@ -135,12 +145,36 @@ class ScalarField:
         )
 
 
-def _compiled_tuple(ctx: VariableContext, entries: tuple[Expression, ...]):
-    return tuple(compile_scalar(e, ctx) for e in entries)
+def _fused(ctx: VariableContext, rows) -> Callable[..., np.ndarray]:
+    """One scalar-backend call for a vector or a matrix of trees over ``ctx``.
+
+    The callable returns an ndarray shaped like ``rows``.
+    """
+    if isinstance(rows[0], tuple):
+        fn = compile_scalar([e for row in rows for e in row], ctx)
+        shape = (len(rows), len(rows[0]))
+        return lambda point: np.array(fn(point), dtype=float).reshape(shape)
+    fn = compile_scalar(rows, ctx)
+    return lambda point: np.array(fn(point), dtype=float)
+
+
+class _Compiled:
+    """A field callable on points through one compiled function of its entries.
+
+    ``_layout`` gives the context the entries live on and the entries, as a
+    tuple of trees or a tuple of rows.
+    """
+
+    @cached_property
+    def _fn(self) -> Callable[..., np.ndarray]:
+        return _fused(*self._layout())
+
+    def __call__(self, point) -> np.ndarray:
+        return self._fn(point)
 
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(_Compiled):
     """Contravariant components X^i over a context; one entry per coordinate."""
 
     ctx: VariableContext
@@ -159,18 +193,14 @@ class VectorField:
     def of(cls, ctx: VariableContext, *entries: Expression | str | float) -> "VectorField":
         return cls(ctx, tuple(entries))  # type: ignore[arg-type]
 
-    @cached_property
-    def _fns(self):
-        return _compiled_tuple(self.ctx, self.components)
-
-    def __call__(self, point) -> np.ndarray:
-        return np.array([f(point) for f in self._fns], dtype=float)
+    def _layout(self):
+        return self.ctx, self.components
 
     @cached_property
     def ode_rhs(self) -> Callable[[float, np.ndarray], np.ndarray]:
         """Adapter f(t, y) for the integrator; the field is autonomous."""
-        fns = self._fns
-        return lambda t, y: np.array([f(y) for f in fns], dtype=float)
+        fn = self._fn
+        return lambda t, y: fn(y)
 
     def negated(self) -> "VectorField":
         from .expr import neg
@@ -185,7 +215,7 @@ class VectorField:
 
 
 @dataclass(frozen=True)
-class OneFormField:
+class OneFormField(_Compiled):
     """Covariant components alpha_i over a context."""
 
     ctx: VariableContext
@@ -200,12 +230,8 @@ class OneFormField:
         object.__setattr__(self, "components", comps)
         _check_scope(self.ctx, comps)
 
-    @cached_property
-    def _fns(self):
-        return _compiled_tuple(self.ctx, self.components)
-
-    def __call__(self, point) -> np.ndarray:
-        return np.array([f(point) for f in self._fns], dtype=float)
+    def _layout(self):
+        return self.ctx, self.components
 
 
 def _as_matrix(
@@ -221,7 +247,7 @@ def _as_matrix(
 
 
 @dataclass(frozen=True)
-class Tensor11Field:
+class Tensor11Field(_Compiled):
     """A (1,1) tensor: matrix[i][j] = T^i_j, acting on vectors by contraction."""
 
     ctx: VariableContext
@@ -230,12 +256,8 @@ class Tensor11Field:
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _as_matrix(self.ctx, self.matrix))
 
-    @cached_property
-    def _fns(self):
-        return tuple(_compiled_tuple(self.ctx, row) for row in self.matrix)
-
-    def __call__(self, point) -> np.ndarray:
-        return np.array([[f(point) for f in row] for row in self._fns], dtype=float)
+    def _layout(self):
+        return self.ctx, self.matrix
 
     @classmethod
     def constant(cls, ctx: VariableContext, matrix: np.ndarray) -> "Tensor11Field":
@@ -246,7 +268,7 @@ class Tensor11Field:
 
 
 @dataclass(frozen=True)
-class TwoFormField:
+class TwoFormField(_Compiled):
     """A two-form: matrix[i][j] = omega_ij with omega(X, Y) = X^i omega_ij Y^j."""
 
     ctx: VariableContext
@@ -255,16 +277,12 @@ class TwoFormField:
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _as_matrix(self.ctx, self.matrix))
 
-    @cached_property
-    def _fns(self):
-        return tuple(_compiled_tuple(self.ctx, row) for row in self.matrix)
-
-    def __call__(self, point) -> np.ndarray:
-        return np.array([[f(point) for f in row] for row in self._fns], dtype=float)
+    def _layout(self):
+        return self.ctx, self.matrix
 
 
 @dataclass(frozen=True)
-class PointMap:
+class PointMap(_Compiled):
     """A coordinate map src -> dst given by dst.dim expressions over src names."""
 
     src: VariableContext
@@ -281,28 +299,20 @@ class PointMap:
         object.__setattr__(self, "components", comps)
         _check_scope(self.src, comps)
 
-    @cached_property
-    def _fns(self):
-        return _compiled_tuple(self.src, self.components)
-
-    def __call__(self, point) -> np.ndarray:
-        return np.array([f(point) for f in self._fns], dtype=float)
+    def _layout(self):
+        return self.src, self.components
 
     @cached_property
-    def _jacobian_fns(self):
-        return tuple(
-            tuple(
-                compile_scalar(differentiate(comp, name), self.src)
-                for name in self.src.names
-            )
+    def _jacobian_fn(self) -> Callable[..., np.ndarray]:
+        rows = tuple(
+            tuple(differentiate(comp, name) for name in self.src.names)
             for comp in self.components
         )
+        return _fused(self.src, rows)
 
     def jacobian_at(self, point) -> np.ndarray:
         """d(components)/d(src coordinates), shape (dst.dim, src.dim)."""
-        return np.array(
-            [[f(point) for f in row] for row in self._jacobian_fns], dtype=float
-        )
+        return self._jacobian_fn(point)
 
     def pushforward_at(self, point, vector) -> np.ndarray:
         return self.jacobian_at(point) @ np.asarray(vector, dtype=float)

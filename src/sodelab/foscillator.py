@@ -30,7 +30,7 @@ from .expr import (
     sub,
     substitute,
 )
-from .fields import Box, ScalarField, VectorField, canonical_symplectic, vectorized_scalar
+from .fields import Box, ScalarField, VectorField, canonical_symplectic, max_abs_on
 from .geometry import interior_twoform
 
 __all__ = [
@@ -217,13 +217,8 @@ def symplectic_residual(
     omega = canonical_symplectic(system.ctx)
     lhs = interior_twoform(omega, deformed_field(system, deformation))
     rhs = deformed_hamiltonian(system, deformation).gradient()
-    worst = 0.0
-    for a, b in zip(lhs.components, rhs.components):
-        vals = vectorized_scalar(sub(a, b), system.ctx)(points)
-        vals = np.broadcast_to(np.asarray(vals, dtype=float), (len(points),))
-        peak = float(np.max(np.abs(vals)))
-        worst = max(worst, peak if math.isfinite(peak) else math.inf)
-    return worst
+    residuals = [sub(a, b) for a, b in zip(lhs.components, rhs.components)]
+    return max_abs_on(residuals, system.ctx, points)
 
 
 def rebuilt_shell_residual(

@@ -34,7 +34,8 @@ from .fields import (
     Tensor11Field,
     TwoFormField,
     VectorField,
-    vectorized_scalar,
+    evaluate_on,
+    max_abs_on,
 )
 
 __all__ = [
@@ -312,42 +313,6 @@ class VerificationReport:
         }
 
 
-def _max_abs_over(entries, ctx: VariableContext, points: np.ndarray) -> float:
-    worst = 0.0
-    for entry in entries:
-        values = vectorized_scalar(entry, ctx)(points)
-        peak = float(np.max(np.abs(values)))
-        if math.isnan(peak):
-            peak = math.inf
-        worst = max(worst, peak)
-    return worst
-
-
-def _stack_matrix(t: Tensor11Field, points: np.ndarray) -> np.ndarray:
-    m = len(points)
-    rows = []
-    for row in t.matrix:
-        cols = [
-            np.broadcast_to(
-                np.asarray(vectorized_scalar(entry, t.ctx)(points), dtype=float), (m,)
-            )
-            for entry in row
-        ]
-        rows.append(np.stack(cols, axis=-1))
-    return np.stack(rows, axis=1)
-
-
-def _stack_vector(x: VectorField, points: np.ndarray) -> np.ndarray:
-    m = len(points)
-    cols = [
-        np.broadcast_to(
-            np.asarray(vectorized_scalar(comp, x.ctx)(points), dtype=float), (m,)
-        )
-        for comp in x.components
-    ]
-    return np.stack(cols, axis=-1)
-
-
 def _matrix_product(a: Tensor11Field, b: Tensor11Field) -> list[Expression]:
     ctx = a.ctx
     out = []
@@ -397,11 +362,12 @@ def verify_tangent_structure(
     n_half = ctx.dim // 2
     axioms: list[AxiomCheck] = []
 
-    squared = _max_abs_over(_matrix_product(s, s), ctx, points)
+    squared = max_abs_on(_matrix_product(s, s), ctx, points)
     axioms.append(AxiomCheck("S_squared_zero", squared, tol, squared <= tol))
 
-    s_stack = _stack_matrix(s, points)
-    delta_stack = _stack_vector(delta, points)
+    s_entries = [entry for row in s.matrix for entry in row]
+    s_stack = evaluate_on(s_entries, ctx, points).reshape(-1, ctx.dim, ctx.dim)
+    delta_stack = evaluate_on(delta.components, ctx, points)
     pinv = np.linalg.pinv(s_stack)
     projected = np.einsum("mij,mjk,mk->mi", s_stack, pinv, delta_stack)
     membership = float(np.max(np.abs(projected - delta_stack)))
@@ -419,7 +385,7 @@ def verify_tangent_structure(
         for i in range(ctx.dim)
         for j in range(ctx.dim)
     ]
-    lie_residual = _max_abs_over(flattened, ctx, points)
+    lie_residual = max_abs_on(flattened, ctx, points)
     axioms.append(
         AxiomCheck("lie_delta_S_plus_S", lie_residual, tol, lie_residual <= tol)
     )
@@ -429,7 +395,7 @@ def verify_tangent_structure(
         for b in range(a + 1, ctx.dim):
             torsion = nijenhuis_pair(s, basis_field(ctx, a), basis_field(ctx, b))
             torsion_entries.extend(torsion.components)
-    torsion_residual = _max_abs_over(torsion_entries, ctx, points)
+    torsion_residual = max_abs_on(torsion_entries, ctx, points)
     axioms.append(
         AxiomCheck("nijenhuis_torsion", torsion_residual, tol, torsion_residual <= tol)
     )
@@ -453,7 +419,7 @@ def verify_tangent_structure(
 
     if field is not None:
         residual = sode_residual(s, delta, field)
-        worst = _max_abs_over(residual.components, ctx, points)
+        worst = max_abs_on(residual.components, ctx, points)
         axioms.append(AxiomCheck("sode_condition", worst, tol, worst <= tol))
 
     ranks = np.linalg.matrix_rank(s_stack, tol=1e-9)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import kepler as kp
-from .dynamics import estimate_period, integrate
+from .dynamics import estimate_period, integrate, write_csv
 from .errors import CardinalityMismatchError, FrequencyMismatchError
 from .fields import VectorField
 from .foscillator import Deformation, OscillatorSystem, deformed_field, shell_state
@@ -265,10 +265,7 @@ def figure_rows(records, samples_per_period: int = 512):
 def write_figure_csv(path, records, samples_per_period: int = 512) -> dict:
     """One flat CSV with columns t, absQ, absV, label; returns closures."""
     rows, closures = figure_rows(records, samples_per_period)
-    with open(path, "w") as fh:
-        fh.write("t,absQ,absV,label\n")
-        for t, q, v, label in rows:
-            fh.write(f"{t:.17g},{q:.17g},{v:.17g},{label}\n")
+    write_csv(path, ["t", "absQ", "absV", "label"], rows)
     return closures
 
 

@@ -116,6 +116,11 @@ class TestFreeParticle:
         p = np.array([0.6, -0.9])
         np.testing.assert_allclose(t.inverse(t.forward(p)), p, atol=1e-9)
 
+    def test_chart_blocks_need_the_structure_field(self):
+        t = quick_build(self.FIELD, ("x1",), BOX2)
+        with pytest.raises(ValueError):
+            express_in_chart(VectorField.of(R2, "x2", "1"), t)
+
     def test_rest_states_warn(self):
         t = quick_build(self.FIELD, ("x1",), BOX2)
         assert "equilibria_on_base" in t.warnings

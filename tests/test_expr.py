@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from sodelab.expr import (
     Add,
     Call,
     Const,
+    Div,
     Mul,
     Neg,
     Pow,
@@ -31,6 +33,7 @@ from sodelab.expr import (
     substitute,
     to_source,
 )
+from sodelab.fields import vectorized_scalar
 
 CTX = VariableContext.of("q1", "v1", "x", "y")
 
@@ -372,13 +375,23 @@ def _branch(children):
 _expr_trees = st.recursive(_leaf, _branch, max_leaves=12)
 
 
+# an x-free tree whose saturated inf reaches sin: evaluate raises on it
+_SIN_OF_TRIPLE_EXP_TREE = Call("sin", Call("exp", Call("exp", Call("exp", Const(2.0)))))
+
+
 @settings(max_examples=120, deadline=None)
 @given(_expr_trees)
+@example(_SIN_OF_TRIPLE_EXP_TREE)
 def test_print_parse_round_trip_random_trees(tree):
     printed = to_source(tree)
     reparsed = parse(printed, CTX)
     env = {"x": 0.37, "y": -0.82, "q1": 1.41, "v1": -0.29}
-    lhs = evaluate(tree, env)
+    try:
+        lhs = evaluate(tree, env)
+    except EvaluationDomainError:
+        with pytest.raises(EvaluationDomainError):
+            evaluate(reparsed, env)
+        return
     rhs = evaluate(reparsed, env)
     if math.isfinite(lhs):
         assert rhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
@@ -419,3 +432,96 @@ def test_overflowing_constant_trees_have_exact_zero_derivative():
         evaluate(_SIN_OF_INF_TREE, env)
     assert differentiate(_EXP_OVERFLOW_TREE, "x") == Const(0.0)
     assert differentiate(_SIN_OF_INF_TREE, "x") == Const(0.0)
+
+
+# wider trees for the backends: division, log, sqrt, abs and ^0.5 reach
+# domain errors, and the points below reach overflow
+def _wide_branch(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        _branch(children),
+        pairs.map(lambda p: Div(p[0], p[1])),
+        children.map(lambda c: Call("log", c)),
+        children.map(lambda c: Call("sqrt", c)),
+        children.map(lambda c: Call("abs", c)),
+        children.map(lambda c: Pow(c, Const(0.5))),
+    )
+
+
+_wide_trees = st.recursive(_leaf, _wide_branch, max_leaves=12)
+
+# (q1, v1, x, y); integer coordinates are bound as floats
+_BACKEND_POINTS = (
+    (0, 0, 1000, -1000),
+    (0.0, -1.5, 0.0, 2.0),
+    (1.41, -0.29, 0.37, -0.82),
+    (-1000.0, 1000.0, -0.5, 0.0),
+)
+
+# exp(x) overflows inside the first four examples below, yet their values at
+# x = 1000 are -inf, 0.0, 0.0 and a domain error
+_AT_X_1000 = (0.0, 0.0, 1000.0, -1000.0)
+_X = Var("x")
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except EvaluationDomainError:
+        return EvaluationDomainError
+
+
+def _assert_same_float(got, want):
+    assert type(got) is float
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tree=_wide_trees,
+    point=st.sampled_from(_BACKEND_POINTS),
+    as_array=st.booleans(),
+)
+@example(tree=Neg(Call("exp", _X)), point=_AT_X_1000, as_array=False)
+@example(tree=Call("exp", Neg(Call("exp", _X))), point=_AT_X_1000, as_array=False)
+@example(tree=Div(Const(1.0), Call("exp", _X)), point=_AT_X_1000, as_array=False)
+@example(tree=Call("sin", Call("exp", _X)), point=_AT_X_1000, as_array=False)
+@example(tree=_X, point=_AT_X_1000, as_array=True)
+@example(tree=Div(Const(1.0), _X), point=(1.0, 1.0, 0.0, 1.0), as_array=True)
+def test_compiled_scalar_matches_evaluate_exactly(tree, point, as_array):
+    want = _outcome(lambda: evaluate(tree, CTX.env(point)))
+    arg = np.array(point, dtype=float) if as_array else point
+    single = _outcome(lambda: compile_scalar(tree, CTX)(arg))
+    pair = _outcome(lambda: compile_scalar([tree, _X], CTX)(arg))
+    if want is EvaluationDomainError:
+        assert single is EvaluationDomainError and pair is EvaluationDomainError
+        return
+    _assert_same_float(single, want)
+    assert type(pair) is tuple and len(pair) == 2
+    _assert_same_float(pair[0], want)
+    _assert_same_float(pair[1], float(point[2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_trees)
+def test_batch_never_raises_and_rows_match_alone(tree):
+    points = np.array(_BACKEND_POINTS, dtype=float)
+    fn = vectorized_scalar(tree, CTX)
+    together = np.broadcast_to(fn(points), (len(points),))
+    alone = np.array(
+        [np.broadcast_to(fn(points[k : k + 1]), (1,))[0] for k in range(len(points))]
+    )
+    nan = np.isnan(together)
+    assert np.array_equal(nan, np.isnan(alone))
+    assert np.array_equal(together[~nan].view(np.int64), alone[~nan].view(np.int64))
+
+
+def test_batch_constant_division_by_zero_gives_inf():
+    points = np.array(_BACKEND_POINTS, dtype=float)
+    values = vectorized_scalar(parse("x + 1/0", CTX), CTX)(points)
+    assert np.all(values == math.inf)
+    pair = vectorized_scalar([parse("1/0", CTX), parse("0/0", CTX)], CTX)(points)
+    assert pair[0] == math.inf and math.isnan(pair[1])

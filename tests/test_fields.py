@@ -13,6 +13,8 @@ from sodelab.fields import (
     VectorField,
     canonical_symplectic,
     canonical_tangent_structure,
+    evaluate_on,
+    max_abs_on,
 )
 
 CTX2 = qv_context(2)  # (q1, q2, v1, v2)
@@ -85,6 +87,20 @@ class TestPointMap:
         dst = VariableContext.of("u", "w")
         with pytest.raises(ValueError):
             PointMap(src, dst, ("a",))
+
+
+class TestBatch:
+    POINTS = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, -1.0, 0.5, 0.0]])
+
+    def test_evaluate_on_stacks_columns(self):
+        exprs = [parse(s, CTX2) for s in ("q1 + v2", "2", "1/v2")]
+        values = evaluate_on(exprs, CTX2, self.POINTS)
+        np.testing.assert_array_equal(values, [[3.0, 2.0, 1 / 3], [1.0, 2.0, np.inf]])
+
+    def test_max_abs_on_counts_nan_as_inf(self):
+        assert max_abs_on([parse("q2 - q1", CTX2)], CTX2, self.POINTS) == 2.0
+        assert max_abs_on([parse("sqrt(q1 - 2)", CTX2)], CTX2, self.POINTS) == np.inf
+        assert max_abs_on([], CTX2, self.POINTS) == 0.0
 
 
 class TestBox:

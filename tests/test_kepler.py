@@ -8,7 +8,7 @@ from sodelab.bundle import express_in_chart
 from sodelab.dynamics import conserved_drift, estimate_period, integrate
 from sodelab.errors import PositiveEnergyError
 from sodelab.expr import parse
-from sodelab.fields import canonical_tangent_structure, vectorized_scalar
+from sodelab.fields import canonical_tangent_structure, max_abs_on, vectorized_scalar
 from sodelab.geometry import lagrange_residual, lie_scalar
 
 
@@ -18,16 +18,6 @@ def _samples(seed=7, n=200):
     ys = ys[np.linalg.norm(ys, axis=1) > 0.6][:n]
     vs = rng.uniform(-1.0, 1.0, (len(ys), 4))
     return ys, vs
-
-
-def _max_abs(exprs, ctx, points):
-    worst = 0.0
-    for e in exprs:
-        vals = np.broadcast_to(
-            np.asarray(vectorized_scalar(e, ctx)(points), dtype=float), (len(points),)
-        )
-        worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
 
 
 # -------------------------------------------------------------- square map
@@ -104,7 +94,7 @@ class TestConstraint:
         points = kp.unfolded_domain().sample(seed=0, n_random=300, grid_points=5)
         from sodelab.expr import sub
 
-        assert _max_abs([sub(lhs, rhs)], kp.KS_CTX, points) < 1e-10
+        assert max_abs_on([sub(lhs, rhs)], kp.KS_CTX, points) < 1e-10
 
     def test_weighted_constraint_is_conserved(self):
         gamma = kp.unfolded_field()
@@ -115,7 +105,7 @@ class TestConstraint:
 
         rate = lie_scalar(gamma, ScalarField(kp.KS_CTX, weighted)).expr
         points = kp.unfolded_domain().sample(seed=1, n_random=300, grid_points=5)
-        assert _max_abs([rate], kp.KS_CTX, points) < 1e-10
+        assert max_abs_on([rate], kp.KS_CTX, points) < 1e-10
 
     def test_zero_locus_is_invariant_numerically(self):
         gamma = kp.unfolded_field()
@@ -135,7 +125,7 @@ class TestUnfoldedDynamics:
         s, _ = canonical_tangent_structure(kp.KS_CTX)
         res = lagrange_residual(kp.lagrangian(), kp.unfolded_field(), s)
         points = kp.unfolded_domain().sample(seed=2, n_random=200, grid_points=3)
-        assert _max_abs(res.components, kp.KS_CTX, points) < 1e-9
+        assert max_abs_on(res.components, kp.KS_CTX, points) < 1e-9
 
     def test_energy_is_legendre_pairing(self):
         from sodelab.expr import sub
@@ -147,12 +137,12 @@ class TestUnfoldedDynamics:
         )
         diff = sub(alt, kp.energy().expr)
         points = kp.unfolded_domain().sample(seed=3, n_random=200, grid_points=3)
-        assert _max_abs([diff], kp.KS_CTX, points) < 1e-10
+        assert max_abs_on([diff], kp.KS_CTX, points) < 1e-10
 
     def test_energy_conserved_symbolically(self):
         rate = lie_scalar(kp.unfolded_field(), kp.energy()).expr
         points = kp.unfolded_domain().sample(seed=4, n_random=300, grid_points=3)
-        assert _max_abs([rate], kp.KS_CTX, points) < 1e-9
+        assert max_abs_on([rate], kp.KS_CTX, points) < 1e-9
 
     def test_circular_state_energy(self):
         for e in (-0.5, -1.0, -2.0):
