@@ -6,7 +6,9 @@ It only runs forward in time; backward flows are handled upstream by negating
 the field.  Finite-time escape is reported, not raised: a trajectory whose
 norm passes the blow-up threshold (or whose step size underflows) comes back
 with ``status == "blow_up"`` and a time bracket around the failure, keeping
-the last finite sample.
+the last finite sample.  An optional ``stop`` hook sees the nodes after each
+accepted step and can end the run early (``status == "stopped"``); period
+detection uses it to stop at the second return.
 """
 
 from __future__ import annotations
@@ -106,10 +108,12 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     derivs: np.ndarray
-    status: str  # "completed" | "blow_up" | "step_limit"
+    status: str  # "completed" | "stopped" | "blow_up" | "step_limit"
     accepted: int
     rejected: int
     blow_up_bracket: tuple[float, float] | None = None
+    # RHS evaluations: the initial value, the initial-step probe, 6 per attempted step
+    nfev: int = 0
 
     @property
     def final_time(self) -> float:
@@ -122,7 +126,7 @@ class Trajectory:
     def sample(self, t: float) -> np.ndarray:
         """Cubic Hermite value at time ``t`` within the covered range."""
         times = self.times
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
+        if not times[0] - 1e-12 <= t <= times[-1] + 1e-12:  # nan included
             raise ValueError(
                 f"t = {t} outside the covered range [{times[0]}, {times[-1]}]"
             )
@@ -147,7 +151,40 @@ class Trajectory:
         )
 
     def sample_many(self, ts: Sequence[float]) -> np.ndarray:
-        return np.array([self.sample(float(t)) for t in ts])
+        """:meth:`sample` at each of ``ts``, row by row, with the same bits."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        times = self.times
+        outside = ~((ts >= times[0] - 1e-12) & (ts <= times[-1] + 1e-12))
+        if np.any(outside):
+            raise ValueError(
+                f"t = {ts[outside][0]} outside the covered range "
+                f"[{times[0]}, {times[-1]}]"
+            )
+        out = np.empty((len(ts), self.states.shape[1]))
+        last = ts >= times[-1]
+        first = ~last & (ts <= times[0])
+        inner = ~(last | first)
+        out[last] = self.states[-1]
+        out[first] = self.states[0]
+        t = ts[inner]
+        i = np.searchsorted(times, t, side="right") - 1
+        h = times[i + 1] - times[i]
+        theta = (t - times[i]) / h
+        t2 = theta * theta
+        t3 = t2 * theta
+        # the weights of :meth:`sample`, one column per row, in its order
+        h00 = (2 * t3 - 3 * t2 + 1)[:, None]
+        h10 = (t3 - 2 * t2 + theta)[:, None]
+        h01 = (-2 * t3 + 3 * t2)[:, None]
+        h11 = (t3 - t2)[:, None]
+        h = h[:, None]
+        out[inner] = (
+            h00 * self.states[i]
+            + h10 * h * self.derivs[i]
+            + h01 * self.states[i + 1]
+            + h11 * h * self.derivs[i + 1]
+        )
+        return out
 
     def write_csv(self, path, names: Sequence[str] | None = None) -> None:
         dim = self.states.shape[1]
@@ -183,8 +220,15 @@ def integrate(
     atol: float = 1e-12,
     max_steps: int = 200_000,
     blow_up_norm: float = 1e8,
+    stop: Callable[[list, list, list], bool] | None = None,
 ) -> Trajectory:
-    """Integrate dy/dt = f(t, y) from t0 forward to t_end."""
+    """Integrate dy/dt = f(t, y) from t0 forward to t_end.
+
+    ``stop(times, states, derivs)``, if given, is called after each accepted
+    step with the node lists so far (the new node last; read them, do not
+    change them) and ends the run with status ``"stopped"`` when it returns
+    true.
+    """
     y = np.array(y0, dtype=float)
     dim = y.shape[0]
     if not t_end > t0:
@@ -207,6 +251,7 @@ def integrate(
     bracket: tuple[float, float] | None = None
 
     h = _initial_step(rhs, t, y, f_now, t_end, rtol, atol)
+    nfev = 2
     h_floor = 1e-14 * max(1.0, abs(t_end))
     err_prev = 1.0
     k = np.empty((7, dim))
@@ -221,6 +266,7 @@ def integrate(
             break
         h = min(h, t_end - t)
 
+        nfev += 6
         k[0] = f_now
         for stage in range(1, 7):
             coeffs = _A[stage]
@@ -249,6 +295,9 @@ def integrate(
             states.append(y.copy())
             derivs.append(f_now.copy())
             accepted += 1
+            if stop is not None and stop(times, states, derivs):
+                status = "stopped"
+                break
             if err == 0.0:
                 factor = _MAX_FACTOR
             else:
@@ -272,6 +321,7 @@ def integrate(
         accepted=accepted,
         rejected=rejected,
         blow_up_bracket=bracket,
+        nfev=nfev,
     )
 
 
@@ -291,14 +341,13 @@ class PeriodEstimate:
         }
 
 
-def _refine_crossing(
-    traj: Trajectory, index: int, x0: np.ndarray, normal: np.ndarray
-) -> float:
-    a = float(traj.times[index])
-    b = float(traj.times[index + 1])
+def _refine_crossing(step: Trajectory, x0: np.ndarray, normal: np.ndarray) -> float:
+    """Bisect the section crossing inside the one step ``step`` covers."""
+    a = float(step.times[0])
+    b = float(step.times[1])
     for _ in range(80):
         mid = 0.5 * (a + b)
-        if float((traj.sample(mid) - x0) @ normal) < 0.0:
+        if float((step.sample(mid) - x0) @ normal) < 0.0:
             a = mid
         else:
             b = mid
@@ -314,7 +363,6 @@ def estimate_period(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     t_max: float = 1000.0,
-    chunk: float = 100.0,
     ball_radius: float | None = None,
     return_tol: float = 1e-4,
     consistency_tol: float = 5e-3,
@@ -322,10 +370,12 @@ def estimate_period(
     """Detect the period of the orbit through ``x0``.
 
     The return section is the hyperplane through ``x0`` normal to the initial
-    velocity; candidate returns are negative-to-positive crossings refined by
-    bisection on the dense output, accepted only inside a ball around ``x0``
-    and within ``return_tol`` of the start.  A second return at twice the
-    first (to ``consistency_tol``) is required before reporting a period.
+    velocity.  One integration up to ``t_max`` tests each accepted step for a
+    negative-to-positive crossing, refines it by bisection on that step's
+    cubic Hermite interpolant, and accepts it as a return only inside a ball
+    around ``x0`` and within ``return_tol`` of the start; the run stops at the
+    second return.  That return must lie at twice the first (to
+    ``consistency_tol``) before a period is reported.
     """
     x0 = np.asarray(x0, dtype=float)
     f0 = np.asarray(f(0.0, x0), dtype=float)
@@ -337,30 +387,34 @@ def estimate_period(
         ball_radius = 0.25 * (1.0 + float(np.linalg.norm(x0)))
 
     returns: list[tuple[float, float]] = []
-    t_start = 0.0
-    y_start = x0
-    while t_start < t_max and len(returns) < 2:
-        t_stop = min(t_start + chunk, t_max)
-        traj = integrate(f, y_start, t_stop, t0=t_start, rtol=rtol, atol=atol)
-        if traj.status != "completed":
-            raise NotPeriodicError(
-                f"integration stopped with status '{traj.status}' at t = {traj.final_time}"
-            )
-        g = (traj.states - x0) @ normal
-        for i in range(len(g) - 1):
-            if g[i] < 0.0 <= g[i + 1]:
-                t_star = _refine_crossing(traj, i, x0, normal)
-                residual = float(np.linalg.norm(traj.sample(t_star) - x0))
-                if residual > ball_radius or residual > return_tol:
-                    continue  # crosses the section away from the start
-                if returns and t_star <= returns[-1][0] + 1e-9:
-                    continue
-                returns.append((t_star, residual))
-                if len(returns) == 2:
-                    break
-        t_start = traj.final_time
-        y_start = traj.final_state
 
+    def second_return(times: list, states: list, derivs: list) -> bool:
+        g_old = float((states[-2] - x0) @ normal)
+        g_new = float((states[-1] - x0) @ normal)
+        if not g_old < 0.0 <= g_new:
+            return False
+        step = Trajectory(
+            times=np.array(times[-2:]),
+            states=np.array(states[-2:]),
+            derivs=np.array(derivs[-2:]),
+            status="completed",
+            accepted=1,
+            rejected=0,
+        )
+        t_star = _refine_crossing(step, x0, normal)
+        residual = float(np.linalg.norm(step.sample(t_star) - x0))
+        if residual > ball_radius or residual > return_tol:
+            return False  # crosses the section away from the start
+        if returns and t_star <= returns[-1][0] + 1e-9:
+            return False
+        returns.append((t_star, residual))
+        return len(returns) == 2
+
+    traj = integrate(f, x0, t_max, rtol=rtol, atol=atol, stop=second_return)
+    if traj.status not in ("completed", "stopped"):
+        raise NotPeriodicError(
+            f"integration stopped with status '{traj.status}' at t = {traj.final_time}"
+        )
     if not returns:
         raise NotPeriodicError(f"no return to the start within t = {t_max}")
     if len(returns) < 2:

@@ -19,6 +19,7 @@ derivative trees may be verbose but evaluate exactly.
 
 from __future__ import annotations
 
+import keyword
 import math
 import re
 from dataclasses import dataclass
@@ -206,7 +207,9 @@ def add(a: Expression, b: Expression) -> Expression:
     if _is_const(b, 0.0):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+        folded = a.value + b.value
+        if math.isfinite(folded):
+            return Const(folded)
     return Add(a, b)
 
 
@@ -216,7 +219,9 @@ def sub(a: Expression, b: Expression) -> Expression:
     if _is_const(a, 0.0):
         return neg(b)
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+        folded = a.value - b.value
+        # a non-finite difference stays a node, before `a == b` could fold inf - inf to 0
+        return Const(folded) if math.isfinite(folded) else Sub(a, b)
     if a == b:
         return ZERO
     return Sub(a, b)
@@ -305,6 +310,9 @@ class VariableContext:
         for name in self.names:
             if not _IDENT_RE.match(name):
                 raise ValueError(f"invalid coordinate name '{name}'")
+            if keyword.iskeyword(name):
+                # the compiled backends bind coordinates as Python names
+                raise ValueError(f"coordinate name '{name}' is a Python keyword")
             if name in _FUNCTIONS:
                 raise ValueError(f"coordinate name '{name}' shadows a function")
 

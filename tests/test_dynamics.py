@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sodelab import kepler as kp
 from sodelab.dynamics import (
     Trajectory,
     conserved_drift,
@@ -18,6 +19,22 @@ from sodelab.fields import VectorField
 
 def circle_rhs(t, y):
     return np.array([y[1], -y[0]])
+
+
+def van_der_pol_rhs(t, y):
+    # mu = 5: stiff enough that the controller rejects a few steps
+    return np.array([y[1], 5.0 * (1.0 - y[0] ** 2) * y[1] - y[0]])
+
+
+def counting(f):
+    """``f`` wrapped with a call counter, read as ``wrapped.calls``."""
+
+    def wrapped(t, y):
+        wrapped.calls += 1
+        return f(t, y)
+
+    wrapped.calls = 0
+    return wrapped
 
 
 class TestAccuracy:
@@ -57,6 +74,38 @@ class TestAccuracy:
         assert traj.accepted == len(traj.times) - 1
         assert traj.accepted > 10
         assert traj.rejected >= 0
+
+    @pytest.mark.parametrize(
+        "f, y0, rejects",
+        [
+            (circle_rhs, (1.0, 0.0), False),
+            (van_der_pol_rhs, (2.0, 0.0), True),
+        ],
+    )
+    def test_nfev_counts_every_rhs_call(self, f, y0, rejects):
+        rhs = counting(f)
+        traj = integrate(rhs, y0, 10.0, rtol=1e-6, atol=1e-9)
+        assert (traj.rejected > 0) == rejects
+        # the initial value, the initial-step probe, 6 stages per attempted step
+        assert traj.nfev == 2 + 6 * (traj.accepted + traj.rejected)
+        assert traj.nfev == rhs.calls
+
+    def test_stop_hook_ends_the_run(self):
+        seen = []
+
+        def past_one(times, states, derivs):
+            seen.append(len(times))
+            return times[-1] > 1.0
+
+        traj = integrate(circle_rhs, (1.0, 0.0), 10.0, stop=past_one)
+        full = integrate(circle_rhs, (1.0, 0.0), 10.0)
+        assert traj.status == "stopped"
+        assert seen == list(range(2, len(traj.times) + 1))
+        assert traj.times[-2] <= 1.0 < traj.final_time
+        # the steps taken before the stop are those of the full run
+        n = len(traj.times)
+        assert np.array_equal(traj.times, full.times[:n])
+        assert np.array_equal(traj.states, full.states[:n])
 
     def test_forward_only(self):
         with pytest.raises(ValueError):
@@ -127,6 +176,29 @@ class TestDenseOutput:
                 traj.sample(float(traj.times[i])), traj.states[i], atol=1e-12
             )
 
+    def test_sample_many_equals_sample_bitwise(self):
+        traj = integrate(circle_rhs, (1.0, 0.0), 10.0, rtol=1e-8, atol=1e-10)
+        t0, t1 = float(traj.times[0]), float(traj.final_time)
+        ts = np.concatenate(
+            [
+                np.linspace(t0, t1, 4096),
+                traj.times,
+                [t0 - 1e-13, t1 + 1e-13, np.nextafter(t0, t1), np.nextafter(t1, t0)],
+            ]
+        )
+        many = traj.sample_many(ts)
+        one_by_one = np.array([traj.sample(float(t)) for t in ts])
+        assert many.shape == one_by_one.shape == (len(ts), 2)
+        assert np.array_equal(many.view(np.uint64), one_by_one.view(np.uint64))
+
+    def test_range_check_shared_and_rejects_nan(self):
+        traj = integrate(circle_rhs, (1.0, 0.0), 1.0)
+        for bad in (2.0, -0.5, math.nan):
+            with pytest.raises(ValueError):
+                traj.sample(bad)
+            with pytest.raises(ValueError):
+                traj.sample_many([0.5, bad])
+
     def test_out_of_range_rejected(self):
         traj = integrate(circle_rhs, (1.0, 0.0), 1.0)
         with pytest.raises(ValueError):
@@ -159,6 +231,19 @@ class TestPeriodDetection:
         assert estimate.period == pytest.approx(2 * math.pi, rel=1e-8)
         assert estimate.residual < 1e-6
         assert estimate.second_return == pytest.approx(4 * math.pi, rel=1e-6)
+
+    def test_stops_at_the_second_return(self):
+        rhs = counting(circle_rhs)
+        estimate = estimate_period(rhs, (1.0, 0.0))
+        # the run ends just past the second return at 4*pi (about 3,100 calls)
+        assert rhs.calls < 4000
+        assert estimate.period.hex() == "0x1.921fb54442a66p+2"
+        assert estimate.second_return.hex() == "0x1.921fb54442882p+3"
+
+    def test_kepler_chart_period_bits(self):
+        field = kp.chart_field()
+        estimate = estimate_period(field.ode_rhs, kp.shell_representative(-0.5))
+        assert estimate.period.hex() == "0x1.921fb5444b32ap+2"
 
     def test_anisotropic_start_point(self):
         # same orbit entered at a generic phase

@@ -288,6 +288,20 @@ class TestPrinting:
         r = parse(to_source(e), CTX)
         assert evaluate(r, {"x": 3.0}) == -9.0
 
+    @pytest.mark.parametrize(
+        "source, kept, value",
+        [
+            ("1e308 + 1e308 + x", Add(Const(1e308), Const(1e308)), math.inf),
+            ("-1e308 - 1e308 + x", Sub(Const(-1e308), Const(1e308)), -math.inf),
+        ],
+    )
+    def test_overflowing_constant_sum_stays_printable(self, source, kept, value):
+        # folding to Const(inf) would leave a tree that to_source cannot print
+        e = parse(source, CTX)
+        assert e == Add(kept, Var("x"))
+        assert parse(to_source(e), CTX) == e
+        assert evaluate(e, {"x": 1.0}) == value
+
 
 class TestCompilation:
     @pytest.mark.parametrize(
@@ -333,6 +347,12 @@ class TestVariableContext:
     def test_invalid_identifier_rejected(self):
         with pytest.raises(ValueError):
             VariableContext.of("2x")
+
+    @pytest.mark.parametrize("name", ["lambda", "if", "None", "True", "class"])
+    def test_python_keyword_rejected(self, name):
+        # compiled backends bind coordinates as Python names
+        with pytest.raises(ValueError, match="keyword"):
+            VariableContext.of(name, "x")
 
     def test_index_and_contains(self):
         ctx = qv_context(2)
