@@ -41,6 +41,7 @@ from .fields import (
     ScalarField,
     Tensor11Field,
     VectorField,
+    _entries,
     canonical_tangent_structure,
     evaluate_on,
 )
@@ -56,17 +57,13 @@ __all__ = [
 _ZERO_FIELD_TOL = 1e-12
 
 
-def _is_zero(expr: Expression) -> bool:
-    return expr == Const(0.0)
-
-
 def _second_partials_vanish(
     expr: Expression, names_i: Sequence[str], names_j: Sequence[str]
 ) -> bool:
     for ni in names_i:
         first = differentiate(expr, ni)
         for nj in names_j:
-            if not _is_zero(differentiate(first, nj)):
+            if differentiate(first, nj) != Const(0.0):
                 return False
     return True
 
@@ -269,27 +266,14 @@ def build(
     ctx = gamma.ctx
     if box.ctx != ctx:
         raise ValueError("domain box and field live on different contexts")
-    base_exprs: list[Expression] = []
-    for entry in base:
-        if isinstance(entry, ScalarField):
-            if entry.ctx != ctx:
-                raise ValueError("base function context does not match the field")
-            base_exprs.append(entry.expr)
-        elif isinstance(entry, str):
-            from .expr import parse
-
-            base_exprs.append(parse(entry, ctx))
-        elif isinstance(entry, Expression):
-            base_exprs.append(entry)
-        else:
-            raise TypeError(f"cannot use {type(entry).__name__} as a base function")
+    base_exprs = _entries(ctx, base, (len(base),))
     n = len(base_exprs)
     if n == 0:
         raise ValueError("at least one base function is required")
     dim = ctx.dim
 
     velocity_exprs = [lie_scalar(gamma, ScalarField(ctx, q)).expr for q in base_exprs]
-    chart_components = tuple(base_exprs) + tuple(velocity_exprs)
+    chart_components = base_exprs + tuple(velocity_exprs)
     points = box.sample(seed=seed, n_random=n_random, grid_points=grid_points)
 
     # base differentials must stay independent everywhere on the grid
@@ -403,7 +387,7 @@ def build(
 
 
 def _pick_inverse(
-    base_exprs: list[Expression],
+    base_exprs: Sequence[Expression],
     velocity_exprs: list[Expression],
     forward: PointMap,
     ctx: VariableContext,

@@ -61,12 +61,6 @@ class _Run:
             self.out_dir.mkdir(parents=True, exist_ok=True)
         self.outputs: list[str] = []
 
-    def write_text(self, name: str, text: str) -> None:
-        if self.out_dir is None:
-            raise _UsageError(f"{self.command} writes {name}: pass --out DIR")
-        (self.out_dir / name).write_text(text)
-        self.outputs.append(name)
-
     def emit_json(self, name: str, payload) -> None:
         text = _dump_json(payload)
         if self.out_dir is None:
@@ -257,6 +251,22 @@ def _require(opts: dict, key: str):
     return value
 
 
+def _count(opts: dict, key: str, least: int) -> int:
+    value = int(opts[key])
+    if value < least:
+        raise _UsageError(
+            f"--{key.replace('_', '-')} must be at least {least}, got {value}"
+        )
+    return value
+
+
+def _positive(opts: dict, key: str) -> float:
+    value = float(_require(opts, key))
+    if not value > 0.0:
+        raise _UsageError(f"--{key.replace('_', '-')} must be positive, got {value}")
+    return value
+
+
 # ------------------------------------------------------------- field lookup
 
 
@@ -301,7 +311,7 @@ def _initial_state(opts: dict, ctx, scenario) -> np.ndarray:
 def _cmd_verify(run: _Run, opts: dict) -> int:
     name = _require(opts, "scenario")
     seed = int(opts["seed"])
-    samples = int(opts["samples"])
+    samples = _count(opts, "samples", 0)
     tol = float(opts["tol"])
     flat = dict(sc.canonical_contexts())
     if name in flat:
@@ -346,10 +356,9 @@ def _cmd_verify(run: _Run, opts: dict) -> int:
 
 def _cmd_build(run: _Run, opts: dict) -> int:
     name = _require(opts, "scenario")
+    samples = _count(opts, "samples", 0)
     scenario = sc.get_sode_scenario(name)
-    structure = sc.build_scenario(
-        scenario, seed=int(opts["seed"]), n_random=int(opts["samples"])
-    )
+    structure = sc.build_scenario(scenario, seed=int(opts["seed"]), n_random=samples)
     run.emit_json("structure.json", {"scenario": name, **structure.to_json()})
     return 0
 
@@ -358,10 +367,10 @@ def _cmd_integrate(run: _Run, opts: dict) -> int:
     name = _require(opts, "scenario")
     ctx, field, scenario = _lookup_field(name, bool(opts["rescaled"]))
     state = _initial_state(opts, ctx, scenario)
-    t_end = float(_require(opts, "t_end"))
+    t_end = _positive(opts, "t_end")
+    csv_samples = _count(opts, "csv_samples", 0)
     tol = float(opts["tol"])
     traj = integrate(field.ode_rhs, state, t_end, rtol=tol, atol=tol * 1e-2)
-    csv_samples = int(opts["csv_samples"])
     path = run.path("trajectory.csv")
     if csv_samples > 0 and traj.status == "completed":
         times = np.linspace(traj.times[0], traj.final_time, csv_samples)
@@ -387,10 +396,9 @@ def _cmd_period(run: _Run, opts: dict) -> int:
     name = _require(opts, "scenario")
     ctx, field, scenario = _lookup_field(name, bool(opts["rescaled"]))
     state = _initial_state(opts, ctx, scenario)
+    t_max = _positive(opts, "t_max")
     tol = float(opts["tol"])
-    est = estimate_period(
-        field.ode_rhs, state, rtol=tol, atol=tol * 1e-2, t_max=float(opts["t_max"])
-    )
+    est = estimate_period(field.ode_rhs, state, rtol=tol, atol=tol * 1e-2, t_max=t_max)
     run.emit_json("period.json", {"scenario": name, **est.to_json()})
     return 0
 
@@ -399,6 +407,7 @@ def _cmd_kepler_demo(run: _Run, opts: dict) -> int:
     energy = float(opts["energy"])
     params = kp.KeplerParams(g=float(opts["g"]))
     tol = float(opts["tol"])
+    samples = _count(opts, "csv_samples", 1)
     period = 2.0 * math.pi / kp.mean_motion(energy, params)
 
     unfolded = integrate(
@@ -411,7 +420,6 @@ def _cmd_kepler_demo(run: _Run, opts: dict) -> int:
         kp.kepler3d_circular_state(energy, params),
         period,
     )
-    samples = int(opts["csv_samples"])
     times = np.linspace(0.0, period, samples)
     projected = np.array([kp.project_state(s) for s in unfolded.sample_many(times)])
     reference = direct.sample_many(times)
@@ -480,6 +488,7 @@ def _cmd_match(run: _Run, opts: dict) -> int:
     g = float(opts["g"])
     mode = str(opts["mode"])
     tol = float(opts["tol"])
+    samples = _count(opts, "csv_samples", 0)
     params = kp.KeplerParams(g=g)
     if opts["levels"] is None:
         levels = mo.matched_oscillator_grid(energies, g=g, mode=mode)
@@ -496,7 +505,7 @@ def _cmd_match(run: _Run, opts: dict) -> int:
     closures = mo.write_figure_csv(
         run.path("figure.csv"),
         (*kepler_records, *oscillator_records),
-        samples_per_period=int(opts["csv_samples"]),
+        samples_per_period=samples,
     )
     payload = {
         **matching.to_json(),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SignChangeError
-from .expr import Const, Expression, add, call, differentiate, mul, neg, sub
+from .expr import add, call, differentiate, mul, neg, sub, sum_of_products
 from .fields import (
     Box,
     OneFormField,
@@ -96,9 +96,7 @@ def oneform_rescaling_residual(
     """
     ctx = field.ctx
     lhs = lie_oneform(field.scaled(factor.expr), alpha)
-    pairing: Expression = Const(0.0)
-    for x_i, a_i in zip(field.components, alpha.components):
-        pairing = add(pairing, mul(x_i, a_i))
+    pairing = sum_of_products(zip(field.components, alpha.components))
     moved = lie_oneform(field, alpha)
     residuals = []
     for j, name in enumerate(ctx.names):

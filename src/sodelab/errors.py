@@ -90,10 +90,6 @@ class PositiveEnergyError(SodelabError):
     """Energy-shell operations require a negative (bound) energy."""
 
 
-class ConstraintViolationError(SodelabError):
-    """Initial data does not satisfy the required constraint surface."""
-
-
 # --- motions -------------------------------------------------------------
 
 

@@ -23,7 +23,7 @@ import keyword
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "add",
     "sub",
     "mul",
+    "sum_of_products",
     "div",
     "neg",
     "pow_",
@@ -239,6 +240,14 @@ def mul(a: Expression, b: Expression) -> Expression:
         if math.isfinite(folded):
             return Const(folded)
     return Mul(a, b)
+
+
+def sum_of_products(pairs: Iterable[tuple[Expression, Expression]]) -> Expression:
+    """a1*b1 + a2*b2 + ..., folded left from zero through :func:`add` and :func:`mul`."""
+    total: Expression = Const(0.0)
+    for a, b in pairs:
+        total = add(total, mul(a, b))
+    return total
 
 
 def div(a: Expression, b: Expression) -> Expression:

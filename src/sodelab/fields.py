@@ -17,15 +17,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainSamplingError
+from .errors import ChartDimensionError, DomainSamplingError
 from .expr import (
     Const,
     Expression,
+    Var,
     VariableContext,
     _emit,
     compile_scalar,
     differentiate,
     free_variables,
+    mul,
+    neg,
     parse,
     to_source,
 )
@@ -88,52 +91,94 @@ def max_abs_on(
     return worst
 
 
-def _as_expressions(
-    ctx: VariableContext, entries: Sequence[Expression | str | float]
-) -> tuple[Expression, ...]:
-    out = []
-    for entry in entries:
-        if isinstance(entry, Expression):
-            out.append(entry)
-        elif isinstance(entry, str):
-            out.append(parse(entry, ctx))
-        elif isinstance(entry, (int, float)):
-            out.append(Const(float(entry)))
-        else:
-            raise TypeError(f"cannot treat {type(entry).__name__} as a field entry")
-    return tuple(out)
+def _entries(ctx: VariableContext, entries, shape: tuple[int, ...]):
+    """``entries`` as trees over ``ctx``, nested as ``shape`` says.
+
+    ``shape`` is () for one entry, (k,) for k entries or (k, k) for k rows of
+    k.  An entry may be a tree, source text, a number or a :class:`ScalarField`
+    on ``ctx``; a wrong count raises ValueError, as does a tree naming a
+    coordinate outside ``ctx``, and an entry of another type raises TypeError.
+    """
+    if shape:
+        entries = tuple(entries)
+        if len(entries) != shape[0]:
+            raise ValueError(f"expected {shape[0]} entries, got {len(entries)}")
+        return tuple(_entries(ctx, entry, shape[1:]) for entry in entries)
+    if isinstance(entries, ScalarField):
+        if entries.ctx != ctx:
+            raise ValueError(f"scalar field over {entries.ctx.names}, not {ctx.names}")
+        return entries.expr
+    if isinstance(entries, str):
+        return parse(entries, ctx)
+    if isinstance(entries, (int, float)):
+        return Const(float(entries))
+    if not isinstance(entries, Expression):
+        raise TypeError(f"cannot treat {type(entries).__name__} as a field entry")
+    extra = free_variables(entries) - set(ctx.names)
+    if extra:
+        raise ValueError(
+            f"expression '{to_source(entries)}' uses {sorted(extra)} outside {ctx.names}"
+        )
+    return entries
 
 
-def _check_scope(ctx: VariableContext, entries: Sequence[Expression]) -> None:
-    for e in entries:
-        extra = free_variables(e) - set(ctx.names)
-        if extra:
-            raise ValueError(
-                f"expression '{to_source(e)}' uses {sorted(extra)} outside {ctx.names}"
-            )
+def _fused(ctx: VariableContext, rows) -> Callable[..., float | np.ndarray]:
+    """One scalar-backend call for a tree, a vector or a matrix of trees.
+
+    The callable returns a float for one tree and otherwise an ndarray shaped
+    like ``rows``.
+    """
+    if isinstance(rows, Expression):
+        return compile_scalar(rows, ctx)
+    if isinstance(rows[0], tuple):
+        fn = compile_scalar([e for row in rows for e in row], ctx)
+        shape = (len(rows), len(rows[0]))
+        return lambda point: np.array(fn(point), dtype=float).reshape(shape)
+    fn = compile_scalar(rows, ctx)
+    return lambda point: np.array(fn(point), dtype=float)
+
+
+class _Shaped:
+    """Entries of one shape over one context, callable on points.
+
+    A subclass is a frozen dataclass whose entries sit in the attribute
+    ``_attr``; ``_layout`` gives the context they live on and their shape.
+    Construction coerces and checks the entries, and evaluation compiles all
+    of them into one cached function.
+    """
+
+    _attr = "components"
+
+    def _layout(self) -> tuple[VariableContext, tuple[int, ...]]:
+        return self.ctx, (self.ctx.dim,)
+
+    def __post_init__(self) -> None:
+        ctx, shape = self._layout()
+        object.__setattr__(self, self._attr, _entries(ctx, getattr(self, self._attr), shape))
+
+    @cached_property
+    def _fn(self) -> Callable[..., float | np.ndarray]:
+        return _fused(self._layout()[0], getattr(self, self._attr))
+
+    def __call__(self, point):
+        return self._fn(point)
 
 
 @dataclass(frozen=True)
-class ScalarField:
+class ScalarField(_Shaped):
     """A single expression over a context, callable on points."""
 
     ctx: VariableContext
     expr: Expression
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "expr", _as_expressions(self.ctx, [self.expr])[0])
-        _check_scope(self.ctx, [self.expr])
+    _attr = "expr"
+
+    def _layout(self):
+        return self.ctx, ()
 
     @classmethod
     def of(cls, ctx: VariableContext, source: Expression | str | float) -> "ScalarField":
         return cls(ctx, source)  # type: ignore[arg-type]
-
-    @cached_property
-    def _fn(self) -> Callable[..., float]:
-        return compile_scalar(self.expr, self.ctx)
-
-    def __call__(self, point) -> float:
-        return self._fn(point)
 
     def partial(self, name: str) -> "ScalarField":
         return ScalarField(self.ctx, differentiate(self.expr, name))
@@ -145,56 +190,16 @@ class ScalarField:
         )
 
 
-def _fused(ctx: VariableContext, rows) -> Callable[..., np.ndarray]:
-    """One scalar-backend call for a vector or a matrix of trees over ``ctx``.
-
-    The callable returns an ndarray shaped like ``rows``.
-    """
-    if isinstance(rows[0], tuple):
-        fn = compile_scalar([e for row in rows for e in row], ctx)
-        shape = (len(rows), len(rows[0]))
-        return lambda point: np.array(fn(point), dtype=float).reshape(shape)
-    fn = compile_scalar(rows, ctx)
-    return lambda point: np.array(fn(point), dtype=float)
-
-
-class _Compiled:
-    """A field callable on points through one compiled function of its entries.
-
-    ``_layout`` gives the context the entries live on and the entries, as a
-    tuple of trees or a tuple of rows.
-    """
-
-    @cached_property
-    def _fn(self) -> Callable[..., np.ndarray]:
-        return _fused(*self._layout())
-
-    def __call__(self, point) -> np.ndarray:
-        return self._fn(point)
-
-
 @dataclass(frozen=True)
-class VectorField(_Compiled):
+class VectorField(_Shaped):
     """Contravariant components X^i over a context; one entry per coordinate."""
 
     ctx: VariableContext
     components: tuple[Expression, ...]
 
-    def __post_init__(self) -> None:
-        comps = _as_expressions(self.ctx, self.components)
-        if len(comps) != self.ctx.dim:
-            raise ValueError(
-                f"vector field needs {self.ctx.dim} components, got {len(comps)}"
-            )
-        object.__setattr__(self, "components", comps)
-        _check_scope(self.ctx, comps)
-
     @classmethod
     def of(cls, ctx: VariableContext, *entries: Expression | str | float) -> "VectorField":
         return cls(ctx, tuple(entries))  # type: ignore[arg-type]
-
-    def _layout(self):
-        return self.ctx, self.components
 
     @cached_property
     def ode_rhs(self) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -203,104 +208,60 @@ class VectorField(_Compiled):
         return lambda t, y: fn(y)
 
     def negated(self) -> "VectorField":
-        from .expr import neg
-
         return VectorField(self.ctx, tuple(neg(c) for c in self.components))
 
     def scaled(self, factor: Expression | str | float) -> "VectorField":
-        from .expr import mul
-
-        f = _as_expressions(self.ctx, [factor])[0]
+        f = _entries(self.ctx, factor, ())
         return VectorField(self.ctx, tuple(mul(f, c) for c in self.components))
 
 
 @dataclass(frozen=True)
-class OneFormField(_Compiled):
+class OneFormField(_Shaped):
     """Covariant components alpha_i over a context."""
 
     ctx: VariableContext
     components: tuple[Expression, ...]
 
-    def __post_init__(self) -> None:
-        comps = _as_expressions(self.ctx, self.components)
-        if len(comps) != self.ctx.dim:
-            raise ValueError(
-                f"one-form needs {self.ctx.dim} components, got {len(comps)}"
-            )
-        object.__setattr__(self, "components", comps)
-        _check_scope(self.ctx, comps)
+
+class _Matrix(_Shaped):
+    """A square matrix of entries over the context, given as rows."""
+
+    _attr = "matrix"
 
     def _layout(self):
-        return self.ctx, self.components
+        return self.ctx, (self.ctx.dim, self.ctx.dim)
 
-
-def _as_matrix(
-    ctx: VariableContext, rows: Sequence[Sequence[Expression | str | float]]
-) -> tuple[tuple[Expression, ...], ...]:
-    dim = ctx.dim
-    if len(rows) != dim or any(len(row) != dim for row in rows):
-        raise ValueError(f"matrix field over {ctx.names} must be {dim}x{dim}")
-    out = tuple(_as_expressions(ctx, row) for row in rows)
-    for row in out:
-        _check_scope(ctx, row)
-    return out
+    @classmethod
+    def constant(cls, ctx: VariableContext, matrix: np.ndarray):
+        return cls(ctx, np.asarray(matrix, dtype=float).tolist())
 
 
 @dataclass(frozen=True)
-class Tensor11Field(_Compiled):
+class Tensor11Field(_Matrix):
     """A (1,1) tensor: matrix[i][j] = T^i_j, acting on vectors by contraction."""
 
     ctx: VariableContext
     matrix: tuple[tuple[Expression, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _as_matrix(self.ctx, self.matrix))
-
-    def _layout(self):
-        return self.ctx, self.matrix
-
-    @classmethod
-    def constant(cls, ctx: VariableContext, matrix: np.ndarray) -> "Tensor11Field":
-        rows = tuple(
-            tuple(Const(float(value)) for value in row) for row in np.asarray(matrix)
-        )
-        return cls(ctx, rows)
-
 
 @dataclass(frozen=True)
-class TwoFormField(_Compiled):
+class TwoFormField(_Matrix):
     """A two-form: matrix[i][j] = omega_ij with omega(X, Y) = X^i omega_ij Y^j."""
 
     ctx: VariableContext
     matrix: tuple[tuple[Expression, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _as_matrix(self.ctx, self.matrix))
-
-    def _layout(self):
-        return self.ctx, self.matrix
-
 
 @dataclass(frozen=True)
-class PointMap(_Compiled):
+class PointMap(_Shaped):
     """A coordinate map src -> dst given by dst.dim expressions over src names."""
 
     src: VariableContext
     dst: VariableContext
     components: tuple[Expression, ...]
 
-    def __post_init__(self) -> None:
-        comps = _as_expressions(self.src, self.components)
-        if len(comps) != self.dst.dim:
-            raise ValueError(
-                f"map into {self.dst.names} needs {self.dst.dim} components, "
-                f"got {len(comps)}"
-            )
-        object.__setattr__(self, "components", comps)
-        _check_scope(self.src, comps)
-
     def _layout(self):
-        return self.src, self.components
+        return self.src, (self.dst.dim,)
 
     @cached_property
     def _jacobian_fn(self) -> Callable[..., np.ndarray]:
@@ -414,6 +375,14 @@ class Box:
         return points
 
 
+def _half_dim(ctx: VariableContext, chart: str) -> int:
+    if ctx.dim % 2 != 0:
+        raise ChartDimensionError(
+            f"a {chart} chart needs an even coordinate count, got {ctx.dim}"
+        )
+    return ctx.dim // 2
+
+
 def canonical_tangent_structure(ctx: VariableContext):
     """The flat vertical endomorphism and dilation field on a (base, fiber) chart.
 
@@ -421,38 +390,20 @@ def canonical_tangent_structure(ctx: VariableContext):
     ``(S, delta)`` where S sends each base direction to its fiber partner and
     kills fiber directions, and delta scales fibers: components (0, .., v).
     """
-    from .errors import ChartDimensionError
-    from .expr import Var
-
-    if ctx.dim % 2 != 0:
-        raise ChartDimensionError(
-            f"a tangent chart needs an even coordinate count, got {ctx.dim}"
-        )
-    n = ctx.dim // 2
+    n = _half_dim(ctx, "tangent")
     matrix = np.zeros((ctx.dim, ctx.dim))
     for k in range(n):
         matrix[n + k, k] = 1.0
     s = Tensor11Field.constant(ctx, matrix)
-    delta = VectorField(
-        ctx,
-        tuple(Const(0.0) for _ in range(n))
-        + tuple(Var(ctx.names[n + k]) for k in range(n)),
-    )
+    delta = VectorField(ctx, (0.0,) * n + tuple(Var(name) for name in ctx.names[n:]))
     return s, delta
 
 
 def canonical_symplectic(ctx: VariableContext) -> TwoFormField:
     """dq^k wedge dp_k on a (position, momentum) chart: omega(X, Y) = X^q.Y^p - X^p.Y^q."""
-    from .errors import ChartDimensionError
-
-    if ctx.dim % 2 != 0:
-        raise ChartDimensionError(
-            f"a phase-space chart needs an even coordinate count, got {ctx.dim}"
-        )
-    n = ctx.dim // 2
+    n = _half_dim(ctx, "phase-space")
     matrix = np.zeros((ctx.dim, ctx.dim))
     for k in range(n):
         matrix[k, n + k] = 1.0
         matrix[n + k, k] = -1.0
-    rows = tuple(tuple(Const(float(v)) for v in row) for row in matrix)
-    return TwoFormField(ctx, rows)
+    return TwoFormField.constant(ctx, matrix)

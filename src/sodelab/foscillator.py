@@ -24,13 +24,12 @@ from .expr import (
     VariableContext,
     differentiate,
     evaluate,
-    free_variables,
     parse,
     qv_context,
     sub,
     substitute,
 )
-from .fields import Box, ScalarField, VectorField, canonical_symplectic, max_abs_on
+from .fields import Box, ScalarField, VectorField, _entries, canonical_symplectic, max_abs_on
 from .geometry import interior_twoform
 
 __all__ = [
@@ -100,9 +99,7 @@ class Deformation:
     profile: Expression
 
     def __post_init__(self) -> None:
-        extra = {v for v in free_variables(self.profile) if v != "xi"}
-        if extra:
-            raise ValueError(f"profile may only use xi, found {sorted(extra)}")
+        object.__setattr__(self, "profile", _entries(XI_CTX, self.profile, ()))
 
     @cached_property
     def slope(self) -> Expression:

@@ -25,6 +25,7 @@ from .expr import (
     mul,
     neg,
     sub,
+    sum_of_products,
 )
 from .fields import (
     Box,
@@ -70,10 +71,8 @@ def _same_ctx(*objects) -> VariableContext:
 def lie_scalar(x: VectorField, g: ScalarField) -> ScalarField:
     """Directional derivative of ``g`` along ``x``."""
     ctx = _same_ctx(x, g)
-    total: Expression = Const(0.0)
-    for name, comp in zip(ctx.names, x.components):
-        total = add(total, mul(comp, differentiate(g.expr, name)))
-    return ScalarField(ctx, total)
+    grad = (differentiate(g.expr, name) for name in ctx.names)
+    return ScalarField(ctx, sum_of_products(zip(x.components, grad)))
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
@@ -94,11 +93,11 @@ def lie_oneform(x: VectorField, alpha: OneFormField) -> OneFormField:
     ctx = _same_ctx(x, alpha)
     components = []
     for i, name_i in enumerate(ctx.names):
-        total: Expression = Const(0.0)
+        pairs = []
         for j, name_j in enumerate(ctx.names):
-            total = add(total, mul(x.components[j], differentiate(alpha.components[i], name_j)))
-            total = add(total, mul(alpha.components[j], differentiate(x.components[j], name_i)))
-        components.append(total)
+            pairs.append((x.components[j], differentiate(alpha.components[i], name_j)))
+            pairs.append((alpha.components[j], differentiate(x.components[j], name_i)))
+        components.append(sum_of_products(pairs))
     return OneFormField(ctx, tuple(components))
 
 
@@ -123,13 +122,7 @@ def lie_tensor11(x: VectorField, t: Tensor11Field) -> Tensor11Field:
 def apply_tensor(t: Tensor11Field, x: VectorField) -> VectorField:
     """Contract: (T x)^i = T^i_j x^j."""
     ctx = _same_ctx(t, x)
-    components = []
-    for i in range(ctx.dim):
-        total: Expression = Const(0.0)
-        for j in range(ctx.dim):
-            total = add(total, mul(t.matrix[i][j], x.components[j]))
-        components.append(total)
-    return VectorField(ctx, tuple(components))
+    return VectorField(ctx, tuple(sum_of_products(zip(row, x.components)) for row in t.matrix))
 
 
 def basis_field(ctx: VariableContext, index: int) -> VectorField:
@@ -171,13 +164,10 @@ def theta_from_lagrangian(lagrangian: ScalarField, s: Tensor11Field) -> OneFormF
     """The one-form dL composed with S: theta_j = d_i L S^i_j."""
     ctx = _same_ctx(lagrangian, s)
     grads = [differentiate(lagrangian.expr, name) for name in ctx.names]
-    components = []
-    for j in range(ctx.dim):
-        total: Expression = Const(0.0)
-        for i in range(ctx.dim):
-            total = add(total, mul(grads[i], s.matrix[i][j]))
-        components.append(total)
-    return OneFormField(ctx, tuple(components))
+    components = tuple(
+        sum_of_products(zip(grads, column)) for column in zip(*s.matrix)
+    )
+    return OneFormField(ctx, components)
 
 
 def lagrange_residual(
@@ -208,13 +198,10 @@ def hamiltonian_field(h: ScalarField) -> VectorField:
 def interior_twoform(omega: TwoFormField, x: VectorField) -> OneFormField:
     """(i_x omega)_j = x^i omega_ij."""
     ctx = _same_ctx(omega, x)
-    components = []
-    for j in range(ctx.dim):
-        total: Expression = Const(0.0)
-        for i in range(ctx.dim):
-            total = add(total, mul(x.components[i], omega.matrix[i][j]))
-        components.append(total)
-    return OneFormField(ctx, tuple(components))
+    components = tuple(
+        sum_of_products(zip(x.components, column)) for column in zip(*omega.matrix)
+    )
+    return OneFormField(ctx, components)
 
 
 def conformal_hamiltonian_residual(
@@ -252,17 +239,18 @@ def pullback_twoform(omega: TwoFormField, mapping: PointMap) -> TwoFormField:
         for comp in mapping.components
     ]
     dim_dst = omega.ctx.dim
-    rows = []
-    for i in range(src.dim):
-        row = []
-        for j in range(src.dim):
-            total: Expression = Const(0.0)
-            for a in range(dim_dst):
-                for b in range(dim_dst):
-                    total = add(total, mul(jac[a][i], mul(pulled_entries[a][b], jac[b][j])))
-            row.append(total)
-        rows.append(tuple(row))
-    return TwoFormField(src, tuple(rows))
+    rows = tuple(
+        tuple(
+            sum_of_products(
+                (jac[a][i], mul(pulled_entries[a][b], jac[b][j]))
+                for a in range(dim_dst)
+                for b in range(dim_dst)
+            )
+            for j in range(src.dim)
+        )
+        for i in range(src.dim)
+    )
+    return TwoFormField(src, rows)
 
 
 # --- verification -----------------------------------------------------------
@@ -314,15 +302,9 @@ class VerificationReport:
 
 
 def _matrix_product(a: Tensor11Field, b: Tensor11Field) -> list[Expression]:
-    ctx = a.ctx
-    out = []
-    for i in range(ctx.dim):
-        for j in range(ctx.dim):
-            total: Expression = Const(0.0)
-            for k in range(ctx.dim):
-                total = add(total, mul(a.matrix[i][k], b.matrix[k][j]))
-            out.append(total)
-    return out
+    return [
+        sum_of_products(zip(row, column)) for row in a.matrix for column in zip(*b.matrix)
+    ]
 
 
 def verify_tangent_structure(

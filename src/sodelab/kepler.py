@@ -27,7 +27,7 @@ import numpy as np
 from .bundle import TangentStructure, build
 from .conformal import rescale
 from .errors import PositiveEnergyError
-from .expr import Expression, VariableContext, parse
+from .expr import VariableContext, parse
 from .fields import Box, PointMap, ScalarField, VectorField
 
 __all__ = [
@@ -206,6 +206,28 @@ def conformal_factor() -> ScalarField:
     return ScalarField(KS_CTX, parse(f"2 * {_R2}", KS_CTX))
 
 
+def _punctured_box(
+    ctx: VariableContext,
+    params: KeplerParams,
+    half_width: float,
+    fiber_half_width: float,
+    exclude_radius: float,
+) -> Box:
+    """Positions and velocities in a box, minus a ball about the position origin.
+
+    The first half of ``ctx`` holds positions; the ball's radius is at least
+    the collision radius ``params.r_min``.
+    """
+    n = ctx.dim // 2
+    return Box(
+        ctx,
+        (-half_width,) * n + (-fiber_half_width,) * n,
+        (half_width,) * n + (fiber_half_width,) * n,
+        exclude_radius=max(exclude_radius, params.r_min),
+        exclude_dims=tuple(range(n)),
+    )
+
+
 def unfolded_domain(
     params: KeplerParams = KeplerParams(),
     *,
@@ -213,14 +235,7 @@ def unfolded_domain(
     fiber_half_width: float = 1.0,
     exclude_radius: float = 0.5,
 ) -> Box:
-    radius = max(exclude_radius, params.r_min)
-    return Box(
-        KS_CTX,
-        (-half_width,) * 4 + (-fiber_half_width,) * 4,
-        (half_width,) * 4 + (fiber_half_width,) * 4,
-        exclude_radius=radius,
-        exclude_dims=(0, 1, 2, 3),
-    )
+    return _punctured_box(KS_CTX, params, half_width, fiber_half_width, exclude_radius)
 
 
 def rescaled_field(
@@ -283,14 +298,7 @@ def chart_domain(
     fiber_half_width: float = 1.5,
     exclude_radius: float = 0.5,
 ) -> Box:
-    radius = max(exclude_radius, params.r_min)
-    return Box(
-        CHART_CTX,
-        (-half_width,) * 4 + (-fiber_half_width,) * 4,
-        (half_width,) * 4 + (fiber_half_width,) * 4,
-        exclude_radius=radius,
-        exclude_dims=(0, 1, 2, 3),
-    )
+    return _punctured_box(CHART_CTX, params, half_width, fiber_half_width, exclude_radius)
 
 
 # -------------------------------------------------------- energy shells
@@ -396,14 +404,7 @@ def kepler3d_domain(
     fiber_half_width: float = 1.5,
     exclude_radius: float = 0.5,
 ) -> Box:
-    radius = max(exclude_radius, params.r_min)
-    return Box(
-        THREE_CTX,
-        (-half_width,) * 3 + (-fiber_half_width,) * 3,
-        (half_width,) * 3 + (fiber_half_width,) * 3,
-        exclude_radius=radius,
-        exclude_dims=(0, 1, 2),
-    )
+    return _punctured_box(THREE_CTX, params, half_width, fiber_half_width, exclude_radius)
 
 
 def project_state(state) -> np.ndarray:

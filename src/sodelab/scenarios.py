@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import foscillator as fo
 from . import kepler as kp
 from .bundle import TangentStructure, build
 from .errors import FunctionalDependenceError
-from .expr import VariableContext, parse, qv_context
+from .expr import VariableContext, qv_context
 from .fields import Box, ScalarField, VectorField
 
 __all__ = [
@@ -68,12 +66,8 @@ class ConformalScenario:
     notes: str = ""
 
 
-def _vf(ctx, *sources) -> VectorField:
-    return VectorField(ctx, tuple(parse(s, ctx) for s in sources))
-
-
 def _double_rotation() -> VectorField:
-    return _vf(_X4, "x2", "-x1", "x4", "-x3")
+    return VectorField.of(_X4, "x2", "-x1", "x4", "-x3")
 
 
 def _oscillator_case(n: int) -> SodeScenario:
@@ -107,7 +101,7 @@ def _double_rotation_cases() -> list[SodeScenario]:
 
 
 def _free_particle_cases() -> list[SodeScenario]:
-    field = _vf(_X2, "x2", "0")
+    field = VectorField.of(_X2, "x2", "0")
     box = Box.cube(_X2, 2.0)
     return [
         SodeScenario(
@@ -130,11 +124,10 @@ def _free_particle_cases() -> list[SodeScenario]:
 
 
 def _conformal_am_case() -> SodeScenario:
-    factor = parse(_AM_FACTOR_SRC, _X4)
     return SodeScenario(
         name="conformal-am",
         ctx=_X4,
-        field=_double_rotation().scaled(factor),
+        field=_double_rotation().scaled(_AM_FACTOR_SRC),
         base=("x1", "x3"),
         box=Box.cube(_X4, 1.2, exclude_radius=0.4),
         notes="rotation on an orbit-dependent clock; chart determinant is "
@@ -182,7 +175,7 @@ def _rejection_cases() -> list[SodeScenario]:
         SodeScenario(
             name="rotation-2d",
             ctx=_X2,
-            field=_vf(_X2, "x2", "-x1"),
+            field=VectorField.of(_X2, "x2", "-x1"),
             base=("x1", "x2"),
             box=Box.cube(_X2, 2.0, exclude_radius=0.3),
             expect_error=FunctionalDependenceError,
@@ -191,7 +184,7 @@ def _rejection_cases() -> list[SodeScenario]:
         SodeScenario(
             name="rotation-4d-lift",
             ctx=_X4,
-            field=_vf(_X4, "x2", "-x1", "0", "0"),
+            field=VectorField.of(_X4, "x2", "-x1", "0", "0"),
             base=("x1", "x2"),
             box=Box.cube(_X4, 2.0, exclude_radius=0.3),
             expect_error=FunctionalDependenceError,
@@ -231,7 +224,7 @@ def conformal_scenarios() -> tuple[ConformalScenario, ...]:
             name="uniform-speedup",
             ctx=osc.ctx,
             field=osc.field,
-            factor=ScalarField(osc.ctx, parse("2", osc.ctx)),
+            factor=ScalarField(osc.ctx, "2"),
             box=Box.cube(osc.ctx, 2.0),
             conserved=osc.energy,
             orbit_state=(1.0, 0.0),
@@ -241,7 +234,7 @@ def conformal_scenarios() -> tuple[ConformalScenario, ...]:
             name="state-speedup",
             ctx=osc.ctx,
             field=osc.field,
-            factor=ScalarField(osc.ctx, parse("2 + q1^2 / 4", osc.ctx)),
+            factor=ScalarField(osc.ctx, "2 + q1^2 / 4"),
             box=Box.cube(osc.ctx, 2.0),
             conserved=osc.energy,
             orbit_state=(1.0, 0.0),
@@ -251,9 +244,9 @@ def conformal_scenarios() -> tuple[ConformalScenario, ...]:
             name="am-clock",
             ctx=_X4,
             field=_double_rotation(),
-            factor=ScalarField(_X4, parse(_AM_FACTOR_SRC, _X4)),
+            factor=ScalarField(_X4, _AM_FACTOR_SRC),
             box=Box.cube(_X4, 1.2, exclude_radius=0.4),
-            conserved=ScalarField(_X4, parse(_AM_FACTOR_SRC, _X4)),
+            conserved=ScalarField(_X4, _AM_FACTOR_SRC),
             orbit_state=(1.0, 0.0, 0.3, 0.2),
             notes="factor built from the plane-mixing invariant: constant on "
             "every orbit yet not constant on space",
@@ -271,8 +264,8 @@ def conformal_scenarios() -> tuple[ConformalScenario, ...]:
         ConformalScenario(
             name="blowup-damping",
             ctx=_X1,
-            field=_vf(_X1, "x^2"),
-            factor=ScalarField(_X1, parse("exp(-(x^4))", _X1)),
+            field=VectorField.of(_X1, "x^2"),
+            factor=ScalarField(_X1, "exp(-(x^4))"),
             box=Box.cube(_X1, 2.0),
             conserved=None,
             orbit_state=(1.0,),
@@ -281,20 +274,20 @@ def conformal_scenarios() -> tuple[ConformalScenario, ...]:
     )
 
 
+def _lookup(library, kind: str, name: str):
+    """The scenario called ``name`` from one build of ``library``."""
+    by_name = {s.name: s for s in library}
+    if name not in by_name:
+        raise KeyError(f"no {kind} scenario {name!r}; known: {', '.join(by_name)}")
+    return by_name[name]
+
+
 def get_sode_scenario(name: str) -> SodeScenario:
-    for s in sode_scenarios():
-        if s.name == name:
-            return s
-    known = ", ".join(s.name for s in sode_scenarios())
-    raise KeyError(f"no construction scenario {name!r}; known: {known}")
+    return _lookup(sode_scenarios(), "construction", name)
 
 
 def get_conformal_scenario(name: str) -> ConformalScenario:
-    for s in conformal_scenarios():
-        if s.name == name:
-            return s
-    known = ", ".join(s.name for s in conformal_scenarios())
-    raise KeyError(f"no rescaling scenario {name!r}; known: {known}")
+    return _lookup(conformal_scenarios(), "rescaling", name)
 
 
 def build_scenario(scenario: SodeScenario, **kwargs) -> TangentStructure:

@@ -11,7 +11,7 @@ from sodelab.errors import (
     NonInvertibleChartError,
 )
 from sodelab.expr import VariableContext, qv_context
-from sodelab.fields import Box, VectorField
+from sodelab.fields import Box, ScalarField, VectorField
 from sodelab.bundle import (
     build,
     express_in_chart,
@@ -164,6 +164,23 @@ class TestRejections:
     def test_dependent_base_pair(self):
         with pytest.raises(DegenerateBaseError):
             quick_build(SPIN4, ("x1", "2*x1"), BOX4)
+
+
+class TestBaseEntries:
+    """Base functions go through the same entry checks as field entries."""
+
+    def test_scalar_field_and_text_entries_agree(self):
+        from_fields = quick_build(SPIN4, (ScalarField.of(R4, "x1"), "x3"), BOX4)
+        from_text = quick_build(SPIN4, ("x1", "x3"), BOX4)
+        assert from_fields.forward == from_text.forward
+
+    def test_scalar_field_on_another_context_rejected(self):
+        with pytest.raises(ValueError):
+            quick_build(SPIN4, (ScalarField.of(R2, "x1"), "x3"), BOX4)
+
+    def test_unsupported_entry_type_rejected(self):
+        with pytest.raises(TypeError):
+            quick_build(SPIN4, ("x1", None), BOX4)
 
 
 class TestInversionStrategies:

@@ -65,6 +65,36 @@ def test_integrate_without_out_is_usage_error(capsys):
     assert "--out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["kepler-demo", "--csv-samples", "0"], "--csv-samples"),
+        (["kepler-demo", "--csv-samples=-3"], "--csv-samples"),
+        (["match", "--csv-samples=-3"], "--csv-samples"),
+        (["verify", "--scenario", "flat-2", "--samples=-5"], "--samples"),
+        (["build", "--scenario", "oscillator-1", "--samples=-5"], "--samples"),
+        (["period", "--scenario", "oscillator-1", "--state", "1,0", "--t-max=-1"],
+         "--t-max"),
+        (["integrate", "--scenario", "oscillator-1", "--state", "1,0", "--t-end=-1"],
+         "--t-end"),
+        (["integrate", "--scenario", "oscillator-1", "--state", "1,0", "--t-end=0"],
+         "--t-end"),
+        (["integrate", "--scenario", "oscillator-1", "--state", "1,0", "--t-end=nan"],
+         "--t-end"),
+        (["integrate", "--scenario", "oscillator-1", "--state", "1,0", "--t-end=1",
+          "--csv-samples=-1"], "--csv-samples"),
+    ],
+)
+def test_out_of_range_number_is_usage_error(tmp_path, capsys, argv, flag):
+    code, out = run_to(tmp_path, "run", argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    manifest = read_json(out / "run_manifest.json")
+    assert manifest["exit_code"] == 2
+    assert manifest["outputs"] == []
+
+
 def test_config_with_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"volume": 11}')

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from sodelab.errors import ChartDimensionError, DomainSamplingError
-from sodelab.expr import VariableContext, parse, qv_context
+from sodelab.expr import Var, VariableContext, parse, qv_context
 from sodelab.fields import (
     Box,
+    OneFormField,
     PointMap,
     ScalarField,
     Tensor11Field,
+    TwoFormField,
     VectorField,
     canonical_symplectic,
     canonical_tangent_structure,
@@ -58,6 +60,84 @@ class TestContainers:
     def test_tensor_contraction_shape(self):
         s = Tensor11Field.constant(CTX2, np.eye(4))
         assert s((0.0, 0.0, 0.0, 0.0)).shape == (4, 4)
+
+
+PLANE = VariableContext.of("x", "y")
+SPACE = VariableContext.of("a", "b", "c")
+
+# each field class with its constructor from entries and the shape it needs
+SHAPED = {
+    "ScalarField": (lambda e: ScalarField(PLANE, e), ()),
+    "VectorField": (lambda e: VectorField(PLANE, e), (2,)),
+    "OneFormField": (lambda e: OneFormField(PLANE, e), (2,)),
+    "Tensor11Field": (lambda e: Tensor11Field(PLANE, e), (2, 2)),
+    "TwoFormField": (lambda e: TwoFormField(PLANE, e), (2, 2)),
+    "PointMap": (lambda e: PointMap(PLANE, SPACE, e), (3,)),
+}
+
+
+def _nest(shape, flat):
+    """The flat entries as a tuple, or a tuple of rows, of the given shape."""
+    if not shape:
+        return flat[0]
+    step = len(flat) // shape[0]
+    return tuple(_nest(shape[1:], flat[i * step:(i + 1) * step]) for i in range(shape[0]))
+
+
+def _size(shape):
+    return int(np.prod(shape, dtype=int))
+
+
+class TestEntryChecks:
+    """One validation path shared by every field class."""
+
+    @pytest.mark.parametrize("name", [n for n, (_, shape) in SHAPED.items() if shape])
+    def test_wrong_shape_rejected(self, name):
+        make, shape = SHAPED[name]
+        n = shape[0]
+        if len(shape) == 1:
+            bad = [(n - 1,), (n + 1,)]
+        else:
+            bad = [(n - 1, n), (n + 1, n), (n, n + 1)]  # too few, too many, not square
+        for wrong in bad:
+            with pytest.raises(ValueError):
+                make(_nest(wrong, ["x"] * _size(wrong)))
+        if len(shape) == 2:
+            rows = _nest(shape, ["x"] * _size(shape))
+            with pytest.raises(ValueError):
+                make(rows[:-1] + (rows[-1][:-1],))  # ragged
+
+    @pytest.mark.parametrize("name", SHAPED)
+    @pytest.mark.parametrize(
+        "stray", [Var("z"), ScalarField.of(VariableContext.of("z"), "z")],
+        ids=["tree", "scalar-field"],
+    )
+    def test_entry_outside_context_rejected(self, name, stray):
+        make, shape = SHAPED[name]
+        flat = ["x"] * _size(shape)
+        flat[-1] = stray
+        with pytest.raises(ValueError):
+            make(_nest(shape, flat))
+
+    @pytest.mark.parametrize("name", SHAPED)
+    @pytest.mark.parametrize("bad", [None, [1.0], object()], ids=["none", "list", "object"])
+    def test_entry_of_bad_type_rejected(self, name, bad):
+        make, shape = SHAPED[name]
+        flat = ["x"] * _size(shape)
+        flat[-1] = bad
+        with pytest.raises(TypeError):
+            make(_nest(shape, flat))
+
+    @pytest.mark.parametrize("name", SHAPED)
+    def test_text_number_and_tree_entries_agree(self, name):
+        make, shape = SHAPED[name]
+        text = [("x*y", "2", "y - x", "0.5")[k % 4] for k in range(_size(shape))]
+        trees = [parse(t, PLANE) for t in text]
+        mixed = [float(t) if t[0].isdigit() else ScalarField.of(PLANE, t) for t in text]
+        field = make(_nest(shape, text))
+        assert field == make(_nest(shape, trees)) == make(_nest(shape, mixed))
+        point = (0.3, -1.2)
+        np.testing.assert_array_equal(field(point), make(_nest(shape, trees))(point))
 
 
 class TestPointMap:
