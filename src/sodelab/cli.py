@@ -7,6 +7,12 @@ frequency-matched motion figure data.  Outputs are deterministic: JSON is
 sorted, CSV floats carry 17 significant digits, and a run manifest echoes
 the resolved options so a run can be reproduced byte for byte.
 
+Each option is declared once, in ``_OPTIONS``: its kind, its help, the
+commands that take it with their defaults, and the range of its values.
+Flag text and ``--config`` values pass the same parse-and-range check, so a
+bad value from either is a usage error with one ``error: --<flag>`` line and,
+under ``--out``, a manifest.
+
 Exit codes: 0 success, 1 domain failure (a verification, construction,
 periodicity, or matching claim fails), 2 usage or configuration errors.
 """
@@ -18,6 +24,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,21 +49,15 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise _UsageError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
 class _Run:
     """Collects outputs for one invocation and writes the manifest."""
 
     def __init__(self, command: str, opts: dict):
         self.command = command
         self.opts = opts
-        out = opts.get("out")
-        self.out_dir = Path(out) if out else None
+        out = opts["out"]
+        # A non-text ``out`` fails the option check; until then, no directory.
+        self.out_dir = Path(out) if out and isinstance(out, str) else None
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
         self.outputs: list[str] = []
@@ -89,41 +90,136 @@ class _Run:
         return code
 
 
-# ----------------------------------------------------------- option plumbing
+# ------------------------------------------------------------- option table
 
 
-_COMMON_DEFAULTS = {"seed": 0, "tol": None, "config": None, "out": None}
+class _Kind(NamedTuple):
+    """What an option holds: ``parse`` turns a flag's text or a config value
+    into it, raising ``TypeError``/``ValueError`` on anything else."""
 
-_DEFAULTS = {
-    "verify": {"scenario": None, "samples": 500, "tol": 1e-8},
-    "build": {"scenario": None, "samples": 500},
-    "integrate": {
-        "scenario": None,
-        "state": None,
-        "t_end": None,
-        "rescaled": False,
-        "tol": 1e-10,
-        "csv_samples": 0,
-    },
-    "period": {
-        "scenario": None,
-        "state": None,
-        "t_max": 1000.0,
-        "rescaled": False,
-        "tol": 1e-10,
-    },
-    "kepler-demo": {"energy": -0.5, "g": 1.0, "tol": 1e-6, "csv_samples": 512},
-    "fosc-demo": {"profile": "kepler-match", "param": 1.0, "level": 0.5, "tol": 1e-3},
-    "match": {
-        "energies": "-0.5,-1,-2",
-        "levels": None,
-        "g": 1.0,
-        "mode": "frequency",
-        "tol": 1e-3,
-        "csv_samples": 512,
-        "radius_scale": 0.8,
-    },
+    noun: str
+    parse: Callable
+
+
+def _floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+
+
+def _as_text(raw) -> str:
+    """A flag's text, or a JSON config number written the way a flag is."""
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
+        raise TypeError(raw)
+    return str(raw)
+
+
+def _real(raw) -> float:
+    value = float(_as_text(raw))
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+def _reals(raw) -> str:
+    """Comma-separated finite numbers; the text itself is kept for the manifest."""
+    if not isinstance(raw, str) or not all(map(math.isfinite, _floats(raw))):
+        raise ValueError(raw)
+    return raw
+
+
+def _exactly(cls):
+    def parse(raw):
+        if not isinstance(raw, cls):
+            raise TypeError(raw)
+        return raw
+
+    return parse
+
+
+_REAL = _Kind("a finite number", _real)
+_INT = _Kind("an integer", lambda raw: int(_as_text(raw)))
+_REALS = _Kind("comma-separated finite numbers", _reals)
+_TEXT = _Kind("text", _exactly(str))
+_FLAG = _Kind("true or false", _exactly(bool))
+
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_NEGATIVE = (lambda v: v < 0, "must be < 0")
+_COUNT = (lambda v: v >= 0, "must be >= 0")
+
+_PROFILES = {
+    "linear": fo.linear_deformation,
+    "power": fo.power_deformation,
+    "kepler-match": fo.kepler_matching_deformation,
 }
+
+
+class _Option(NamedTuple):
+    """One option: its kind, help, the commands that take it with their
+    defaults, and the ``(holds, phrase)`` range of its values (of each entry
+    for a list)."""
+
+    name: str
+    kind: _Kind
+    help: str
+    defaults: dict
+    rule: tuple | None = None
+
+
+_ALL = ("verify", "build", "integrate", "period", "kepler-demo", "fosc-demo", "match")
+
+_OPTIONS = (
+    _Option("config", _TEXT, "flat JSON file with option defaults",
+            dict.fromkeys(_ALL)),
+    _Option("out", _TEXT, "output directory (enables file outputs)",
+            dict.fromkeys(_ALL)),
+    _Option("scenario", _TEXT, "scenario name (see README)",
+            dict.fromkeys(("verify", "build", "integrate", "period"))),
+    _Option("seed", _INT, "sampling seed",
+            {"verify": 0, "build": 0, "fosc-demo": 0}, _COUNT),
+    _Option("samples", _INT, "random sample count",
+            {"verify": 500, "build": 500}, _COUNT),
+    _Option("tol", _REAL, "command tolerance",
+            {"verify": 1e-8, "integrate": 1e-10, "period": 1e-10,
+             "kepler-demo": 1e-6, "fosc-demo": 1e-3, "match": 1e-3}, _POSITIVE),
+    _Option("state", _REALS, "comma-separated initial state",
+            {"integrate": None, "period": None}),
+    _Option("t_end", _REAL, "final time", {"integrate": None}, _POSITIVE),
+    _Option("t_max", _REAL, "give up after this much time",
+            {"period": 1000.0}, _POSITIVE),
+    _Option("rescaled", _FLAG, "use the factor-rescaled field of a rescaling scenario",
+            {"integrate": False, "period": False}),
+    _Option("csv_samples", _INT, "integrate: uniform resample count, 0 keeps "
+            "solver nodes; match: samples per period",
+            {"integrate": 0, "match": 512}, _COUNT),
+    _Option("csv_samples", _INT, "rows per trajectory CSV",
+            {"kepler-demo": 512}, (lambda v: v >= 1, "must be >= 1")),
+    _Option("energy", _REAL, "orbit energy", {"kepler-demo": -0.5}, _NEGATIVE),
+    _Option("g", _REAL, "coupling constant",
+            {"kepler-demo": 1.0, "match": 1.0}, _POSITIVE),
+    _Option("profile", _TEXT, "energy reshaping profile: linear, power or "
+            "kepler-match", {"fosc-demo": "kepler-match"},
+            (_PROFILES.__contains__, "must be linear, power or kepler-match")),
+    _Option("param", _REAL, "profile parameter: slope, exponent, or coupling",
+            {"fosc-demo": 1.0}, _POSITIVE),
+    _Option("level", _REAL, "energy level to run at", {"fosc-demo": 0.5}, _POSITIVE),
+    _Option("energies", _REALS, "comma-separated orbit energies",
+            {"match": "-0.5,-1,-2"}, _NEGATIVE),
+    _Option("levels", _REALS, "explicit oscillator levels (overrides the matched "
+            "grid)", {"match": None}, _POSITIVE),
+    _Option("mode", _TEXT, "level-grid construction: frequency or energy",
+            {"match": "frequency"},
+            (("frequency", "energy").__contains__, "must be frequency or energy")),
+    _Option("radius_scale", _REAL, "start radius as a fraction of the circular one",
+            {"match": 0.8}, (lambda v: 0 < v < math.sqrt(2), "must lie in (0, sqrt(2))")),
+)
+
+_OPTIONS_OF = {
+    command: {opt.name: opt for opt in _OPTIONS if command in opt.defaults}
+    for command in _ALL
+}
+
+
+def _flag_name(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,177 +228,122 @@ def _build_parser() -> argparse.ArgumentParser:
         description="tangent-structure construction and verification toolkit",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def common(p, command):
-        tol = _DEFAULTS[command].get("tol")
-        p.add_argument("--config", help="flat JSON file with option defaults")
-        p.add_argument("--out", help="output directory (enables file outputs)")
-        p.add_argument("--seed", type=int, help="sampling seed (default 0)")
-        p.add_argument("--tol", type=float,
-                       help=f"command tolerance (default {tol})")
-
-    def hint(command, key):
-        return f"(default {_DEFAULTS[command][key]})"
-
-    p = sub.add_parser("verify", help="check tangent-structure axioms for a scenario")
-    common(p, "verify")
-    p.add_argument("--scenario", help="library scenario or flat-2 / flat-4")
-    p.add_argument("--samples", type=int,
-                   help=f"random sample count {hint('verify', 'samples')}")
-
-    p = sub.add_parser("build", help="construct the chart for a library scenario")
-    common(p, "build")
-    p.add_argument("--scenario", help="library scenario name")
-    p.add_argument("--samples", type=int,
-                   help=f"domain sample count {hint('build', 'samples')}")
-
-    p = sub.add_parser("integrate", help="integrate a named field and write CSV")
-    common(p, "integrate")
-    p.add_argument("--scenario", help="library scenario name")
-    p.add_argument("--state", help="comma-separated initial state")
-    p.add_argument("--t-end", dest="t_end", type=float, help="final time")
-    p.add_argument("--rescaled", action="store_true", default=None,
-                   help="use the factor-rescaled field of a rescaling scenario")
-    p.add_argument("--csv-samples", dest="csv_samples", type=int,
-                   help="uniform resample count; 0 keeps solver nodes (default 0)")
-
-    p = sub.add_parser("period", help="estimate the period of a named field's orbit")
-    common(p, "period")
-    p.add_argument("--scenario", help="library scenario name")
-    p.add_argument("--state", help="comma-separated initial state")
-    p.add_argument("--t-max", dest="t_max", type=float,
-                   help=f"give up after this much time {hint('period', 't_max')}")
-    p.add_argument("--rescaled", action="store_true", default=None,
-                   help="use the factor-rescaled field of a rescaling scenario")
-
-    p = sub.add_parser("kepler-demo", help="projection and shell-clock cross-check")
-    common(p, "kepler-demo")
-    p.add_argument("--energy", type=float,
-                   help=f"negative orbit energy {hint('kepler-demo', 'energy')}")
-    p.add_argument("--g", type=float,
-                   help=f"coupling constant {hint('kepler-demo', 'g')}")
-    p.add_argument("--csv-samples", dest="csv_samples", type=int,
-                   help=f"rows per trajectory CSV {hint('kepler-demo', 'csv_samples')}")
-
-    p = sub.add_parser("fosc-demo", help="deformed-oscillator frequency check")
-    common(p, "fosc-demo")
-    p.add_argument("--profile", choices=("linear", "power", "kepler-match"),
-                   help=f"energy reshaping profile {hint('fosc-demo', 'profile')}")
-    p.add_argument("--param", type=float,
-                   help=f"profile parameter: slope, exponent, or coupling "
-                        f"{hint('fosc-demo', 'param')}")
-    p.add_argument("--level", type=float,
-                   help=f"energy level to run at {hint('fosc-demo', 'level')}")
-
-    p = sub.add_parser("match", help="frequency-match shell and oscillator motions")
-    common(p, "match")
-    p.add_argument("--energies",
-                   help=f"comma-separated negative energies "
-                        f"{hint('match', 'energies')}")
-    p.add_argument("--levels",
-                   help="explicit oscillator levels (overrides the matched grid)")
-    p.add_argument("--g", type=float, help=f"coupling constant {hint('match', 'g')}")
-    p.add_argument("--mode", choices=("frequency", "energy"),
-                   help=f"level-grid construction {hint('match', 'mode')}")
-    p.add_argument("--csv-samples", dest="csv_samples", type=int,
-                   help=f"samples per period in figure.csv "
-                        f"{hint('match', 'csv_samples')}")
-    p.add_argument("--radius-scale", dest="radius_scale", type=float,
-                   help=f"start radius as a fraction of the circular one "
-                        f"{hint('match', 'radius_scale')}")
-
+    for command, (_, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for opt in _OPTIONS_OF[command].values():
+            default = opt.defaults[command]
+            shown = default is not None and opt.kind is not _FLAG
+            text = f"{opt.help} (default {default})" if shown else opt.help
+            action = "store_true" if opt.kind is _FLAG else "store"
+            p.add_argument(_flag_name(opt.name), dest=opt.name, help=text,
+                           action=action, default=None)
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    defaults = dict(_COMMON_DEFAULTS)
-    defaults.update(_DEFAULTS[args.command])
-    given = {
-        k: v
-        for k, v in vars(args).items()
-        if k != "command" and v is not None
-    }
-    config = {}
-    config_path = given.get("config", None)
-    if config_path is not None:
+    """Defaults, then ``--config`` values, then flags, still unchecked."""
+    options = _OPTIONS_OF[args.command]
+    opts = {key: opt.defaults[args.command] for key, opt in options.items()}
+    if args.config is not None:
         try:
-            loaded = json.loads(Path(config_path).read_text())
+            loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise _UsageError(f"cannot read config {config_path}: {exc}") from exc
+            raise _UsageError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise _UsageError("config file must hold a flat JSON object")
         for key, value in loaded.items():
             key = key.replace("-", "_")
-            if key not in defaults:
+            if key not in opts:
                 raise _UsageError(
                     f"config key {key!r} is not an option of {args.command}"
                 )
-            config[key] = value
-    resolved = dict(defaults)
-    resolved.update(config)
-    resolved.update(given)
-    return resolved
+            opts[key] = value
+    opts.update((k, v) for k, v in vars(args).items() if k in opts and v is not None)
+    return opts
+
+
+def _check(command: str, opts: dict) -> None:
+    """Parse every set value in place, then hold each to its range.
+
+    Two passes, so the manifest of a range failure echoes parsed values.
+    """
+    options = _OPTIONS_OF[command]
+    for key, raw in opts.items():
+        kind = options[key].kind
+        if raw is not None:
+            try:
+                opts[key] = kind.parse(raw)
+            except (TypeError, ValueError):
+                raise _UsageError(
+                    f"{_flag_name(key)} expects {kind.noun}, got {raw!r}"
+                ) from None
+    for key, value in opts.items():
+        opt = options[key]
+        if value is None or opt.rule is None:
+            continue
+        holds, phrase = opt.rule
+        entries = _floats(value) if opt.kind is _REALS else (value,)
+        for entry in entries:
+            if not holds(entry):
+                raise _UsageError(f"{_flag_name(key)} {phrase}, got {entry!r}")
 
 
 def _require(opts: dict, key: str):
     value = opts.get(key)
     if value is None:
-        raise _UsageError(f"missing required option --{key.replace('_', '-')}")
+        raise _UsageError(f"missing required option {_flag_name(key)}")
     return value
 
 
-def _count(opts: dict, key: str, least: int) -> int:
-    value = int(opts[key])
-    if value < least:
-        raise _UsageError(
-            f"--{key.replace('_', '-')} must be at least {least}, got {value}"
-        )
-    return value
+# ------------------------------------------------------------ scenario lookup
 
 
-def _positive(opts: dict, key: str) -> float:
-    value = float(_require(opts, key))
-    if not value > 0.0:
-        raise _UsageError(f"--{key.replace('_', '-')} must be positive, got {value}")
-    return value
+_LIBRARIES = {
+    "flat": (lambda name: dict(sc.canonical_contexts())[name],
+             lambda: [name for name, _ in sc.canonical_contexts()]),
+    "construction": (lambda name: sc.get_sode_scenario(name),
+                     lambda: [s.name for s in sc.sode_scenarios()]),
+    "rescaling": (lambda name: sc.get_conformal_scenario(name),
+                  lambda: [s.name for s in sc.conformal_scenarios()]),
+}
 
 
-# ------------------------------------------------------------- field lookup
+def _scenario(name: str, *kinds: str):
+    """``(kind, scenario)`` for the first of ``kinds`` that knows ``name``.
+
+    The one place a lookup miss becomes a usage error; the message names
+    every scenario of the kinds the command accepts.
+    """
+    for kind in kinds:
+        get, _ = _LIBRARIES[kind]
+        try:
+            return kind, get(name)
+        except KeyError:
+            pass
+    names = [known for kind in kinds for known in _LIBRARIES[kind][1]()]
+    raise _UsageError(f"--scenario {name!r} is unknown; known: {', '.join(names)}")
 
 
-def _lookup_field(name: str, rescaled: bool):
-    try:
-        scenario = sc.get_sode_scenario(name)
-        if rescaled:
-            raise _UsageError(f"{name!r} is a construction scenario; --rescaled "
-                              "only applies to rescaling scenarios")
-        return scenario.ctx, scenario.field, scenario
-    except KeyError:
-        pass
-    try:
-        scenario = sc.get_conformal_scenario(name)
-    except KeyError as exc:
-        raise _UsageError(str(exc)) from exc
+def _orbit(opts: dict):
+    """The named field (rescaled on request), its context and initial state."""
+    kind, scenario = _scenario(_require(opts, "scenario"), "construction", "rescaling")
     field = scenario.field
-    if rescaled:
+    if opts["rescaled"]:
+        if kind == "construction":
+            raise _UsageError(f"{scenario.name!r} is a construction scenario; "
+                              "--rescaled only applies to rescaling scenarios")
         field = field.scaled(scenario.factor.expr)
-    return scenario.ctx, field, scenario
-
-
-def _initial_state(opts: dict, ctx, scenario) -> np.ndarray:
-    text = opts.get("state")
+    ctx, text = scenario.ctx, opts["state"]
     if text is None:
-        default = getattr(scenario, "orbit_state", None)
-        if default is None:
+        state = getattr(scenario, "orbit_state", None)
+        if state is None:
             raise _UsageError("missing required option --state")
-        return np.asarray(default, dtype=float)
-    values = _parse_floats(text)
-    if len(values) != ctx.dim:
-        raise _UsageError(
-            f"state needs {ctx.dim} numbers for {', '.join(ctx.names)}; "
-            f"got {len(values)}"
-        )
-    return np.asarray(values, dtype=float)
+    else:
+        state = _floats(text)
+        if len(state) != ctx.dim:
+            raise _UsageError(f"state needs {ctx.dim} numbers for "
+                              f"{', '.join(ctx.names)}; got {len(state)}")
+    return ctx, field, np.asarray(state, dtype=float)
 
 
 # ---------------------------------------------------------------- commands
@@ -310,66 +351,41 @@ def _initial_state(opts: dict, ctx, scenario) -> np.ndarray:
 
 def _cmd_verify(run: _Run, opts: dict) -> int:
     name = _require(opts, "scenario")
-    seed = int(opts["seed"])
-    samples = _count(opts, "samples", 0)
-    tol = float(opts["tol"])
-    flat = dict(sc.canonical_contexts())
-    if name in flat:
-        ctx = flat[name]
-        s, delta = canonical_tangent_structure(ctx)
-        system = fo.make_oscillator(ctx.dim // 2)
-        report = verify_tangent_structure(
-            s,
-            delta,
-            Box.cube(ctx, 2.0),
-            field=system.field,
-            seed=seed,
-            n_random=samples,
-            tol=tol,
-        )
-        payload = {"scenario": name, "report": report.to_json()}
-        run.emit_json("verify.json", payload)
-        return 0 if report.verdict == "pass" else 1
-
-    scenario = sc.get_sode_scenario(name)
-    structure = sc.build_scenario(scenario, seed=seed, n_random=samples)
-    chart_box = Box.cube(structure.chart_ctx, 1.5)
+    seed, samples, tol = opts["seed"], opts["samples"], opts["tol"]
+    kind, found = _scenario(name, "flat", "construction")
+    if kind == "flat":
+        s, delta = canonical_tangent_structure(found)
+        box, field = Box.cube(found, 2.0), fo.make_oscillator(found.dim // 2).field
+    else:
+        structure = sc.build_scenario(found, seed=seed, n_random=samples)
+        s, delta, field = structure.s_hat, structure.delta_hat, None
+        box = Box.cube(structure.chart_ctx, 1.5)
     report = verify_tangent_structure(
-        structure.s_hat,
-        structure.delta_hat,
-        chart_box,
-        seed=seed,
-        n_random=samples,
-        tol=tol,
+        s, delta, box, field=field, seed=seed, n_random=samples, tol=tol
     )
-    points = scenario.box.sample(seed=seed, n_random=min(samples, 200))
-    sode = structure_sode_residual(structure, points)
-    payload = {
-        "scenario": name,
-        "report": report.to_json(),
-        "sode_residual": sode,
-        "warnings": list(structure.warnings),
-    }
+    payload = {"scenario": name, "report": report.to_json()}
+    passed = report.verdict == "pass"
+    if kind != "flat":
+        points = found.box.sample(seed=seed, n_random=min(samples, 200))
+        payload["sode_residual"] = sode = structure_sode_residual(structure, points)
+        payload["warnings"] = list(structure.warnings)
+        passed = passed and sode < max(tol, 1e-6)
     run.emit_json("verify.json", payload)
-    return 0 if report.verdict == "pass" and sode < max(tol, 1e-6) else 1
+    return 0 if passed else 1
 
 
 def _cmd_build(run: _Run, opts: dict) -> int:
     name = _require(opts, "scenario")
-    samples = _count(opts, "samples", 0)
-    scenario = sc.get_sode_scenario(name)
-    structure = sc.build_scenario(scenario, seed=int(opts["seed"]), n_random=samples)
+    _, scenario = _scenario(name, "construction")
+    structure = sc.build_scenario(scenario, seed=opts["seed"], n_random=opts["samples"])
     run.emit_json("structure.json", {"scenario": name, **structure.to_json()})
     return 0
 
 
 def _cmd_integrate(run: _Run, opts: dict) -> int:
-    name = _require(opts, "scenario")
-    ctx, field, scenario = _lookup_field(name, bool(opts["rescaled"]))
-    state = _initial_state(opts, ctx, scenario)
-    t_end = _positive(opts, "t_end")
-    csv_samples = _count(opts, "csv_samples", 0)
-    tol = float(opts["tol"])
+    ctx, field, state = _orbit(opts)
+    t_end = _require(opts, "t_end")
+    csv_samples, tol = opts["csv_samples"], opts["tol"]
     traj = integrate(field.ode_rhs, state, t_end, rtol=tol, atol=tol * 1e-2)
     path = run.path("trajectory.csv")
     if csv_samples > 0 and traj.status == "completed":
@@ -379,7 +395,7 @@ def _cmd_integrate(run: _Run, opts: dict) -> int:
     else:
         traj.write_csv(path, names=ctx.names)
     summary = {
-        "scenario": name,
+        "scenario": opts["scenario"],
         "status": traj.status,
         "t_final": traj.final_time,
         "state_final": [float(v) for v in traj.final_state],
@@ -393,21 +409,18 @@ def _cmd_integrate(run: _Run, opts: dict) -> int:
 
 
 def _cmd_period(run: _Run, opts: dict) -> int:
-    name = _require(opts, "scenario")
-    ctx, field, scenario = _lookup_field(name, bool(opts["rescaled"]))
-    state = _initial_state(opts, ctx, scenario)
-    t_max = _positive(opts, "t_max")
-    tol = float(opts["tol"])
-    est = estimate_period(field.ode_rhs, state, rtol=tol, atol=tol * 1e-2, t_max=t_max)
-    run.emit_json("period.json", {"scenario": name, **est.to_json()})
+    _, field, state = _orbit(opts)
+    tol = opts["tol"]
+    est = estimate_period(
+        field.ode_rhs, state, rtol=tol, atol=tol * 1e-2, t_max=opts["t_max"]
+    )
+    run.emit_json("period.json", {"scenario": opts["scenario"], **est.to_json()})
     return 0
 
 
 def _cmd_kepler_demo(run: _Run, opts: dict) -> int:
-    energy = float(opts["energy"])
-    params = kp.KeplerParams(g=float(opts["g"]))
-    tol = float(opts["tol"])
-    samples = _count(opts, "csv_samples", 1)
+    energy, tol, samples = opts["energy"], opts["tol"], opts["csv_samples"]
+    params = kp.KeplerParams(g=opts["g"])
     period = 2.0 * math.pi / kp.mean_motion(energy, params)
 
     unfolded = integrate(
@@ -449,27 +462,16 @@ def _cmd_kepler_demo(run: _Run, opts: dict) -> int:
     return 0 if gap < tol and rel < 1e-3 else 1
 
 
-def _profile_deformation(profile: str, param: float) -> fo.Deformation:
-    if profile == "linear":
-        return fo.linear_deformation(param)
-    if profile == "power":
-        return fo.power_deformation(param)
-    if profile == "kepler-match":
-        return fo.kepler_matching_deformation(param)
-    raise _UsageError(f"unknown profile {profile!r}")
-
-
 def _cmd_fosc_demo(run: _Run, opts: dict) -> int:
-    deformation = _profile_deformation(str(opts["profile"]), float(opts["param"]))
-    level = float(opts["level"])
-    tol = float(opts["tol"])
+    deformation = _PROFILES[opts["profile"]](opts["param"])
+    level, tol = opts["level"], opts["tol"]
     system = fo.make_oscillator(2)
     gamma = fo.deformed_field(system, deformation)
     est = estimate_period(gamma.ode_rhs, fo.shell_state(system, level))
     measured = 2.0 * math.pi / est.period
     predicted = deformation.slope_at(level)
     rel = abs(measured - predicted) / abs(predicted)
-    points = system.domain().sample(seed=int(opts["seed"]), n_random=200)
+    points = system.domain().sample(seed=opts["seed"], n_random=200)
     residual = fo.symplectic_residual(system, deformation, points)
     payload = {
         "profile": deformation.name,
@@ -484,18 +486,15 @@ def _cmd_fosc_demo(run: _Run, opts: dict) -> int:
 
 
 def _cmd_match(run: _Run, opts: dict) -> int:
-    energies = _parse_floats(str(opts["energies"]))
-    g = float(opts["g"])
-    mode = str(opts["mode"])
-    tol = float(opts["tol"])
-    samples = _count(opts, "csv_samples", 0)
+    energies = _floats(opts["energies"])
+    g, mode, tol = opts["g"], opts["mode"], opts["tol"]
     params = kp.KeplerParams(g=g)
     if opts["levels"] is None:
         levels = mo.matched_oscillator_grid(energies, g=g, mode=mode)
     else:
-        levels = tuple(_parse_floats(str(opts["levels"])))
+        levels = tuple(_floats(opts["levels"]))
     kepler_records = mo.extract_kepler_motions(
-        energies, params, radius_scale=float(opts["radius_scale"])
+        energies, params, radius_scale=opts["radius_scale"]
     )
     system = fo.make_oscillator(2)
     deformation = fo.kepler_matching_deformation(g)
@@ -505,7 +504,7 @@ def _cmd_match(run: _Run, opts: dict) -> int:
     closures = mo.write_figure_csv(
         run.path("figure.csv"),
         (*kepler_records, *oscillator_records),
-        samples_per_period=samples,
+        samples_per_period=opts["csv_samples"],
     )
     payload = {
         **matching.to_json(),
@@ -519,13 +518,13 @@ def _cmd_match(run: _Run, opts: dict) -> int:
 
 
 _COMMANDS = {
-    "verify": _cmd_verify,
-    "build": _cmd_build,
-    "integrate": _cmd_integrate,
-    "period": _cmd_period,
-    "kepler-demo": _cmd_kepler_demo,
-    "fosc-demo": _cmd_fosc_demo,
-    "match": _cmd_match,
+    "verify": (_cmd_verify, "check tangent-structure axioms for a scenario"),
+    "build": (_cmd_build, "construct the chart for a library scenario"),
+    "integrate": (_cmd_integrate, "integrate a named field and write CSV"),
+    "period": (_cmd_period, "estimate the period of a named field's orbit"),
+    "kepler-demo": (_cmd_kepler_demo, "projection and shell-clock cross-check"),
+    "fosc-demo": (_cmd_fosc_demo, "deformed-oscillator frequency check"),
+    "match": (_cmd_match, "frequency-match shell and oscillator motions"),
 }
 
 
@@ -545,12 +544,10 @@ def main(argv=None) -> int:
         return 2
     run = _Run(args.command, opts)
     try:
-        code = _COMMANDS[args.command](run, opts)
+        _check(args.command, opts)
+        code = _COMMANDS[args.command][0](run, opts)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return run.finish(2)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
         return run.finish(2)
     except SodelabError as exc:
         run.emit_json(

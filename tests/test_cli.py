@@ -83,6 +83,27 @@ def test_integrate_without_out_is_usage_error(capsys):
          "--t-end"),
         (["integrate", "--scenario", "oscillator-1", "--state", "1,0", "--t-end=1",
           "--csv-samples=-1"], "--csv-samples"),
+        (["kepler-demo", "--g", "0"], "--g"),
+        (["match", "--g", "0"], "--g"),
+        (["fosc-demo", "--level=-1"], "--level"),
+        (["fosc-demo", "--param", "0"], "--param"),
+        (["fosc-demo", "--level", "inf"], "--level"),
+        (["match", "--radius-scale=-1"], "--radius-scale"),
+        (["match", "--energies=0.5"], "--energies"),
+        (["match", "--energies=-0.5", "--levels=-1"], "--levels"),
+        (["verify", "--scenario", "flat-2", "--seed", "-1"], "--seed"),
+        (["integrate", "--scenario", "oscillator-1", "--state", "nan,0", "--t-end", "1"],
+         "--state"),
+        (["kepler-demo", "--energy", "nan"], "--energy"),
+        (["kepler-demo", "--energy", "0.5"], "--energy"),
+        (["verify", "--scenario", "flat-2", "--tol", "-1"], "--tol"),
+        (["period", "--scenario", "oscillator-1", "--state", "1,0", "--tol", "0"],
+         "--tol"),
+        (["period", "--scenario", "oscillator-1", "--state", "1,0", "--t-max", "inf"],
+         "--t-max"),
+        (["integrate", "--scenario", "oscillator-1", "--state", "1,0", "--t-end=1",
+          "--tol=-1"], "--tol"),
+        (["fosc-demo", "--profile", "bogus"], "--profile"),
     ],
 )
 def test_out_of_range_number_is_usage_error(tmp_path, capsys, argv, flag):
@@ -93,6 +114,84 @@ def test_out_of_range_number_is_usage_error(tmp_path, capsys, argv, flag):
     manifest = read_json(out / "run_manifest.json")
     assert manifest["exit_code"] == 2
     assert manifest["outputs"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, config, flag",
+    [
+        (["build"], {"scenario": "oscillator-1", "samples": "many"}, "--samples"),
+        (["build"], {"scenario": "oscillator-1", "samples": 2.5}, "--samples"),
+        (["build"], {"scenario": 7}, "--scenario"),
+        (["integrate", "--scenario", "uniform-speedup", "--t-end", "1"],
+         {"rescaled": "no"}, "--rescaled"),
+        (["integrate", "--scenario", "uniform-speedup", "--t-end", "1"],
+         {"rescaled": 1}, "--rescaled"),
+        (["integrate", "--scenario", "uniform-speedup"], {"t_end": True}, "--t-end"),
+        (["integrate", "--scenario", "uniform-speedup"], {"t_end": -1}, "--t-end"),
+        (["integrate", "--scenario", "uniform-speedup", "--t-end", "1"],
+         {"state": [1, 0]}, "--state"),
+        (["match"], {"energies": "-1,0"}, "--energies"),
+    ],
+)
+def test_bad_config_value_is_usage_error(tmp_path, capsys, argv, config, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out = run_to(tmp_path, "run", argv + ["--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    manifest = read_json(out / "run_manifest.json")
+    assert manifest["exit_code"] == 2
+    assert manifest["outputs"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--scenario", "oscillator-1", "--tol", "1e-3"],
+        ["integrate", "--scenario", "oscillator-1", "--state", "1,0", "--t-end", "1",
+         "--seed", "1"],
+        ["period", "--scenario", "oscillator-1", "--state", "1,0", "--seed", "1"],
+        ["kepler-demo", "--seed", "1"],
+        ["match", "--seed", "1"],
+    ],
+)
+def test_option_the_command_does_not_read_is_rejected(capsys, argv):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["build", "--scenario", "nope"], ["oscillator-1", "rotation-2d"]),
+        (["verify", "--scenario", "nope"], ["flat-2", "flat-4", "kepler-chart"]),
+        (["integrate", "--scenario", "nope", "--t-end", "1"],
+         ["oscillator-1", "uniform-speedup", "blowup-damping"]),
+        (["period", "--scenario", "nope"], ["free-particle", "am-clock"]),
+    ],
+)
+def test_unknown_scenario_names_every_accepted_one(capsys, argv, named):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --scenario 'nope' is unknown; known: ")
+    assert err.count("\n") == 1
+    for name in named:
+        assert name in err
+    if argv[0] == "build":
+        assert "flat-2" not in err and "uniform-speedup" not in err
+
+
+def test_key_error_inside_a_command_propagates(monkeypatch, tmp_path):
+    import sodelab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("deep inside the library")
+
+    monkeypatch.setattr(cli, "integrate", broken)
+    with pytest.raises(KeyError, match="deep inside"):
+        main(["integrate", "--scenario", "oscillator-1", "--state", "1,0",
+              "--t-end", "1", "--out", str(tmp_path / "run")])
 
 
 def test_config_with_unknown_key_rejected(tmp_path, capsys):
@@ -136,6 +235,18 @@ def test_cli_flag_overrides_config(tmp_path):
     assert summary["t_final"] == pytest.approx(2.0)
     manifest = read_json(out / "run_manifest.json")
     assert manifest["options"]["t_end"] == pytest.approx(2.0)
+
+
+def test_config_numbers_are_read_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"scenario": "oscillator-1", "state": "1,0", "t_end": 1, '
+                   '"csv-samples": "5", "rescaled": false}')
+    code, out = run_to(tmp_path, "run", ["integrate", "--config", str(cfg)])
+    assert code == 0
+    options = read_json(out / "run_manifest.json")["options"]
+    assert options["t_end"] == 1.0 and isinstance(options["t_end"], float)
+    assert options["csv_samples"] == 5
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 6
 
 
 # --- verify ------------------------------------------------------------------

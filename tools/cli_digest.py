@@ -2,10 +2,12 @@
 
 Usage: ``python3 tools/cli_digest.py`` (no options).  Each invocation runs
 in-process against the ``src/`` tree next to this script and writes into its
-own directory under a temporary root, which is removed afterwards.  One line
-per output file, ``<sha256>  <NN-command>/<file>``, sorted by path.  Running
-the script on two checkouts and diffing the outputs checks that a change
-keeps the CLI output bytes identical.
+own directory under a temporary root, which is removed afterwards.  The
+runs start in that root, where the script first writes ``config.json`` for
+the one invocation that reads its options from ``--config``.  One line per
+file, ``<sha256>  <path>``, sorted by path.  Running the script on two
+checkouts and diffing the outputs checks that a change keeps the CLI output
+bytes identical.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -53,15 +57,25 @@ INVOCATIONS = (
     ["match", "--energies=-0.3,-1.7", "--radius-scale=1.1"],
     ["match", "--energies=-0.5,-2", "--csv-samples", "300"],
     ["match", "--energies=-0.5,-2", "--mode", "energy"],  # mismatch: exit 1
+    ["integrate", "--config", "config.json"],  # options from CONFIG
+    ["integrate", "--scenario", "oscillator-1", "--state", "1,0", "--t-end=0"],  # exit 2
 )
+
+CONFIG = {"scenario": "uniform-speedup", "rescaled": True, "t_end": 5, "csv-samples": 64}
 
 
 def main_digest() -> int:
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as root:
-        for k, argv in enumerate(INVOCATIONS):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                main(argv + ["--out", str(Path(root) / f"{k:02d}-{argv[0]}")])
+        (Path(root) / "config.json").write_text(json.dumps(CONFIG))
+        os.chdir(root)  # manifests echo the relative --config path
+        try:
+            for k, argv in enumerate(INVOCATIONS):
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    main(argv + ["--out", str(Path(root) / f"{k:02d}-{argv[0]}")])
+        finally:
+            os.chdir(home)
         for path in sorted(Path(root).rglob("*")):
             if path.is_file():
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
