@@ -11,7 +11,8 @@ Each option is declared once, in ``_OPTIONS``: its kind, its help, the
 commands that take it with their defaults, and the range of its values.
 Flag text and ``--config`` values pass the same parse-and-range check, so a
 bad value from either is a usage error with one ``error: --<flag>`` line and,
-under ``--out``, a manifest.
+under ``--out``, a manifest.  So is a config file that cannot be read or that
+holds an unknown key; that manifest echoes the defaults and flags alone.
 
 Exit codes: 0 success, 1 domain failure (a verification, construction,
 periodicity, or matching claim fails), 2 usage or configuration errors.
@@ -240,11 +241,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> dict:
+def _resolve(args: argparse.Namespace, *, use_config: bool = True) -> dict:
     """Defaults, then ``--config`` values, then flags, still unchecked."""
     options = _OPTIONS_OF[args.command]
     opts = {key: opt.defaults[args.command] for key, opt in options.items()}
-    if args.config is not None:
+    if use_config and args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -540,8 +541,9 @@ def main(argv=None) -> int:
     try:
         opts = _resolve(args)
     except _UsageError as exc:
+        # the config is at fault: the manifest echoes the defaults and flags
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _Run(args.command, _resolve(args, use_config=False)).finish(2)
     run = _Run(args.command, opts)
     try:
         _check(args.command, opts)

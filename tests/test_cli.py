@@ -213,6 +213,25 @@ def test_config_file_missing(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", [None, '{"volume": 11}'])
+def test_bad_config_file_still_writes_the_manifest(tmp_path, capsys, text):
+    # an unreadable config (None: no file) or one with an unknown key
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    code, out = run_to(
+        tmp_path, "run", ["build", "--scenario", "oscillator-1", "--config", str(cfg)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    manifest = read_json(out / "run_manifest.json")
+    assert manifest["exit_code"] == 2
+    assert manifest["outputs"] == []
+    assert manifest["options"]["scenario"] == "oscillator-1"
+    assert manifest["options"]["config"] == str(cfg)
+
+
 # --- config merging ----------------------------------------------------------
 
 

@@ -1,10 +1,15 @@
 """Integrator accuracy, blow-up reporting, dense output, period detection."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sodelab import dynamics as dyn
 from sodelab import kepler as kp
 from sodelab.dynamics import (
     Trajectory,
@@ -86,14 +91,17 @@ class TestAccuracy:
         rhs = counting(f)
         traj = integrate(rhs, y0, 10.0, rtol=1e-6, atol=1e-9)
         assert (traj.rejected > 0) == rejects
-        # the initial value, the initial-step probe, 6 stages per attempted step
-        assert traj.nfev == 2 + 6 * (traj.accepted + traj.rejected)
+        # the initial value, the initial-step probe, 12 stages per attempted
+        # step and 3 dense-output stages per accepted one (the DP5 core took
+        # 2 + 6 * attempted)
+        assert traj.nfev == 2 + 12 * (traj.accepted + traj.rejected) + 3 * traj.accepted
         assert traj.nfev == rhs.calls
 
     def test_stop_hook_ends_the_run(self):
         seen = []
 
-        def past_one(times, states, derivs):
+        # the hook sees the dense-output coefficients (it saw node derivatives)
+        def past_one(times, states, dense):
             seen.append(len(times))
             return times[-1] > 1.0
 
@@ -142,9 +150,25 @@ class TestBlowUp:
             return np.array([y[0]])
 
         traj = integrate(rhs, (1.0,), 5.0, rtol=1e-8, atol=1e-10)
-        assert traj.status == "blow_up"
+        # the NaN stages reject every step until the step underflows
+        assert traj.status == "step_underflow"
         lo, hi = traj.blow_up_bracket
         assert lo <= math.log(2.0) + 1e-6 <= hi + 0.5
+
+    def test_chattering_field_ends_at_the_step_limit(self):
+        # -sign(y - 0.5) flips at 0.5: the run crawls there on tiny accepted
+        # steps until the budget is spent, and min_step shows why
+        traj = integrate(lambda t, y: -np.sign(y - 0.5), (0.0,), 10.0, max_steps=500)
+        assert traj.status == "step_limit"
+        assert traj.blow_up_bracket is None
+        assert traj.accepted + traj.rejected == 500
+        assert traj.final_time < 0.51
+        assert abs(traj.final_state[0] - 0.5) < 1e-6
+        assert traj.min_step < 1e-8
+
+    def test_min_step_is_the_smallest_accepted_step(self):
+        traj = integrate(van_der_pol_rhs, (2.0, 0.0), 10.0, rtol=1e-6, atol=1e-9)
+        assert traj.min_step == pytest.approx(np.min(np.diff(traj.times)), rel=1e-12)
 
     def test_completed_runs_have_no_bracket(self):
         traj = integrate(circle_rhs, (1.0, 0.0), 1.0)
@@ -161,7 +185,7 @@ class TestDenseOutput:
         assert np.max(np.abs(values - exact)) < 1e-6
 
     def test_interpolation_error_tracks_tolerance(self):
-        # the cubic interpolant may lose about an order against the step error
+        # the interpolant may lose about an order against the step error
         rtol = 1e-4
         traj = integrate(circle_rhs, (1.0, 0.0), 10.0, rtol=rtol, atol=1e-7)
         ts = np.linspace(0.0, 10.0, 513)
@@ -235,15 +259,18 @@ class TestPeriodDetection:
     def test_stops_at_the_second_return(self):
         rhs = counting(circle_rhs)
         estimate = estimate_period(rhs, (1.0, 0.0))
-        # the run ends just past the second return at 4*pi (about 3,100 calls)
+        # the run ends just past the second return at 4*pi (about 620 calls;
+        # 3,075 with the DP5 core)
         assert rhs.calls < 4000
-        assert estimate.period.hex() == "0x1.921fb54442a66p+2"
-        assert estimate.second_return.hex() == "0x1.921fb54442882p+3"
+        # DP5 core: 0x1.921fb54442a66p+2 and 0x1.921fb54442882p+3
+        assert estimate.period.hex() == "0x1.921fb5444f768p+2"
+        assert estimate.second_return.hex() == "0x1.921fb5444ed40p+3"
 
     def test_kepler_chart_period_bits(self):
         field = kp.chart_field()
         estimate = estimate_period(field.ode_rhs, kp.shell_representative(-0.5))
-        assert estimate.period.hex() == "0x1.921fb5444b32ap+2"
+        # DP5 core: 0x1.921fb5444b32ap+2
+        assert estimate.period.hex() == "0x1.921fb54413636p+2"
 
     def test_anisotropic_start_point(self):
         # same orbit entered at a generic phase
@@ -278,9 +305,48 @@ class TestConservedDrift:
         traj = Trajectory(
             times=np.array([0.0, 1.0, 2.0]),
             states=np.array([[0.0], [1.0], [2.0]]),
-            derivs=np.ones((3, 1)),
+            dense=np.zeros((2, 7, 1)),
             status="completed",
             accepted=2,
             rejected=0,
         )
         assert conserved_drift(lambda y: y[0], traj) == 2.0
+
+
+class TestScipyOracle:
+    """scipy's DOP853 as a test-only oracle; the runtime never imports scipy."""
+
+    def test_tables_equal_scipy(self):
+        ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        assert np.array_equal(dyn._C, ref.C)
+        assert np.array_equal(dyn._A, ref.A)
+        # scipy pads both error rows with a zero weight on the FSAL stage
+        assert np.array_equal(dyn._E3, ref.E3[:12]) and ref.E3[12] == 0.0
+        assert np.array_equal(dyn._E5, ref.E5[:12]) and ref.E5[12] == 0.0
+        assert np.array_equal(dyn._D, ref.D)
+
+    @pytest.mark.parametrize("case", ["chart-field", "circle"])
+    def test_nfev_and_end_state_match_scipy(self, case):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        if case == "circle":
+            f, y0 = circle_rhs, np.array([1.0, 0.0])
+        else:
+            f, y0 = kp.chart_field().ode_rhs, kp.shell_representative(-0.5)
+        ours = integrate(f, y0, 2 * math.pi, rtol=1e-10, atol=1e-12)
+        # scipy counts the dense-output stages only when asked for them
+        ref = solve_ivp(
+            f, (0.0, 2 * math.pi), y0, method="DOP853", rtol=1e-10, atol=1e-12,
+            dense_output=True,
+        )
+        assert ours.status == "completed" and ref.success
+        assert abs(ours.nfev - ref.nfev) <= 0.15 * ref.nfev
+        assert np.max(np.abs(ours.final_state - ref.y[:, -1])) < 1e-12
+
+    def test_cli_import_leaves_scipy_out(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "import sys, sodelab.cli; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
