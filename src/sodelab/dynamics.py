@@ -11,7 +11,9 @@ the field.  Failures are reported, not raised, each with a time bracket and
 the last finite sample kept: a state whose norm passes the blow-up threshold
 or turns non-finite gives ``status == "blow_up"``, a step shrunk below its
 floor gives ``"step_underflow"``, and a spent step budget ``"step_limit"``
-(``Trajectory.min_step`` then shows how small the steps got).  An optional
+(``Trajectory.min_step`` then shows how small the steps got).  Despite its
+name, ``Trajectory.blow_up_bracket`` holds the failure bracket of both
+``"blow_up"`` and ``"step_underflow"``.  An optional
 ``stop`` hook sees the nodes after each accepted step and can end the run
 early (``status == "stopped"``); period detection uses it to stop at the
 second return.
@@ -316,6 +318,8 @@ class Trajectory:
     status: str  # "completed" | "stopped" | "blow_up" | "step_underflow" | "step_limit"
     accepted: int
     rejected: int
+    # the failure bracket of "blow_up" and of "step_underflow" alike; the name
+    # predates the split and is kept for readers of integrate.json
     blow_up_bracket: tuple[float, float] | None = None
     # RHS evaluations: the initial value, the initial-step probe, 12 per
     # attempted step and 3 more per accepted step for its dense output

@@ -2,14 +2,18 @@
 
 Usage::
 
-    python3 tools/bench.py --out BENCH.json [--repeat 5] [LABEL=PATH ...]
+    python3 tools/bench.py --out BENCH.json [LABEL=PATH ...]
 
 Each ``LABEL=PATH`` names a checkout whose ``src/`` is measured in a Python
 process of its own (default: ``change=`` the checkout holding this script),
-so two trees can be compared in one file.  Three cases are run:
+so two trees can be compared in one file.  Four cases are run:
 
 * ``chart_period``: ``integrate`` on the Kepler chart field over one period
   2*pi from the E = -0.5 shell representative, rtol 1e-10, atol 1e-12;
+* ``chart_period_rtol_1e-11``: the same at rtol 1e-11, so that cores of
+  different accuracy can also be compared at equal error, not only at equal
+  rtol (both chart-period cases record ``end_gap``, the Euclidean distance
+  of the end state from the start, which is the global error there);
 * ``estimate_period``: ``estimate_period`` on the same field and start;
 * ``cli_match``: ``sodelab match`` on its default grid, into a temporary
   directory.
@@ -17,7 +21,7 @@ so two trees can be compared in one file.  Three cases are run:
 Each case records deterministic counters summed over every ``integrate``
 call it makes (RHS evaluations ``nfev``, ``accepted`` and ``rejected``
 steps, ``runs``) and the median and spread of the wall time over
-``--repeat`` timed runs, after one untimed run that also warms the compiled
+``_REPEAT`` timed runs, after one untimed run that also warms the compiled
 fields.  Wall times depend on the machine and its load; the counters do not.
 """
 
@@ -39,6 +43,7 @@ from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve()
+_REPEAT = 5  # timed runs per case
 
 
 def _count_integrate() -> Counter:
@@ -64,6 +69,7 @@ def _count_integrate() -> Counter:
 
 
 def _cases():
+    import numpy as np
     from sodelab import kepler
     from sodelab.cli import main
     from sodelab.dynamics import estimate_period, integrate
@@ -71,8 +77,9 @@ def _cases():
     field = kepler.chart_field()
     x0 = kepler.shell_representative(-0.5)
 
-    def chart_period():
-        integrate(field.ode_rhs, x0, 2.0 * math.pi, rtol=1e-10, atol=1e-12)
+    def chart_period(rtol):
+        traj = integrate(field.ode_rhs, x0, 2.0 * math.pi, rtol=rtol, atol=1e-12)
+        return {"end_gap": float(np.linalg.norm(traj.final_state - x0))}
 
     def period():
         estimate_period(field.ode_rhs, x0)
@@ -84,19 +91,24 @@ def _cases():
         if code != 0:
             raise RuntimeError(f"match exited {code}")
 
-    return {"chart_period": chart_period, "estimate_period": period, "cli_match": cli_match}
+    return {
+        "chart_period": lambda: chart_period(1e-10),
+        "chart_period_rtol_1e-11": lambda: chart_period(1e-11),
+        "estimate_period": period,
+        "cli_match": cli_match,
+    }
 
 
-def measure(repeat: int) -> dict:
+def measure() -> dict:
     """The counters and wall times of every case, for the imported tree."""
     totals = _count_integrate()
     results = {}
     for name, run in _cases().items():
         totals.clear()
-        run()
-        counters = dict(sorted(totals.items()))
+        extra = run() or {}
+        counters = dict(sorted({**totals, **extra}.items()))
         walls = []
-        for _ in range(repeat):
+        for _ in range(_REPEAT):
             start = time.perf_counter()
             run()
             walls.append(time.perf_counter() - start)
@@ -109,10 +121,10 @@ def measure(repeat: int) -> dict:
     return results
 
 
-def _measure_tree(path: Path, repeat: int) -> dict:
+def _measure_tree(path: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(path / "src")}
     out = subprocess.run(
-        [sys.executable, str(HERE), "--measure", "--repeat", str(repeat)],
+        [sys.executable, str(HERE), "--measure"],
         env=env, cwd=path, capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout)
@@ -122,13 +134,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", metavar="LABEL=PATH")
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
     if args.measure:
-        print(json.dumps(measure(args.repeat)))
+        print(json.dumps(measure()))
         return 0
     if args.out is None:
         parser.error("--out is required")
@@ -137,14 +146,14 @@ def main(argv=None) -> int:
         label, sep, path = spec.partition("=")
         if not sep or not label or not path:
             parser.error(f"expected LABEL=PATH, got {spec!r}")
-        trees[label] = _measure_tree(Path(path).resolve(), args.repeat)
+        trees[label] = _measure_tree(Path(path).resolve())
     report = {
         "machine": {
             "python": platform.python_version(),
             "arch": platform.machine(),
             "cpus": os.cpu_count(),
         },
-        "repeat": args.repeat,
+        "repeat": _REPEAT,
         "trees": trees,
     }
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
