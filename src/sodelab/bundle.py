@@ -9,6 +9,7 @@ the original dynamics into an explicitly second-order system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -30,6 +31,7 @@ from .expr import (
     VariableContext,
     add,
     differentiate,
+    free_variables,
     mul,
     sub,
     substitute,
@@ -55,6 +57,8 @@ __all__ = [
 ]
 
 _ZERO_FIELD_TOL = 1e-12
+# a point fails a rank check when sigma_min <= _RANK_RTOL * (1 + sigma_max)
+_RANK_RTOL = 1e-9
 
 
 def _second_partials_vanish(
@@ -253,7 +257,6 @@ def build(
     seed: int = 0,
     n_random: int = 500,
     grid_points: int = 11,
-    rank_rtol: float = 1e-9,
 ) -> TangentStructure:
     """Derive and certify a second-order chart for ``gamma`` from base functions.
 
@@ -276,12 +279,14 @@ def build(
     chart_components = base_exprs + tuple(velocity_exprs)
     points = box.sample(seed=seed, n_random=n_random, grid_points=grid_points)
 
+    # the base rows come first; the full Jacobian serves the chart checks below
+    full_jac = _jacobian_on(chart_components, ctx, points)
+
     # base differentials must stay independent everywhere on the grid
-    base_jac = _jacobian_on(base_exprs, ctx, points)
-    base_sigma = np.linalg.svd(base_jac, compute_uv=False)
+    base_sigma = np.linalg.svd(full_jac[:, :n, :], compute_uv=False)
     base_sigma = np.nan_to_num(base_sigma, nan=0.0)
     if n <= dim:
-        ratio = base_sigma[:, -1] - rank_rtol * (1.0 + base_sigma[:, 0])
+        ratio = base_sigma[:, -1] - _RANK_RTOL * (1.0 + base_sigma[:, 0])
         worst = int(np.argmin(ratio))
         if ratio[worst] <= 0.0:
             where = tuple(round(float(v), 6) for v in points[worst])
@@ -309,10 +314,9 @@ def build(
         raise FunctionalDependenceError(
             f"{2 * n} chart functions on a {dim}-dimensional space have rank at most {dim}"
         )
-    full_jac = _jacobian_on(chart_components, ctx, points)
     sigma = np.linalg.svd(full_jac, compute_uv=False)
     sigma = np.nan_to_num(sigma, nan=0.0)
-    ratio = sigma[:, -1] - rank_rtol * (1.0 + sigma[:, 0])
+    ratio = sigma[:, -1] - _RANK_RTOL * (1.0 + sigma[:, 0])
     worst = int(np.argmin(ratio))
     if ratio[worst] <= 0.0:
         where = tuple(round(float(v), 6) for v in points[worst])
@@ -338,8 +342,6 @@ def build(
 
     # fiber coordinates: source directions the base functions never see
     base_vars = set()
-    from .expr import free_variables
-
     for q in base_exprs:
         base_vars |= free_variables(q)
     fiber_names = [name for name in ctx.names if name not in base_vars]
@@ -450,12 +452,14 @@ def structure_sode_residual(
 ) -> float:
     """Max |dQ(field) - V| over points: how far the chart misses second-orderness.
 
-    Zero by construction up to roundoff; exercised as a tautology guard.
+    Zero by construction up to roundoff; exercised as a tautology guard.  All
+    points are evaluated in one batch; nan counts as inf.
     """
-    worst = 0.0
-    for p in np.atleast_2d(np.asarray(points, dtype=float)):
-        jac = structure.forward.jacobian_at(p)[: structure.n, :]
-        lifted = jac @ structure.gamma(p)
-        direct = structure.forward(p)[structure.n :]
-        worst = max(worst, float(np.max(np.abs(lifted - direct))))
-    return worst
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    ctx = structure.src_ctx
+    jac = _jacobian_on(structure.base_exprs, ctx, points)
+    gamma = evaluate_on(structure.gamma.components, ctx, points)
+    lifted = np.einsum("mij,mj->mi", jac, gamma)
+    direct = evaluate_on(structure.velocity_exprs, ctx, points)
+    worst = float(np.max(np.abs(lifted - direct), initial=0.0))
+    return math.inf if math.isnan(worst) else worst

@@ -42,6 +42,8 @@ __all__ = [
 
 # analytic peak of |u| * exp(-u^2): attained at u^2 = 1/2
 DAMPED_SPEED_BOUND = math.exp(-0.5) / math.sqrt(2.0)
+# a factor whose |value| at some sample point is at most this vanishes there
+_ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ def rescale(
     seed: int = 0,
     n_random: int = 500,
     grid_points: int = 11,
-    zero_tol: float = 1e-12,
 ) -> ConformalPair:
     """Form factor * field after certifying the factor keeps one sign.
 
@@ -75,7 +76,7 @@ def rescale(
     values = evaluate_on((factor.expr,), factor.ctx, points)
     if not np.all(np.isfinite(values)):
         raise SignChangeError("factor is not finite everywhere on the domain")
-    if float(np.min(np.abs(values))) <= zero_tol:
+    if float(np.min(np.abs(values))) <= _ZERO_TOL:
         raise SignChangeError("factor vanishes on the domain")
     if float(np.min(values)) < 0.0 < float(np.max(values)):
         raise SignChangeError("factor changes sign on the domain")

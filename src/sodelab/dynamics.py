@@ -8,7 +8,7 @@ estimate, and a step-size exponent of 1/8.  Each accepted step stores its own
 :meth:`Trajectory.sample_many` and the crossing search of period detection.
 It only runs forward in time; backward flows are handled upstream by negating
 the field.  Failures are reported, not raised, each with a time bracket and
-the last finite sample kept: a state whose norm passes the blow-up threshold
+the last finite sample kept: a state whose max norm passes ``_BLOW_UP_NORM``
 or turns non-finite gives ``status == "blow_up"``, a step shrunk below its
 floor gives ``"step_underflow"``, and a spent step budget ``"step_limit"``
 (``Trajectory.min_step`` then shows how small the steps got).  Despite its
@@ -253,6 +253,13 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 # the step-size exponent: the error estimate is of order 7, so err ~ h^8
 _EXPONENT = -1.0 / 8.0
+_BLOW_UP_NORM = 1e8
+
+# period detection: a section crossing counts as a return within _RETURN_TOL
+# of the start, and the second return must fall at twice the first to a
+# relative _CONSISTENCY_TOL
+_RETURN_TOL = 1e-4
+_CONSISTENCY_TOL = 5e-3
 
 
 def _rms(x: np.ndarray) -> float:
@@ -336,21 +343,14 @@ class Trajectory:
 
     def sample(self, t: float) -> np.ndarray:
         """Dense-output value at time ``t`` within the covered range."""
-        times = self.times
-        if not times[0] - 1e-12 <= t <= times[-1] + 1e-12:  # nan included
-            raise ValueError(
-                f"t = {t} outside the covered range [{times[0]}, {times[-1]}]"
-            )
-        if t >= times[-1]:
-            return self.states[-1].copy()
-        if t <= times[0]:
-            return self.states[0].copy()
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        x = (t - times[i]) / (times[i + 1] - times[i])
-        return _interpolate(self.states[i], self.dense, i, x)
+        return self.sample_many([t])[0]
 
     def sample_many(self, ts: Sequence[float]) -> np.ndarray:
-        """:meth:`sample` at each of ``ts``, row by row, with the same bits."""
+        """Dense-output values at each of ``ts``, one row per time.
+
+        A time up to 1e-12 outside the covered range gives the end state on
+        that side; further out, or nan, raises ValueError.
+        """
         ts = np.asarray(ts, dtype=float).reshape(-1)
         times = self.times
         outside = ~((ts >= times[0] - 1e-12) & (ts <= times[-1] + 1e-12))
@@ -400,14 +400,12 @@ def integrate(
     y0,
     t_end: float,
     *,
-    t0: float = 0.0,
     rtol: float = 1e-10,
     atol: float = 1e-12,
     max_steps: int = 200_000,
-    blow_up_norm: float = 1e8,
     stop: Callable[[list, list, list], bool] | None = None,
 ) -> Trajectory:
-    """Integrate dy/dt = f(t, y) from t0 forward to t_end.
+    """Integrate dy/dt = f(t, y) from t = 0 forward to t_end.
 
     ``stop(times, states, dense)``, if given, is called after each accepted
     step with the node lists and the per-step dense-output coefficients so
@@ -416,13 +414,13 @@ def integrate(
     """
     y = np.array(y0, dtype=float)
     dim = y.shape[0]
-    if not t_end > t0:
-        raise ValueError("integration runs forward: t_end must exceed t0")
-    if not (np.all(np.isfinite(y)) and np.max(np.abs(y)) <= blow_up_norm):
+    if not t_end > 0.0:
+        raise ValueError("integration runs forward: t_end must be positive")
+    if not (np.all(np.isfinite(y)) and np.max(np.abs(y)) <= _BLOW_UP_NORM):
         raise ValueError("initial state is not finite within the blow-up threshold")
 
     rhs = lambda t, state: _safe_rhs(f, t, state, dim)
-    t = float(t0)
+    t = 0.0
     k = np.empty((16, dim))  # the stages; row 0 is the derivative at (t, y)
     k[0] = rhs(t, y)
     if not np.all(np.isfinite(k[0])):
@@ -469,7 +467,7 @@ def integrate(
 
         if err <= 1.0:
             t_new = t + h
-            if not (np.all(np.isfinite(y_new)) and np.max(np.abs(y_new)) <= blow_up_norm):
+            if not (np.all(np.isfinite(y_new)) and np.max(np.abs(y_new)) <= _BLOW_UP_NORM):
                 status = "blow_up"
                 bracket = (t, t_new)
                 break
@@ -529,19 +527,30 @@ class PeriodEstimate:
         }
 
 
-def _refine_crossing(step: Trajectory, x0: np.ndarray, normal: np.ndarray) -> float:
-    """Bisect the section crossing inside the one step ``step`` covers."""
-    a = float(step.times[0])
-    b = float(step.times[1])
+def _refine_crossing(
+    times: list, states: list, dense: list, x0: np.ndarray, normal: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Bisect the section crossing inside the last step; return it and the state there.
+
+    The step's own interpolant is read as :meth:`Trajectory.sample` reads it.
+    """
+    t0, t1 = times[-2], times[-1]
+    y_old, coeffs = states[-2], dense[-1][None]
+
+    def at(t: float) -> np.ndarray:
+        return _interpolate(y_old, coeffs, 0, (t - t0) / (t1 - t0))
+
+    a, b = t0, t1
     for _ in range(80):
         mid = 0.5 * (a + b)
-        if float((step.sample(mid) - x0) @ normal) < 0.0:
+        if float((at(mid) - x0) @ normal) < 0.0:
             a = mid
         else:
             b = mid
         if b - a < 1e-15 * max(1.0, abs(b)):
             break
-    return 0.5 * (a + b)
+    t_star = 0.5 * (a + b)
+    return t_star, at(t_star)
 
 
 def estimate_period(
@@ -551,19 +560,16 @@ def estimate_period(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     t_max: float = 1000.0,
-    ball_radius: float | None = None,
-    return_tol: float = 1e-4,
-    consistency_tol: float = 5e-3,
 ) -> PeriodEstimate:
     """Detect the period of the orbit through ``x0``.
 
     The return section is the hyperplane through ``x0`` normal to the initial
     velocity.  One integration up to ``t_max`` tests each accepted step for a
     negative-to-positive crossing, refines it by bisection on that step's
-    dense-output interpolant, and accepts it as a return only inside a ball
-    around ``x0`` and within ``return_tol`` of the start; the run stops at the
-    second return.  That return must lie at twice the first (to
-    ``consistency_tol``) before a period is reported.
+    dense-output interpolant, and accepts it as a return only within
+    ``_RETURN_TOL`` (1e-4) of the start; the run stops at the second return.
+    That return must lie at twice the first (to a relative
+    ``_CONSISTENCY_TOL``, 5e-3) before a period is reported.
     """
     x0 = np.asarray(x0, dtype=float)
     f0 = np.asarray(f(0.0, x0), dtype=float)
@@ -571,8 +577,6 @@ def estimate_period(
     if speed < 1e-12:
         raise NotPeriodicError("the starting point is an equilibrium")
     normal = f0 / speed
-    if ball_radius is None:
-        ball_radius = 0.25 * (1.0 + float(np.linalg.norm(x0)))
 
     returns: list[tuple[float, float]] = []
 
@@ -581,17 +585,9 @@ def estimate_period(
         g_new = float((states[-1] - x0) @ normal)
         if not g_old < 0.0 <= g_new:
             return False
-        step = Trajectory(
-            times=np.array(times[-2:]),
-            states=np.array(states[-2:]),
-            dense=dense[-1][None],
-            status="completed",
-            accepted=1,
-            rejected=0,
-        )
-        t_star = _refine_crossing(step, x0, normal)
-        residual = float(np.linalg.norm(step.sample(t_star) - x0))
-        if residual > ball_radius or residual > return_tol:
+        t_star, state = _refine_crossing(times, states, dense, x0, normal)
+        residual = float(np.linalg.norm(state - x0))
+        if residual > _RETURN_TOL:
             return False  # crosses the section away from the start
         if returns and t_star <= returns[-1][0] + 1e-9:
             return False
@@ -611,7 +607,7 @@ def estimate_period(
         )
     first, residual = returns[0]
     second, _ = returns[1]
-    if abs(second / 2.0 - first) > consistency_tol * first:
+    if abs(second / 2.0 - first) > _CONSISTENCY_TOL * first:
         raise NotPeriodicError(
             f"returns at t = {first:.6g} and t = {second:.6g} do not agree on a period"
         )

@@ -62,13 +62,9 @@ class OscillatorSystem:
     lagrangian: ScalarField
     energy: ScalarField
 
-    def domain(
-        self, *, half_width: float = 2.0, exclude_radius: float = 0.5
-    ) -> Box:
-        # the exclusion ball keeps energies at or above exclude_radius^2 / 2
-        return Box.cube(
-            self.ctx, half_width, exclude_radius=exclude_radius
-        )
+    def domain(self) -> Box:
+        # the exclusion ball of radius 0.5 keeps energies at or above 1/8
+        return Box.cube(self.ctx, 2.0, exclude_radius=0.5)
 
     def base_names(self) -> tuple[str, ...]:
         return self.ctx.names[: self.n]

@@ -25,6 +25,7 @@ from .expr import (
     mul,
     neg,
     sub,
+    substitute,
     sum_of_products,
 )
 from .fields import (
@@ -229,8 +230,6 @@ def pullback_twoform(omega: TwoFormField, mapping: PointMap) -> TwoFormField:
         raise ValueError("the map must land in the form's context")
     src = mapping.src
     bindings = dict(zip(omega.ctx.names, mapping.components))
-    from .expr import substitute
-
     pulled_entries = [
         [substitute(entry, bindings) for entry in row] for row in omega.matrix
     ]
@@ -254,6 +253,12 @@ def pullback_twoform(omega: TwoFormField, mapping: PointMap) -> TwoFormField:
 
 
 # --- verification -----------------------------------------------------------
+
+# the backward-flow axiom: reverse flows from this many spread sample points,
+# each compared at time _FLOW_TIME and 2 * _FLOW_TIME against _FLOW_TOL
+_FLOW_SAMPLES = 5
+_FLOW_TIME = 20.0
+_FLOW_TOL = 1e-6
 
 
 @dataclass
@@ -317,9 +322,6 @@ def verify_tangent_structure(
     n_random: int = 500,
     grid_points: int = 11,
     tol: float = 1e-9,
-    flow_tol: float = 1e-6,
-    flow_time: float = 20.0,
-    flow_samples: int = 5,
 ) -> VerificationReport:
     """Check the structure axioms for (s, delta) over a sampled domain.
 
@@ -330,9 +332,10 @@ def verify_tangent_structure(
                                   is killed by S, which follows once inside);
     * ``lie_delta_S_plus_S``   -- L_delta S = -S;
     * ``nijenhuis_torsion``    -- N_S vanishes on all coordinate basis pairs;
-    * ``backward_flow_limit``  -- the reverse flow of delta settles: position
-                                  after time ``flow_time`` and ``2 * flow_time``
-                                  agree within ``flow_tol``;
+    * ``backward_flow_limit``  -- the reverse flow of delta settles: from
+                                  ``_FLOW_SAMPLES`` (5) sample points, the
+                                  positions after time ``_FLOW_TIME`` (20) and
+                                  twice that agree within ``_FLOW_TOL`` (1e-6);
     * ``sode_condition``       -- only when ``field`` is given: S(field) = delta.
 
     Where the pointwise rank of S drops below half the dimension the kernel
@@ -383,19 +386,19 @@ def verify_tangent_structure(
     )
 
     reverse = delta.negated()
-    stride = max(1, len(points) // flow_samples)
+    stride = max(1, len(points) // _FLOW_SAMPLES)
     flow_residual = 0.0
-    for start in points[::stride][:flow_samples]:
-        far = integrate(reverse.ode_rhs, start, 2.0 * flow_time, rtol=1e-10, atol=1e-12)
+    for start in points[::stride][:_FLOW_SAMPLES]:
+        far = integrate(reverse.ode_rhs, start, 2.0 * _FLOW_TIME, rtol=1e-10, atol=1e-12)
         if far.status != "completed":
             flow_residual = math.inf
             break
-        mid = far.sample(flow_time)
+        mid = far.sample(_FLOW_TIME)
         gap = float(np.max(np.abs(far.final_state - mid)))
         flow_residual = max(flow_residual, gap)
     axioms.append(
         AxiomCheck(
-            "backward_flow_limit", flow_residual, flow_tol, flow_residual <= flow_tol
+            "backward_flow_limit", flow_residual, _FLOW_TOL, flow_residual <= _FLOW_TOL
         )
     )
 

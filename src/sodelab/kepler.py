@@ -54,7 +54,6 @@ __all__ = [
     "chart_field",
     "chart_energy",
     "chart_constraint",
-    "chart_domain",
     "shell_frequency",
     "shell_period",
     "shell_field",
@@ -64,7 +63,6 @@ __all__ = [
     "mean_motion",
     "half_mean_motion",
     "kepler3d_field",
-    "kepler3d_domain",
     "project_state",
     "project_trajectory",
     "unfolded_circular_state",
@@ -92,16 +90,13 @@ _W2 = "(V1^2 + V2^2 + V3^2 + V4^2)"
 
 @dataclass(frozen=True)
 class KeplerParams:
-    """Coupling strength and the puncture guard radius for sampling domains."""
+    """Coupling strength of the inverse-square attraction."""
 
     g: float = 1.0
-    r_min: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.g <= 0:
             raise ValueError("coupling g must be positive")
-        if self.r_min <= 0:
-            raise ValueError("r_min must be positive")
 
 
 # ------------------------------------------------------------ square map
@@ -206,36 +201,18 @@ def conformal_factor() -> ScalarField:
     return ScalarField(KS_CTX, parse(f"2 * {_R2}", KS_CTX))
 
 
-def _punctured_box(
-    ctx: VariableContext,
-    params: KeplerParams,
-    half_width: float,
-    fiber_half_width: float,
-    exclude_radius: float,
-) -> Box:
-    """Positions and velocities in a box, minus a ball about the position origin.
+def unfolded_domain() -> Box:
+    """Positions |y_k| <= 1.5 and velocities |v_k| <= 1, minus the ball |y| < 0.5.
 
-    The first half of ``ctx`` holds positions; the ball's radius is at least
-    the collision radius ``params.r_min``.
+    The ball keeps sample points away from the collision puncture y = 0.
     """
-    n = ctx.dim // 2
     return Box(
-        ctx,
-        (-half_width,) * n + (-fiber_half_width,) * n,
-        (half_width,) * n + (fiber_half_width,) * n,
-        exclude_radius=max(exclude_radius, params.r_min),
-        exclude_dims=tuple(range(n)),
+        KS_CTX,
+        (-1.5,) * 4 + (-1.0,) * 4,
+        (1.5,) * 4 + (1.0,) * 4,
+        exclude_radius=0.5,
+        exclude_dims=(0, 1, 2, 3),
     )
-
-
-def unfolded_domain(
-    params: KeplerParams = KeplerParams(),
-    *,
-    half_width: float = 1.5,
-    fiber_half_width: float = 1.0,
-    exclude_radius: float = 0.5,
-) -> Box:
-    return _punctured_box(KS_CTX, params, half_width, fiber_half_width, exclude_radius)
 
 
 def rescaled_field(
@@ -243,7 +220,7 @@ def rescaled_field(
 ) -> VectorField:
     """The unfolded field on the fast clock: 2 |y|^2 times unfolded_field."""
     if box is None:
-        box = unfolded_domain(params)
+        box = unfolded_domain()
     pair = rescale(unfolded_field(params), conformal_factor(), box)
     return pair.rescaled
 
@@ -257,7 +234,7 @@ def regularized_structure(
     the chart inverts by one linear solve per point.
     """
     if box is None:
-        box = unfolded_domain(params)
+        box = unfolded_domain()
     field = rescaled_field(params, box)
     return build(field, tuple(f"y{k}" for k in range(4)), box, **kwargs)
 
@@ -289,16 +266,6 @@ def chart_field(params: KeplerParams = KeplerParams()) -> VectorField:
 def chart_constraint() -> ScalarField:
     """The bilinear constraint transported to the chart variables."""
     return ScalarField(CHART_CTX, parse("Q1*V4 - Q4*V1 + Q2*V3 - Q3*V2", CHART_CTX))
-
-
-def chart_domain(
-    params: KeplerParams = KeplerParams(),
-    *,
-    half_width: float = 1.5,
-    fiber_half_width: float = 1.5,
-    exclude_radius: float = 0.5,
-) -> Box:
-    return _punctured_box(CHART_CTX, params, half_width, fiber_half_width, exclude_radius)
 
 
 # -------------------------------------------------------- energy shells
@@ -395,16 +362,6 @@ def kepler3d_field(params: KeplerParams = KeplerParams()) -> VectorField:
     comps = [parse(f"u{k}", THREE_CTX) for k in range(1, 4)]
     comps += [parse(f"-{params.g!r} * x{k} / {r3}", THREE_CTX) for k in range(1, 4)]
     return VectorField(THREE_CTX, tuple(comps))
-
-
-def kepler3d_domain(
-    params: KeplerParams = KeplerParams(),
-    *,
-    half_width: float = 2.0,
-    fiber_half_width: float = 1.5,
-    exclude_radius: float = 0.5,
-) -> Box:
-    return _punctured_box(THREE_CTX, params, half_width, fiber_half_width, exclude_radius)
 
 
 def project_state(state) -> np.ndarray:

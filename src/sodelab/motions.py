@@ -68,8 +68,6 @@ def extract_kepler_motions(
     params: kp.KeplerParams = kp.KeplerParams(),
     *,
     radius_scale: float = 0.8,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> tuple[MotionRecord, ...]:
     """Measure one chart-side shell orbit per negative energy.
 
@@ -85,7 +83,7 @@ def extract_kepler_motions(
         e = float(e)
         radius = radius_scale * np.sqrt(params.g / (2.0 * abs(e)))
         state = kp.shell_state(e, float(radius), params)
-        est = estimate_period(field.ode_rhs, state, rtol=rtol, atol=atol)
+        est = estimate_period(field.ode_rhs, state)
         measured = 2.0 * np.pi / est.period
         records.append(
             MotionRecord(
@@ -111,9 +109,6 @@ def extract_oscillator_motions(
     system: OscillatorSystem,
     deformation: Deformation,
     levels,
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> tuple[MotionRecord, ...]:
     """Measure one deformed-oscillator orbit per energy level."""
     gamma = deformed_field(system, deformation)
@@ -121,7 +116,7 @@ def extract_oscillator_motions(
     for c in levels:
         c = float(c)
         state = shell_state(system, c)
-        est = estimate_period(gamma.ode_rhs, state, rtol=rtol, atol=atol)
+        est = estimate_period(gamma.ode_rhs, state)
         measured = 2.0 * np.pi / est.period
         records.append(
             MotionRecord(
@@ -230,18 +225,13 @@ def match_motions(
 def record_curve(
     record: MotionRecord,
     samples_per_period: int = 512,
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ):
     """Integrate one period of a motion and sample it uniformly.
 
     Returns (times, states, closure): closure is the gap |x(T) - x(0)|
     in the max norm, the periodicity certificate for the emitted curve.
     """
-    traj = integrate(
-        record.field.ode_rhs, record.state, record.period, rtol=rtol, atol=atol
-    )
+    traj = integrate(record.field.ode_rhs, record.state, record.period)
     times = np.linspace(0.0, record.period, samples_per_period)
     states = traj.sample_many(times)
     closure = float(np.max(np.abs(traj.final_state - record.state)))

@@ -137,7 +137,7 @@ def _conformal_am_case() -> SodeScenario:
 
 def _kepler_case() -> SodeScenario:
     params = kp.KeplerParams()
-    box = kp.unfolded_domain(params)
+    box = kp.unfolded_domain()
     return SodeScenario(
         name="kepler-chart",
         ctx=kp.KS_CTX,
@@ -256,7 +256,7 @@ def conformal_scenarios() -> tuple[ConformalScenario, ...]:
             ctx=kp.KS_CTX,
             field=kp.unfolded_field(params),
             factor=kp.conformal_factor(),
-            box=kp.unfolded_domain(params),
+            box=kp.unfolded_domain(),
             conserved=kp.energy(params),
             orbit_state=tuple(kp.unfolded_circular_state(-0.5)),
             notes="the slow-to-fast clock change of the unfolded problem",

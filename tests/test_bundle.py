@@ -1,5 +1,8 @@
 """Chart construction: positive builds, rejection order, inversion strategies."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from sodelab.errors import (
     FunctionalDependenceError,
     NonInvertibleChartError,
 )
-from sodelab.expr import VariableContext, qv_context
+from sodelab.expr import Const, VariableContext, add, qv_context
 from sodelab.fields import Box, ScalarField, VectorField
 from sodelab.bundle import (
     build,
@@ -97,6 +100,31 @@ class TestOscillatorBases:
         t = quick_build(SPIN4, ("x1", "x3"), BOX4)
         pts = BOX4.sample(seed=1, n_random=20, grid_points=3)
         assert structure_sode_residual(t, pts) < 1e-12
+
+    def test_sode_residual_measures_a_shifted_velocity_block(self):
+        t = quick_build(SPIN4, ("x1", "x3"), BOX4)
+        shifted = tuple(add(v, Const(0.25)) for v in t.velocity_exprs)
+        forward = dataclasses.replace(t.forward, components=t.base_exprs + shifted)
+        moved = dataclasses.replace(t, forward=forward)
+        pts = BOX4.sample(seed=1, n_random=20, grid_points=3)
+        residual = structure_sode_residual(moved, pts)
+        assert residual == pytest.approx(0.25, abs=1e-15)
+        # the point-by-point form the batch replaced, as a reference
+        reference = max(
+            float(np.max(np.abs(
+                forward.jacobian_at(p)[:2] @ moved.gamma(p) - forward(p)[2:]
+            )))
+            for p in pts
+        )
+        assert residual == pytest.approx(reference, abs=1e-15)
+
+    @pytest.mark.parametrize("point", [(0.0, 1.0, 0.5, 0.5), (0.0, 0.0, 0.5, 0.5)])
+    def test_sode_residual_is_inf_where_the_field_is_not_finite(self, point):
+        t = quick_build(SPIN4, ("x1", "x3"), BOX4)
+        broken = dataclasses.replace(
+            t, gamma=VectorField.of(R4, "x2 / x1", "-x1", "x4", "-x3")
+        )  # 1/0 is inf and 0/0 is nan at the two points
+        assert structure_sode_residual(broken, [point]) == math.inf
 
 
 class TestFreeParticle:

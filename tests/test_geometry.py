@@ -283,7 +283,7 @@ class TestVerification:
 
     def test_sign_flipped_dilation_fails_flow_and_lie(self):
         s, delta = canonical_tangent_structure(CTX2)
-        report = self.verify(s, delta.negated(), CTX2, flow_samples=2)
+        report = self.verify(s, delta.negated(), CTX2)
         assert report.verdict == "fail"
         assert not report.check("lie_delta_S_plus_S").passed
         assert not report.check("backward_flow_limit").passed
@@ -297,7 +297,7 @@ class TestVerification:
         twisted[3][0] = "sin(v2)"  # fiber-dependent twist
         s = Tensor11Field(CTX2, tuple(tuple(row) for row in twisted))
         _, delta = canonical_tangent_structure(CTX2)
-        report = self.verify(s, delta, CTX2, flow_samples=2)
+        report = self.verify(s, delta, CTX2)
         assert not report.check("nijenhuis_torsion").passed
         assert report.check("S_squared_zero").passed
         assert report.verdict == "fail"
@@ -305,7 +305,7 @@ class TestVerification:
     def test_dilation_outside_image_detected(self):
         s, _ = canonical_tangent_structure(CTX2)
         bad = VectorField.of(CTX2, "q1", "0", "v1", "v2")  # base component leaks in
-        report = self.verify(s, bad, CTX2, flow_samples=1)
+        report = self.verify(s, bad, CTX2)
         assert not report.check("delta_in_image_S").passed
 
     def test_rank_deficit_flagged_not_failed(self):
@@ -313,7 +313,7 @@ class TestVerification:
         rows[2, 0] = 1.0
         s = Tensor11Field.constant(CTX2, rows)
         delta = VectorField.of(CTX2, "0", "0", "v1", "0")
-        report = self.verify(s, delta, CTX2, flow_samples=2)
+        report = self.verify(s, delta, CTX2)
         assert report.degenerate_rank
         assert report.verdict == "pass"
 

@@ -203,7 +203,7 @@ class TestProjection:
 class TestChart:
     def setup_method(self):
         self.params = kp.KeplerParams()
-        self.box = kp.unfolded_domain(self.params)
+        self.box = kp.unfolded_domain()
         self.points = self.box.sample(seed=5, n_random=60, grid_points=3)
 
     def test_rescaled_field_values(self):

@@ -6,7 +6,7 @@ Usage::
 
 Each ``LABEL=PATH`` names a checkout whose ``src/`` is measured in a Python
 process of its own (default: ``change=`` the checkout holding this script),
-so two trees can be compared in one file.  Four cases are run:
+so two trees can be compared in one file.  Five cases are run:
 
 * ``chart_period``: ``integrate`` on the Kepler chart field over one period
   2*pi from the E = -0.5 shell representative, rtol 1e-10, atol 1e-12;
@@ -16,7 +16,10 @@ so two trees can be compared in one file.  Four cases are run:
   of the end state from the start, which is the global error there);
 * ``estimate_period``: ``estimate_period`` on the same field and start;
 * ``cli_match``: ``sodelab match`` on its default grid, into a temporary
-  directory.
+  directory;
+* ``cli_verify_kepler_chart``: ``sodelab verify --scenario kepler-chart``,
+  into a temporary directory; its only ``integrate`` calls are the backward
+  flows of the dilation field.
 
 Each case records deterministic counters summed over every ``integrate``
 call it makes (RHS evaluations ``nfev``, ``accepted`` and ``rejected``
@@ -84,18 +87,19 @@ def _cases():
     def period():
         estimate_period(field.ode_rhs, x0)
 
-    def cli_match():
+    def cli(*argv):
         with tempfile.TemporaryDirectory() as out, \
                 contextlib.redirect_stdout(io.StringIO()):
-            code = main(["match", "--out", out])
+            code = main([*argv, "--out", out])
         if code != 0:
-            raise RuntimeError(f"match exited {code}")
+            raise RuntimeError(f"{argv[0]} exited {code}")
 
     return {
         "chart_period": lambda: chart_period(1e-10),
         "chart_period_rtol_1e-11": lambda: chart_period(1e-11),
         "estimate_period": period,
-        "cli_match": cli_match,
+        "cli_match": lambda: cli("match"),
+        "cli_verify_kepler_chart": lambda: cli("verify", "--scenario", "kepler-chart"),
     }
 
 
