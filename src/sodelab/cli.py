@@ -388,13 +388,12 @@ def _cmd_integrate(run: _Run, opts: dict) -> int:
     t_end = _require(opts, "t_end")
     csv_samples, tol = opts["csv_samples"], opts["tol"]
     traj = integrate(field.ode_rhs, state, t_end, rtol=tol, atol=tol * 1e-2)
-    path = run.path("trajectory.csv")
     if csv_samples > 0 and traj.status == "completed":
         times = np.linspace(traj.times[0], traj.final_time, csv_samples)
-        table = np.column_stack([times, traj.sample_many(times)])
-        write_csv(path, ["t", *ctx.names], table)
+        states = traj.sample_many(times)
     else:
-        traj.write_csv(path, names=ctx.names)
+        times, states = traj.times, traj.states
+    write_csv(run.path("trajectory.csv"), ["t", *ctx.names], np.column_stack([times, states]))
     summary = {
         "scenario": opts["scenario"],
         "status": traj.status,

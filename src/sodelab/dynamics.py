@@ -371,14 +371,6 @@ class Trajectory:
         out[inner] = _interpolate(self.states[i], self.dense, i, x[:, None])
         return out
 
-    def write_csv(self, path, names: Sequence[str] | None = None) -> None:
-        dim = self.states.shape[1]
-        if names is None:
-            names = [f"x{k + 1}" for k in range(dim)]
-        if len(names) != dim:
-            raise ValueError(f"need {dim} column names, got {len(names)}")
-        write_csv(path, ["t", *names], np.column_stack([self.times, self.states]))
-
 
 def write_csv(path, header: Sequence[str], rows) -> None:
     """Write ``header``, then one line per row (an array or a sequence of rows).
@@ -444,7 +436,9 @@ def integrate(
         if t >= t_end:
             status = "completed"
             break
-        if h < h_floor:
+        # the floor applies to a step the controller shrank, not to one that
+        # only reaches t_end
+        if h < h_floor and h < t_end - t:
             status = "step_underflow"
             bracket = (t, t + h)
             break

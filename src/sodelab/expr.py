@@ -61,8 +61,6 @@ __all__ = [
     "neg",
     "pow_",
     "call",
-    "const",
-    "var",
 ]
 
 _FUNCTIONS: dict[str, Callable[[float], float]] = {
@@ -177,14 +175,6 @@ class Call(Expression):
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
-
-
-def const(value: float) -> Const:
-    return Const(float(value))
-
-
-def var(name: str) -> Var:
-    return Var(name)
 
 
 def _coerce(value: "Expression | float") -> Expression:

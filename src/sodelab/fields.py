@@ -81,12 +81,13 @@ def max_abs_on(
 ) -> float:
     """Largest |value| of the trees over the points; nan counts as inf.
 
-    Evaluates one tree at a time, so memory stays at one (m,) column however
-    many trees there are.
+    The whole set is compiled once and evaluated in one call, so every
+    non-constant tree's (m,) column is alive at once; a constant tree gives
+    one scalar.  An empty set gives 0.0.
     """
     worst = 0.0
-    for e in exprs:
-        peak = float(np.max(np.abs(vectorized_scalar(e, ctx)(points))))
+    for value in vectorized_scalar(exprs, ctx)(points):
+        peak = float(np.max(np.abs(value)))
         worst = max(worst, math.inf if math.isnan(peak) else peak)
     return worst
 
@@ -180,9 +181,6 @@ class ScalarField(_Shaped):
     def of(cls, ctx: VariableContext, source: Expression | str | float) -> "ScalarField":
         return cls(ctx, source)  # type: ignore[arg-type]
 
-    def partial(self, name: str) -> "ScalarField":
-        return ScalarField(self.ctx, differentiate(self.expr, name))
-
     def gradient(self) -> "OneFormField":
         return OneFormField(
             self.ctx,
@@ -274,9 +272,6 @@ class PointMap(_Shaped):
     def jacobian_at(self, point) -> np.ndarray:
         """d(components)/d(src coordinates), shape (dst.dim, src.dim)."""
         return self._jacobian_fn(point)
-
-    def pushforward_at(self, point, vector) -> np.ndarray:
-        return self.jacobian_at(point) @ np.asarray(vector, dtype=float)
 
 
 @dataclass(frozen=True)

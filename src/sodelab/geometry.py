@@ -312,6 +312,19 @@ def _matrix_product(a: Tensor11Field, b: Tensor11Field) -> list[Expression]:
     ]
 
 
+def _image_and_rank(s_stack: np.ndarray, delta_stack: np.ndarray) -> tuple[float, np.ndarray]:
+    """The ``delta_in_image_S`` residual and the rank of S at each point, from one SVD."""
+    u, sigma, _ = np.linalg.svd(s_stack, full_matrices=False)
+    # the image keeps the singular vectors above numpy's pseudo-inverse cutoff
+    image = u * (sigma > 1e-15 * sigma.max(axis=-1, keepdims=True))[:, None, :]
+    projected = np.einsum("mij,mkj,mk->mi", image, image, delta_stack)
+    membership = float(np.max(np.abs(projected - delta_stack)))
+    killed = float(np.max(np.abs(np.einsum("mij,mj->mi", s_stack, delta_stack))))
+    residual = max(membership, killed)
+    ranks = np.count_nonzero(sigma > 1e-9, axis=-1)
+    return (math.inf if math.isnan(residual) else residual), ranks
+
+
 def verify_tangent_structure(
     s: Tensor11Field,
     delta: VectorField,
@@ -340,7 +353,9 @@ def verify_tangent_structure(
 
     Where the pointwise rank of S drops below half the dimension the kernel
     strictly contains the image; this is reported via ``degenerate_rank``, not
-    as a failure.
+    as a failure.  One SVD of the sampled S serves the image check and this
+    rank count; S squared is formed symbolically, so it stays exact where an
+    entry of S is singular.
     """
     ctx = _same_ctx(s, delta)
     points = box.sample(seed=seed, n_random=n_random, grid_points=grid_points)
@@ -353,13 +368,7 @@ def verify_tangent_structure(
     s_entries = [entry for row in s.matrix for entry in row]
     s_stack = evaluate_on(s_entries, ctx, points).reshape(-1, ctx.dim, ctx.dim)
     delta_stack = evaluate_on(delta.components, ctx, points)
-    pinv = np.linalg.pinv(s_stack)
-    projected = np.einsum("mij,mjk,mk->mi", s_stack, pinv, delta_stack)
-    membership = float(np.max(np.abs(projected - delta_stack)))
-    killed = float(np.max(np.abs(np.einsum("mij,mj->mi", s_stack, delta_stack))))
-    image_residual = max(membership, killed)
-    if math.isnan(image_residual):
-        image_residual = math.inf
+    image_residual, ranks = _image_and_rank(s_stack, delta_stack)
     axioms.append(
         AxiomCheck("delta_in_image_S", image_residual, tol, image_residual <= tol)
     )
@@ -407,7 +416,6 @@ def verify_tangent_structure(
         worst = max_abs_on(residual.components, ctx, points)
         axioms.append(AxiomCheck("sode_condition", worst, tol, worst <= tol))
 
-    ranks = np.linalg.matrix_rank(s_stack, tol=1e-9)
     degenerate = bool(np.any(ranks < n_half))
 
     return VerificationReport(

@@ -63,6 +63,21 @@ class MotionRecord:
         }
 
 
+def _measure(
+    field: VectorField, state: np.ndarray, labels: dict[str, float], **record
+) -> MotionRecord:
+    """The record of the orbit of ``field`` through ``state``, its period measured.
+
+    The measured frequency 2 pi / period joins ``labels`` as the observable
+    ``"measured"``; ``record`` holds the other :class:`MotionRecord` fields.
+    """
+    period = estimate_period(field.ode_rhs, state).period
+    observables = {"measured": float(2.0 * np.pi / period), **labels}
+    return MotionRecord(
+        field=field, state=state, period=period, observables=observables, **record
+    )
+
+
 def extract_kepler_motions(
     energies,
     params: kp.KeplerParams = kp.KeplerParams(),
@@ -79,28 +94,16 @@ def extract_kepler_motions(
         raise ValueError("radius_scale must sit in (0, sqrt(2))")
     field = kp.chart_field(params)
     records = []
-    for e in energies:
-        e = float(e)
+    for e in map(float, energies):
         radius = radius_scale * np.sqrt(params.g / (2.0 * abs(e)))
-        state = kp.shell_state(e, float(radius), params)
-        est = estimate_period(field.ode_rhs, state)
-        measured = 2.0 * np.pi / est.period
+        labels = {
+            "shell": kp.shell_frequency(e),
+            "mean_motion": kp.mean_motion(e, params),
+            "half_mean_motion": kp.half_mean_motion(e, params),
+        }
         records.append(
-            MotionRecord(
-                label=f"kepler-E{e:g}",
-                kind="kepler",
-                parameter=e,
-                field=field,
-                state=state,
-                n=4,
-                period=est.period,
-                observables={
-                    "measured": float(measured),
-                    "shell": kp.shell_frequency(e),
-                    "mean_motion": kp.mean_motion(e, params),
-                    "half_mean_motion": kp.half_mean_motion(e, params),
-                },
-            )
+            _measure(field, kp.shell_state(e, float(radius), params), labels,
+                     label=f"kepler-E{e:g}", kind="kepler", parameter=e, n=4)
         )
     return tuple(records)
 
@@ -112,28 +115,12 @@ def extract_oscillator_motions(
 ) -> tuple[MotionRecord, ...]:
     """Measure one deformed-oscillator orbit per energy level."""
     gamma = deformed_field(system, deformation)
-    records = []
-    for c in levels:
-        c = float(c)
-        state = shell_state(system, c)
-        est = estimate_period(gamma.ode_rhs, state)
-        measured = 2.0 * np.pi / est.period
-        records.append(
-            MotionRecord(
-                label=f"osc-{deformation.name}-c{c:g}",
-                kind="oscillator",
-                parameter=c,
-                field=gamma,
-                state=state,
-                n=system.n,
-                period=est.period,
-                observables={
-                    "measured": float(measured),
-                    "assigned": deformation.slope_at(c),
-                },
-            )
-        )
-    return tuple(records)
+    return tuple(
+        _measure(gamma, shell_state(system, c), {"assigned": deformation.slope_at(c)},
+                 label=f"osc-{deformation.name}-c{c:g}", kind="oscillator",
+                 parameter=c, n=system.n)
+        for c in map(float, levels)
+    )
 
 
 def matched_oscillator_grid(

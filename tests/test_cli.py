@@ -363,6 +363,19 @@ def test_integrate_uniform_resample(tmp_path):
     assert times == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
 
+def test_integrate_short_horizon_completes(tmp_path):
+    code, out = run_to(
+        tmp_path,
+        "run",
+        ["integrate", "--scenario", "oscillator-1", "--state", "1,0",
+         "--t-end", "1e-15"],
+    )
+    assert code == 0
+    summary = read_json(out / "integrate.json")
+    assert summary["status"] == "completed"
+    assert summary["accepted"] == 1
+
+
 def test_integrate_blow_up_exits_one(tmp_path):
     code, out = run_to(
         tmp_path,

@@ -175,6 +175,14 @@ class TestBlowUp:
         assert traj.status == "completed"
         assert traj.blow_up_bracket is None
 
+    def test_short_horizon_is_not_an_underflow(self):
+        # the first step, clipped to the 1e-15 span, sits below the 1e-14
+        # step floor without having been shrunk by the controller
+        traj = integrate(circle_rhs, (1.0, 0.0), 1e-15)
+        assert traj.status == "completed"
+        assert traj.accepted == 1
+        assert traj.final_time == 1e-15
+
 
 class TestDenseOutput:
     def test_matches_closed_form_between_nodes(self):
@@ -235,18 +243,15 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         traj = integrate(circle_rhs, (1.0, 0.0), 1.0, rtol=1e-8, atol=1e-10)
         path = tmp_path / "orbit.csv"
-        traj.write_csv(path, names=("q1", "v1"))
+        rows = [(t, *state, "circle") for t, state in zip(traj.times, traj.states)]
+        dyn.write_csv(path, ["t", "q1", "v1", "label"], rows)
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == "t,q1,v1"
+        assert lines[0] == "t,q1,v1,label"
+        assert len(lines) == len(traj.times) + 1
         cells = lines[-1].split(",")
-        assert float(cells[0]) == pytest.approx(1.0)
-        assert float(cells[1]) == pytest.approx(traj.final_state[0], rel=1e-15)
-
-    def test_default_names(self, tmp_path):
-        traj = integrate(circle_rhs, (1.0, 0.0), 0.5)
-        path = tmp_path / "orbit.csv"
-        traj.write_csv(path)
-        assert path.read_text().split("\n")[0] == "t,x1,x2"
+        assert float(cells[0]) == traj.final_time
+        assert [float(c) for c in cells[1:3]] == traj.final_state.tolist()
+        assert cells[3] == "circle"
 
 
 class TestPeriodDetection:

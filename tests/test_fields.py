@@ -1,10 +1,12 @@
 """Field containers, sampling boxes, canonical structures."""
 
+import math
+
 import numpy as np
 import pytest
 
 from sodelab.errors import ChartDimensionError, DomainSamplingError
-from sodelab.expr import Var, VariableContext, parse, qv_context
+from sodelab.expr import Const, Var, VariableContext, parse, qv_context
 from sodelab.fields import (
     Box,
     OneFormField,
@@ -154,14 +156,6 @@ class TestPointMap:
             numeric = (m(p + dp) - m(p - dp)) / (2 * h)
             np.testing.assert_allclose(jac[:, j], numeric, rtol=1e-6, atol=1e-9)
 
-    def test_pushforward(self):
-        src = VariableContext.of("a", "b")
-        dst = VariableContext.of("u", "w")
-        m = PointMap(src, dst, ("a + b", "a - b"))
-        np.testing.assert_allclose(
-            m.pushforward_at((0.0, 0.0), (1.0, 2.0)), [3.0, -1.0]
-        )
-
     def test_component_count_checked(self):
         src = VariableContext.of("a")
         dst = VariableContext.of("u", "w")
@@ -181,6 +175,14 @@ class TestBatch:
         assert max_abs_on([parse("q2 - q1", CTX2)], CTX2, self.POINTS) == 2.0
         assert max_abs_on([parse("sqrt(q1 - 2)", CTX2)], CTX2, self.POINTS) == np.inf
         assert max_abs_on([], CTX2, self.POINTS) == 0.0
+
+    def test_max_abs_on_mixes_constant_and_varying_trees(self):
+        # one compile for the set: a constant tree comes back as one scalar
+        assert max_abs_on([Const(math.nan)], CTX2, self.POINTS) == math.inf
+        varying = parse("q2 - q1", CTX2)
+        assert max_abs_on([Const(-3.0), varying, Const(1.5)], CTX2, self.POINTS) == 3.0
+        assert max_abs_on([Const(0.5), varying], CTX2, self.POINTS) == 2.0
+        assert max_abs_on([varying, Const(math.nan)], CTX2, self.POINTS) == math.inf
 
 
 class TestBox:

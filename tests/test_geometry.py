@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sodelab.expr import VariableContext, parse, qv_context, phase_context
 from sodelab.fields import (
@@ -17,6 +20,7 @@ from sodelab.fields import (
     canonical_tangent_structure,
 )
 from sodelab.geometry import (
+    _image_and_rank,
     apply_tensor,
     basis_field,
     conformal_hamiltonian_residual,
@@ -337,6 +341,18 @@ class TestVerification:
         for check in payload["axioms"]:
             assert set(check) == {"name", "max_residual", "tolerance", "pass"}
 
+    def test_singular_endomorphism_pinned(self):
+        # S squared folds to the zero tree, so it is exact where 1/q1 is inf;
+        # the sampled stack is not, and the image check reads inf there
+        s = Tensor11Field(CTX1, (("0", "0"), ("1/q1", "0")))
+        _, delta = canonical_tangent_structure(CTX1)
+        box = Box.cube(CTX1, 1.0)
+        report = verify_tangent_structure(s, delta, box, grid_points=5, n_random=20)
+        assert report.check("S_squared_zero").max_residual == 0.0
+        assert report.check("delta_in_image_S").max_residual == math.inf
+        assert report.degenerate_rank
+        assert report.verdict == "fail"
+
     def test_samples_reflect_exclusion(self):
         s, delta = canonical_tangent_structure(CTX1)
         tight = Box.cube(CTX1, 1.0, exclude_radius=0.5)
@@ -344,3 +360,44 @@ class TestVerification:
         r1 = verify_tangent_structure(s, delta, tight, grid_points=5, n_random=50)
         r2 = verify_tangent_structure(s, delta, loose, grid_points=5, n_random=50)
         assert r1.samples < r2.samples
+
+
+def _pinv_image_residual(s_stack, delta_stack):
+    """The image residual through np.linalg.pinv: the test-only oracle."""
+    pinv = np.linalg.pinv(s_stack)
+    projected = np.einsum("mij,mjk,mk->mi", s_stack, pinv, delta_stack)
+    membership = float(np.max(np.abs(projected - delta_stack)))
+    killed = float(np.max(np.abs(np.einsum("mij,mj->mi", s_stack, delta_stack))))
+    residual = max(membership, killed)
+    return math.inf if math.isnan(residual) else residual
+
+
+# small integers: many exact zeros, and an exact rank whose nonzero singular
+# values stay far above the 1e-9 rank threshold
+_SMALL_INTS = st.integers(-3, 3).map(float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_svd_matches_pinv_and_matrix_rank(data):
+    m = data.draw(st.integers(1, 4), label="points")
+    dim = data.draw(st.integers(1, 4), label="dim")
+    rank = data.draw(st.integers(0, dim), label="rank")
+    left = data.draw(arrays(float, (m, dim, rank), elements=_SMALL_INTS))
+    right = data.draw(arrays(float, (m, rank, dim), elements=_SMALL_INTS))
+    s_stack = left @ right
+    x = data.draw(arrays(float, (m, dim), elements=_SMALL_INTS))
+    if data.draw(st.booleans(), label="delta in the image"):
+        delta_stack = np.einsum("mij,mj->mi", s_stack, x)
+    else:
+        delta_stack = x
+    residual, ranks = _image_and_rank(s_stack, delta_stack)
+    np.testing.assert_array_equal(ranks, np.linalg.matrix_rank(s_stack, tol=1e-9))
+    # S pinv(S) loses accuracy as the condition number of S grows, so the two
+    # residuals agree to within the oracle's own rounding
+    sigma = np.linalg.svd(s_stack, compute_uv=False)
+    kept = sigma[sigma > 1e-9]
+    cond = kept.max() / kept.min() if kept.size else 1.0
+    scale = max(1.0, float(np.max(np.abs(delta_stack))))
+    oracle = _pinv_image_residual(s_stack, delta_stack)
+    assert abs(residual - oracle) <= 1e3 * np.finfo(float).eps * cond * scale

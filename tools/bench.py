@@ -4,9 +4,12 @@ Usage::
 
     python3 tools/bench.py --out BENCH.json [LABEL=PATH ...]
 
-Each ``LABEL=PATH`` names a checkout whose ``src/`` is measured in a Python
-process of its own (default: ``change=`` the checkout holding this script),
-so two trees can be compared in one file.  Five cases are run:
+Each ``LABEL=PATH`` names a checkout whose ``src/`` is measured in Python
+processes of its own (default: ``change=`` the checkout holding this script),
+so two trees can be compared in one file.  Each tree gets ``_PROCESSES``
+measuring processes, started alternately in ABBA order (A B, B A, A B, ...),
+so that load drift on a shared machine lands on both trees alike.  Six cases
+are run:
 
 * ``chart_period``: ``integrate`` on the Kepler chart field over one period
   2*pi from the E = -0.5 shell representative, rtol 1e-10, atol 1e-12;
@@ -19,13 +22,18 @@ so two trees can be compared in one file.  Five cases are run:
   directory;
 * ``cli_verify_kepler_chart``: ``sodelab verify --scenario kepler-chart``,
   into a temporary directory; its only ``integrate`` calls are the backward
-  flows of the dilation field.
+  flows of the dilation field;
+* ``cli_verify_oscillator_2``: ``sodelab verify --scenario oscillator-2``,
+  the 4-dim flat-chart verify that makes up most of the chart-certify
+  benchmark workload.
 
 Each case records deterministic counters summed over every ``integrate``
 call it makes (RHS evaluations ``nfev``, ``accepted`` and ``rejected``
-steps, ``runs``) and the median and spread of the wall time over
-``_REPEAT`` timed runs, after one untimed run that also warms the compiled
-fields.  Wall times depend on the machine and its load; the counters do not.
+steps, ``runs``) and the median and spread of the wall time over all timed
+runs of all the tree's processes, ``_REPEAT`` per process after one untimed
+run that also warms the compiled fields.  Wall times depend on the machine
+and its load; the counters do not, and the script fails if they differ
+between two processes of one tree.
 """
 
 from __future__ import annotations
@@ -46,7 +54,8 @@ from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve()
-_REPEAT = 5  # timed runs per case
+_REPEAT = 5  # timed runs per case and process
+_PROCESSES = 3  # measuring processes per tree
 
 
 def _count_integrate() -> Counter:
@@ -100,11 +109,12 @@ def _cases():
         "estimate_period": period,
         "cli_match": lambda: cli("match"),
         "cli_verify_kepler_chart": lambda: cli("verify", "--scenario", "kepler-chart"),
+        "cli_verify_oscillator_2": lambda: cli("verify", "--scenario", "oscillator-2"),
     }
 
 
 def measure() -> dict:
-    """The counters and wall times of every case, for the imported tree."""
+    """The counters and timed wall times of every case, for the imported tree."""
     totals = _count_integrate()
     results = {}
     for name, run in _cases().items():
@@ -116,22 +126,44 @@ def measure() -> dict:
             start = time.perf_counter()
             run()
             walls.append(time.perf_counter() - start)
-        results[name] = {
-            **counters,
-            "wall_s_median": statistics.median(walls),
-            "wall_s_min": min(walls),
-            "wall_s_max": max(walls),
-        }
+        results[name] = {"counters": counters, "walls": walls}
     return results
 
 
-def _measure_tree(path: Path) -> dict:
+def _measure_process(path: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(path / "src")}
     out = subprocess.run(
         [sys.executable, str(HERE), "--measure"],
         env=env, cwd=path, capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout)
+
+
+def _measure_trees(trees: dict[str, Path]) -> dict:
+    """Run the trees' processes in ABBA order; merge each tree's timed runs."""
+    runs: dict[str, list[dict]] = {label: [] for label in trees}
+    order = list(trees)
+    for k in range(_PROCESSES):
+        for label in order if k % 2 == 0 else order[::-1]:
+            runs[label].append(_measure_process(trees[label]))
+    report = {}
+    for label, results in runs.items():
+        report[label] = {}
+        for case, first in results[0].items():
+            for other in results[1:]:
+                if other[case]["counters"] != first["counters"]:
+                    raise RuntimeError(
+                        f"{label}: counters of {case} differ between processes: "
+                        f"{first['counters']} vs {other[case]['counters']}"
+                    )
+            walls = [w for result in results for w in result[case]["walls"]]
+            report[label][case] = {
+                **first["counters"],
+                "wall_s_median": statistics.median(walls),
+                "wall_s_min": min(walls),
+                "wall_s_max": max(walls),
+            }
+    return report
 
 
 def main(argv=None) -> int:
@@ -150,7 +182,7 @@ def main(argv=None) -> int:
         label, sep, path = spec.partition("=")
         if not sep or not label or not path:
             parser.error(f"expected LABEL=PATH, got {spec!r}")
-        trees[label] = _measure_tree(Path(path).resolve())
+        trees[label] = Path(path).resolve()
     report = {
         "machine": {
             "python": platform.python_version(),
@@ -158,7 +190,8 @@ def main(argv=None) -> int:
             "cpus": os.cpu_count(),
         },
         "repeat": _REPEAT,
-        "trees": trees,
+        "processes": _PROCESSES,
+        "trees": _measure_trees(trees),
     }
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0

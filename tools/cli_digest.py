@@ -59,6 +59,11 @@ INVOCATIONS = (
     ["match", "--energies=-0.5,-2", "--mode", "energy"],  # mismatch: exit 1
     ["integrate", "--config", "config.json"],  # options from CONFIG
     ["integrate", "--scenario", "oscillator-1", "--state", "1,0", "--t-end=0"],  # exit 2
+    ["verify", "--scenario", "fosc-kepler-match-g1"],  # a Newton chart
+    ["verify", "--scenario", "conformal-am"],
+    ["integrate", "--scenario", "double-rotation-13", "--state", "1,0,0.5,0",
+     "--t-end", "3"],  # node CSV of a construction scenario
+    ["match", "--energies=-0.8"],
 )
 
 CONFIG = {"scenario": "uniform-speedup", "rescaled": True, "t_end": 5, "csv-samples": 64}
