@@ -70,9 +70,16 @@ def rescale(
     or reverse the flow somewhere, breaking the orbit correspondence; that
     raises :class:`SignChangeError`.
     """
+    points = box.sample(seed=seed, n_random=n_random, grid_points=grid_points)
+    return _one_signed(field, factor, box, points)
+
+
+def _one_signed(
+    field: VectorField, factor: ScalarField, box: Box, points: np.ndarray
+) -> ConformalPair:
+    """:func:`rescale` with its sign check on ``points``, a sample of ``box``."""
     if field.ctx != factor.ctx or field.ctx != box.ctx:
         raise ValueError("field, factor, and box must share one context")
-    points = box.sample(seed=seed, n_random=n_random, grid_points=grid_points)
     values = evaluate_on((factor.expr,), factor.ctx, points)
     if not np.all(np.isfinite(values)):
         raise SignChangeError("factor is not finite everywhere on the domain")
@@ -186,11 +193,9 @@ def regularize_complete(
     rate = lie_scalar(field, witness).expr
     factor_expr = call("exp", neg(mul(rate, rate)))
     factor = ScalarField(field.ctx, factor_expr)
-    pair = rescale(
-        field, factor, box, seed=seed, n_random=n_random, grid_points=grid_points
-    )
-    damped_rate = mul(factor_expr, rate)
     points = box.sample(seed=seed, n_random=n_random, grid_points=grid_points)
+    pair = _one_signed(field, factor, box, points)  # one draw for both checks
+    damped_rate = mul(factor_expr, rate)
     grid_bound = max_abs_on([damped_rate], field.ctx, points)
     return CompletenessCertificate(
         pair=pair,

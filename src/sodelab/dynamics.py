@@ -22,7 +22,7 @@ second return.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -507,11 +507,12 @@ def integrate(
 
 @dataclass
 class PeriodEstimate:
-    """A detected orbital period with its return accuracy."""
+    """A detected period, its return accuracy, and the run up to the second return."""
 
     period: float
     residual: float
     second_return: float
+    trajectory: Trajectory = field(repr=False, compare=False)  # not in to_json
 
     def to_json(self) -> dict:
         return {
@@ -599,13 +600,12 @@ def estimate_period(
         raise NotPeriodicError(
             "found a single return but no second pass to confirm the period"
         )
-    first, residual = returns[0]
-    second, _ = returns[1]
+    (first, residual), (second, _) = returns
     if abs(second / 2.0 - first) > _CONSISTENCY_TOL * first:
         raise NotPeriodicError(
             f"returns at t = {first:.6g} and t = {second:.6g} do not agree on a period"
         )
-    return PeriodEstimate(period=first, residual=residual, second_return=second)
+    return PeriodEstimate(first, residual, second, traj)
 
 
 def conserved_drift(quantity: Callable[[np.ndarray], float], traj: Trajectory) -> float:

@@ -1,7 +1,7 @@
 """Motion extraction and frequency-true matching across systems.
 
 A motion here is one periodic orbit together with its measured clock: the
-initial state, the integrated period, and the frequency observables that
+initial state, the period and its run, and the frequency observables that
 label it.  Kepler shells and deformed oscillator levels both reduce to such
 records, and a matching pairs the two families off by measured frequency.
 The grid builder chooses oscillator levels so the Kepler-matching profile
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import kepler as kp
-from .dynamics import estimate_period, integrate, write_csv
+from .dynamics import Trajectory, estimate_period, write_csv
 from .errors import CardinalityMismatchError, FrequencyMismatchError
 from .fields import VectorField
 from .foscillator import Deformation, OscillatorSystem, deformed_field, shell_state
@@ -38,15 +38,15 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class MotionRecord:
-    """One periodic orbit with its measured period and frequency labels."""
+    """One periodic orbit with its measured period, period run and frequency labels."""
 
     label: str
     kind: str  # "kepler" | "oscillator"
     parameter: float  # shell energy or oscillator level
-    field: VectorField
     state: np.ndarray
     n: int  # base dimension: |Q| uses state[:n], |V| the rest
     period: float
+    trajectory: Trajectory  # covers [0, 2T]; the figure curves sample it
     observables: dict[str, float] = dataclass_field(default_factory=dict)
 
     @property
@@ -66,16 +66,15 @@ class MotionRecord:
 def _measure(
     field: VectorField, state: np.ndarray, labels: dict[str, float], **record
 ) -> MotionRecord:
-    """The record of the orbit of ``field`` through ``state``, its period measured.
+    """The record of the orbit of ``field`` through ``state`` and its period run.
 
     The measured frequency 2 pi / period joins ``labels`` as the observable
     ``"measured"``; ``record`` holds the other :class:`MotionRecord` fields.
     """
-    period = estimate_period(field.ode_rhs, state).period
-    observables = {"measured": float(2.0 * np.pi / period), **labels}
-    return MotionRecord(
-        field=field, state=state, period=period, observables=observables, **record
-    )
+    run = estimate_period(field.ode_rhs, state)
+    observables = {"measured": float(2.0 * np.pi / run.period), **labels}
+    return MotionRecord(state=state, period=run.period, trajectory=run.trajectory,
+                        observables=observables, **record)
 
 
 def extract_kepler_motions(
@@ -193,14 +192,12 @@ def match_motions(
         )
     a.sort(key=lambda r: r.frequency)
     b.sort(key=lambda r: r.frequency)
-    pairs = []
-    worst: MatchedPair | None = None
-    for ra, rb in zip(a, b):
-        gap = abs(ra.frequency - rb.frequency) / max(ra.frequency, rb.frequency)
-        pair = MatchedPair(ra, rb, float(gap))
-        pairs.append(pair)
-        if worst is None or pair.rel_mismatch > worst.rel_mismatch:
-            worst = pair
+    pairs = [
+        MatchedPair(ra, rb, float(abs(ra.frequency - rb.frequency)
+                                  / max(ra.frequency, rb.frequency)))
+        for ra, rb in zip(a, b)
+    ]
+    worst = max(pairs, key=lambda p: p.rel_mismatch, default=None)  # the first on ties
     if worst is not None and worst.rel_mismatch > tol:
         raise FrequencyMismatchError(
             f"pair {worst.record_a.label} ~ {worst.record_b.label} "
@@ -213,29 +210,27 @@ def record_curve(
     record: MotionRecord,
     samples_per_period: int = 512,
 ):
-    """Integrate one period of a motion and sample it uniformly.
+    """Sample one period of a motion uniformly from its period run.
 
-    Returns (times, states, closure): closure is the gap |x(T) - x(0)|
-    in the max norm, the periodicity certificate for the emitted curve.
+    Returns (times, states, closure): closure is the gap |x(T) - x(0)| in
+    the max norm, x(T) read from the run's dense output: the periodicity
+    certificate for the emitted curve.
     """
-    traj = integrate(record.field.ode_rhs, record.state, record.period)
+    traj = record.trajectory
     times = np.linspace(0.0, record.period, samples_per_period)
     states = traj.sample_many(times)
-    closure = float(np.max(np.abs(traj.final_state - record.state)))
+    closure = float(np.max(np.abs(traj.sample(record.period) - record.state)))
     return times, states, closure
 
 
 def figure_rows(records, samples_per_period: int = 512):
     """Rows (t, |Q|, |V|, label) for every record, plus closure residuals."""
-    rows = []
-    closures = {}
+    rows, closures = [], {}
     for rec in records:
-        times, states, closure = record_curve(rec, samples_per_period)
-        closures[rec.label] = closure
-        base = np.linalg.norm(states[:, : rec.n], axis=1)
-        fiber = np.linalg.norm(states[:, rec.n :], axis=1)
-        for t, q, v in zip(times, base, fiber):
-            rows.append((float(t), float(q), float(v), rec.label))
+        times, states, closures[rec.label] = record_curve(rec, samples_per_period)
+        base = np.linalg.norm(states[:, : rec.n], axis=1).tolist()
+        fiber = np.linalg.norm(states[:, rec.n :], axis=1).tolist()
+        rows += zip(times.tolist(), base, fiber, [rec.label] * len(times))
     return rows, closures
 
 

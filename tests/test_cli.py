@@ -486,6 +486,15 @@ def test_match_empty_grid_writes_headers_only(tmp_path):
     assert (out / "figure.csv").read_text() == "t,absQ,absV,label\n"
 
 
+def test_match_without_figure_samples_still_reports_closures(tmp_path):
+    code, out = run_to(tmp_path, "run", ["match", "--energies=-0.5", "--csv-samples", "0"])
+    assert code == 0
+    assert (out / "figure.csv").read_text() == "t,absQ,absV,label\n"
+    closures = read_json(out / "matching.json")["closures"]
+    assert len(closures) == 2
+    assert all(math.isfinite(v) and v < 1e-4 for v in closures.values())
+
+
 def test_match_grid_size_mismatch_exits_one(tmp_path):
     code, out = run_to(
         tmp_path,

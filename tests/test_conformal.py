@@ -15,8 +15,9 @@ from sodelab.conformal import (
 )
 from sodelab.dynamics import estimate_period, integrate
 from sodelab.errors import SignChangeError
-from sodelab.expr import VariableContext, parse, qv_context
-from sodelab.fields import Box, OneFormField, ScalarField, VectorField
+from sodelab.expr import VariableContext, mul, parse, qv_context
+from sodelab.fields import Box, OneFormField, ScalarField, VectorField, max_abs_on
+from sodelab.geometry import lie_scalar
 
 
 def _field(ctx, *sources):
@@ -215,6 +216,22 @@ class TestRegularizeComplete:
         # factor should equal exp(-x^4) here
         for x in (0.0, 0.7, -1.3):
             assert abs(float(cert.factor(np.array([x]))) - math.exp(-(x**4))) < 1e-14
+
+    def test_one_box_draw_serves_both_checks(self, monkeypatch):
+        draws = []
+        sample = Box.sample
+
+        def counted(box, *args, **kwargs):
+            draws.append(kwargs)
+            return sample(box, *args, **kwargs)
+
+        monkeypatch.setattr(Box, "sample", counted)
+        cert = regularize_complete(self.x, self.witness, self.box, seed=3, n_random=40)
+        assert draws == [{"seed": 3, "n_random": 40, "grid_points": 11}]
+        # the bound a separate draw with the same arguments gives
+        points = sample(self.box, seed=3, n_random=40, grid_points=11)
+        damped = mul(cert.factor.expr, lie_scalar(self.x, self.witness).expr)
+        assert cert.grid_bound == max_abs_on([damped], self.ctx, points)
 
     def test_original_escapes_in_finite_time(self):
         traj = integrate(self.x.ode_rhs, np.array([1.0]), 2.0)

@@ -1,12 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from sodelab import dynamics
 from sodelab import kepler as kp
 from sodelab import motions as mo
 from sodelab.errors import CardinalityMismatchError, FrequencyMismatchError
-from sodelab.foscillator import kepler_matching_deformation, make_oscillator
+from sodelab.foscillator import deformed_field, kepler_matching_deformation, make_oscillator
 
 ENERGIES = (-0.5, -1.0, -2.0)
 
@@ -169,6 +171,71 @@ class TestCurves:
         assert b1 == p2.read_bytes()
         assert b1.startswith(b"t,absQ,absV,label\n")
         assert len(b1.splitlines()) == 1 + 2 * 16
+
+
+class TestOneIntegrationPerMotion:
+    """The figure curves are sampled from the period run, not integrated again.
+
+    The fixtures are ``match``'s default grid: energies -0.5, -1, -2 at
+    radius scale 0.8, and the frequency-matched oscillator levels.
+    """
+
+    def test_curves_make_no_integrate_call(
+        self, monkeypatch, kepler_records, oscillator_records
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate was called")
+
+        integrate = dynamics.integrate
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sodelab"):
+                for attr, value in list(vars(module).items()):
+                    if value is integrate:
+                        monkeypatch.setattr(module, attr, refuse)
+        records = (*kepler_records, *oscillator_records)
+        for rec in records:
+            mo.record_curve(rec)
+        rows, closures = mo.figure_rows(records, samples_per_period=16)
+        assert len(rows) == 16 * len(records)
+        assert set(closures) == {rec.label for rec in records}
+
+    def test_period_run_repeats_a_fresh_run(self, kepler_records, oscillator_records):
+        # integrate's step sequence depends on t_end only through the clip of
+        # the last step, so a fresh run over [0, T] repeats the period run's
+        # nodes below T exactly
+        fields = {
+            "kepler": kp.chart_field(),
+            "oscillator": deformed_field(make_oscillator(2), kepler_matching_deformation(1.0)),
+        }
+        for rec in (*kepler_records, *oscillator_records):
+            fresh = dynamics.integrate(fields[rec.kind].ode_rhs, rec.state, rec.period)
+            assert fresh.status == "completed"
+            run = rec.trajectory
+            below = run.times < rec.period
+            k = int(np.count_nonzero(below))
+            assert k == len(fresh.times) - 1  # all but the clipped last node
+            assert np.array_equal(run.times[below], fresh.times[:k])
+            assert np.array_equal(run.states[below], fresh.states[:k])
+            assert np.array_equal(run.dense[: k - 1], fresh.dense[: k - 1])
+            times, states, _ = mo.record_curve(rec)
+            assert np.max(np.abs(states - fresh.sample_many(times))) <= 1e-10
+
+    def test_closure_does_not_depend_on_the_sample_count(
+        self, kepler_records, oscillator_records
+    ):
+        for rec in (*kepler_records, *oscillator_records):
+            curves = {n: mo.record_curve(rec, samples_per_period=n) for n in (0, 1, 512)}
+            assert curves[0][0].shape == (0,)
+            assert curves[0][1].shape == (0, len(rec.state))
+            closures = {curve[2] for curve in curves.values()}
+            assert len(closures) == 1
+            assert 0.0 < closures.pop() < 1e-6
+
+    def test_period_json_leaves_the_run_out(self, kepler_records):
+        rec = kepler_records[0]
+        estimate = dynamics.estimate_period(kp.chart_field().ode_rhs, rec.state)
+        assert estimate.trajectory.final_time > 2.0 * estimate.period - 1e-6
+        assert set(estimate.to_json()) == {"period", "return_residual", "second_return"}
 
 
 class TestAngleFlow:
