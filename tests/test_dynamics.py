@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sodelab import dynamics as dyn
 from sodelab import kepler as kp
@@ -18,7 +20,7 @@ from sodelab.dynamics import (
     integrate,
 )
 from sodelab.errors import NotPeriodicError
-from sodelab.expr import qv_context
+from sodelab.expr import VariableContext, qv_context
 from sodelab.fields import VectorField
 
 
@@ -346,6 +348,41 @@ class TestScipyOracle:
         assert ours.status == "completed" and ref.success
         assert abs(ours.nfev - ref.nfev) <= 0.15 * ref.nfev
         assert np.max(np.abs(ours.final_state - ref.y[:, -1])) < 1e-12
+
+    # the end-state bound, fixed in terms of rtol before the generated step
+    # kernel replaced the numpy stage loop: both runs take DOP853 steps at
+    # rtol, so they differ by at most a small multiple of the global error
+    RANDOM_FIELD_RTOL = 1e-8
+    RANDOM_FIELD_BOUND = 10.0 * RANDOM_FIELD_RTOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4))
+    def test_random_polynomial_fields_match_scipy(self, data, dim):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        ctx = VariableContext(tuple(f"x{i}" for i in range(1, dim + 1)))
+        coef = st.floats(-0.5, 0.5, allow_subnormal=False)
+        powers = st.lists(st.integers(0, 3), min_size=dim, max_size=dim).filter(
+            lambda p: sum(p) <= 3
+        )
+        monomials = st.lists(st.tuples(coef, powers), min_size=1, max_size=4)
+        components = []
+        for _ in range(dim):
+            terms = [
+                "*".join([repr(c)] + [f"{n}^{k}" for n, k in zip(ctx.names, p) if k])
+                for c, p in data.draw(monomials)
+            ]
+            components.append(" + ".join(f"({t})" for t in terms))
+        field = VectorField(ctx, tuple(components))
+        # |coefficients| and |y0| <= 1/2 with at most 4 monomials of degree
+        # <= 3 per component: every solution stays bounded up to t = 1/2
+        y0 = np.array(data.draw(st.lists(coef, min_size=dim, max_size=dim)))
+        rtol, atol = self.RANDOM_FIELD_RTOL, self.RANDOM_FIELD_RTOL * 1e-2
+        ours = integrate(field.ode_rhs, y0, 0.5, rtol=rtol, atol=atol)
+        ref = solve_ivp(field.ode_rhs, (0.0, 0.5), y0, method="DOP853", rtol=rtol, atol=atol)
+        assert ours.status == "completed" and ref.success
+        end = ref.y[:, -1]
+        gap = np.max(np.abs(ours.final_state - end))
+        assert gap <= self.RANDOM_FIELD_BOUND * max(1.0, np.max(np.abs(end)))
 
     def test_cli_import_leaves_scipy_out(self):
         src = Path(__file__).resolve().parents[1] / "src"
