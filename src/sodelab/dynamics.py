@@ -6,6 +6,21 @@ last one reused as the next first (FSAL), the combined 5th/3rd-order error
 estimate, and a step-size exponent of 1/8.  Each accepted step stores its own
 7th-order interpolant (3 extra stages), which serves :meth:`Trajectory.sample`,
 :meth:`Trajectory.sample_many` and the crossing search of period detection.
+
+The step itself is generated code, one kernel per state dimension, emitted
+from the coefficient tables on the first integration of that dimension and
+cached: one function takes a whole attempt (the 12 stages and the error
+norm) and another the dense output of an accepted step, both in scalar
+locals with the zero table entries left out.  Every sum runs in a fixed
+order with no BLAS call inside a step, so a run's bits do not depend on the
+CPU or its BLAS build.  Each stage calls a stage function ``(t, y1, ..., yn)
+-> tuple``: for ``VectorField.ode_rhs`` (recognised by its type) the field's
+own generated function, which shares common subexpressions, and for any
+other ``f(t, y)`` a small adapter that hands ``f`` the state as an array.
+An :class:`~sodelab.errors.EvaluationDomainError` raised by the field, once
+the scalar fallback to ``evaluate`` has run, makes the whole stage NaN, so
+that attempt's error is infinite and the step is rejected.
+
 It only runs forward in time; backward flows are handled upstream by negating
 the field.  Failures are reported, not raised, each with a time bracket and
 the last finite sample kept: a state whose max norm passes ``_BLOW_UP_NORM``
@@ -21,6 +36,7 @@ second return.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -28,6 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EvaluationDomainError, NotPeriodicError
+from .fields import FieldRhs
 
 __all__ = [
     "Trajectory",
@@ -166,8 +183,6 @@ _A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = (
     2.9475147891527723389556272149,
     -9.15095847217987001081870187138,
 )
-# stage rows without their zero upper triangle, sliced once
-_ROWS = tuple(_A[s, :s] for s in range(16))
 # error weights on stages 0-11: E5 against the 5th-order solution, E3 against
 # the 3rd-order one; they combine as err5^2 / sqrt(err5^2 + 0.01 err3^2)
 _E3 = _A[12, :12].copy()
@@ -266,18 +281,143 @@ def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
 
 
-def _safe_rhs(f: Callable, t: float, y: np.ndarray, dim: int) -> np.ndarray:
+def _stage_function(f: Callable, dim: int) -> Callable[..., Sequence[float]]:
+    """The function ``(t, y1, ..., yn) -> derivative`` the kernel calls for ``f``.
+
+    ``VectorField.ode_rhs`` gives its field's generated function.  Any other
+    ``f(t, y)`` is adapted: it gets the state as a fresh array, and its value
+    must have shape ``(dim,)``.  The type decides, not an attribute, since a
+    ``functools.wraps`` wrapper copies attributes and must still be called.
+    """
+    if type(f) is FieldRhs:
+        return f.field.stage_fn
+
+    def stage(t, *y):
+        out = np.asarray(f(t, np.array(y)), dtype=float)
+        if out.shape != (dim,):
+            raise ValueError(f"field returned shape {out.shape}, expected ({dim},)")
+        return out.tolist()
+
+    return stage
+
+
+def _derivative(stage: Callable, t: float, y: Sequence[float]) -> tuple:
+    """``stage(t, *y)``, or NaN throughout where the field has a domain error."""
     try:
-        out = np.asarray(f(t, y), dtype=float)
+        return tuple(stage(t, *y))
     except EvaluationDomainError:
-        return np.full(dim, np.nan)
-    if out.shape != (dim,):
-        raise ValueError(f"field returned shape {out.shape}, expected ({dim},)")
-    return out
+        return (math.nan,) * len(y)
+
+
+def _terms(weights: np.ndarray, i: int) -> str:
+    """``w0 * k0_i + w3 * k3_i + ...`` over the nonzero weights, in stage order."""
+    return " + ".join(
+        f"{w!r} * k{s}_{i}" for s, w in enumerate(weights.tolist()) if w != 0.0
+    )
+
+
+def _names(prefix: str, dim: int) -> str:
+    """``prefix_0, ..., prefix_{dim-1},``: a tuple's items, or unpacking targets."""
+    return "".join(f"{prefix}_{i}, " for i in range(dim))
+
+
+def _stage_lines(rows: range, dim: int) -> list[str]:
+    """Lines computing ``k{s}_i``, stage s of the field at t + C[s] h, for ``rows``.
+
+    A domain error in the field makes the stage NaN, which rejects the step.
+    """
+    lines = []
+    for s in rows:
+        args = ", ".join(f"y_{i} + h * ({_terms(_A[s, :s], i)})" for i in range(dim))
+        lines += [
+            "    try:",
+            f"        {_names(f'k{s}', dim)}= f(t + {float(_C[s])!r} * h, {args})",
+            "    except EvaluationDomainError:",
+            f"        {' = '.join(f'k{s}_{i}' for i in range(dim))} = nan",
+        ]
+    return lines
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(dim: int) -> tuple[Callable, Callable]:
+    """The generated ``(attempt, dense)`` pair of DOP853 for states of ``dim`` floats.
+
+    ``attempt(f, t, h, y, k0, atol, rtol)`` takes one step of size ``h`` from
+    ``(t, y)`` with ``k0 = f(t, *y)``: its 12 stages, then the error norm.  It
+    returns ``(err, y_new, k12, ks)`` with ``err = inf`` where the norm is not
+    finite; ``k12`` is the derivative at ``y_new`` and ``ks`` the other
+    stages the dense output reads.  ``dense(f, t, h, y, y_new, k12, ks)``
+    adds the 3 dense-output stages of an accepted step and returns its 7
+    interpolant coefficients as one flat tuple, row after row.  Every sum
+    runs in stage order and skips zero table entries, so a step's bits
+    depend neither on BLAS nor on the CPU.
+    """
+    rng = range(dim)
+    kept = "".join(_names(f"k{s}", dim) for s in (0, *range(5, 12)))
+    attempt = [
+        "def attempt(f, t, h, y, k0, atol, rtol):",
+        f"    {_names('y', dim)}= y",
+        f"    {_names('k0', dim)}= k0",
+        *_stage_lines(range(1, 12), dim),
+        *(f"    yn_{i} = y_{i} + h * ({_terms(_A[12, :12], i)})" for i in rng),
+        "    try:",
+        f"        {_names('k12', dim)}= f(t + h, {_names('yn', dim)})",
+        "    except EvaluationDomainError:",
+        f"        {' = '.join(f'k12_{i}' for i in rng)} = nan",
+        "    n5 = n3 = 0.0",
+        "    try:",
+    ]
+    for i in rng:
+        attempt += [
+            f"        a = abs(y_{i})",
+            f"        b = abs(yn_{i})",
+            "        scale = atol + rtol * (a if a > b else b)",  # nan in yn wins
+            f"        e = ({_terms(_E5, i)}) / scale",
+            "        n5 += e * e",
+            f"        e = ({_terms(_E3, i)}) / scale",
+            "        n3 += e * e",
+        ]
+    attempt += [
+        "    except ZeroDivisionError:",
+        "        n5 = inf",
+        f"    err = 0.0 if n5 == 0.0 else h * n5 / sqrt((n5 + 0.01 * n3) * {dim})",
+        "    if not (isfinite(err) and isfinite(n3)):",
+        "        err = inf",
+        f"    return err, ({_names('yn', dim)}), ({_names('k12', dim)}), ({kept})",
+    ]
+    rows = [
+        [f"d_{i}" for i in rng],
+        [f"h * k0_{i} - d_{i}" for i in rng],
+        [f"2.0 * d_{i} - h * (k12_{i} + k0_{i})" for i in rng],
+        *([f"h * ({_terms(_D[r], i)})" for i in rng] for r in range(4)),
+    ]
+    dense = [
+        "def dense(f, t, h, y, yn, k12, ks):",
+        f"    {_names('y', dim)}= y",
+        f"    {_names('yn', dim)}= yn",
+        f"    {_names('k12', dim)}= k12",
+        f"    {kept}= ks",
+        *_stage_lines(range(13, 16), dim),
+        *(f"    d_{i} = yn_{i} - y_{i}" for i in rng),
+        f"    return ({''.join(f'{c}, ' for row in rows for c in row)})",
+    ]
+    namespace = {
+        "__builtins__": {},
+        "EvaluationDomainError": EvaluationDomainError,
+        "ZeroDivisionError": ZeroDivisionError,
+        "abs": abs,
+        "inf": math.inf,
+        "isfinite": math.isfinite,
+        "nan": math.nan,
+        "sqrt": math.sqrt,
+    }
+    source = "\n".join(attempt + dense) + "\n"
+    exec(compile(source, f"<dop853-kernel-{dim}>", "exec"), namespace)
+    return namespace["attempt"], namespace["dense"]
 
 
 def _initial_step(
-    rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t_end: float, rtol: float, atol: float
+    stage, t0: float, y0: np.ndarray, f0: np.ndarray, t_end: float, rtol: float, atol: float
 ) -> float:
     span = t_end - t0
     scale = atol + rtol * np.abs(y0)
@@ -285,7 +425,7 @@ def _initial_step(
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
-    f1 = rhs(t0 + h0, y0 + h0 * f0)
+    f1 = np.array(_derivative(stage, t0 + h0, (y0 + h0 * f0).tolist()))
     if np.all(np.isfinite(f1)):
         d2 = _rms((f1 - f0) / scale) / h0
     else:
@@ -400,34 +540,36 @@ def integrate(
     """Integrate dy/dt = f(t, y) from t = 0 forward to t_end.
 
     ``stop(times, states, dense)``, if given, is called after each accepted
-    step with the node lists and the per-step dense-output coefficients so
-    far (the new step last; read them, do not change them) and ends the run
+    step with the node lists so far, states as tuples of floats, and each
+    step's dense-output coefficients as one flat tuple of 7 rows of ``dim``
+    (the new step last; read them, do not change them).  It ends the run
     with status ``"stopped"`` when it returns true.
     """
-    y = np.array(y0, dtype=float)
-    dim = y.shape[0]
+    y_arr = np.array(y0, dtype=float)
+    dim = y_arr.shape[0]
     if not t_end > 0.0:
         raise ValueError("integration runs forward: t_end must be positive")
-    if not (np.all(np.isfinite(y)) and np.max(np.abs(y)) <= _BLOW_UP_NORM):
+    if not (np.all(np.isfinite(y_arr)) and np.max(np.abs(y_arr)) <= _BLOW_UP_NORM):
         raise ValueError("initial state is not finite within the blow-up threshold")
 
-    rhs = lambda t, state: _safe_rhs(f, t, state, dim)
+    stage = _stage_function(f, dim)
+    attempt, dense_step = _kernel(dim)
     t = 0.0
-    k = np.empty((16, dim))  # the stages; row 0 is the derivative at (t, y)
-    k[0] = rhs(t, y)
-    if not np.all(np.isfinite(k[0])):
+    y = tuple(y_arr.tolist())
+    k0 = _derivative(stage, t, y)
+    if not all(map(math.isfinite, k0)):
         raise ValueError("field is not finite at the initial state")
 
     times = [t]
     states = [y]
-    dense: list[np.ndarray] = []
+    dense: list[tuple] = []
     accepted = 0
     rejected = 0
     status = "step_limit"
     bracket: tuple[float, float] | None = None
     min_step = math.inf
 
-    h = _initial_step(rhs, t, y, k[0], t_end, rtol, atol)
+    h = _initial_step(stage, t, y_arr, np.array(k0), t_end, rtol, atol)
     nfev = 2
     h_floor = 1e-14 * max(1.0, abs(t_end))
     retry = False  # the last attempt was rejected: do not grow the step
@@ -445,40 +587,20 @@ def integrate(
         h = min(h, t_end - t)
 
         nfev += 12
-        for s in range(1, 13):
-            y_stage = y + h * (_ROWS[s] @ k[:s])
-            k[s] = rhs(t + _C[s] * h, y_stage)
-        y_new = y_stage  # stage 12 sits at (t + h, y_new)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        with np.errstate(invalid="ignore", over="ignore"):
-            err5 = (_E5 @ k[:12]) / scale
-            err3 = (_E3 @ k[:12]) / scale
-            n5 = float(err5 @ err5)
-            n3 = float(err3 @ err3)
-        err = 0.0 if n5 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * dim)
-        if not (math.isfinite(err) and math.isfinite(n3)):
-            err = math.inf
-
+        err, y_new, k_new, ks = attempt(stage, t, h, y, k0, atol, rtol)
         if err <= 1.0:
             t_new = t + h
-            if not (np.all(np.isfinite(y_new)) and np.max(np.abs(y_new)) <= _BLOW_UP_NORM):
+            if not all(-_BLOW_UP_NORM <= v <= _BLOW_UP_NORM for v in y_new):
                 status = "blow_up"
                 bracket = (t, t_new)
                 break
             nfev += 3
-            for s in range(13, 16):
-                k[s] = rhs(t + _C[s] * h, y + h * (_ROWS[s] @ k[:s]))
-            coeffs = np.empty((7, dim))
-            coeffs[0] = y_new - y
-            coeffs[1] = h * k[0] - coeffs[0]
-            coeffs[2] = 2.0 * coeffs[0] - h * (k[12] + k[0])
-            coeffs[3:] = h * (_D @ k)
-            k[0] = k[12]
+            dense.append(dense_step(stage, t, h, y, y_new, k_new, ks))
+            k0 = k_new
             t = t_new
             y = y_new
             times.append(t)
             states.append(y)
-            dense.append(coeffs)
             accepted += 1
             min_step = min(min_step, h)
             if stop is not None and stop(times, states, dense):
@@ -530,7 +652,7 @@ def _refine_crossing(
     The step's own interpolant is read as :meth:`Trajectory.sample` reads it.
     """
     t0, t1 = times[-2], times[-1]
-    y_old, coeffs = states[-2], dense[-1][None]
+    y_old, coeffs = np.array(states[-2]), np.reshape(dense[-1], (1, 7, -1))
 
     def at(t: float) -> np.ndarray:
         return _interpolate(y_old, coeffs, 0, (t - t0) / (t1 - t0))
@@ -567,7 +689,7 @@ def estimate_period(
     ``_CONSISTENCY_TOL``, 5e-3) before a period is reported.
     """
     x0 = np.asarray(x0, dtype=float)
-    f0 = np.asarray(f(0.0, x0), dtype=float)
+    f0 = np.array(_stage_function(f, len(x0))(0.0, *x0.tolist()))
     speed = float(np.linalg.norm(f0))
     if speed < 1e-12:
         raise NotPeriodicError("the starting point is an equilibrium")

@@ -189,6 +189,11 @@ def _is_const(e: Expression, value: float | None = None) -> bool:
     return isinstance(e, Const) and (value is None or e.value == value)
 
 
+def _is_square(e: Pow) -> bool:
+    """``b^2``: every backend computes it as ``b * b``, as ``np.power`` does."""
+    return _is_const(e.exponent, 2.0)
+
+
 # --- folding constructors -------------------------------------------------
 
 
@@ -508,6 +513,8 @@ def evaluate(e: Expression, env: Mapping[str, float]) -> float:
             raise EvaluationDomainError("division by zero") from None
     if isinstance(e, Pow):
         base_value = evaluate(e.base, env)
+        if _is_square(e):
+            return base_value * base_value
         exp_value = evaluate(e.exponent, env)
         try:
             return math.pow(base_value, exp_value)
@@ -694,9 +701,19 @@ _BATCH_NAMESPACE = {f"_{name}": getattr(np, name) for name in _FUNCTIONS}
 _BATCH_NAMESPACE.update(_pow=np.power, _c=np.float64)
 
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+# what the generated scalar code may raise where ``evaluate`` raises a domain
+# error, saturates an overflow, or passes an overflow on
+_SCALAR_RAISES = (ValueError, ZeroDivisionError, OverflowError)
 
 
-def _python_source(e: Expression, batch: bool) -> str:
+def _python_source(e: Expression, batch: bool, named: dict | None = None) -> str:
+    """Python text computing ``e`` in one backend.
+
+    With ``named`` (scalar backend), every operation is bound to a local once:
+    ``named`` maps its text, written over its operands' names, to that local,
+    so equal subexpressions share one name and one evaluation.  Keying on the
+    text, not on the nodes, keeps the frozen nodes' recursive hashes out of it.
+    """
     if isinstance(e, Const):
         text = repr(e.value)
         if not math.isfinite(e.value):
@@ -706,52 +723,85 @@ def _python_source(e: Expression, batch: bool) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        return f"(-{_python_source(e.arg, batch)})"
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        op = _BINARY_OPS[type(e)]
-        left = _python_source(e.left, batch)
-        return f"({left} {op} {_python_source(e.right, batch)})"
-    if isinstance(e, Pow):
-        base = _python_source(e.base, batch)
-        return f"_pow({base}, {_python_source(e.exponent, batch)})"
-    if isinstance(e, Call):
-        return f"_{e.fn}({_python_source(e.arg, batch)})"
-    raise TypeError(f"not an expression node: {e!r}")
+        text = f"(-{_python_source(e.arg, batch, named)})"
+    elif isinstance(e, (Add, Sub, Mul, Div)):
+        left = _python_source(e.left, batch, named)
+        right = _python_source(e.right, batch, named)
+        text = f"({left} {_BINARY_OPS[type(e)]} {right})"
+    elif isinstance(e, Pow):
+        base = _python_source(e.base, batch, named)
+        if _is_square(e) and named is not None:
+            text = f"({base} * {base})"
+        else:
+            # np.power squares by b * b already; inlined batch text would
+            # evaluate a repeated base twice
+            text = f"_pow({base}, {_python_source(e.exponent, batch, named)})"
+    elif isinstance(e, Call):
+        text = f"_{e.fn}({_python_source(e.arg, batch, named)})"
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if named is None:
+        return text
+    name = named.get(text)
+    if name is None:
+        name = named[text] = f"_{len(named)}"
+    return name
 
 
 def _emit(
-    e: Expression | Sequence[Expression], ctx: VariableContext, batch: bool
+    e: Expression | Sequence[Expression],
+    ctx: VariableContext,
+    batch: bool,
 ) -> Callable:
     """Generate one function for a tree, or one returning a tuple for a sequence.
 
-    The function takes the coordinates as a list of floats (scalar backend) or
-    as an (m, dim) array (batch backend, one row per point).
+    The batch backend takes an (m, dim) array, one row per point.  The scalar
+    backend takes a time argument it ignores, then the coordinates as
+    separate floats, and computes each distinct subexpression once; where
+    that code raises ValueError, ZeroDivisionError or OverflowError, the
+    point is evaluated again by :func:`evaluate`, so the two agree by
+    construction.
     """
-    exprs = (e,) if isinstance(e, Expression) else tuple(e)
+    single = isinstance(e, Expression)
+    exprs = (e,) if single else tuple(e)
     used = frozenset().union(*(free_variables(x) for x in exprs))
     unknown = used - set(ctx.names)
     if unknown:
         raise UnboundVariableError(
             f"expression uses {sorted(unknown)} outside context {ctx.names}"
         )
-    if isinstance(e, Expression):
-        body = _python_source(e, batch)
-    else:
-        body = "(" + "".join(f"{_python_source(x, batch)}, " for x in exprs) + ")"
-    targets = ", ".join(name if name in used else "_" for name in ctx.names)
-    source = (
-        "def _compiled(_p):\n"
-        f"    {targets}, = _p{'.T' if batch else ''}\n"
-        f"    return {body}\n"
-    )
+    named = None if batch else {}
+    results = [_python_source(x, batch, named) for x in exprs]
+    body = results[0] if single else "(" + "".join(f"{r}, " for r in results) + ")"
     namespace = dict(_BATCH_NAMESPACE if batch else _SCALAR_NAMESPACE)
     namespace["__builtins__"] = {}
+    if batch:
+        targets = ", ".join(name if name in used else "_" for name in ctx.names)
+        source = f"def _compiled(_p):\n    {targets}, = _p.T\n    return {body}\n"
+    else:
+        coords = ", ".join(ctx.names)
+        lines = "".join(f"        {name} = {text}\n" for text, name in named.items())
+        source = (
+            f"def _compiled(_t, {coords}):\n"
+            "    try:\n"
+            f"{lines}"
+            f"        return {body}\n"
+            "    except _raises:\n"
+            f"        return _fallback({coords})\n"
+        )
+
+        def fallback(*point):
+            env = dict(zip(ctx.names, point))
+            values = tuple(evaluate(x, env) for x in exprs)
+            return values[0] if single else values
+
+        namespace.update(_fallback=fallback, _raises=_SCALAR_RAISES)
     exec(compile(source, "<sodelab-expr>", "exec"), namespace)
     return namespace["_compiled"]
 
 
 def compile_scalar(
-    e: Expression | Sequence[Expression], ctx: VariableContext
+    e: Expression | Sequence[Expression], ctx: VariableContext, *, stage: bool = False
 ) -> Callable[..., float | tuple[float, ...]]:
     """Compile to ``f(point)`` with exactly the values of :func:`evaluate`.
 
@@ -759,19 +809,21 @@ def compile_scalar(
     one call.  Coordinates are bound as Python floats.  Where the generated
     code raises (a domain error, or an overflow that ``evaluate`` may
     saturate or pass on), the point is evaluated again by ``evaluate``
-    itself, so the two agree by construction.
+    itself, so the two agree by construction.  With ``stage``, the generated
+    function itself is returned: ``f(t, x1, ..., xn)`` on plain floats,
+    ignoring ``t``, as the integrator calls a field once per stage.
     """
     if not isinstance(e, Expression):
         e = tuple(e)
     raw = _emit(e, ctx, batch=False)
+    if stage:
+        return raw
+    dim = ctx.dim
 
     def compiled(point):
-        try:
-            return raw(np.asarray(point, dtype=float).tolist())
-        except (ValueError, ZeroDivisionError, OverflowError):
-            env = ctx.env(point)
-            if isinstance(e, Expression):
-                return evaluate(e, env)
-            return tuple(evaluate(x, env) for x in e)
+        coords = np.asarray(point, dtype=float).tolist()
+        if len(coords) != dim:
+            raise ValueError(f"point has {len(coords)} coordinates, context has {dim}")
+        return raw(0.0, *coords)
 
     return compiled

@@ -36,6 +36,7 @@ from .expr import (
 __all__ = [
     "ScalarField",
     "VectorField",
+    "FieldRhs",
     "OneFormField",
     "Tensor11Field",
     "TwoFormField",
@@ -200,10 +201,19 @@ class VectorField(_Shaped):
         return cls(ctx, tuple(entries))  # type: ignore[arg-type]
 
     @cached_property
-    def ode_rhs(self) -> Callable[[float, np.ndarray], np.ndarray]:
+    def ode_rhs(self) -> "FieldRhs":
         """Adapter f(t, y) for the integrator; the field is autonomous."""
-        fn = self._fn
-        return lambda t, y: fn(y)
+        return FieldRhs(self)
+
+    @cached_property
+    def stage_fn(self) -> Callable[..., tuple[float, ...]]:
+        """The field function ``(t, x1, ..., xn) -> components`` on plain floats.
+
+        The integration kernel calls it once per stage.  It has the values
+        and the domain errors of :func:`~sodelab.expr.evaluate`, and computes
+        each shared subexpression once.
+        """
+        return compile_scalar(self.components, self.ctx, stage=True)
 
     def negated(self) -> "VectorField":
         return VectorField(self.ctx, tuple(neg(c) for c in self.components))
@@ -211,6 +221,22 @@ class VectorField(_Shaped):
     def scaled(self, factor: Expression | str | float) -> "VectorField":
         f = _entries(self.ctx, factor, ())
         return VectorField(self.ctx, tuple(mul(f, c) for c in self.components))
+
+
+class FieldRhs:
+    """``VectorField.ode_rhs``: ``f(t, y)`` is the field at ``y``, as an array.
+
+    :func:`~sodelab.dynamics.integrate` recognises this type and calls the
+    field's :attr:`VectorField.stage_fn` on plain floats directly.
+    """
+
+    __slots__ = ("field",)
+
+    def __init__(self, field: VectorField) -> None:
+        self.field = field
+
+    def __call__(self, t: float, y) -> np.ndarray:
+        return np.array(self.field.stage_fn(t, *np.asarray(y, dtype=float).tolist()))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,8 @@ from sodelab.expr import (
     substitute,
     to_source,
 )
-from sodelab.fields import vectorized_scalar
+from sodelab.dynamics import _derivative
+from sodelab.fields import VectorField, vectorized_scalar
 
 CTX = VariableContext.of("q1", "v1", "x", "y")
 
@@ -526,6 +527,29 @@ def test_compiled_scalar_matches_evaluate_exactly(tree, point, as_array):
 
 
 @settings(max_examples=150, deadline=None)
+@given(a=_wide_trees, b=_wide_trees, point=st.sampled_from(_BACKEND_POINTS))
+@example(a=Div(Const(1.0), _X), b=_X, point=(1.0, 1.0, 0.0, 1.0))
+@example(a=Call("exp", _X), b=Neg(_X), point=_AT_X_1000)
+def test_field_function_matches_plain_evaluation_exactly(a, b, point):
+    # the components share subtrees, which the field function computes once;
+    # where evaluate raises a domain error, so does the field function, and
+    # the integrator turns that stage into NaN
+    components = (a, Mul(a, b), Sub(b, a), Pow(Add(a, b), Const(2.0)))
+    plain = _outcome(lambda: tuple(evaluate(c, CTX.env(point)) for c in components))
+    fn = VectorField(CTX, components).stage_fn
+    got = _outcome(lambda: fn(0.5, *map(float, point)))
+    stage = _derivative(fn, 0.5, tuple(map(float, point)))
+    if plain is EvaluationDomainError:
+        assert got is EvaluationDomainError
+        assert len(stage) == len(components) and all(map(math.isnan, stage))
+        return
+    assert type(got) is tuple and len(got) == len(components)
+    for value, want, staged in zip(got, plain, stage):
+        _assert_same_float(value, want)
+        _assert_same_float(staged, want)
+
+
+@settings(max_examples=150, deadline=None)
 @given(_wide_trees)
 def test_batch_never_raises_and_rows_match_alone(tree):
     points = np.array(_BACKEND_POINTS, dtype=float)
@@ -545,3 +569,28 @@ def test_batch_constant_division_by_zero_gives_inf():
     assert np.all(values == math.inf)
     pair = vectorized_scalar([parse("1/0", CTX), parse("0/0", CTX)], CTX)(points)
     assert pair[0] == math.inf and math.isnan(pair[1])
+
+
+def test_squares_agree_bitwise_across_backends():
+    # math.pow(x, 2.0) and x*x differ in the last bit at about 0.08% of
+    # points; every backend squares by multiplication, as np.power does
+    rng = np.random.default_rng(7)
+    xs = np.concatenate(
+        [
+            [359.739456325485, 0.0, -0.0, 1e200, math.inf, math.nan],
+            rng.uniform(-1000.0, 1000.0, 10_000),
+            rng.standard_normal(2_000) * 10.0 ** rng.uniform(-150, 150, 2_000),
+        ]
+    )
+    points = np.zeros((len(xs), 4))
+    points[:, 2] = xs
+    points[:, 3] = rng.uniform(-10.0, 10.0, len(xs))
+    trees = [parse("x^2", CTX), parse("(x + y)^2", CTX)]
+    batch = np.stack(vectorized_scalar(trees, CTX)(points), axis=1)
+    scalar = compile_scalar(trees, CTX)
+    one_by_one = np.array([scalar(p) for p in points])
+    walked = np.array([[evaluate(t, CTX.env(p)) for t in trees] for p in points])
+    bits = [a.view(np.uint64) for a in (batch, one_by_one, walked)]
+    assert np.array_equal(bits[0], bits[1]) and np.array_equal(bits[0], bits[2])
+    assert one_by_one[0, 0] == 129412.47643735551 == 359.739456325485 * 359.739456325485
+    assert one_by_one[0, 0] != math.pow(359.739456325485, 2.0)

@@ -8,8 +8,8 @@ Each ``LABEL=PATH`` names a checkout whose ``src/`` is measured in Python
 processes of its own (default: ``change=`` the checkout holding this script),
 so two trees can be compared in one file.  Each tree gets ``_PROCESSES``
 measuring processes, started alternately in ABBA order (A B, B A, A B, ...),
-so that load drift on a shared machine lands on both trees alike.  Six cases
-are run:
+so that load drift on a shared machine lands on both trees alike.  Nine
+cases are run:
 
 * ``chart_period``: ``integrate`` on the Kepler chart field over one period
   2*pi from the E = -0.5 shell representative, rtol 1e-10, atol 1e-12;
@@ -18,8 +18,16 @@ are run:
   rtol (both chart-period cases record ``end_gap``, the Euclidean distance
   of the end state from the start, which is the global error there);
 * ``estimate_period``: ``estimate_period`` on the same field and start;
+* ``rhs_chart_field``: ``_RHS_CALLS`` calls of the chart field's RHS at that
+  start, as the integrator makes them: the field's ``stage_fn``
+  function where the tree has one, else ``ode_rhs(t, y)``;
+* ``integrator_zero_rhs``: ``integrate`` on the zero field of dimension 8
+  over [0, 1e6], so that its time per RHS call is the integrator's own work
+  (its steps grow tenfold each, 13 of them);
 * ``cli_match``: ``sodelab match`` on its default grid, into a temporary
   directory;
+* ``cli_integrate_kepler_chart``: ``sodelab integrate --scenario
+  kepler-chart`` from the state of the CLI period example over [0, 20];
 * ``cli_verify_kepler_chart``: ``sodelab verify --scenario kepler-chart``,
   into a temporary directory; its only ``integrate`` calls are the backward
   flows of the dilation field;
@@ -33,7 +41,9 @@ steps, ``runs``) and the median and spread of the wall time over all timed
 runs of all the tree's processes, ``_REPEAT`` per process after one untimed
 run that also warms the compiled fields.  Wall times depend on the machine
 and its load; the counters do not, and the script fails if they differ
-between two processes of one tree.
+between two processes of one tree.  Each case with RHS evaluations also
+gets ``us_per_fev``, its median wall time per RHS evaluation, and
+``rhs_chart_field`` gets ``us_per_call``.
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve()
 _REPEAT = 5  # timed runs per case and process
 _PROCESSES = 3  # measuring processes per tree
+_RHS_CALLS = 10_000  # calls per timed run of rhs_chart_field
 
 
 def _count_integrate() -> Counter:
@@ -85,9 +96,15 @@ def _cases():
     from sodelab import kepler
     from sodelab.cli import main
     from sodelab.dynamics import estimate_period, integrate
+    from sodelab.expr import qv_context
+    from sodelab.fields import VectorField
 
     field = kepler.chart_field()
     x0 = kepler.shell_representative(-0.5)
+    zero = VectorField(qv_context(4), (0.0,) * 8)
+    # trees from before the generated step kernel have no stage function
+    stage = getattr(field, "stage_fn", None)
+    coords = x0.tolist()
 
     def chart_period(rtol):
         traj = integrate(field.ode_rhs, x0, 2.0 * math.pi, rtol=rtol, atol=1e-12)
@@ -95,6 +112,18 @@ def _cases():
 
     def period():
         estimate_period(field.ode_rhs, x0)
+
+    def zero_rhs():
+        integrate(zero.ode_rhs, np.ones(8), 1e6)
+
+    def rhs_calls():
+        if stage is None:
+            for _ in range(_RHS_CALLS):
+                field.ode_rhs(0.0, x0)
+        else:
+            for _ in range(_RHS_CALLS):
+                stage(0.0, *coords)
+        return {"calls": _RHS_CALLS}
 
     def cli(*argv):
         with tempfile.TemporaryDirectory() as out, \
@@ -107,7 +136,13 @@ def _cases():
         "chart_period": lambda: chart_period(1e-10),
         "chart_period_rtol_1e-11": lambda: chart_period(1e-11),
         "estimate_period": period,
+        "rhs_chart_field": rhs_calls,
+        "integrator_zero_rhs": zero_rhs,
         "cli_match": lambda: cli("match"),
+        "cli_integrate_kepler_chart": lambda: cli(
+            "integrate", "--scenario", "kepler-chart", "--state", "1,0,0,0,0,0.5,0,0",
+            "--t-end", "20",
+        ),
         "cli_verify_kepler_chart": lambda: cli("verify", "--scenario", "kepler-chart"),
         "cli_verify_oscillator_2": lambda: cli("verify", "--scenario", "oscillator-2"),
     }
@@ -157,12 +192,17 @@ def _measure_trees(trees: dict[str, Path]) -> dict:
                         f"{first['counters']} vs {other[case]['counters']}"
                     )
             walls = [w for result in results for w in result[case]["walls"]]
+            counters = first["counters"]
+            median = statistics.median(walls)
             report[label][case] = {
-                **first["counters"],
-                "wall_s_median": statistics.median(walls),
+                **counters,
+                "wall_s_median": median,
                 "wall_s_min": min(walls),
                 "wall_s_max": max(walls),
             }
+            for count, key in (("nfev", "us_per_fev"), ("calls", "us_per_call")):
+                if counters.get(count):
+                    report[label][case][key] = median / counters[count] * 1e6
     return report
 
 
