@@ -21,6 +21,7 @@ periodicity, or matching claim fails), 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -223,6 +224,7 @@ def _flag_name(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sodelab",
@@ -299,29 +301,16 @@ def _require(opts: dict, key: str):
 # ------------------------------------------------------------ scenario lookup
 
 
-_LIBRARIES = {
-    "flat": (lambda name: dict(sc.canonical_contexts())[name],
-             lambda: [name for name, _ in sc.canonical_contexts()]),
-    "construction": (lambda name: sc.get_sode_scenario(name),
-                     lambda: [s.name for s in sc.sode_scenarios()]),
-    "rescaling": (lambda name: sc.get_conformal_scenario(name),
-                  lambda: [s.name for s in sc.conformal_scenarios()]),
-}
-
-
 def _scenario(name: str, *kinds: str):
-    """``(kind, scenario)`` for the first of ``kinds`` that knows ``name``.
+    """``(kind, scenario)`` for the first of ``kinds`` whose rows hold ``name``.
 
     The one place a lookup miss becomes a usage error; the message names
     every scenario of the kinds the command accepts.
     """
     for kind in kinds:
-        get, _ = _LIBRARIES[kind]
-        try:
-            return kind, get(name)
-        except KeyError:
-            pass
-    names = [known for kind in kinds for known in _LIBRARIES[kind][1]()]
+        if name in sc.scenario_names(kind):
+            return kind, sc.lookup(kind, name)
+    names = [known for kind in kinds for known in sc.scenario_names(kind)]
     raise _UsageError(f"--scenario {name!r} is unknown; known: {', '.join(names)}")
 
 

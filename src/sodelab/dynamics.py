@@ -515,16 +515,18 @@ class Trajectory:
 def write_csv(path, header: Sequence[str], rows) -> None:
     """Write ``header``, then one line per row (an array or a sequence of rows).
 
-    Floats carry 17 significant digits, so they read back exactly; string
-    cells such as labels are written as they are.
+    Each column holds one type, read off the first row: numbers carry 17
+    significant digits, so floats read back exactly; string cells such as
+    labels are written as they are.
     """
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [c if isinstance(c, str) else f"{c:.17g}" for c in row]
-            fh.write(",".join(cells) + "\n")
+        if rows:
+            cells = ("%s" if isinstance(c, str) else "%.17g" for c in rows[0])
+            fmt = ",".join(cells) + "\n"
+            fh.write("".join(fmt % tuple(row) for row in rows))
 
 
 def integrate(

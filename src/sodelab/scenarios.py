@@ -1,15 +1,20 @@
 """The worked-example library: named fields, factors, bases, and domains.
 
-Everything the test battery and the command line exercise by name lives
-here: second-order construction cases (with the bases that succeed and the
-fields that must be rejected), conformal rescaling pairs, and the canonical
-flat cases.  Each scenario owns its sampling box so callers never have to
-guess a safe domain.
+Everything the test battery and the command line exercise by name is a
+row of one table, ``(kind, name, builder)``: ``"construction"`` cases (with
+the bases that succeed and the fields that must be rejected),
+``"rescaling"`` pairs of a field and a conformal factor, and ``"flat"``
+canonical contexts.  The table's order is the public order of every
+listing.  A lookup calls only the named row's builder, afresh on every call
+(nothing is cached, so two lookups give distinct objects); listing names
+builds nothing.  Each scenario owns its sampling box so callers never have
+to guess a safe domain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import foscillator as fo
 from . import kepler as kp
@@ -27,6 +32,8 @@ __all__ = [
     "conformal_scenarios",
     "get_sode_scenario",
     "get_conformal_scenario",
+    "scenario_names",
+    "lookup",
     "build_scenario",
     "structure_library",
     "canonical_contexts",
@@ -82,45 +89,26 @@ def _oscillator_case(n: int) -> SodeScenario:
     )
 
 
-def _double_rotation_cases() -> list[SodeScenario]:
-    cases = []
-    box = Box.cube(_X4, 2.0, exclude_radius=0.5)
-    for pair in ("13", "14", "23", "24"):
-        base = tuple(f"x{c}" for c in pair)
-        cases.append(
-            SodeScenario(
-                name=f"double-rotation-{pair}",
-                ctx=_X4,
-                field=_double_rotation(),
-                base=base,
-                box=box,
-                notes="two uncoupled unit rotations; every mixed pair is a base",
-            )
-        )
-    return cases
+def _double_rotation_case(pair: str) -> SodeScenario:
+    return SodeScenario(
+        name=f"double-rotation-{pair}",
+        ctx=_X4,
+        field=_double_rotation(),
+        base=tuple(f"x{c}" for c in pair),
+        box=Box.cube(_X4, 2.0, exclude_radius=0.5),
+        notes="two uncoupled unit rotations; every mixed pair is a base",
+    )
 
 
-def _free_particle_cases() -> list[SodeScenario]:
-    field = VectorField.of(_X2, "x2", "0")
-    box = Box.cube(_X2, 2.0)
-    return [
-        SodeScenario(
-            name="free-particle",
-            ctx=_X2,
-            field=field,
-            base=("x1",),
-            box=box,
-            notes="drift field; rest states sit on the base, which is a warning",
-        ),
-        SodeScenario(
-            name="free-particle-bent",
-            ctx=_X2,
-            field=field,
-            base=("x1 + x2^2",),
-            box=box,
-            notes="same field under a bent base function; chart inverts by Newton",
-        ),
-    ]
+def _free_particle_case(name: str, base: str, notes: str) -> SodeScenario:
+    return SodeScenario(
+        name=name,
+        ctx=_X2,
+        field=VectorField.of(_X2, "x2", "0"),
+        base=(base,),
+        box=Box.cube(_X2, 2.0),
+        notes=notes,
+    )
 
 
 def _conformal_am_case() -> SodeScenario:
@@ -148,64 +136,156 @@ def _kepler_case() -> SodeScenario:
     )
 
 
-def _foscillator_cases() -> list[SodeScenario]:
+def _foscillator_case(deformation: fo.Deformation) -> SodeScenario:
     system = fo.make_oscillator(2)
-    box = system.domain()
-    cases = []
-    for deformation in (
-        fo.linear_deformation(2.0),
-        fo.power_deformation(2.0),
-        fo.kepler_matching_deformation(1.0),
-    ):
-        cases.append(
-            SodeScenario(
-                name=f"fosc-{deformation.name}",
-                ctx=system.ctx,
-                field=fo.deformed_field(system, deformation),
-                base=system.base_names(),
-                box=box,
-                notes="oscillator on an energy-dependent clock, rebuilt over q",
-            )
-        )
-    return cases
+    return SodeScenario(
+        name=f"fosc-{deformation.name}",
+        ctx=system.ctx,
+        field=fo.deformed_field(system, deformation),
+        base=system.base_names(),
+        box=system.domain(),
+        notes="oscillator on an energy-dependent clock, rebuilt over q",
+    )
 
 
-def _rejection_cases() -> list[SodeScenario]:
-    return [
-        SodeScenario(
-            name="rotation-2d",
-            ctx=_X2,
-            field=VectorField.of(_X2, "x2", "-x1"),
-            base=("x1", "x2"),
-            box=Box.cube(_X2, 2.0, exclude_radius=0.3),
-            expect_error=FunctionalDependenceError,
-            notes="two base functions on a two-dimensional ambient space",
-        ),
-        SodeScenario(
-            name="rotation-4d-lift",
-            ctx=_X4,
-            field=VectorField.of(_X4, "x2", "-x1", "0", "0"),
-            base=("x1", "x2"),
-            box=Box.cube(_X4, 2.0, exclude_radius=0.3),
-            expect_error=FunctionalDependenceError,
-            notes="same rotation padded into four dimensions: the velocity "
-            "functions repeat the base functions, so the chart rank collapses",
-        ),
-    ]
+def _rotation_case(name: str, ctx: VariableContext, notes: str) -> SodeScenario:
+    """The plane rotation over base (x1, x2), padded with zeros to ``ctx``."""
+    return SodeScenario(
+        name=name,
+        ctx=ctx,
+        field=VectorField.of(ctx, "x2", "-x1", *("0",) * (ctx.dim - 2)),
+        base=("x1", "x2"),
+        box=Box.cube(ctx, 2.0, exclude_radius=0.3),
+        expect_error=FunctionalDependenceError,
+        notes=notes,
+    )
+
+
+def _oscillator_clock(name: str, factor: str, notes: str) -> ConformalScenario:
+    osc = fo.make_oscillator(1)
+    return ConformalScenario(
+        name=name,
+        ctx=osc.ctx,
+        field=osc.field,
+        factor=ScalarField(osc.ctx, factor),
+        box=Box.cube(osc.ctx, 2.0),
+        conserved=osc.energy,
+        orbit_state=(1.0, 0.0),
+        notes=notes,
+    )
+
+
+def _am_clock() -> ConformalScenario:
+    return ConformalScenario(
+        name="am-clock",
+        ctx=_X4,
+        field=_double_rotation(),
+        factor=ScalarField(_X4, _AM_FACTOR_SRC),
+        box=Box.cube(_X4, 1.2, exclude_radius=0.4),
+        conserved=ScalarField(_X4, _AM_FACTOR_SRC),
+        orbit_state=(1.0, 0.0, 0.3, 0.2),
+        notes="factor built from the plane-mixing invariant: constant on "
+        "every orbit yet not constant on space",
+    )
+
+
+def _kepler_clock() -> ConformalScenario:
+    params = kp.KeplerParams()
+    return ConformalScenario(
+        name="kepler-clock",
+        ctx=kp.KS_CTX,
+        field=kp.unfolded_field(params),
+        factor=kp.conformal_factor(),
+        box=kp.unfolded_domain(),
+        conserved=kp.energy(params),
+        orbit_state=tuple(kp.unfolded_circular_state(-0.5)),
+        notes="the slow-to-fast clock change of the unfolded problem",
+    )
+
+
+def _blowup_damping() -> ConformalScenario:
+    return ConformalScenario(
+        name="blowup-damping",
+        ctx=_X1,
+        field=VectorField.of(_X1, "x^2"),
+        factor=ScalarField(_X1, "exp(-(x^4))"),
+        box=Box.cube(_X1, 2.0),
+        orbit_state=(1.0,),
+        notes="finite-time escape stretched to completeness by the damping",
+    )
+
+
+_TABLE = (
+    ("construction", "oscillator-1", partial(_oscillator_case, 1)),
+    ("construction", "oscillator-2", partial(_oscillator_case, 2)),
+    *(("construction", f"double-rotation-{pair}", partial(_double_rotation_case, pair))
+      for pair in ("13", "14", "23", "24")),
+    ("construction", "free-particle", partial(
+        _free_particle_case, "free-particle", "x1",
+        "drift field; rest states sit on the base, which is a warning")),
+    ("construction", "free-particle-bent", partial(
+        _free_particle_case, "free-particle-bent", "x1 + x2^2",
+        "same field under a bent base function; chart inverts by Newton")),
+    ("construction", "conformal-am", _conformal_am_case),
+    ("construction", "kepler-chart", _kepler_case),
+    ("construction", "fosc-linear-2", lambda: _foscillator_case(fo.linear_deformation(2.0))),
+    ("construction", "fosc-power-2", lambda: _foscillator_case(fo.power_deformation(2.0))),
+    ("construction", "fosc-kepler-match-g1",
+     lambda: _foscillator_case(fo.kepler_matching_deformation(1.0))),
+    ("construction", "rotation-2d", partial(
+        _rotation_case, "rotation-2d", _X2,
+        "two base functions on a two-dimensional ambient space")),
+    ("construction", "rotation-4d-lift", partial(
+        _rotation_case, "rotation-4d-lift", _X4,
+        "same rotation padded into four dimensions: the velocity functions "
+        "repeat the base functions, so the chart rank collapses")),
+    ("rescaling", "uniform-speedup", partial(
+        _oscillator_clock, "uniform-speedup", "2",
+        "constant clock factor: period divides by the constant")),
+    ("rescaling", "state-speedup", partial(
+        _oscillator_clock, "state-speedup", "2 + q1^2 / 4",
+        "state-dependent clock: same orbits, reshaped time")),
+    ("rescaling", "am-clock", _am_clock),
+    ("rescaling", "kepler-clock", _kepler_clock),
+    ("rescaling", "blowup-damping", _blowup_damping),
+    # the flat tangent spaces of one and two degrees of freedom
+    ("flat", "flat-2", partial(qv_context, 1)),
+    ("flat", "flat-4", partial(qv_context, 2)),
+)
+
+
+def scenario_names(kind: str) -> tuple[str, ...]:
+    """The names of one kind's rows, in table order; builds nothing."""
+    return tuple(name for k, name, _ in _TABLE if k == kind)
+
+
+def _build(kind: str, name: str):
+    for k, n, builder in _TABLE:
+        if (k, n) == (kind, name):
+            return builder()
+    raise KeyError(f"no {kind} scenario {name!r}; known: {', '.join(scenario_names(kind))}")
+
+
+def get_sode_scenario(name: str) -> SodeScenario:
+    return _build("construction", name)
+
+
+def get_conformal_scenario(name: str) -> ConformalScenario:
+    return _build("rescaling", name)
+
+
+def lookup(kind: str, name: str):
+    """A fresh build of the ``kind`` row ``name``; construction and rescaling
+    names go through the two getters above, read at call time."""
+    if kind == "construction":
+        return get_sode_scenario(name)
+    if kind == "rescaling":
+        return get_conformal_scenario(name)
+    return _build(kind, name)
 
 
 def sode_scenarios() -> tuple[SodeScenario, ...]:
-    cases = [
-        _oscillator_case(1),
-        _oscillator_case(2),
-        *_double_rotation_cases(),
-        *_free_particle_cases(),
-        _conformal_am_case(),
-        _kepler_case(),
-        *_foscillator_cases(),
-        *_rejection_cases(),
-    ]
-    return tuple(cases)
+    return tuple(build() for kind, _, build in _TABLE if kind == "construction")
 
 
 def buildable_scenarios() -> tuple[SodeScenario, ...]:
@@ -217,77 +297,7 @@ def rejection_scenarios() -> tuple[SodeScenario, ...]:
 
 
 def conformal_scenarios() -> tuple[ConformalScenario, ...]:
-    osc = fo.make_oscillator(1)
-    params = kp.KeplerParams()
-    return (
-        ConformalScenario(
-            name="uniform-speedup",
-            ctx=osc.ctx,
-            field=osc.field,
-            factor=ScalarField(osc.ctx, "2"),
-            box=Box.cube(osc.ctx, 2.0),
-            conserved=osc.energy,
-            orbit_state=(1.0, 0.0),
-            notes="constant clock factor: period divides by the constant",
-        ),
-        ConformalScenario(
-            name="state-speedup",
-            ctx=osc.ctx,
-            field=osc.field,
-            factor=ScalarField(osc.ctx, "2 + q1^2 / 4"),
-            box=Box.cube(osc.ctx, 2.0),
-            conserved=osc.energy,
-            orbit_state=(1.0, 0.0),
-            notes="state-dependent clock: same orbits, reshaped time",
-        ),
-        ConformalScenario(
-            name="am-clock",
-            ctx=_X4,
-            field=_double_rotation(),
-            factor=ScalarField(_X4, _AM_FACTOR_SRC),
-            box=Box.cube(_X4, 1.2, exclude_radius=0.4),
-            conserved=ScalarField(_X4, _AM_FACTOR_SRC),
-            orbit_state=(1.0, 0.0, 0.3, 0.2),
-            notes="factor built from the plane-mixing invariant: constant on "
-            "every orbit yet not constant on space",
-        ),
-        ConformalScenario(
-            name="kepler-clock",
-            ctx=kp.KS_CTX,
-            field=kp.unfolded_field(params),
-            factor=kp.conformal_factor(),
-            box=kp.unfolded_domain(),
-            conserved=kp.energy(params),
-            orbit_state=tuple(kp.unfolded_circular_state(-0.5)),
-            notes="the slow-to-fast clock change of the unfolded problem",
-        ),
-        ConformalScenario(
-            name="blowup-damping",
-            ctx=_X1,
-            field=VectorField.of(_X1, "x^2"),
-            factor=ScalarField(_X1, "exp(-(x^4))"),
-            box=Box.cube(_X1, 2.0),
-            conserved=None,
-            orbit_state=(1.0,),
-            notes="finite-time escape stretched to completeness by the damping",
-        ),
-    )
-
-
-def _lookup(library, kind: str, name: str):
-    """The scenario called ``name`` from one build of ``library``."""
-    by_name = {s.name: s for s in library}
-    if name not in by_name:
-        raise KeyError(f"no {kind} scenario {name!r}; known: {', '.join(by_name)}")
-    return by_name[name]
-
-
-def get_sode_scenario(name: str) -> SodeScenario:
-    return _lookup(sode_scenarios(), "construction", name)
-
-
-def get_conformal_scenario(name: str) -> ConformalScenario:
-    return _lookup(conformal_scenarios(), "rescaling", name)
+    return tuple(build() for kind, _, build in _TABLE if kind == "rescaling")
 
 
 def build_scenario(scenario: SodeScenario, **kwargs) -> TangentStructure:
@@ -304,7 +314,4 @@ def structure_library(**kwargs) -> tuple[tuple[str, TangentStructure], ...]:
 
 def canonical_contexts() -> tuple[tuple[str, VariableContext], ...]:
     """The flat tangent spaces of one and two degrees of freedom."""
-    return (
-        ("flat-2", qv_context(1)),
-        ("flat-4", qv_context(2)),
-    )
+    return tuple((name, build()) for kind, name, build in _TABLE if kind == "flat")

@@ -7,9 +7,14 @@ directories and compare bytes.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from sodelab import cli
 from sodelab.cli import main
 
 
@@ -192,6 +197,41 @@ def test_key_error_inside_a_command_propagates(monkeypatch, tmp_path):
     with pytest.raises(KeyError, match="deep inside"):
         main(["integrate", "--scenario", "oscillator-1", "--state", "1,0",
               "--t-end", "1", "--out", str(tmp_path / "run")])
+
+
+def test_one_parser_serves_every_run_of_a_process(tmp_path, capsys, monkeypatch):
+    """Each run in one process gives the exit code, text and files it gives
+    alone in a fresh process, although they share one parser."""
+    runs = {
+        "usage": ["integrate", "--scenario", "nope", "--t-end", "1"],
+        "help": ["integrate", "--help"],
+        "integrate": ["integrate", "--scenario", "oscillator-1", "--state", "1,0",
+                      "--t-end", "2", "--csv-samples", "50"],
+    }
+    monkeypatch.setenv("COLUMNS", "100")  # help text wraps at the terminal width
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def files(out):
+        return {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+
+    alone = {}
+    for label, argv in runs.items():
+        out = tmp_path / "alone" / label
+        proc = subprocess.run(
+            [sys.executable, "-m", "sodelab.cli", *argv, "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        alone[label] = (proc.returncode, proc.stdout, proc.stderr, files(out))
+    assert alone["usage"][0] == 2 and "run_manifest.json" in alone["usage"][3]
+    assert alone["help"][0] == 0 and "--t-end" in alone["help"][1]
+    assert alone["integrate"][0] == 0 and "trajectory.csv" in alone["integrate"][3]
+    for round_ in range(2):
+        for label, argv in runs.items():
+            out = tmp_path / f"shared-{round_}" / label
+            code = main([*argv, "--out", str(out)])
+            text = capsys.readouterr()
+            assert (code, text.out, text.err, files(out)) == alone[label], label
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_config_with_unknown_key_rejected(tmp_path, capsys):

@@ -284,6 +284,37 @@ class TestCsv:
         assert [float(c) for c in cells[1:3]] == traj.final_state.tolist()
         assert cells[3] == "circle"
 
+    @staticmethod
+    def _reference(header, rows):
+        """The per-cell formatting the row template must reproduce."""
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(c if isinstance(c, str) else f"{c:.17g}" for c in row))
+        return "\n".join(lines) + "\n"
+
+    def test_bytes_match_the_per_cell_reference(self, tmp_path):
+        floats = [math.nan, math.inf, -math.inf, -0.0, 1e-310, 1e300, 0.1, -1 / 3]
+        ints = [0, -7, 2**60 + 1, 10**20, 5, 1, 2, 3]
+        rows = [
+            (x, n, np.float64(x) * 3, np.float64(-x), f"label-{n}")
+            for x, n in zip(floats, ints)
+        ]
+        header = ["x", "n", "x3", "neg", "label"]
+        path = tmp_path / "mixed.csv"
+        dyn.write_csv(path, header, rows)
+        assert path.read_bytes() == self._reference(header, rows).encode()
+
+        table = np.column_stack([floats, np.arange(8.0), np.multiply(floats, 1e-300)])
+        dyn.write_csv(path, ["a", "b", "c"], table)
+        expected = self._reference(["a", "b", "c"], table.tolist())
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("rows", [[], np.empty((0, 3))], ids=["list", "array"])
+    def test_no_rows_writes_the_header_alone(self, tmp_path, rows):
+        path = tmp_path / "empty.csv"
+        dyn.write_csv(path, ["a", "b", "c"], rows)
+        assert path.read_text() == "a,b,c\n"
+
 
 class TestPeriodDetection:
     def test_circle(self):

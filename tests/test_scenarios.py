@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from sodelab import cli
+from sodelab import kepler as kp
 from sodelab import scenarios as sc
 from sodelab.conformal import (
     bracket_rescaling_residual,
@@ -47,6 +49,85 @@ class TestRegistry:
             {s.name for s in sc.rejection_scenarios()}
         )
         assert len(sc.rejection_scenarios()) == 2
+
+
+_CONSTRUCTION_NAMES = [
+    "oscillator-1", "oscillator-2",
+    "double-rotation-13", "double-rotation-14", "double-rotation-23",
+    "double-rotation-24", "free-particle", "free-particle-bent", "conformal-am",
+    "kepler-chart", "fosc-linear-2", "fosc-power-2", "fosc-kepler-match-g1",
+    "rotation-2d", "rotation-4d-lift",
+]
+_RESCALING_NAMES = [
+    "uniform-speedup", "state-speedup", "am-clock", "kepler-clock", "blowup-damping",
+]
+
+
+class TestLazyTable:
+    @pytest.fixture
+    def no_kepler_chart(self, monkeypatch):
+        """Make building ``kepler-chart`` (its sign-certified rescaling) fail."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kepler-chart was built")
+
+        monkeypatch.setattr(kp, "rescaled_field", refuse)
+
+    def test_a_lookup_builds_only_its_own_scenario(self, no_kepler_chart):
+        assert sc.get_sode_scenario("oscillator-2").name == "oscillator-2"
+        assert sc.get_conformal_scenario("uniform-speedup").name == "uniform-speedup"
+        with pytest.raises(AssertionError, match="kepler-chart was built"):
+            sc.get_sode_scenario("kepler-chart")
+
+    def test_listing_names_builds_nothing(self, no_kepler_chart, capsys):
+        assert cli.main(["integrate", "--scenario", "nope", "--t-end", "1"]) == 2
+        known = ", ".join(_CONSTRUCTION_NAMES + _RESCALING_NAMES)
+        assert capsys.readouterr().err == (
+            f"error: --scenario 'nope' is unknown; known: {known}\n"
+        )
+
+    def test_table_order_is_the_listing_order(self):
+        construction = [s.name for s in sc.sode_scenarios()]
+        rescaling = [s.name for s in sc.conformal_scenarios()]
+        assert construction == _CONSTRUCTION_NAMES
+        assert rescaling == _RESCALING_NAMES
+        assert list(sc.scenario_names("construction")) == construction
+        assert list(sc.scenario_names("rescaling")) == rescaling
+        assert list(sc.scenario_names("flat")) == [n for n, _ in sc.canonical_contexts()]
+
+    def test_every_lookup_builds_afresh(self):
+        for get, name in (
+            (sc.get_sode_scenario, "oscillator-2"),
+            (sc.get_conformal_scenario, "kepler-clock"),
+        ):
+            first, second = get(name), get(name)
+            assert first is not second
+            assert first.field is not second.field
+            assert first.name == second.name == name
+
+    def test_cli_lookup_of_a_rescaling_name_is_one_call(self, monkeypatch):
+        calls = []
+
+        def counted(getter):
+            def wrapper(name):
+                calls.append(getter.__name__)
+                return getter(name)
+
+            return wrapper
+
+        for name in ("get_sode_scenario", "get_conformal_scenario"):
+            monkeypatch.setattr(sc, name, counted(getattr(sc, name)))
+        kind, scenario = cli._scenario("kepler-clock", "construction", "rescaling")
+        assert (kind, scenario.name) == ("rescaling", "kepler-clock")
+        assert calls == ["get_conformal_scenario"]
+
+    def test_key_error_inside_a_builder_is_not_an_unknown_name(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("deep inside the builder")
+
+        monkeypatch.setattr(kp, "rescaled_field", broken)
+        with pytest.raises(KeyError, match="deep inside"):
+            cli._scenario("kepler-chart", "construction")
 
 
 class TestConstruction:

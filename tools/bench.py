@@ -8,8 +8,8 @@ Each ``LABEL=PATH`` names a checkout whose ``src/`` is measured in Python
 processes of its own (default: ``change=`` the checkout holding this script),
 so two trees can be compared in one file.  Each tree gets ``_PROCESSES``
 measuring processes, started alternately in ABBA order (A B, B A, A B, ...),
-so that load drift on a shared machine lands on both trees alike.  Nine
-cases are run:
+so that load drift on a shared machine lands on both trees alike.
+Thirteen cases are run:
 
 * ``chart_period``: ``integrate`` on the Kepler chart field over one period
   2*pi from the E = -0.5 shell representative, rtol 1e-10, atol 1e-12;
@@ -33,7 +33,13 @@ cases are run:
   flows of the dilation field;
 * ``cli_verify_oscillator_2``: ``sodelab verify --scenario oscillator-2``,
   the 4-dim flat-chart verify that makes up most of the chart-certify
-  benchmark workload.
+  benchmark workload;
+* ``lookup_construction``, ``lookup_rescaling`` and ``lookup_kepler_chart``:
+  the scenario lookup of ``sodelab integrate`` (construction names first,
+  then rescaling ones) for ``oscillator-2``, ``uniform-speedup`` and
+  ``kepler-chart``, whose build certifies the sign of its clock factor;
+* ``cli_build_kepler_chart``: ``sodelab build --scenario kepler-chart``,
+  into a temporary directory.
 
 Each case records deterministic counters summed over every ``integrate``
 call it makes (RHS evaluations ``nfev``, ``accepted`` and ``rejected``
@@ -94,7 +100,7 @@ def _count_integrate() -> Counter:
 def _cases():
     import numpy as np
     from sodelab import kepler
-    from sodelab.cli import main
+    from sodelab.cli import _scenario, main
     from sodelab.dynamics import estimate_period, integrate
     from sodelab.expr import qv_context
     from sodelab.fields import VectorField
@@ -125,6 +131,9 @@ def _cases():
                 stage(0.0, *coords)
         return {"calls": _RHS_CALLS}
 
+    def lookup(name):
+        _scenario(name, "construction", "rescaling")
+
     def cli(*argv):
         with tempfile.TemporaryDirectory() as out, \
                 contextlib.redirect_stdout(io.StringIO()):
@@ -145,6 +154,10 @@ def _cases():
         ),
         "cli_verify_kepler_chart": lambda: cli("verify", "--scenario", "kepler-chart"),
         "cli_verify_oscillator_2": lambda: cli("verify", "--scenario", "oscillator-2"),
+        "lookup_construction": lambda: lookup("oscillator-2"),
+        "lookup_rescaling": lambda: lookup("uniform-speedup"),
+        "lookup_kepler_chart": lambda: lookup("kepler-chart"),
+        "cli_build_kepler_chart": lambda: cli("build", "--scenario", "kepler-chart"),
     }
 
 
