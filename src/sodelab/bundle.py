@@ -3,8 +3,13 @@
 ``build`` takes a first-order field and a choice of base functions, derives
 the matching velocity functions by differentiating along the field, and
 certifies on a sample grid that the combined functions form a genuine chart.
-In the new chart the canonical vertical endomorphism and dilation field turn
-the original dynamics into an explicitly second-order system.
+Every check reads the chart's one set of first-partial trees,
+:attr:`~sodelab.fields.PointMap.jacobian`: the rank tests and the Jacobian
+floor come from one batched SVD, and the shape tests take second partials of
+its rows.  The chart is inverted by its symbolic affine map when it is
+affine, and otherwise by a damped Newton solve seeded from the base.  In the
+new chart the canonical vertical endomorphism and dilation field turn the
+original dynamics into an explicitly second-order system.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .expr import (
     mul,
     sub,
     substitute,
+    sum_of_products,
     to_source,
 )
 from .fields import (
@@ -59,30 +65,51 @@ __all__ = [
 _ZERO_FIELD_TOL = 1e-12
 # a point fails a rank check when sigma_min <= _RANK_RTOL * (1 + sigma_max)
 _RANK_RTOL = 1e-9
+_NEWTON_MAX_ITER = 100
 
 
-def _second_partials_vanish(
-    expr: Expression, names_i: Sequence[str], names_j: Sequence[str]
+def _point_text(x) -> str:
+    """A point as plain rounded numbers, for error messages."""
+    return str(tuple(round(float(v), 6) for v in x))
+
+
+def _affine_in(
+    rows: Sequence[Sequence[Expression]], ctx: VariableContext, names: Sequence[str]
 ) -> bool:
-    for ni in names_i:
-        first = differentiate(expr, ni)
-        for nj in names_j:
-            if differentiate(first, nj) != Const(0.0):
-                return False
-    return True
+    """Whether the map with these Jacobian rows is affine in the coordinates ``names``."""
+    cols = [ctx.index(name) for name in names]
+    return all(
+        differentiate(row[j], name) == Const(0.0)
+        for row in rows
+        for j in cols
+        for name in names
+    )
 
 
-def _jacobian_on(
-    components: Sequence[Expression], ctx: VariableContext, points: np.ndarray
+def _rows_on(
+    rows: Sequence[Sequence[Expression]], ctx: VariableContext, points: np.ndarray
 ) -> np.ndarray:
-    """Rows d(component)/d(coord) evaluated on points, shape (m, len(components), dim)."""
-    partials = [differentiate(comp, name) for comp in components for name in ctx.names]
-    return evaluate_on(partials, ctx, points).reshape(-1, len(components), ctx.dim)
+    """Batch values of Jacobian rows on points, shape (m, len(rows), ctx.dim)."""
+    flat = [entry for row in rows for entry in row]
+    return evaluate_on(flat, ctx, points).reshape(len(points), len(rows), ctx.dim)
 
 
-def _newton_solve(
-    forward: PointMap, target: np.ndarray, guess: np.ndarray, *, max_iter: int = 100
-) -> np.ndarray:
+def _rank_failure(sigma: np.ndarray, points: np.ndarray) -> np.ndarray | None:
+    """The point nearest to rank loss, if one fails the rank test, else None.
+
+    ``sigma`` holds each point's singular values in descending order.
+    """
+    ratio = sigma[:, -1] - _RANK_RTOL * (1.0 + sigma[:, 0])
+    worst = int(np.argmin(ratio))
+    return points[worst] if ratio[worst] <= 0.0 else None
+
+
+def _singular_values(jac: np.ndarray) -> np.ndarray:
+    """Each point's singular values, descending; nan (a bad evaluation) reads as 0."""
+    return np.nan_to_num(np.linalg.svd(jac, compute_uv=False), nan=0.0)
+
+
+def _newton_solve(forward: PointMap, target: np.ndarray, guess: np.ndarray) -> np.ndarray:
     x = np.array(guess, dtype=float)
     tol = 1e-12 * (1.0 + float(np.linalg.norm(target)))
     try:
@@ -90,14 +117,14 @@ def _newton_solve(
     except EvaluationDomainError:
         raise NonInvertibleChartError("chart map undefined at the starting guess") from None
     norm = float(np.linalg.norm(fx))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if norm <= tol:
             return x
         try:
             step = np.linalg.solve(forward.jacobian_at(x), fx)
         except (np.linalg.LinAlgError, EvaluationDomainError):
             raise NonInvertibleChartError(
-                f"chart Jacobian is singular near {tuple(round(v, 6) for v in x)}"
+                f"chart Jacobian is singular near {_point_text(x)}"
             ) from None
         lam = 1.0
         while True:
@@ -128,9 +155,14 @@ class TangentStructure:
 
     ``forward`` maps source coordinates to the chart (base block first, then
     the derived velocity block); ``s_hat``/``delta_hat`` are the canonical
-    structure tensors in the chart.  The inverse is exact for affine charts,
-    a single linear solve for charts whose velocity block is affine across
-    the non-base coordinates, and damped Newton otherwise.
+    structure tensors in the chart.  ``inverse`` is the symbolic affine map
+    when the chart is affine and otherwise a damped Newton solve seeded from
+    the base: the target's Q is written into ``triangular_base_slots`` when
+    the base functions are plain coordinates.  ``inverse_kind`` reports the
+    chart's shape; for a "triangular" chart, affine across the non-base
+    coordinates, the seeded solve ends after one exact step.
+    ``jacobian_min_abs_det`` is the smallest product of the chart Jacobian's
+    singular values over the build's sample points.
     """
 
     gamma: VectorField
@@ -142,7 +174,6 @@ class TangentStructure:
     inverse_map: PointMap | None
     warnings: tuple[str, ...]
     jacobian_min_abs_det: float
-    jacobian_argmin: tuple[float, ...]
     domain: Box
     newton_guess: tuple[float, ...]
     triangular_base_slots: tuple[int, ...] | None
@@ -166,9 +197,9 @@ class TangentStructure:
     @cached_property
     def acceleration_exprs(self) -> tuple[Expression, ...]:
         """Force block over the source context: the field applied twice to the base."""
-        gamma = self.gamma
         return tuple(
-            lie_scalar(gamma, ScalarField(gamma.ctx, v)).expr for v in self.velocity_exprs
+            sum_of_products(zip(self.gamma.components, row))
+            for row in self.forward.jacobian[self.n :]
         )
 
     def inverse(self, chart_point, *, guess=None) -> np.ndarray:
@@ -177,33 +208,13 @@ class TangentStructure:
             raise ValueError(
                 f"chart point needs {self.chart_ctx.dim} coordinates, got {target.shape}"
             )
-        if self.inverse_kind == "affine":
+        if self.inverse_map is not None:
             return self.inverse_map(target)
-        if self.inverse_kind == "triangular":
-            return self._triangular_inverse(target)
-        start = np.asarray(guess, dtype=float) if guess is not None else np.array(
-            self.newton_guess
-        )
-        return _newton_solve(self.forward, target, start)
-
-    def _triangular_inverse(self, target: np.ndarray) -> np.ndarray:
-        n, dim = self.n, self.src_ctx.dim
-        slots = self.triangular_base_slots
-        complement = [k for k in range(dim) if k not in slots]
-        x0 = np.zeros(dim)
-        for value, slot in zip(target[:n], slots):
-            x0[slot] = value
-        try:
-            offset = self.forward(x0)[n:]
-            coeffs = self.forward.jacobian_at(x0)[n:, complement]
-            u = np.linalg.solve(coeffs, target[n:] - offset)
-        except (np.linalg.LinAlgError, EvaluationDomainError):
-            raise NonInvertibleChartError(
-                "velocity block is singular at the requested base point"
-            ) from None
-        x = x0.copy()
-        x[complement] = u
-        return x
+        if guess is None:
+            guess = np.array(self.newton_guess)
+            if self.triangular_base_slots is not None:
+                guess[list(self.triangular_base_slots)] = target[: self.n]
+        return _newton_solve(self.forward, target, guess)
 
     @cached_property
     def chart_field(self) -> VectorField | None:
@@ -275,28 +286,23 @@ def build(
         raise ValueError("at least one base function is required")
     dim = ctx.dim
 
-    velocity_exprs = [lie_scalar(gamma, ScalarField(ctx, q)).expr for q in base_exprs]
-    chart_components = base_exprs + tuple(velocity_exprs)
+    velocity_exprs = tuple(lie_scalar(gamma, ScalarField(ctx, q)).expr for q in base_exprs)
+    chart_ctx = VariableContext(
+        tuple(f"Q{k + 1}" for k in range(n)) + tuple(f"V{k + 1}" for k in range(n))
+    )
+    forward = PointMap(ctx, chart_ctx, base_exprs + velocity_exprs)
     points = box.sample(seed=seed, n_random=n_random, grid_points=grid_points)
 
-    # the base rows come first; the full Jacobian serves the chart checks below
-    full_jac = _jacobian_on(chart_components, ctx, points)
-
     # base differentials must stay independent everywhere on the grid
-    base_sigma = np.linalg.svd(full_jac[:, :n, :], compute_uv=False)
-    base_sigma = np.nan_to_num(base_sigma, nan=0.0)
-    if n <= dim:
-        ratio = base_sigma[:, -1] - _RANK_RTOL * (1.0 + base_sigma[:, 0])
-        worst = int(np.argmin(ratio))
-        if ratio[worst] <= 0.0:
-            where = tuple(round(float(v), 6) for v in points[worst])
-            raise DegenerateBaseError(
-                f"base differentials degenerate near {where}"
-            )
-    else:
+    if n > dim:
         raise DegenerateBaseError(
             f"{n} base functions on a {dim}-dimensional space cannot be independent"
         )
+    # the base rows come first; the full Jacobian serves the chart checks below
+    jac = _rows_on(forward.jacobian, ctx, points)
+    where = _rank_failure(_singular_values(jac[:, :n, :]), points)
+    if where is not None:
+        raise DegenerateBaseError(f"base differentials degenerate near {_point_text(where)}")
 
     # a field with no motion anywhere has no velocity functions to offer
     gamma_values = evaluate_on(gamma.components, ctx, points)
@@ -314,14 +320,11 @@ def build(
         raise FunctionalDependenceError(
             f"{2 * n} chart functions on a {dim}-dimensional space have rank at most {dim}"
         )
-    sigma = np.linalg.svd(full_jac, compute_uv=False)
-    sigma = np.nan_to_num(sigma, nan=0.0)
-    ratio = sigma[:, -1] - _RANK_RTOL * (1.0 + sigma[:, 0])
-    worst = int(np.argmin(ratio))
-    if ratio[worst] <= 0.0:
-        where = tuple(round(float(v), 6) for v in points[worst])
+    sigma = _singular_values(jac)
+    where = _rank_failure(sigma, points)
+    if where is not None:
         raise FunctionalDependenceError(
-            f"chart functions become dependent near {where}"
+            f"chart functions become dependent near {_point_text(where)}"
         )
 
     if 2 * n < dim:
@@ -329,30 +332,26 @@ def build(
             f"{2 * n} chart functions cannot coordinatize a {dim}-dimensional space"
         )
 
-    dets = np.linalg.det(full_jac)
-    argmin = int(np.argmin(np.abs(dets)))
-    jacobian_min_abs_det = float(np.abs(dets[argmin]))
-    jacobian_argmin = tuple(float(v) for v in points[argmin])
-
-    chart_ctx = VariableContext(
-        tuple(f"Q{k + 1}" for k in range(n)) + tuple(f"V{k + 1}" for k in range(n))
-    )
-    forward = PointMap(ctx, chart_ctx, chart_components)
+    # the Jacobian is square here, so |det| is the product of its singular values
+    jacobian_min_abs_det = float(np.min(np.prod(sigma, axis=1)))
     s_hat, delta_hat = canonical_tangent_structure(chart_ctx)
 
     # fiber coordinates: source directions the base functions never see
-    base_vars = set()
-    for q in base_exprs:
-        base_vars |= free_variables(q)
+    base_vars = set().union(*(free_variables(q) for q in base_exprs))
     fiber_names = [name for name in ctx.names if name not in base_vars]
-    if fiber_names and not all(
-        _second_partials_vanish(v, fiber_names, fiber_names) for v in velocity_exprs
-    ):
+    linear_fibers = _affine_in(forward.jacobian[n:], ctx, fiber_names)
+    if not linear_fibers:
         warnings.append("nonlinear_fibers")
 
-    inverse_kind, inverse_map, slots = _pick_inverse(
-        base_exprs, velocity_exprs, forward, ctx, chart_ctx, box
-    )
+    inverse_map = slots = None
+    if _affine_in(forward.jacobian, ctx, ctx.names):
+        inverse_kind, inverse_map = "affine", _affine_inverse(forward, box.center)
+    elif linear_fibers and all(isinstance(q, Var) for q in base_exprs):
+        # the chart is affine across the complement of the base coordinates
+        inverse_kind = "triangular"
+        slots = tuple(ctx.index(q.name) for q in base_exprs)
+    else:
+        inverse_kind = "newton"
 
     center = box.center
     if box.contains(center):
@@ -370,7 +369,6 @@ def build(
         inverse_map=inverse_map,
         warnings=tuple(warnings),
         jacobian_min_abs_det=jacobian_min_abs_det,
-        jacobian_argmin=jacobian_argmin,
         domain=box,
         newton_guess=guess,
         triangular_base_slots=slots,
@@ -382,56 +380,27 @@ def build(
         recovered = structure.inverse(forward(p))
         if float(np.max(np.abs(recovered - p))) > 1e-6 * (1.0 + float(np.max(np.abs(p)))):
             raise NonInvertibleChartError(
-                f"chart is not injective over the domain: round trip moved "
-                f"{tuple(round(float(v), 6) for v in p)}"
+                f"chart is not injective over the domain: round trip moved {_point_text(p)}"
             )
     return structure
 
 
-def _pick_inverse(
-    base_exprs: Sequence[Expression],
-    velocity_exprs: list[Expression],
-    forward: PointMap,
-    ctx: VariableContext,
-    chart_ctx: VariableContext,
-    box: Box,
-):
-    all_names = list(ctx.names)
-    affine = all(
-        _second_partials_vanish(comp, all_names, all_names)
-        for comp in forward.components
-    )
-    if affine:
-        center = box.center
-        origin = forward(center)
-        matrix = forward.jacobian_at(center)
-        inverse_matrix = np.linalg.inv(matrix)
-        components = []
-        for i in range(ctx.dim):
-            total: Expression = Const(float(center[i]))
-            for j, name in enumerate(chart_ctx.names):
-                coeff = float(inverse_matrix[i, j])
-                if coeff != 0.0:
-                    total = add(
-                        total,
-                        mul(Const(coeff), sub(Var(name), Const(float(origin[j])))),
-                    )
-            components.append(total)
-        inverse_map = PointMap(chart_ctx, ctx, tuple(components))
-        return "affine", inverse_map, None
-
-    if all(isinstance(q, Var) for q in base_exprs):
-        slots = tuple(ctx.index(q.name) for q in base_exprs)
-        complement_names = [
-            name for k, name in enumerate(ctx.names) if k not in slots
-        ]
-        if all(
-            _second_partials_vanish(v, complement_names, complement_names)
-            for v in velocity_exprs
-        ):
-            return "triangular", None, slots
-
-    return "newton", None, None
+def _affine_inverse(forward: PointMap, center: np.ndarray) -> PointMap:
+    """The exact inverse of an affine chart, expanded about ``center``."""
+    origin = forward(center)
+    inverse_matrix = np.linalg.inv(forward.jacobian_at(center))
+    components = []
+    for i in range(forward.src.dim):
+        total: Expression = Const(float(center[i]))
+        for j, name in enumerate(forward.dst.names):
+            coeff = float(inverse_matrix[i, j])
+            if coeff != 0.0:
+                total = add(
+                    total,
+                    mul(Const(coeff), sub(Var(name), Const(float(origin[j])))),
+                )
+        components.append(total)
+    return PointMap(forward.dst, forward.src, tuple(components))
 
 
 def express_in_chart(
@@ -457,7 +426,7 @@ def structure_sode_residual(
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     ctx = structure.src_ctx
-    jac = _jacobian_on(structure.base_exprs, ctx, points)
+    jac = _rows_on(structure.forward.jacobian[: structure.n], ctx, points)
     gamma = evaluate_on(structure.gamma.components, ctx, points)
     lifted = np.einsum("mij,mj->mi", jac, gamma)
     direct = evaluate_on(structure.velocity_exprs, ctx, points)

@@ -288,12 +288,16 @@ class PointMap(_Shaped):
         return self.src, (self.dst.dim,)
 
     @cached_property
-    def _jacobian_fn(self) -> Callable[..., np.ndarray]:
-        rows = tuple(
+    def jacobian(self) -> tuple[tuple[Expression, ...], ...]:
+        """First-partial trees: ``jacobian[i][j]`` is d(components[i])/d(src.names[j])."""
+        return tuple(
             tuple(differentiate(comp, name) for name in self.src.names)
             for comp in self.components
         )
-        return _fused(self.src, rows)
+
+    @cached_property
+    def _jacobian_fn(self) -> Callable[..., np.ndarray]:
+        return _fused(self.src, self.jacobian)
 
     def jacobian_at(self, point) -> np.ndarray:
         """d(components)/d(src coordinates), shape (dst.dim, src.dim)."""

@@ -233,10 +233,7 @@ def pullback_twoform(omega: TwoFormField, mapping: PointMap) -> TwoFormField:
     pulled_entries = [
         [substitute(entry, bindings) for entry in row] for row in omega.matrix
     ]
-    jac = [
-        [differentiate(comp, name) for name in src.names]
-        for comp in mapping.components
-    ]
+    jac = mapping.jacobian
     dim_dst = omega.ctx.dim
     rows = tuple(
         tuple(

@@ -1,5 +1,6 @@
 """Chart construction: positive builds, rejection order, inversion strategies."""
 
+import ast
 import dataclasses
 import math
 
@@ -243,6 +244,18 @@ class TestInversionStrategies:
         zeta = t.forward(p)
         expected = t.forward.jacobian_at(p) @ field(p)
         np.testing.assert_allclose(t.chart_rhs()(0.0, zeta), expected, atol=1e-8)
+
+    def test_singular_jacobian_message_holds_plain_numbers(self):
+        # dV/dv1 = 1 - v1^2 vanishes at v1 = 1, outside the certified box
+        ctx = qv_context(1)
+        field = VectorField.of(ctx, "v1 - v1^3/3", "-q1")
+        t = quick_build(field, ("q1",), Box.cube(ctx, 0.9))
+        assert t.inverse_kind == "newton"
+        with pytest.raises(NonInvertibleChartError) as info:
+            t.inverse(t.forward([0.2, 0.5]), guess=(0.5, 1.0))
+        message = str(info.value)
+        assert "np." not in message
+        assert ast.literal_eval(message.split(" near ")[1]) == (0.5, 1.0)
 
     def test_non_injective_chart_caught(self):
         # v1^2 folds the fiber; the round-trip certificate must fail

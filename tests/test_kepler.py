@@ -6,7 +6,7 @@ import pytest
 from sodelab import kepler as kp
 from sodelab.bundle import express_in_chart
 from sodelab.dynamics import conserved_drift, estimate_period, integrate
-from sodelab.errors import PositiveEnergyError
+from sodelab.errors import NonInvertibleChartError, PositiveEnergyError
 from sodelab.expr import parse
 from sodelab.fields import canonical_tangent_structure, max_abs_on, vectorized_scalar
 from sodelab.geometry import lagrange_residual, lie_scalar
@@ -232,6 +232,19 @@ class TestChart:
         for p in self.points[:20]:
             back = st.inverse(st.forward(p))
             assert np.allclose(back, p, atol=1e-9)
+
+    def test_round_trip_over_the_domain_sample(self):
+        st = kp.regularized_structure(self.params, self.box)
+        points = self.box.sample(seed=0)[::50]
+        assert len(points) >= 100
+        for p in points:
+            np.testing.assert_allclose(st.inverse(st.forward(p)), p, rtol=0, atol=1e-12)
+
+    def test_inverse_at_collision_is_refused(self):
+        # at Q = 0 the velocity block 2|y|^2 I of the chart Jacobian vanishes
+        st = kp.regularized_structure(self.params, self.box)
+        with pytest.raises(NonInvertibleChartError):
+            st.inverse([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
 
     def test_chart_force_is_energy_times_base(self):
         st = kp.regularized_structure(self.params, self.box)

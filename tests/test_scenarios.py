@@ -14,8 +14,14 @@ from sodelab.conformal import (
 )
 from sodelab.dynamics import estimate_period
 from sodelab.errors import FunctionalDependenceError
-from sodelab.expr import parse
-from sodelab.fields import OneFormField, ScalarField, VectorField, vectorized_scalar
+from sodelab.expr import differentiate, parse
+from sodelab.fields import (
+    OneFormField,
+    ScalarField,
+    VectorField,
+    evaluate_on,
+    vectorized_scalar,
+)
 from sodelab.geometry import lie_scalar
 
 
@@ -188,6 +194,23 @@ class TestConformalAmDeterminant:
 
     def test_determinant_never_small(self, library):
         assert library["conformal-am"].jacobian_min_abs_det >= 1.0 - 1e-12
+
+
+class TestChartJacobian:
+    def test_rows_are_the_first_partials(self, library):
+        for name, st in library.items():
+            forward = st.forward
+            for i, comp in enumerate(forward.components):
+                for j, var in enumerate(forward.src.names):
+                    assert forward.jacobian[i][j] == differentiate(comp, var), name
+
+    def test_floor_is_min_abs_det_over_the_build_sample(self, library):
+        for name, st in library.items():
+            ctx, points = st.src_ctx, st.domain.sample(seed=0)
+            partials = [differentiate(c, v) for c in st.forward.components for v in ctx.names]
+            jac = evaluate_on(partials, ctx, points).reshape(len(points), ctx.dim, ctx.dim)
+            expected = float(np.min(np.abs(np.linalg.det(jac))))
+            assert st.jacobian_min_abs_det == pytest.approx(expected, rel=1e-12), name
 
 
 class TestConformalScenarios:
