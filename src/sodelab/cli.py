@@ -15,7 +15,8 @@ under ``--out``, a manifest.  So is a config file that cannot be read or that
 holds an unknown key; that manifest echoes the defaults and flags alone.
 
 Exit codes: 0 success, 1 domain failure (a verification, construction,
-periodicity, or matching claim fails), 2 usage or configuration errors.
+periodicity, or matching claim fails), 2 usage or configuration errors,
+among them a ``--state`` the integrator refuses.
 """
 
 from __future__ import annotations
@@ -376,7 +377,10 @@ def _cmd_integrate(run: _Run, opts: dict) -> int:
     ctx, field, state = _orbit(opts)
     t_end = _require(opts, "t_end")
     csv_samples, tol = opts["csv_samples"], opts["tol"]
-    traj = integrate(field.ode_rhs, state, t_end, rtol=tol, atol=tol * 1e-2)
+    try:
+        traj = integrate(field.ode_rhs, state, t_end, rtol=tol, atol=tol * 1e-2)
+    except ValueError as exc:  # the start state is refused
+        raise _UsageError(f"--state {opts['state']}: {exc}") from exc
     if csv_samples > 0 and traj.status == "completed":
         times = np.linspace(traj.times[0], traj.final_time, csv_samples)
         states = traj.sample_many(times)
@@ -400,9 +404,12 @@ def _cmd_integrate(run: _Run, opts: dict) -> int:
 def _cmd_period(run: _Run, opts: dict) -> int:
     _, field, state = _orbit(opts)
     tol = opts["tol"]
-    est = estimate_period(
-        field.ode_rhs, state, rtol=tol, atol=tol * 1e-2, t_max=opts["t_max"]
-    )
+    try:
+        est = estimate_period(
+            field.ode_rhs, state, rtol=tol, atol=tol * 1e-2, t_max=opts["t_max"]
+        )
+    except ValueError as exc:  # the start state is refused
+        raise _UsageError(f"--state {opts['state']}: {exc}") from exc
     run.emit_json("period.json", {"scenario": opts["scenario"], **est.to_json()})
     return 0
 

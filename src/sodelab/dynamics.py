@@ -4,8 +4,8 @@ The integrator is DOP853, the 8th-order Dormand-Prince pair of Hairer,
 Norsett & Wanner (Solving ODEs I, II.5-II.6): 12 stages per attempt with the
 last one reused as the next first (FSAL), the combined 5th/3rd-order error
 estimate, and a step-size exponent of 1/8.  Each accepted step stores its own
-7th-order interpolant (3 extra stages), which serves :meth:`Trajectory.sample`,
-:meth:`Trajectory.sample_many` and the crossing search of period detection.
+7th-order interpolant (3 extra stages) for :meth:`Trajectory.sample` and
+:meth:`Trajectory.sample_many`; period detection bisects its projection.
 
 The step itself is generated code, one kernel per state dimension, emitted
 from the coefficient tables on the first integration of that dimension and
@@ -446,7 +446,7 @@ def _interpolate(y_old, dense: np.ndarray, i, x):
     F0..F6 are ``dense[i]``: of one step, with ``i`` an index and ``x`` a
     scalar, or of many, with ``i`` an index array and ``x`` a column of
     fractions.  Both take the same operations in the same order, so rows
-    agree bit for bit.
+    agree bit for bit.  Rows projected on a normal, ``(1, 7)``, give a scalar.
     """
     u = 1.0 - x
     acc = dense[i, 6] * x
@@ -545,12 +545,13 @@ def integrate(
     step with the node lists so far, states as tuples of floats, and each
     step's dense-output coefficients as one flat tuple of 7 rows of ``dim``
     (the new step last; read them, do not change them).  It ends the run
-    with status ``"stopped"`` when it returns true.
+    with status ``"stopped"`` when it returns true.  A ``t_end``, ``rtol`` or
+    ``atol`` that is not finite and positive raises ValueError.
     """
     y_arr = np.array(y0, dtype=float)
     dim = y_arr.shape[0]
-    if not t_end > 0.0:
-        raise ValueError("integration runs forward: t_end must be positive")
+    if not (0.0 < t_end < math.inf and 0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise ValueError("t_end, rtol and atol must be finite and positive")
     if not (np.all(np.isfinite(y_arr)) and np.max(np.abs(y_arr)) <= _BLOW_UP_NORM):
         raise ValueError("initial state is not finite within the blow-up threshold")
 
@@ -646,32 +647,6 @@ class PeriodEstimate:
         }
 
 
-def _refine_crossing(
-    times: list, states: list, dense: list, x0: np.ndarray, normal: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Bisect the section crossing inside the last step; return it and the state there.
-
-    The step's own interpolant is read as :meth:`Trajectory.sample` reads it.
-    """
-    t0, t1 = times[-2], times[-1]
-    y_old, coeffs = np.array(states[-2]), np.reshape(dense[-1], (1, 7, -1))
-
-    def at(t: float) -> np.ndarray:
-        return _interpolate(y_old, coeffs, 0, (t - t0) / (t1 - t0))
-
-    a, b = t0, t1
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if float((at(mid) - x0) @ normal) < 0.0:
-            a = mid
-        else:
-            b = mid
-        if b - a < 1e-15 * max(1.0, abs(b)):
-            break
-    t_star = 0.5 * (a + b)
-    return t_star, at(t_star)
-
-
 def estimate_period(
     f: Callable[[float, np.ndarray], np.ndarray],
     x0,
@@ -683,28 +658,44 @@ def estimate_period(
     """Detect the period of the orbit through ``x0``.
 
     The return section is the hyperplane through ``x0`` normal to the initial
-    velocity.  One integration up to ``t_max`` tests each accepted step for a
-    negative-to-positive crossing, refines it by bisection on that step's
-    dense-output interpolant, and accepts it as a return only within
-    ``_RETURN_TOL`` (1e-4) of the start; the run stops at the second return.
-    That return must lie at twice the first (to a relative
+    velocity.  One integration up to ``t_max`` tests the section value
+    g = (y - x0) . n, a plain float per node, for a negative-to-positive
+    change; only such a step's dense output is projected on the normal, and
+    the crossing is bisected on that scalar polynomial.  It counts as a return
+    only within ``_RETURN_TOL`` (1e-4) of the start; the run stops at the
+    second return, which must lie at twice the first (to a relative
     ``_CONSISTENCY_TOL``, 5e-3) before a period is reported.
     """
     x0 = np.asarray(x0, dtype=float)
-    f0 = np.array(_stage_function(f, len(x0))(0.0, *x0.tolist()))
+    f0 = np.array(_derivative(_stage_function(f, len(x0)), 0.0, x0.tolist()))
     speed = float(np.linalg.norm(f0))
     if speed < 1e-12:
         raise NotPeriodicError("the starting point is an equilibrium")
     normal = f0 / speed
+    pairs = tuple(zip(x0.tolist(), normal.tolist()))
 
     returns: list[tuple[float, float]] = []
+    g_new = 0.0  # x0 lies on the section
 
     def second_return(times: list, states: list, dense: list) -> bool:
-        g_old = float((states[-2] - x0) @ normal)
-        g_new = float((states[-1] - x0) @ normal)
+        nonlocal g_new
+        g_old = g_new
+        g_new = sum((y - c) * n for y, (c, n) in zip(states[-1], pairs))
         if not g_old < 0.0 <= g_new:
             return False
-        t_star, state = _refine_crossing(times, states, dense, x0, normal)
+        a, b = t0, t1 = times[-2], times[-1]
+        coeffs = np.reshape(dense[-1], (1, 7, -1))
+        projected = coeffs @ normal
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            if _interpolate(g_old, projected, 0, (mid - t0) / (t1 - t0)) < 0.0:
+                a = mid
+            else:
+                b = mid
+            if b - a < 1e-15 * max(1.0, abs(b)):
+                break
+        t_star = 0.5 * (a + b)
+        state = _interpolate(np.array(states[-2]), coeffs, 0, (t_star - t0) / (t1 - t0))
         residual = float(np.linalg.norm(state - x0))
         if residual > _RETURN_TOL:
             return False  # crosses the section away from the start

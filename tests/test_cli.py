@@ -61,6 +61,27 @@ def test_bad_state_dimension_is_usage_error(capsys):
     assert "2 numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "--scenario", "oscillator-1", "--state", "1e9,0", "--t-end", "1"],
+        ["integrate", "--scenario", "kepler-clock", "--state", "0,0,0,0,0,0,0,0",
+         "--t-end", "1"],
+        ["period", "--scenario", "oscillator-1", "--state", "1e9,0"],
+        ["period", "--scenario", "kepler-clock", "--state", "0,0,0,0,0,0,0,0"],
+    ],
+)
+def test_state_the_integrator_refuses_is_usage_error(tmp_path, capsys, argv):
+    # past the blow-up threshold, or where the field is not finite
+    code, out = run_to(tmp_path, "run", argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --state {argv[4]}: ") and err.count("\n") == 1
+    manifest = read_json(out / "run_manifest.json")
+    assert manifest["exit_code"] == 2
+    assert manifest["outputs"] == []
+
+
 def test_integrate_without_out_is_usage_error(capsys):
     code = main(
         ["integrate", "--scenario", "oscillator-1", "--state", "1,0",

@@ -45,6 +45,17 @@ def counting(f):
     return wrapped
 
 
+def budgeted(f, calls):
+    """``f`` that fails the test on any call beyond the first ``calls``."""
+    wrapped = counting(f)
+
+    def guarded(t, y):
+        assert wrapped.calls < calls, "the field was called after the argument check"
+        return wrapped(t, y)
+
+    return guarded
+
+
 class TestAccuracy:
     def test_harmonic_oscillator_full_turn(self):
         traj = integrate(circle_rhs, (1.0, 0.0), 2 * math.pi, rtol=1e-10, atol=1e-12)
@@ -140,6 +151,29 @@ class TestAccuracy:
     def test_forward_only(self):
         with pytest.raises(ValueError):
             integrate(circle_rhs, (1.0, 0.0), -1.0)
+
+    @pytest.mark.parametrize(
+        "t_end, rtol, atol",
+        [
+            (1.0, 1e-10, 0.0),
+            (1.0, 1e-10, math.nan),
+            (1.0, math.inf, 1e-12),
+            (1.0, -1e-3, 1e-12),
+            (1.0, 1e-10, -1e-12),
+            (math.inf, 1e-10, 1e-12),
+            (math.nan, 1e-10, 1e-12),
+        ],
+    )
+    def test_tolerances_and_horizon_must_be_finite_and_positive(self, t_end, rtol, atol):
+        # refused before the first RHS call
+        with pytest.raises(ValueError, match="finite and positive"):
+            integrate(budgeted(circle_rhs, 0), (0.0, 1.0), t_end, rtol=rtol, atol=atol)
+
+    @pytest.mark.parametrize("rtol, atol", [(1e-10, 0.0), (-1e-3, 1e-12)])
+    def test_period_detection_inherits_the_tolerance_check(self, rtol, atol):
+        # one RHS call gives the section normal; integrate refuses the rest
+        with pytest.raises(ValueError, match="finite and positive"):
+            estimate_period(budgeted(circle_rhs, 1), (0.0, 1.0), rtol=rtol, atol=atol)
 
     def test_vector_field_adapter(self):
         ctx = qv_context(1)
@@ -366,6 +400,28 @@ class TestPeriodDetection:
     def test_equilibrium_rejected(self):
         with pytest.raises(NotPeriodicError):
             estimate_period(circle_rhs, (0.0, 0.0))
+
+    def test_domain_error_at_the_start_is_the_integrators_value_error(self):
+        field = VectorField.of(qv_context(1), "v1", "-1/q1")
+        with pytest.raises(ValueError, match="field is not finite at the initial state"):
+            estimate_period(field.ode_rhs, (0.0, 1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        omega=st.floats(0.25, 4.0),
+        phase=st.floats(0.0, 2 * math.pi, exclude_max=True),
+    )
+    def test_oscillator_crossing_at_any_phase_and_frequency(self, omega, phase):
+        # x'' = -omega^2 x entered at phase ``phase`` of a unit-amplitude turn
+        def rhs(t, y):
+            return np.array([y[1], -omega * omega * y[0]])
+
+        x0 = np.array([math.cos(phase), -omega * math.sin(phase)])
+        estimate = estimate_period(rhs, x0)
+        assert estimate.period == pytest.approx(2 * math.pi / omega, rel=1e-9)
+        assert estimate.second_return == pytest.approx(2 * estimate.period, rel=1e-9)
+        normal = rhs(0.0, x0) / np.linalg.norm(rhs(0.0, x0))
+        assert abs((estimate.trajectory.sample(estimate.period) - x0) @ normal) <= 1e-12
 
 
 class TestConservedDrift:

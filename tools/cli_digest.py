@@ -64,6 +64,10 @@ INVOCATIONS = (
     ["integrate", "--scenario", "double-rotation-13", "--state", "1,0,0.5,0",
      "--t-end", "3"],  # node CSV of a construction scenario
     ["match", "--energies=-0.8"],
+    # a start the integrator refuses: exit 2 with a manifest
+    ["integrate", "--scenario", "kepler-clock", "--state", "0,0,0,0,0,0,0,0",
+     "--t-end", "1"],
+    ["period", "--scenario", "oscillator-1", "--state", "1e9,0"],
 )
 
 CONFIG = {"scenario": "uniform-speedup", "rescaled": True, "t_end": 5, "csv-samples": 64}
