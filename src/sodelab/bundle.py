@@ -47,10 +47,8 @@ from .fields import (
     Box,
     PointMap,
     ScalarField,
-    Tensor11Field,
     VectorField,
     _entries,
-    canonical_tangent_structure,
     evaluate_on,
 )
 from .geometry import lie_scalar
@@ -58,7 +56,6 @@ from .geometry import lie_scalar
 __all__ = [
     "TangentStructure",
     "build",
-    "express_in_chart",
     "structure_sode_residual",
 ]
 
@@ -154,22 +151,21 @@ class TangentStructure:
     """A certified chart in which the originating field is second order.
 
     ``forward`` maps source coordinates to the chart (base block first, then
-    the derived velocity block); ``s_hat``/``delta_hat`` are the canonical
-    structure tensors in the chart.  ``inverse`` is the symbolic affine map
-    when the chart is affine and otherwise a damped Newton solve seeded from
-    the base: the target's Q is written into ``triangular_base_slots`` when
-    the base functions are plain coordinates.  ``inverse_kind`` reports the
-    chart's shape; for a "triangular" chart, affine across the non-base
-    coordinates, the seeded solve ends after one exact step.
-    ``jacobian_min_abs_det`` is the smallest product of the chart Jacobian's
-    singular values over the build's sample points.
+    the derived velocity block).  The chart's tangent structure is always
+    ``canonical_tangent_structure(chart_ctx)``, so it is not stored.
+    ``inverse`` is the symbolic affine map when the chart is affine and
+    otherwise a damped Newton solve seeded from the base: the target's Q is
+    written into ``triangular_base_slots`` when the base functions are plain
+    coordinates.  ``inverse_kind`` reports the chart's shape; for a
+    "triangular" chart, affine across the non-base coordinates, the seeded
+    solve ends after one exact step.  ``jacobian_min_abs_det`` is the
+    smallest product of the chart Jacobian's singular values over the
+    build's sample points.
     """
 
     gamma: VectorField
     forward: PointMap
     n: int
-    s_hat: Tensor11Field
-    delta_hat: VectorField
     inverse_kind: str  # "affine" | "triangular" | "newton"
     inverse_map: PointMap | None
     warnings: tuple[str, ...]
@@ -334,7 +330,6 @@ def build(
 
     # the Jacobian is square here, so |det| is the product of its singular values
     jacobian_min_abs_det = float(np.min(np.prod(sigma, axis=1)))
-    s_hat, delta_hat = canonical_tangent_structure(chart_ctx)
 
     # fiber coordinates: source directions the base functions never see
     base_vars = set().union(*(free_variables(q) for q in base_exprs))
@@ -363,8 +358,6 @@ def build(
         gamma=gamma,
         forward=forward,
         n=n,
-        s_hat=s_hat,
-        delta_hat=delta_hat,
         inverse_kind=inverse_kind,
         inverse_map=inverse_map,
         warnings=tuple(warnings),
@@ -401,19 +394,6 @@ def _affine_inverse(forward: PointMap, center: np.ndarray) -> PointMap:
                 )
         components.append(total)
     return PointMap(forward.dst, forward.src, tuple(components))
-
-
-def express_in_chart(
-    gamma: VectorField, structure: TangentStructure
-) -> tuple[tuple[Expression, ...], tuple[Expression, ...]]:
-    """Velocity and force blocks of the second-order form, over the source context.
-
-    The velocity block is the structure's velocity functions; the force block
-    is the field applied to them once more.
-    """
-    if gamma != structure.gamma:
-        raise ValueError("the structure was built for a different field")
-    return structure.velocity_exprs, structure.acceleration_exprs
 
 
 def structure_sode_residual(

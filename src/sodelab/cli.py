@@ -181,8 +181,11 @@ _OPTIONS = (
     _Option("samples", _INT, "random sample count",
             {"verify": 500, "build": 500}, _COUNT),
     _Option("tol", _REAL, "command tolerance",
-            {"verify": 1e-8, "integrate": 1e-10, "period": 1e-10,
-             "kepler-demo": 1e-6, "fosc-demo": 1e-3, "match": 1e-3}, _POSITIVE),
+            {"verify": 1e-8, "kepler-demo": 1e-6, "fosc-demo": 1e-3, "match": 1e-3},
+            _POSITIVE),
+    # the integrator's atol is tol * 1e-2, which must not underflow to 0
+    _Option("tol", _REAL, "command tolerance", {"integrate": 1e-10, "period": 1e-10},
+            (lambda v: v * 1e-2 > 0, "must be > 0, and so must tol * 1e-2")),
     _Option("state", _REALS, "comma-separated initial state",
             {"integrate": None, "period": None}),
     _Option("t_end", _REAL, "final time", {"integrate": None}, _POSITIVE),
@@ -345,14 +348,14 @@ def _cmd_verify(run: _Run, opts: dict) -> int:
     seed, samples, tol = opts["seed"], opts["samples"], opts["tol"]
     kind, found = _scenario(name, "flat", "construction")
     if kind == "flat":
-        s, delta = canonical_tangent_structure(found)
-        box, field = Box.cube(found, 2.0), fo.make_oscillator(found.dim // 2).field
+        ctx, half_width, field = found, 2.0, fo.make_oscillator(found.dim // 2).field
     else:
         structure = sc.build_scenario(found, seed=seed, n_random=samples)
-        s, delta, field = structure.s_hat, structure.delta_hat, None
-        box = Box.cube(structure.chart_ctx, 1.5)
+        ctx, half_width, field = structure.chart_ctx, 1.5, None
+    s, delta = canonical_tangent_structure(ctx)
     report = verify_tangent_structure(
-        s, delta, box, field=field, seed=seed, n_random=samples, tol=tol
+        s, delta, Box.cube(ctx, half_width), field=field, seed=seed,
+        n_random=samples, tol=tol,
     )
     payload = {"scenario": name, "report": report.to_json()}
     passed = report.verdict == "pass"

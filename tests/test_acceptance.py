@@ -84,9 +84,10 @@ def test_criterion_01_axiom_suite(criterion, library):
         count += 1
 
     for name, structure in library:
+        s, delta = canonical_tangent_structure(structure.chart_ctx)
         report = verify_tangent_structure(
-            structure.s_hat,
-            structure.delta_hat,
+            s,
+            delta,
             Box.cube(structure.chart_ctx, 1.5),
             n_random=500,
             grid_points=3,

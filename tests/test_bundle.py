@@ -15,12 +15,8 @@ from sodelab.errors import (
     NonInvertibleChartError,
 )
 from sodelab.expr import Const, VariableContext, add, qv_context
-from sodelab.fields import Box, ScalarField, VectorField
-from sodelab.bundle import (
-    build,
-    express_in_chart,
-    structure_sode_residual,
-)
+from sodelab.fields import Box, ScalarField, VectorField, canonical_tangent_structure
+from sodelab.bundle import build, structure_sode_residual
 from sodelab.geometry import verify_tangent_structure
 
 R4 = VariableContext.of("x1", "x2", "x3", "x4")
@@ -52,7 +48,7 @@ class TestOscillatorBases:
     )
     def test_velocity_and_force_blocks(self, base, velocity):
         t = quick_build(SPIN4, base, BOX4)
-        v_block, f_block = express_in_chart(SPIN4, t)
+        v_block, f_block = t.velocity_exprs, t.acceleration_exprs
         p = (0.3, -0.8, 1.1, 0.4)
         env = R4.env(p)
         from sodelab.expr import evaluate, parse
@@ -83,9 +79,10 @@ class TestOscillatorBases:
     def test_canonical_structure_verifies_in_chart(self):
         t = quick_build(SPIN4, ("x1", "x3"), BOX4)
         chart_box = Box.cube(t.chart_ctx, 1.5)
+        s, delta = canonical_tangent_structure(t.chart_ctx)
         report = verify_tangent_structure(
-            t.s_hat,
-            t.delta_hat,
+            s,
+            delta,
             chart_box,
             field=t.chart_field,
             grid_points=5,
@@ -134,21 +131,16 @@ class TestFreeParticle:
     def test_plain_base(self):
         t = quick_build(self.FIELD, ("x1",), BOX2)
         assert t.inverse_kind == "affine"
-        _, force = express_in_chart(self.FIELD, t)
+        force = t.acceleration_exprs
         assert all(str(e) == "0" for e in force)
 
     def test_shifted_base_also_builds(self):
         t = quick_build(self.FIELD, ("x1 + x2^2",), BOX2)
         assert t.inverse_kind == "newton"
-        _, force = express_in_chart(self.FIELD, t)
+        force = t.acceleration_exprs
         assert all(str(e) == "0" for e in force)
         p = np.array([0.6, -0.9])
         np.testing.assert_allclose(t.inverse(t.forward(p)), p, atol=1e-9)
-
-    def test_chart_blocks_need_the_structure_field(self):
-        t = quick_build(self.FIELD, ("x1",), BOX2)
-        with pytest.raises(ValueError):
-            express_in_chart(VectorField.of(R2, "x2", "1"), t)
 
     def test_rest_states_warn(self):
         t = quick_build(self.FIELD, ("x1",), BOX2)

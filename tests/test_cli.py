@@ -130,6 +130,11 @@ def test_integrate_without_out_is_usage_error(capsys):
         (["integrate", "--scenario", "oscillator-1", "--state", "1,0", "--t-end=1",
           "--tol=-1"], "--tol"),
         (["fosc-demo", "--profile", "bogus"], "--profile"),
+        # positive, but its atol tol * 1e-2 underflows to 0
+        (["period", "--scenario", "oscillator-1", "--state", "1,0", "--tol", "1e-323"],
+         "--tol"),
+        (["integrate", "--scenario", "oscillator-1", "--state", "1,0", "--t-end=1",
+          "--tol=1e-323"], "--tol"),
     ],
 )
 def test_out_of_range_number_is_usage_error(tmp_path, capsys, argv, flag):
@@ -338,6 +343,11 @@ def test_verify_flat_chart_to_stdout(capsys):
     assert payload["report"]["verdict"] == "pass"
     names = [ax["name"] for ax in payload["report"]["axioms"]]
     assert "sode_condition" in names
+    # the oscillator's second-order condition is the one sampled axiom
+    assert payload["report"]["samples"] > 0
+    bases = {ax["name"]: ax["basis"] for ax in payload["report"]["axioms"]}
+    assert bases.pop("sode_condition") == "sampled"
+    assert set(bases.values()) == {"by_construction"}
 
 
 def test_verify_built_scenario_writes_report(tmp_path):
@@ -347,6 +357,8 @@ def test_verify_built_scenario_writes_report(tmp_path):
     assert code == 0
     payload = read_json(out / "verify.json")
     assert payload["report"]["verdict"] == "pass"
+    assert payload["report"]["samples"] == 0
+    assert {ax["basis"] for ax in payload["report"]["axioms"]} == {"by_construction"}
     assert payload["sode_residual"] < 1e-8
     manifest = read_json(out / "run_manifest.json")
     assert manifest["command"] == "verify"

@@ -332,14 +332,18 @@ class TestVerification:
 
     def test_report_json_shape(self):
         s, delta = canonical_tangent_structure(CTX1)
-        report = self.verify(s, delta, CTX1, seed=3)
+        gamma = VectorField.of(CTX1, "v1", "-q1")
+        report = self.verify(s, delta, CTX1, field=gamma, seed=3)
         payload = report.to_json()
         assert payload["verdict"] == "pass"
         assert payload["seed"] == 3
         assert payload["samples"] > 0
         assert payload["flags"] == {"degenerate_rank": False}
         for check in payload["axioms"]:
-            assert set(check) == {"name", "max_residual", "tolerance", "pass"}
+            assert set(check) == {"name", "max_residual", "tolerance", "pass", "basis"}
+        assert [check["basis"] for check in payload["axioms"]] == (
+            ["by_construction"] * 5 + ["sampled"]
+        )
 
     def test_singular_endomorphism_pinned(self):
         # S squared folds to the zero tree, so it is exact where 1/q1 is inf;
@@ -355,11 +359,57 @@ class TestVerification:
 
     def test_samples_reflect_exclusion(self):
         s, delta = canonical_tangent_structure(CTX1)
+        gamma = VectorField.of(CTX1, "v1", "-q1")
         tight = Box.cube(CTX1, 1.0, exclude_radius=0.5)
         loose = Box.cube(CTX1, 1.0)
-        r1 = verify_tangent_structure(s, delta, tight, grid_points=5, n_random=50)
-        r2 = verify_tangent_structure(s, delta, loose, grid_points=5, n_random=50)
-        assert r1.samples < r2.samples
+        r1 = verify_tangent_structure(
+            s, delta, tight, field=gamma, grid_points=5, n_random=50
+        )
+        r2 = verify_tangent_structure(
+            s, delta, loose, field=gamma, grid_points=5, n_random=50
+        )
+        assert 0 < r1.samples < r2.samples
+
+    def test_sign_flipped_dilation_fails_flow_past_the_grid_axes(self):
+        # the grid block spans the first 4 axes only; the flow starts must
+        # also move the fiber axes after them
+        ctx = qv_context(4)
+        s, delta = canonical_tangent_structure(ctx)
+        report = self.verify(s, delta.negated(), ctx)
+        assert not report.check("backward_flow_limit").passed
+
+    def test_canonical_pair_holds_by_construction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a canonical pair must not be sampled")
+
+        monkeypatch.setattr("sodelab.geometry.integrate", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        s, delta = canonical_tangent_structure(CTX2)
+        report = self.verify(s, delta, CTX2)
+        assert report.samples == 0
+        assert report.verdict == "pass"
+        assert not report.degenerate_rank
+        for check in report.to_json()["axioms"]:
+            assert check["basis"] == "by_construction"
+            assert check["max_residual"] == 0.0 and check["pass"]
+        assert report.check("backward_flow_limit").tolerance == 1e-6
+        assert report.check("nijenhuis_torsion").tolerance == 1e-9
+
+    def test_equal_values_in_another_tree_are_sampled(self):
+        s, _ = canonical_tangent_structure(CTX2)
+        delta = VectorField.of(CTX2, "0", "0", "v1 + q1 - q1", "v2")
+        report = self.verify(s, delta, CTX2)
+        assert report.samples > 0
+        assert report.verdict == "pass"
+        assert {check.basis for check in report.axioms} == {"sampled"}
+
+    def test_odd_dimension_is_sampled(self):
+        ctx = VariableContext.of("x")
+        s = Tensor11Field(ctx, (("0",),))
+        delta = VectorField.of(ctx, "0")
+        report = self.verify(s, delta, ctx)
+        assert report.samples > 0
+        assert report.check("S_squared_zero").basis == "sampled"
 
 
 def _pinv_image_residual(s_stack, delta_stack):

@@ -29,11 +29,11 @@ Thirteen cases are run:
 * ``cli_integrate_kepler_chart``: ``sodelab integrate --scenario
   kepler-chart`` from the state of the CLI period example over [0, 20];
 * ``cli_verify_kepler_chart``: ``sodelab verify --scenario kepler-chart``,
-  into a temporary directory; its only ``integrate`` calls are the backward
-  flows of the dilation field;
+  into a temporary directory; it makes no ``integrate`` call, since the
+  canonical structure of a chart holds by construction;
 * ``cli_verify_oscillator_2``: ``sodelab verify --scenario oscillator-2``,
-  the 4-dim flat-chart verify that makes up most of the chart-certify
-  benchmark workload;
+  the 4-dim chart verify that makes up most of the chart-certify
+  benchmark workload, also without ``integrate`` calls;
 * ``lookup_construction``, ``lookup_rescaling`` and ``lookup_kepler_chart``:
   the scenario lookup of ``sodelab integrate`` (construction names first,
   then rescaling ones) for ``oscillator-2``, ``uniform-speedup`` and
@@ -43,9 +43,10 @@ Thirteen cases are run:
 
 Each case records deterministic counters summed over every ``integrate``
 call it makes (RHS evaluations ``nfev``, ``accepted`` and ``rejected``
-steps, ``runs``) and the median and spread of the wall time over all timed
-runs of all the tree's processes, ``_REPEAT`` per process after one untimed
-run that also warms the compiled fields.  Wall times depend on the machine
+steps, ``runs``; a case that makes none records none) and the median and
+spread of the wall time over all timed runs of all the tree's processes,
+``_REPEAT`` per process after one untimed run that also warms the compiled
+fields.  Wall times depend on the machine
 and its load; the counters do not, and the script fails if they differ
 between two processes of one tree.  Each case with RHS evaluations also
 gets ``us_per_fev``, its median wall time per RHS evaluation, and
