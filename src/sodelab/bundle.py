@@ -83,14 +83,6 @@ def _affine_in(
     )
 
 
-def _rows_on(
-    rows: Sequence[Sequence[Expression]], ctx: VariableContext, points: np.ndarray
-) -> np.ndarray:
-    """Batch values of Jacobian rows on points, shape (m, len(rows), ctx.dim)."""
-    flat = [entry for row in rows for entry in row]
-    return evaluate_on(flat, ctx, points).reshape(len(points), len(rows), ctx.dim)
-
-
 def _rank_failure(sigma: np.ndarray, points: np.ndarray) -> np.ndarray | None:
     """The point nearest to rank loss, if one fails the rank test, else None.
 
@@ -295,7 +287,7 @@ def build(
             f"{n} base functions on a {dim}-dimensional space cannot be independent"
         )
     # the base rows come first; the full Jacobian serves the chart checks below
-    jac = _rows_on(forward.jacobian, ctx, points)
+    jac = evaluate_on(forward.jacobian, ctx, points)
     where = _rank_failure(_singular_values(jac[:, :n, :]), points)
     if where is not None:
         raise DegenerateBaseError(f"base differentials degenerate near {_point_text(where)}")
@@ -406,7 +398,7 @@ def structure_sode_residual(
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     ctx = structure.src_ctx
-    jac = _rows_on(structure.forward.jacobian[: structure.n], ctx, points)
+    jac = evaluate_on(structure.forward.jacobian[: structure.n], ctx, points)
     gamma = evaluate_on(structure.gamma.components, ctx, points)
     lifted = np.einsum("mij,mj->mi", jac, gamma)
     direct = evaluate_on(structure.velocity_exprs, ctx, points)

@@ -24,7 +24,6 @@ from .fields import (
     VectorField,
     evaluate_on,
     max_abs_on,
-    vectorized_scalar,
 )
 from .geometry import lie_bracket, lie_oneform, lie_scalar
 
@@ -215,13 +214,12 @@ def reparametrize_time(trajectory, factor: ScalarField) -> np.ndarray:
     15), so quadrature error stays below the interpolation error of the
     trajectory itself.
     """
-    fn = vectorized_scalar(factor.expr, factor.ctx)
     times = trajectory.times
     x, w = np.polynomial.legendre.leggauss(8)
     h = np.diff(times)
     ts = times[:-1, None] + (0.5 * h)[:, None] * (x + 1.0)  # (steps, nodes)
     states = trajectory.sample_many(ts.reshape(-1))
-    rates = 1.0 / np.broadcast_to(np.asarray(fn(states), dtype=float), (ts.size,))
+    rates = 1.0 / evaluate_on((factor.expr,), factor.ctx, states)[:, 0]
     out = np.zeros(len(times))
     out[1:] = np.cumsum(0.5 * h * (rates.reshape(ts.shape) @ w))
     return out

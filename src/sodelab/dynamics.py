@@ -416,6 +416,7 @@ def _kernel(dim: int) -> tuple[Callable, Callable]:
     return namespace["attempt"], namespace["dense"]
 
 
+@np.errstate(over="ignore")  # a subnormal atol overflows the scaled norms to inf
 def _initial_step(
     stage, t0: float, y0: np.ndarray, f0: np.ndarray, t_end: float, rtol: float, atol: float
 ) -> float:
@@ -423,7 +424,7 @@ def _initial_step(
     scale = atol + rtol * np.abs(y0)
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    h0 = 0.01 * d0 / d1 if 1e-5 <= min(d0, d1) and max(d0, d1) < math.inf else 1e-6
     h0 = min(h0, span)
     f1 = np.array(_derivative(stage, t0 + h0, (y0 + h0 * f0).tolist()))
     if np.all(np.isfinite(f1)):

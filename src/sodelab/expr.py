@@ -22,6 +22,7 @@ from __future__ import annotations
 import keyword
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -694,73 +695,84 @@ def to_source(e: Expression) -> str:
 
 # --- compilation ------------------------------------------------------------
 
-# namespaces of the two backends; ``_c`` makes a backend float from a literal
+# namespaces of the two backends; ``_c`` is the backend's float type, in which
+# the namespace binds each constant: a batch constant 1/0 gives inf, not a raise
 _SCALAR_NAMESPACE = {f"_{name}": fn for name, fn in _FUNCTIONS.items()}
 _SCALAR_NAMESPACE.update(_pow=math.pow, _c=float)
 _BATCH_NAMESPACE = {f"_{name}": getattr(np, name) for name in _FUNCTIONS}
-_BATCH_NAMESPACE.update(_pow=np.power, _c=np.float64)
+_BATCH_NAMESPACE.update(
+    _pow=np.power, _c=np.float64, _asarray=np.asarray, _errstate=np.errstate
+)
 
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 # what the generated scalar code may raise where ``evaluate`` raises a domain
 # error, saturates an overflow, or passes an overflow on
 _SCALAR_RAISES = (ValueError, ZeroDivisionError, OverflowError)
+_MAX_NESTING = 100  # inline text with more "(" is bound: Python's parser stops at 200
 
 
-def _python_source(e: Expression, batch: bool, named: dict | None = None) -> str:
-    """Python text computing ``e`` in one backend.
+def _python_source(exprs: Sequence[Expression]) -> tuple[list, list, dict]:
+    """Python statements and one result text per tree, for either backend.
 
-    With ``named`` (scalar backend), every operation is bound to a local once:
-    ``named`` maps its text, written over its operands' names, to that local,
-    so equal subexpressions share one name and one evaluation.  Keying on the
-    text, not on the nodes, keeps the frozen nodes' recursive hashes out of it.
+    One rule serves both: a subexpression used more than once, across the
+    trees or within them, is computed once into a local; every other one is
+    written inline where it is used (up to ``_MAX_NESTING`` parentheses), so
+    that a batch temporary is freed as soon as it is consumed.  ``b^2`` is
+    written ``b * b``.  Subexpressions are told apart by their text over
+    their operands' numbers, which keeps the frozen nodes' recursive hashes
+    out of it.  Each distinct constant is a name; the returned dict maps the
+    constant's ``repr`` to it.
     """
-    if isinstance(e, Const):
-        text = repr(e.value)
-        if not math.isfinite(e.value):
-            return f"_c({text!r})"
-        # batch constants are numpy floats: a constant 1/0 gives inf, not a raise
-        return f"_c({text})" if batch else text
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        text = f"(-{_python_source(e.arg, batch, named)})"
-    elif isinstance(e, (Add, Sub, Mul, Div)):
-        left = _python_source(e.left, batch, named)
-        right = _python_source(e.right, batch, named)
-        text = f"({left} {_BINARY_OPS[type(e)]} {right})"
-    elif isinstance(e, Pow):
-        base = _python_source(e.base, batch, named)
-        if _is_square(e) and named is not None:
-            text = f"({base} * {base})"
+    keys: dict[tuple, int] = {}  # operands are numbered before their operations
+    constants: dict[str, str] = {}
+
+    def number(e: Expression) -> str | int:
+        """The text of a leaf, or the number of an operation."""
+        if isinstance(e, Const):
+            return constants.setdefault(repr(e.value), f"_k{len(constants)}")
+        if isinstance(e, Var):
+            return e.name
+        if isinstance(e, Neg):
+            key = ("(-", number(e.arg), ")")
+        elif isinstance(e, (Add, Sub, Mul, Div)):
+            key = ("(", number(e.left), f" {_BINARY_OPS[type(e)]} ", number(e.right), ")")
+        elif isinstance(e, Pow) and _is_square(e):
+            base = number(e.base)
+            key = ("(", base, " * ", base, ")")
+        elif isinstance(e, Pow):
+            key = ("_pow(", number(e.base), ", ", number(e.exponent), ")")
+        elif isinstance(e, Call):
+            key = (f"_{e.fn}(", number(e.arg), ")")
         else:
-            # np.power squares by b * b already; inlined batch text would
-            # evaluate a repeated base twice
-            text = f"_pow({base}, {_python_source(e.exponent, batch, named)})"
-    elif isinstance(e, Call):
-        text = f"_{e.fn}({_python_source(e.arg, batch, named)})"
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    if named is None:
-        return text
-    name = named.get(text)
-    if name is None:
-        name = named[text] = f"_{len(named)}"
-    return name
+            raise TypeError(f"not an expression node: {e!r}")
+        return keys.setdefault(key, len(keys))
+
+    roots = [number(e) for e in exprs]
+    uses = Counter(part for key in (*keys, roots) for part in key if isinstance(part, int))
+    lines: list[str] = []
+    texts: list[str] = []  # each operation's inline text, or its local
+    for index, key in enumerate(keys):
+        text = "".join(part if isinstance(part, str) else texts[part] for part in key)
+        if uses[index] > 1 or text.count("(") > _MAX_NESTING:
+            lines.append(f"_{index} = {text}")
+            text = f"_{index}"
+        texts.append(text)
+    return lines, [root if isinstance(root, str) else texts[root] for root in roots], constants
 
 
 def _emit(
-    e: Expression | Sequence[Expression],
-    ctx: VariableContext,
-    batch: bool,
+    e: Expression | Sequence[Expression], ctx: VariableContext, batch: bool
 ) -> Callable:
     """Generate one function for a tree, or one returning a tuple for a sequence.
 
-    The batch backend takes an (m, dim) array, one row per point.  The scalar
-    backend takes a time argument it ignores, then the coordinates as
-    separate floats, and computes each distinct subexpression once; where
-    that code raises ValueError, ZeroDivisionError or OverflowError, the
-    point is evaluated again by :func:`evaluate`, so the two agree by
-    construction.
+    Both backends run the statements of :func:`_python_source`; they differ
+    only in how the coordinates are bound, in the block around the statements
+    and in the namespace.  The batch backend takes an (m, dim) array, one row
+    per point, and computes with numpy ufuncs with every floating-point error
+    ignored.  The scalar backend takes a time argument it ignores, then the
+    coordinates as separate floats; where its code raises ValueError,
+    ZeroDivisionError or OverflowError, the point is evaluated again by
+    :func:`evaluate`, so the two agree by construction.
     """
     single = isinstance(e, Expression)
     exprs = (e,) if single else tuple(e)
@@ -770,24 +782,22 @@ def _emit(
         raise UnboundVariableError(
             f"expression uses {sorted(unknown)} outside context {ctx.names}"
         )
-    named = None if batch else {}
-    results = [_python_source(x, batch, named) for x in exprs]
+    lines, results, constants = _python_source(exprs)
     body = results[0] if single else "(" + "".join(f"{r}, " for r in results) + ")"
-    namespace = dict(_BATCH_NAMESPACE if batch else _SCALAR_NAMESPACE)
-    namespace["__builtins__"] = {}
+    namespace = {**(_BATCH_NAMESPACE if batch else _SCALAR_NAMESPACE), "__builtins__": {}}
+    namespace.update((name, namespace["_c"](text)) for text, name in constants.items())
+    statements = "".join(f"        {line}\n" for line in [*lines, f"return {body}"])
     if batch:
         targets = ", ".join(name if name in used else "_" for name in ctx.names)
-        source = f"def _compiled(_p):\n    {targets}, = _p.T\n    return {body}\n"
+        source = (
+            f"def _compiled(_p):\n    {targets}, = _asarray(_p, dtype=_c).T\n"
+            f"    with _errstate(all='ignore'):\n{statements}"
+        )
     else:
         coords = ", ".join(ctx.names)
-        lines = "".join(f"        {name} = {text}\n" for text, name in named.items())
         source = (
-            f"def _compiled(_t, {coords}):\n"
-            "    try:\n"
-            f"{lines}"
-            f"        return {body}\n"
-            "    except _raises:\n"
-            f"        return _fallback({coords})\n"
+            f"def _compiled(_t, {coords}):\n    try:\n{statements}"
+            f"    except _raises:\n        return _fallback({coords})\n"
         )
 
         def fallback(*point):
@@ -813,8 +823,6 @@ def compile_scalar(
     function itself is returned: ``f(t, x1, ..., xn)`` on plain floats,
     ignoring ``t``, as the integrator calls a field once per stage.
     """
-    if not isinstance(e, Expression):
-        e = tuple(e)
     raw = _emit(e, ctx, batch=False)
     if stage:
         return raw

@@ -4,8 +4,9 @@ A field here is a tuple (or matrix) of expression trees tied to one
 :class:`~sodelab.expr.VariableContext`.  Evaluation compiles all entries once
 into one cached function, so repeated sampling (verification grids, numeric
 integration) stays cheap while every derivative used to build the field was
-taken symbolically.  :func:`evaluate_on` and :func:`max_abs_on` evaluate
-trees on whole point arrays through the batch backend.
+taken symbolically.  :func:`vectorized_scalar`, :func:`evaluate_on` and
+:func:`max_abs_on` evaluate trees on point arrays through the batch backend;
+like the scalar one, it computes a subexpression the trees share once.
 """
 
 from __future__ import annotations
@@ -60,21 +61,24 @@ def vectorized_scalar(
     treat non-finite as failure.  A sequence gives a tuple of values; a
     constant tree may give a scalar instead of an (m,) array.
     """
-    raw = _emit(e, ctx, batch=True)
-
-    def vectorized(points, _raw=raw):
-        with np.errstate(all="ignore"):
-            return _raw(np.asarray(points, dtype=float))
-
-    return vectorized
+    return _emit(e, ctx, batch=True)
 
 
-def evaluate_on(
-    exprs: Sequence[Expression], ctx: VariableContext, points: np.ndarray
-) -> np.ndarray:
-    """Batch values of the trees on an (m, dim) point array, shape (m, k)."""
-    values = vectorized_scalar(exprs, ctx)(points)
-    return np.stack([np.broadcast_to(v, (len(points),)) for v in values], axis=-1)
+def _flattened(rows) -> tuple[list[Expression], tuple[int, ...]]:
+    """A sequence of trees, or rows of them, as one flat list and its shape."""
+    if len(rows) > 0 and not isinstance(rows[0], Expression):
+        return [e for row in rows for e in row], (len(rows), len(rows[0]))
+    return list(rows), (len(rows),)
+
+
+def evaluate_on(exprs: Sequence, ctx: VariableContext, points: np.ndarray) -> np.ndarray:
+    """Batch values on an (m, dim) point array, in one call: shape (m, k) for a
+    sequence of k trees, (m, rows, cols) for rows of trees such as a Jacobian's."""
+    flat, shape = _flattened(exprs)
+    out = np.empty((len(points), len(flat)))
+    for k, value in enumerate(vectorized_scalar(flat, ctx)(points)):
+        out[:, k] = value
+    return out.reshape(len(points), *shape)
 
 
 def max_abs_on(
@@ -82,9 +86,9 @@ def max_abs_on(
 ) -> float:
     """Largest |value| of the trees over the points; nan counts as inf.
 
-    The whole set is compiled once and evaluated in one call, so every
-    non-constant tree's (m,) column is alive at once; a constant tree gives
-    one scalar.  An empty set gives 0.0.
+    One compiled call evaluates the whole set, so every non-constant tree's
+    (m,) column and one (m,) array per shared subexpression are alive at
+    once; a constant tree gives one scalar.  An empty set gives 0.0.
     """
     worst = 0.0
     for value in vectorized_scalar(exprs, ctx)(points):
@@ -132,12 +136,9 @@ def _fused(ctx: VariableContext, rows) -> Callable[..., float | np.ndarray]:
     """
     if isinstance(rows, Expression):
         return compile_scalar(rows, ctx)
-    if isinstance(rows[0], tuple):
-        fn = compile_scalar([e for row in rows for e in row], ctx)
-        shape = (len(rows), len(rows[0]))
-        return lambda point: np.array(fn(point), dtype=float).reshape(shape)
-    fn = compile_scalar(rows, ctx)
-    return lambda point: np.array(fn(point), dtype=float)
+    flat, shape = _flattened(rows)
+    fn = compile_scalar(flat, ctx)
+    return lambda point: np.array(fn(point), dtype=float).reshape(shape)
 
 
 class _Shaped:

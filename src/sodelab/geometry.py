@@ -333,8 +333,7 @@ def _structure_residuals(
     """The five structure-axiom residuals on ``points``, in report order, and
     whether the rank of S drops below half the dimension at one of them."""
     ctx = s.ctx
-    s_entries = [entry for row in s.matrix for entry in row]
-    s_stack = evaluate_on(s_entries, ctx, points).reshape(-1, ctx.dim, ctx.dim)
+    s_stack = evaluate_on(s.matrix, ctx, points)
     delta_stack = evaluate_on(delta.components, ctx, points)
     image_residual, ranks = _image_and_rank(s_stack, delta_stack)
 

@@ -449,6 +449,21 @@ def test_integrate_short_horizon_completes(tmp_path):
     assert summary["accepted"] == 1
 
 
+def test_integrate_subnormal_tolerance_underflows_quickly(tmp_path):
+    # atol 1e-322 overflows the initial step's scaled norms; the fallback
+    # step is rejected a few times, down to the step floor
+    code, out = run_to(
+        tmp_path,
+        "run",
+        ["integrate", "--scenario", "oscillator-1", "--state", "1,0",
+         "--tol", "1e-320", "--t-end", "1"],
+    )
+    assert code == 1
+    summary = read_json(out / "integrate.json")
+    assert summary["status"] == "step_underflow"
+    assert summary["rejected"] < 100
+
+
 def test_integrate_blow_up_exits_one(tmp_path):
     code, out = run_to(
         tmp_path,

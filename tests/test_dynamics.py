@@ -240,6 +240,15 @@ class TestBlowUp:
         assert traj.status == "completed"
         assert traj.blow_up_bracket is None
 
+    @pytest.mark.parametrize("start", [(1.0, 0.0), (1.0, 0.5)])
+    def test_tiny_atol_keeps_the_initial_step_finite(self, start):
+        # from (1, 0), f0 / (atol + rtol |y0|) overflows: the initial-step
+        # estimate must fall back to a finite step, not divide by zero
+        field = VectorField.of(VariableContext.of("q1", "v1"), "v1", "-q1")
+        traj = integrate(field.ode_rhs, start, 1.0, rtol=1e-10, atol=1e-160)
+        assert traj.status == "completed"
+        assert traj.final_time == 1.0
+
     def test_short_horizon_is_not_an_underflow(self):
         # the first step, clipped to the 1e-15 span, sits below the 1e-14
         # step floor without having been shrunk by the controller

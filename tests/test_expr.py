@@ -13,6 +13,7 @@ from sodelab.errors import (
     UnboundVariableError,
     UnknownIdentifierError,
 )
+from sodelab import expr
 from sodelab.expr import (
     Add,
     Call,
@@ -594,3 +595,65 @@ def test_squares_agree_bitwise_across_backends():
     assert np.array_equal(bits[0], bits[1]) and np.array_equal(bits[0], bits[2])
     assert one_by_one[0, 0] == 129412.47643735551 == 359.739456325485 * 359.739456325485
     assert one_by_one[0, 0] != math.pow(359.739456325485, 2.0)
+
+
+def test_batch_computes_a_repeated_subexpression_once(monkeypatch):
+    calls = []
+
+    def counting_sin(value):
+        calls.append(value)
+        return np.sin(value)
+
+    monkeypatch.setitem(expr._BATCH_NAMESPACE, "_sin", counting_sin)
+    points = np.array(_BACKEND_POINTS, dtype=float)
+    fn = vectorized_scalar(parse("sin(x)*sin(x) + sin(x)", CTX), CTX)
+    values = fn(points)
+    assert len(calls) == 1
+    sines = np.sin(points[:, 2])
+    assert np.array_equal(values, sines * sines + sines)
+
+
+def test_long_single_use_chains_compile_in_both_backends():
+    # a 300-term left-folded sum nests 300 deep inline, past what Python's
+    # parser accepts; the emitter binds part of it to a local
+    tree = Var("x")
+    for k in range(300):
+        tree = Add(tree, Mul(Const(k + 0.5), Var("y")))
+    point = (0.0, 0.0, 0.25, -1.5)
+    want = evaluate(tree, CTX.env(point))
+    assert compile_scalar(tree, CTX)(point) == want
+    assert vectorized_scalar(tree, CTX)(np.array([point]))[0] == want
+
+
+# the exactly rounded operations: on these, numpy and Python give the same bits
+def _exact_branch(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda p: Add(p[0], p[1])),
+        pairs.map(lambda p: Sub(p[0], p[1])),
+        pairs.map(lambda p: Mul(p[0], p[1])),
+        pairs.map(lambda p: Div(p[0], p[1])),
+        children.map(Neg),
+        children.map(lambda c: Pow(c, Const(2.0))),
+        children.map(lambda c: Call("sqrt", c)),
+        children.map(lambda c: Call("abs", c)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.recursive(_leaf, _exact_branch, max_leaves=12),
+       b=st.recursive(_leaf, _exact_branch, max_leaves=12))
+@example(a=Pow(Add(_X, Var("y")), Const(2.0)), b=Div(Const(1.0), _X))
+def test_batch_and_scalar_backends_agree_bitwise(a, b):
+    points = np.array(_BACKEND_POINTS, dtype=float)
+    trees = [a, Mul(a, b), Sub(b, a)]
+    batch = vectorized_scalar(trees, CTX)(points)
+    scalar = compile_scalar(trees, CTX)
+    for k, point in enumerate(_BACKEND_POINTS):
+        if _outcome(lambda: evaluate(Add(a, b), CTX.env(point))) is EvaluationDomainError:
+            continue
+        want = np.array(scalar(point))
+        got = np.array([np.broadcast_to(value, (len(points),))[k] for value in batch])
+        nan = np.isnan(want)
+        assert np.array_equal(nan, np.isnan(got))
+        assert np.array_equal(want[~nan].view(np.int64), got[~nan].view(np.int64))

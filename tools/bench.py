@@ -9,7 +9,7 @@ processes of its own (default: ``change=`` the checkout holding this script),
 so two trees can be compared in one file.  Each tree gets ``_PROCESSES``
 measuring processes, started alternately in ABBA order (A B, B A, A B, ...),
 so that load drift on a shared machine lands on both trees alike.
-Thirteen cases are run:
+Fourteen cases are run:
 
 * ``chart_period``: ``integrate`` on the Kepler chart field over one period
   2*pi from the E = -0.5 shell representative, rtol 1e-10, atol 1e-12;
@@ -39,7 +39,12 @@ Thirteen cases are run:
   then rescaling ones) for ``oscillator-2``, ``uniform-speedup`` and
   ``kepler-chart``, whose build certifies the sign of its clock factor;
 * ``cli_build_kepler_chart``: ``sodelab build --scenario kepler-chart``,
-  into a temporary directory.
+  into a temporary directory;
+* ``bracket_kepler_clock``: ``conformal.bracket_rescaling_residual`` of the
+  ``kepler-clock`` field and factor against the probe field with components
+  ``(next coordinate)^2 - (coordinate)``, over the scenario box's default
+  sample (about 15k points): the batch backend on 8 large derived trees,
+  compiled and evaluated in every run.
 
 Each case records deterministic counters summed over every ``integrate``
 call it makes (RHS evaluations ``nfev``, ``accepted`` and ``rejected``
@@ -100,10 +105,11 @@ def _count_integrate() -> Counter:
 
 def _cases():
     import numpy as np
-    from sodelab import kepler
+    from sodelab import conformal, kepler
+    from sodelab import scenarios as sc
     from sodelab.cli import _scenario, main
     from sodelab.dynamics import estimate_period, integrate
-    from sodelab.expr import qv_context
+    from sodelab.expr import parse, qv_context
     from sodelab.fields import VectorField
 
     field = kepler.chart_field()
@@ -132,6 +138,18 @@ def _cases():
                 stage(0.0, *coords)
         return {"calls": _RHS_CALLS}
 
+    clock = sc.get_conformal_scenario("kepler-clock")
+    names = clock.ctx.names
+    probe = VectorField(clock.ctx, tuple(
+        parse(f"{names[(i + 1) % len(names)]}^2 - {name}", clock.ctx)
+        for i, name in enumerate(names)
+    ))
+    clock_points = clock.box.sample()
+
+    def bracket():
+        conformal.bracket_rescaling_residual(clock.field, clock.factor, probe, clock_points)
+        return {"points": len(clock_points)}
+
     def lookup(name):
         _scenario(name, "construction", "rescaling")
 
@@ -159,6 +177,7 @@ def _cases():
         "lookup_rescaling": lambda: lookup("uniform-speedup"),
         "lookup_kepler_chart": lambda: lookup("kepler-chart"),
         "cli_build_kepler_chart": lambda: cli("build", "--scenario", "kepler-chart"),
+        "bracket_kepler_clock": bracket,
     }
 
 
