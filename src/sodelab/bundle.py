@@ -4,12 +4,18 @@
 the matching velocity functions by differentiating along the field, and
 certifies on a sample grid that the combined functions form a genuine chart.
 Every check reads the chart's one set of first-partial trees,
-:attr:`~sodelab.fields.PointMap.jacobian`: the rank tests and the Jacobian
-floor come from one batched SVD, and the shape tests take second partials of
-its rows.  The chart is inverted by its symbolic affine map when it is
-affine, and otherwise by a damped Newton solve seeded from the base.  In the
-new chart the canonical vertical endomorphism and dilation field turn the
-original dynamics into an explicitly second-order system.
+:attr:`~sodelab.fields.PointMap.jacobian`; the shape tests take second
+partials of its rows.  The rank tests and the Jacobian floor come from one
+batched SVD of the least block that decides them.  A constant Jacobian is
+evaluated at one point, which holds over the whole space.  A base of distinct
+plain coordinates has unit rows, so its rank needs no test; with 2n
+functions on a 2n-dimensional space the chart Jacobian, its columns ordered
+(base, fibre), is [[I, 0], [A, B]], and only the fibre block B is ranked.
+Otherwise the whole Jacobian is sampled.  The chart is inverted by its
+symbolic affine map when it is affine, and otherwise by a damped Newton solve
+seeded from the base.  In the new chart the canonical vertical endomorphism
+and dilation field turn the original dynamics into an explicitly second-order
+system.
 """
 
 from __future__ import annotations
@@ -83,6 +89,16 @@ def _affine_in(
     )
 
 
+def _coordinate_slots(
+    base_exprs: Sequence[Expression], ctx: VariableContext
+) -> tuple[int, ...] | None:
+    """The base's coordinate slots when it is distinct plain coordinates, else None."""
+    if not all(isinstance(q, Var) for q in base_exprs):
+        return None
+    slots = tuple(ctx.index(q.name) for q in base_exprs)
+    return slots if len(set(slots)) == len(slots) else None
+
+
 def _rank_failure(sigma: np.ndarray, points: np.ndarray) -> np.ndarray | None:
     """The point nearest to rank loss, if one fails the rank test, else None.
 
@@ -151,8 +167,10 @@ class TangentStructure:
     coordinates.  ``inverse_kind`` reports the chart's shape; for a
     "triangular" chart, affine across the non-base coordinates, the seeded
     solve ends after one exact step.  ``jacobian_min_abs_det`` is the
-    smallest product of the chart Jacobian's singular values over the
-    build's sample points.
+    smallest |det| of the chart Jacobian over the build's sample points (its
+    one point when the Jacobian is constant): the product of the singular
+    values of the Jacobian, or of its fibre block B when the base is plain
+    coordinates, since then |det J| = |det B|.
     """
 
     gamma: VectorField
@@ -227,6 +245,11 @@ class TangentStructure:
         return rhs
 
     def to_json(self) -> dict:
+        # what each rank claim rests on: unit base rows, one evaluation of a
+        # constant Jacobian, or the sample points
+        chart = "exact" if self.inverse_kind == "affine" else "sampled"
+        coordinates = _coordinate_slots(self.base_exprs, self.src_ctx) is not None
+        base = "by_construction" if coordinates else chart
         return {
             "context": list(self.src_ctx.names),
             "chart_context": list(self.chart_ctx.names),
@@ -234,6 +257,7 @@ class TangentStructure:
             "V": [to_source(e) for e in self.velocity_exprs],
             "warnings": list(self.warnings),
             "jacobian_min_abs_det": self.jacobian_min_abs_det,
+            "rank_basis": {"base": base, "chart": chart},
             "inverse": self.inverse_kind,
             "domain": {
                 "lo": list(self.domain.lo),
@@ -286,11 +310,26 @@ def build(
         raise DegenerateBaseError(
             f"{n} base functions on a {dim}-dimensional space cannot be independent"
         )
-    # the base rows come first; the full Jacobian serves the chart checks below
-    jac = evaluate_on(forward.jacobian, ctx, points)
-    where = _rank_failure(_singular_values(jac[:, :n, :]), points)
-    if where is not None:
-        raise DegenerateBaseError(f"base differentials degenerate near {_point_text(where)}")
+    # a constant Jacobian is ranked by one evaluation, valid over the whole space
+    affine = _affine_in(forward.jacobian, ctx, ctx.names)
+    ranked = points[:1] if affine else points
+    slots = _coordinate_slots(base_exprs, ctx)
+    if slots is not None and 2 * n == dim:
+        # columns ordered (base, fibre) give J = [[I, 0], [A, B]]: rank J is
+        # n + rank B and |det J| = |det B|, so only B = dV/dfibre is evaluated
+        fibre = [j for j in range(dim) if j not in slots]
+        jac = evaluate_on(
+            [[row[j] for j in fibre] for row in forward.jacobian[n:]], ctx, ranked
+        )
+    else:
+        jac = evaluate_on(forward.jacobian, ctx, ranked)
+    if slots is None:
+        # unit base rows hold rank n by construction; other bases are ranked
+        where = _rank_failure(_singular_values(jac[:, :n, :]), ranked)
+        if where is not None:
+            raise DegenerateBaseError(
+                f"base differentials degenerate near {_point_text(where)}"
+            )
 
     # a field with no motion anywhere has no velocity functions to offer
     gamma_values = evaluate_on(gamma.components, ctx, points)
@@ -309,7 +348,7 @@ def build(
             f"{2 * n} chart functions on a {dim}-dimensional space have rank at most {dim}"
         )
     sigma = _singular_values(jac)
-    where = _rank_failure(sigma, points)
+    where = _rank_failure(sigma, ranked)
     if where is not None:
         raise FunctionalDependenceError(
             f"chart functions become dependent near {_point_text(where)}"
@@ -320,23 +359,22 @@ def build(
             f"{2 * n} chart functions cannot coordinatize a {dim}-dimensional space"
         )
 
-    # the Jacobian is square here, so |det| is the product of its singular values
+    # the ranked matrix is square here, so |det| is the product of its singular values
     jacobian_min_abs_det = float(np.min(np.prod(sigma, axis=1)))
 
     # fiber coordinates: source directions the base functions never see
     base_vars = set().union(*(free_variables(q) for q in base_exprs))
     fiber_names = [name for name in ctx.names if name not in base_vars]
-    linear_fibers = _affine_in(forward.jacobian[n:], ctx, fiber_names)
+    linear_fibers = affine or _affine_in(forward.jacobian[n:], ctx, fiber_names)
     if not linear_fibers:
         warnings.append("nonlinear_fibers")
 
-    inverse_map = slots = None
-    if _affine_in(forward.jacobian, ctx, ctx.names):
+    inverse_map = triangular_slots = None
+    if affine:
         inverse_kind, inverse_map = "affine", _affine_inverse(forward, box.center)
-    elif linear_fibers and all(isinstance(q, Var) for q in base_exprs):
+    elif linear_fibers and slots is not None:
         # the chart is affine across the complement of the base coordinates
-        inverse_kind = "triangular"
-        slots = tuple(ctx.index(q.name) for q in base_exprs)
+        inverse_kind, triangular_slots = "triangular", slots
     else:
         inverse_kind = "newton"
 
@@ -356,7 +394,7 @@ def build(
         jacobian_min_abs_det=jacobian_min_abs_det,
         domain=box,
         newton_guess=guess,
-        triangular_base_slots=slots,
+        triangular_base_slots=triangular_slots,
     )
 
     # round-trip spot check certifies the chosen inversion on the domain

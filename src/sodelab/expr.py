@@ -601,19 +601,27 @@ def differentiate(e: Expression, name: str) -> Expression:
 
 
 def free_variables(e: Expression) -> frozenset[str]:
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Neg):
-        return free_variables(e.arg)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return free_variables(e.left) | free_variables(e.right)
-    if isinstance(e, Pow):
-        return free_variables(e.base) | free_variables(e.exponent)
-    if isinstance(e, Call):
-        return free_variables(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
+    """The coordinate names a tree uses; a shared subtree is walked once."""
+    names: set[str] = set()
+    seen: set[int] = set()  # ids of operations: every node stays alive under ``e``
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif isinstance(node, Const) or id(node) in seen:
+            continue
+        else:
+            seen.add(id(node))
+            if isinstance(node, (Add, Sub, Mul, Div)):
+                stack += (node.left, node.right)
+            elif isinstance(node, (Neg, Call)):
+                stack.append(node.arg)
+            elif isinstance(node, Pow):
+                stack += (node.base, node.exponent)
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+    return frozenset(names)
 
 
 def substitute(e: Expression, bindings: Mapping[str, Expression]) -> Expression:

@@ -14,6 +14,8 @@ from sodelab.errors import (
     FunctionalDependenceError,
     NonInvertibleChartError,
 )
+from sodelab import bundle
+from sodelab import scenarios as sc
 from sodelab.expr import Const, VariableContext, add, qv_context
 from sodelab.fields import Box, ScalarField, VectorField, canonical_tangent_structure
 from sodelab.bundle import build, structure_sode_residual
@@ -187,6 +189,49 @@ class TestRejections:
             quick_build(SPIN4, ("x1", "2*x1"), BOX4)
 
 
+class TestRankedBlock:
+    """The rank tests run on the least data that decides them."""
+
+    @pytest.fixture
+    def svd_shapes(self, monkeypatch):
+        shapes = []
+        original = bundle._singular_values
+
+        def record(jac):
+            shapes.append(jac.shape)
+            return original(jac)
+
+        monkeypatch.setattr(bundle, "_singular_values", record)
+        return shapes
+
+    def test_affine_chart_is_ranked_at_one_point(self, svd_shapes):
+        sc.build_scenario(sc.get_sode_scenario("oscillator-2"))
+        assert svd_shapes and all(shape[0] == 1 for shape in svd_shapes)
+
+    def test_coordinate_base_ranks_only_the_fibre_block(self, svd_shapes):
+        scenario = sc.get_sode_scenario("fosc-power-2")
+        sc.build_scenario(scenario)
+        assert svd_shapes == [(len(scenario.box.sample(seed=0)), 2, 2)]
+
+    def test_singular_fibre_block_is_refused(self):
+        # B = dV/dx2 = 3 x2^2 vanishes on the grid line x2 = 0
+        with pytest.raises(FunctionalDependenceError):
+            quick_build(VectorField.of(R2, "x2^3", "0"), ("x1",), BOX2)
+
+    def test_fibre_block_takes_the_non_base_column(self):
+        # the base is the trailing coordinate, so the fibre column is x1
+        t = quick_build(VectorField.of(R2, "1", "x1^3 + x1"), ("x2",), BOX2)
+        # the floor is min |dV/dx1| = min (3 x1^2 + 1), taken at x1 = 0
+        assert t.jacobian_min_abs_det == pytest.approx(1.0)
+
+    def test_constant_rank_loss_names_the_first_sample_point(self):
+        with pytest.raises(FunctionalDependenceError) as info:
+            sc.build_scenario(sc.get_sode_scenario("rotation-4d-lift"))
+        assert str(info.value) == (
+            "chart functions become dependent near (-2.0, -2.0, -2.0, -2.0)"
+        )
+
+
 class TestBaseEntries:
     """Base functions go through the same entry checks as field entries."""
 
@@ -273,9 +318,25 @@ class TestStructureMetadata:
             "V",
             "warnings",
             "jacobian_min_abs_det",
+            "rank_basis",
             "inverse",
             "domain",
         }
+        assert payload["rank_basis"] == {"base": "by_construction", "chart": "exact"}
+
+    @pytest.mark.parametrize(
+        "field,base,expected",
+        [
+            # a coordinate base under a nonlinear chart: B is ranked on the sample
+            (("(1 + x1^2)*x2", "-x1"), ("x1",), ("by_construction", "sampled")),
+            # an affine chart over a bent base: one evaluation decides both
+            (("x2", "0"), ("x1 + x2",), ("exact", "exact")),
+            (("x2", "0"), ("x1 + x2^2",), ("sampled", "sampled")),
+        ],
+    )
+    def test_rank_basis_names_what_each_claim_rests_on(self, field, base, expected):
+        t = quick_build(VectorField.of(R2, *field), base, BOX2)
+        assert t.to_json()["rank_basis"] == dict(zip(("base", "chart"), expected))
 
     def test_chart_context_names(self):
         t = quick_build(SPIN4, ("x1", "x3"), BOX4)

@@ -226,6 +226,16 @@ class TestStructuralOps:
         assert free_variables(e) == frozenset({"x", "y", "q1"})
         assert free_variables(Const(4.0)) == frozenset()
 
+    def test_free_variables_of_deep_and_shared_trees(self):
+        chain = Var("x")
+        for _ in range(5_000):  # deeper than the interpreter's recursion limit
+            chain = Sub(Var("y"), chain)
+        assert free_variables(chain) == frozenset({"x", "y"})
+        shared = Var("q1")
+        for _ in range(24):  # 2^24 root-to-leaf paths over 25 distinct nodes
+            shared = Mul(shared, shared)
+        assert free_variables(Neg(shared)) == frozenset({"q1"})
+
     def test_substitute(self):
         e = parse("x^2 + y", CTX)
         s = substitute(e, {"x": parse("q1 + 1", CTX)})

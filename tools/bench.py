@@ -9,7 +9,7 @@ processes of its own (default: ``change=`` the checkout holding this script),
 so two trees can be compared in one file.  Each tree gets ``_PROCESSES``
 measuring processes, started alternately in ABBA order (A B, B A, A B, ...),
 so that load drift on a shared machine lands on both trees alike.
-Fourteen cases are run:
+Fifteen cases are run:
 
 * ``chart_period``: ``integrate`` on the Kepler chart field over one period
   2*pi from the E = -0.5 shell representative, rtol 1e-10, atol 1e-12;
@@ -44,7 +44,10 @@ Fourteen cases are run:
   ``kepler-clock`` field and factor against the probe field with components
   ``(next coordinate)^2 - (coordinate)``, over the scenario box's default
   sample (about 15k points): the batch backend on 8 large derived trees,
-  compiled and evaluated in every run.
+  compiled and evaluated in every run;
+* ``build_library``: ``bundle.build`` of every buildable scenario, in
+  process (``scenarios.structure_library``), with each scenario's default
+  sample.
 
 Each case records deterministic counters summed over every ``integrate``
 call it makes (RHS evaluations ``nfev``, ``accepted`` and ``rejected``
@@ -150,6 +153,9 @@ def _cases():
         conformal.bracket_rescaling_residual(clock.field, clock.factor, probe, clock_points)
         return {"points": len(clock_points)}
 
+    def build_library():
+        return {"structures": len(sc.structure_library())}
+
     def lookup(name):
         _scenario(name, "construction", "rescaling")
 
@@ -178,6 +184,7 @@ def _cases():
         "lookup_kepler_chart": lambda: lookup("kepler-chart"),
         "cli_build_kepler_chart": lambda: cli("build", "--scenario", "kepler-chart"),
         "bracket_kepler_clock": bracket,
+        "build_library": build_library,
     }
 
 
