@@ -279,7 +279,6 @@ def build(
     *,
     seed: int = 0,
     n_random: int = 500,
-    grid_points: int = 11,
 ) -> TangentStructure:
     """Derive and certify a second-order chart for ``gamma`` from base functions.
 
@@ -287,7 +286,9 @@ def build(
     field.  Failure modes, in check order: base differentials degenerate
     somewhere on the grid; the field vanishes identically (nothing to lift);
     the combined functions are functionally dependent; the function count
-    cannot form a chart of the ambient dimension.
+    cannot form a chart of the ambient dimension.  The checks run on
+    ``box.sample``: an 11-point grid on the first four axes plus ``n_random``
+    seeded draws.
     """
     ctx = gamma.ctx
     if box.ctx != ctx:
@@ -303,7 +304,7 @@ def build(
         tuple(f"Q{k + 1}" for k in range(n)) + tuple(f"V{k + 1}" for k in range(n))
     )
     forward = PointMap(ctx, chart_ctx, base_exprs + velocity_exprs)
-    points = box.sample(seed=seed, n_random=n_random, grid_points=grid_points)
+    points = box.sample(seed=seed, n_random=n_random)
 
     # base differentials must stay independent everywhere on the grid
     if n > dim:

@@ -60,16 +60,15 @@ def rescale(
     box: Box,
     *,
     seed: int = 0,
-    n_random: int = 500,
-    grid_points: int = 11,
 ) -> ConformalPair:
     """Form factor * field after certifying the factor keeps one sign.
 
     A factor that vanishes or changes sign on the sampled domain would stop
     or reverse the flow somewhere, breaking the orbit correspondence; that
-    raises :class:`SignChangeError`.
+    raises :class:`SignChangeError`.  The domain sample is ``box.sample(seed)``:
+    an 11-point grid on the first four axes plus 500 seeded draws.
     """
-    points = box.sample(seed=seed, n_random=n_random, grid_points=grid_points)
+    points = box.sample(seed=seed)
     return _one_signed(field, factor, box, points)
 
 
@@ -179,8 +178,6 @@ def regularize_complete(
     box: Box,
     *,
     seed: int = 0,
-    n_random: int = 500,
-    grid_points: int = 11,
 ) -> CompletenessCertificate:
     """Damp a field so the witness function grows at a bounded rate.
 
@@ -188,11 +185,14 @@ def regularize_complete(
     rescaled growth rate u * exp(-u^2) is globally bounded by
     ``DAMPED_SPEED_BOUND`` < 1, so escape detected by the witness (such as a
     coordinate running away in finite time) is stretched to infinite time.
+    The factor's sign and the damped rate's bound are checked on one
+    ``box.sample(seed)``: an 11-point grid on the first four axes plus 500
+    seeded draws.
     """
     rate = lie_scalar(field, witness).expr
     factor_expr = call("exp", neg(mul(rate, rate)))
     factor = ScalarField(field.ctx, factor_expr)
-    points = box.sample(seed=seed, n_random=n_random, grid_points=grid_points)
+    points = box.sample(seed=seed)
     pair = _one_signed(field, factor, box, points)  # one draw for both checks
     damped_rate = mul(factor_expr, rate)
     grid_bound = max_abs_on([damped_rate], field.ctx, points)

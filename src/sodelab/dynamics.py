@@ -269,6 +269,7 @@ _MAX_FACTOR = 10.0
 # the step-size exponent: the error estimate is of order 7, so err ~ h^8
 _EXPONENT = -1.0 / 8.0
 _BLOW_UP_NORM = 1e8
+_MAX_STEPS = 200_000  # step attempts, accepted or rejected, in one run
 
 # period detection: a section crossing counts as a return within _RETURN_TOL
 # of the start, and the second return must fall at twice the first to a
@@ -537,7 +538,6 @@ def integrate(
     *,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    max_steps: int = 200_000,
     stop: Callable[[list, list, list], bool] | None = None,
 ) -> Trajectory:
     """Integrate dy/dt = f(t, y) from t = 0 forward to t_end.
@@ -546,7 +546,9 @@ def integrate(
     step with the node lists so far, states as tuples of floats, and each
     step's dense-output coefficients as one flat tuple of 7 rows of ``dim``
     (the new step last; read them, do not change them).  It ends the run
-    with status ``"stopped"`` when it returns true.  A ``t_end``, ``rtol`` or
+    with status ``"stopped"`` when it returns true.  A run that has not
+    reached ``t_end`` after ``_MAX_STEPS`` (200,000) step attempts, accepted
+    or rejected, ends with status ``"step_limit"``.  A ``t_end``, ``rtol`` or
     ``atol`` that is not finite and positive raises ValueError.
     """
     y_arr = np.array(y0, dtype=float)
@@ -578,7 +580,7 @@ def integrate(
     h_floor = 1e-14 * max(1.0, abs(t_end))
     retry = False  # the last attempt was rejected: do not grow the step
 
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if t >= t_end:
             status = "completed"
             break

@@ -719,8 +719,8 @@ _SCALAR_RAISES = (ValueError, ZeroDivisionError, OverflowError)
 _MAX_NESTING = 100  # inline text with more "(" is bound: Python's parser stops at 200
 
 
-def _python_source(exprs: Sequence[Expression]) -> tuple[list, list, dict]:
-    """Python statements and one result text per tree, for either backend.
+def _python_source(exprs: Sequence[Expression]) -> tuple[list, list, dict, set]:
+    """Python statements, one result text per tree, constants and coordinate names.
 
     One rule serves both: a subexpression used more than once, across the
     trees or within them, is computed once into a local; every other one is
@@ -729,17 +729,23 @@ def _python_source(exprs: Sequence[Expression]) -> tuple[list, list, dict]:
     written ``b * b``.  Subexpressions are told apart by their text over
     their operands' numbers, which keeps the frozen nodes' recursive hashes
     out of it.  Each distinct constant is a name; the returned dict maps the
-    constant's ``repr`` to it.
+    constant's ``repr`` to it.  Each node object is numbered once, so a
+    shared subtree is walked once.
     """
     keys: dict[tuple, int] = {}  # operands are numbered before their operations
     constants: dict[str, str] = {}
+    names: set[str] = set()
+    numbered: dict[int, int] = {}  # by id: every node stays alive under ``exprs``
 
     def number(e: Expression) -> str | int:
         """The text of a leaf, or the number of an operation."""
         if isinstance(e, Const):
             return constants.setdefault(repr(e.value), f"_k{len(constants)}")
         if isinstance(e, Var):
+            names.add(e.name)
             return e.name
+        if id(e) in numbered:
+            return numbered[id(e)]
         if isinstance(e, Neg):
             key = ("(-", number(e.arg), ")")
         elif isinstance(e, (Add, Sub, Mul, Div)):
@@ -753,7 +759,7 @@ def _python_source(exprs: Sequence[Expression]) -> tuple[list, list, dict]:
             key = (f"_{e.fn}(", number(e.arg), ")")
         else:
             raise TypeError(f"not an expression node: {e!r}")
-        return keys.setdefault(key, len(keys))
+        return numbered.setdefault(id(e), keys.setdefault(key, len(keys)))
 
     roots = [number(e) for e in exprs]
     uses = Counter(part for key in (*keys, roots) for part in key if isinstance(part, int))
@@ -765,7 +771,8 @@ def _python_source(exprs: Sequence[Expression]) -> tuple[list, list, dict]:
             lines.append(f"_{index} = {text}")
             text = f"_{index}"
         texts.append(text)
-    return lines, [root if isinstance(root, str) else texts[root] for root in roots], constants
+    results = [root if isinstance(root, str) else texts[root] for root in roots]
+    return lines, results, constants, names
 
 
 def _emit(
@@ -784,13 +791,12 @@ def _emit(
     """
     single = isinstance(e, Expression)
     exprs = (e,) if single else tuple(e)
-    used = frozenset().union(*(free_variables(x) for x in exprs))
+    lines, results, constants, used = _python_source(exprs)
     unknown = used - set(ctx.names)
     if unknown:
         raise UnboundVariableError(
             f"expression uses {sorted(unknown)} outside context {ctx.names}"
         )
-    lines, results, constants = _python_source(exprs)
     body = results[0] if single else "(" + "".join(f"{r}, " for r in results) + ")"
     namespace = {**(_BATCH_NAMESPACE if batch else _SCALAR_NAMESPACE), "__builtins__": {}}
     namespace.update((name, namespace["_c"](text)) for text, name in constants.items())

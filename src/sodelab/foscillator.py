@@ -169,10 +169,7 @@ def deformed_hamiltonian(
 
 
 def rebuild_structure(
-    system: OscillatorSystem,
-    deformation: Deformation,
-    box: Box | None = None,
-    **kwargs,
+    system: OscillatorSystem, deformation: Deformation
 ) -> TangentStructure:
     """Tangent-bundle structure for the rescaled field over the plain base q.
 
@@ -180,10 +177,8 @@ def rebuild_structure(
     so unless the profile is linear the chart carries the nonlinear-fibers
     warning and inverts by Newton iteration.
     """
-    if box is None:
-        box = system.domain()
     field = deformed_field(system, deformation)
-    return build(field, system.base_names(), box, **kwargs)
+    return build(field, system.base_names(), system.domain())
 
 
 def shell_state(system: OscillatorSystem, level: float) -> np.ndarray:

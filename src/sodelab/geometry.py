@@ -380,7 +380,6 @@ def verify_tangent_structure(
     field: VectorField | None = None,
     seed: int = 0,
     n_random: int = 500,
-    grid_points: int = 11,
     tol: float = 1e-9,
 ) -> VerificationReport:
     """Check the structure axioms for (s, delta) over a sampled domain.
@@ -401,8 +400,9 @@ def verify_tangent_structure(
     When (s, delta) is, tree for tree, ``canonical_tangent_structure`` of
     the context, the first five axioms are identities: residual 0.0, basis
     ``"by_construction"``, nothing sampled, decomposed or integrated.  Any
-    other pair, and ``sode_condition`` always, is checked on ``box.sample``
-    with basis ``"sampled"``; ``samples`` counts the points drawn (0 if none).
+    other pair, and ``sode_condition`` always, is checked with basis
+    ``"sampled"`` on ``box.sample``: an 11-point grid on the first four axes
+    plus ``n_random`` seeded draws; ``samples`` counts the points (0 if none).
     The flow starts are seeded uniform draws unless the box's exclusion
     leaves fewer than five, when the end of the grid tops them up.
 
@@ -416,7 +416,7 @@ def verify_tangent_structure(
     canonical = ctx.dim % 2 == 0 and (s, delta) == canonical_tangent_structure(ctx)
     points = None
     if not canonical or field is not None:
-        points = box.sample(seed=seed, n_random=n_random, grid_points=grid_points)
+        points = box.sample(seed=seed, n_random=n_random)
     if canonical:
         residuals, degenerate, basis = [0.0] * 5, False, "by_construction"
     else:

@@ -215,28 +215,20 @@ def unfolded_domain() -> Box:
     )
 
 
-def rescaled_field(
-    params: KeplerParams = KeplerParams(), box: Box | None = None
-) -> VectorField:
+def rescaled_field(params: KeplerParams = KeplerParams()) -> VectorField:
     """The unfolded field on the fast clock: 2 |y|^2 times unfolded_field."""
-    if box is None:
-        box = unfolded_domain()
-    pair = rescale(unfolded_field(params), conformal_factor(), box)
+    pair = rescale(unfolded_field(params), conformal_factor(), unfolded_domain())
     return pair.rescaled
 
 
-def regularized_structure(
-    params: KeplerParams = KeplerParams(), box: Box | None = None, **kwargs
-) -> TangentStructure:
+def regularized_structure(params: KeplerParams = KeplerParams()) -> TangentStructure:
     """Tangent-bundle structure with base y for the rescaled field.
 
     The fiber velocity comes out as 2 |y|^2 v, linear across the fibers, so
     the chart inverts by one linear solve per point.
     """
-    if box is None:
-        box = unfolded_domain()
-    field = rescaled_field(params, box)
-    return build(field, tuple(f"y{k}" for k in range(4)), box, **kwargs)
+    base = tuple(f"y{k}" for k in range(4))
+    return build(rescaled_field(params), base, unfolded_domain())
 
 
 # ----------------------------------------------------- chart-side field

@@ -124,14 +124,12 @@ def _conformal_am_case() -> SodeScenario:
 
 
 def _kepler_case() -> SodeScenario:
-    params = kp.KeplerParams()
-    box = kp.unfolded_domain()
     return SodeScenario(
         name="kepler-chart",
         ctx=kp.KS_CTX,
-        field=kp.rescaled_field(params, box),
+        field=kp.rescaled_field(),
         base=("y0", "y1", "y2", "y3"),
-        box=box,
+        box=kp.unfolded_domain(),
         notes="unfolded gravitational field on the fast clock over the plain base",
     )
 
@@ -300,16 +298,16 @@ def conformal_scenarios() -> tuple[ConformalScenario, ...]:
     return tuple(build() for kind, _, build in _TABLE if kind == "rescaling")
 
 
-def build_scenario(scenario: SodeScenario, **kwargs) -> TangentStructure:
+def build_scenario(
+    scenario: SodeScenario, *, seed: int = 0, n_random: int = 500
+) -> TangentStructure:
     """Run the chart construction for a scenario (raises for rejection cases)."""
-    return build(scenario.field, scenario.base, scenario.box, **kwargs)
+    return build(scenario.field, scenario.base, scenario.box, seed=seed, n_random=n_random)
 
 
-def structure_library(**kwargs) -> tuple[tuple[str, TangentStructure], ...]:
+def structure_library() -> tuple[tuple[str, TangentStructure], ...]:
     """Every buildable scenario, built; the pool for whole-library checks."""
-    return tuple(
-        (s.name, build_scenario(s, **kwargs)) for s in buildable_scenarios()
-    )
+    return tuple((s.name, build_scenario(s)) for s in buildable_scenarios())
 
 
 def canonical_contexts() -> tuple[tuple[str, VariableContext], ...]:

@@ -76,7 +76,6 @@ def test_criterion_01_axiom_suite(criterion, library):
             Box.cube(ctx, 2.0),
             field=fo.make_oscillator(n).field,
             n_random=500,
-            grid_points=3,
             tol=1e-8,
         )
         for name in AXIOMS + ("sode_condition",):
@@ -90,7 +89,6 @@ def test_criterion_01_axiom_suite(criterion, library):
             delta,
             Box.cube(structure.chart_ctx, 1.5),
             n_random=500,
-            grid_points=3,
             tol=1e-8,
         )
         for axiom in AXIOMS:

@@ -31,7 +31,6 @@ BOX2 = Box.cube(R2, 1.5)
 
 
 def quick_build(field, base, box, **kw):
-    kw.setdefault("grid_points", 5)
     kw.setdefault("n_random", 100)
     return build(field, base, box, **kw)
 
@@ -87,7 +86,6 @@ class TestOscillatorBases:
             delta,
             chart_box,
             field=t.chart_field,
-            grid_points=5,
             n_random=100,
         )
         assert report.verdict == "pass"

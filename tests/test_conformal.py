@@ -226,10 +226,10 @@ class TestRegularizeComplete:
             return sample(box, *args, **kwargs)
 
         monkeypatch.setattr(Box, "sample", counted)
-        cert = regularize_complete(self.x, self.witness, self.box, seed=3, n_random=40)
-        assert draws == [{"seed": 3, "n_random": 40, "grid_points": 11}]
+        cert = regularize_complete(self.x, self.witness, self.box, seed=3)
+        assert draws == [{"seed": 3}]
         # the bound a separate draw with the same arguments gives
-        points = sample(self.box, seed=3, n_random=40, grid_points=11)
+        points = sample(self.box, seed=3)
         damped = mul(cert.factor.expr, lie_scalar(self.x, self.witness).expr)
         assert cert.grid_bound == max_abs_on([damped], self.ctx, points)
 

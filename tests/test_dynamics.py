@@ -220,10 +220,11 @@ class TestBlowUp:
         lo, hi = traj.blow_up_bracket
         assert lo <= math.log(2.0) + 1e-6 <= hi + 0.5
 
-    def test_chattering_field_ends_at_the_step_limit(self):
+    def test_chattering_field_ends_at_the_step_limit(self, monkeypatch):
         # -sign(y - 0.5) flips at 0.5: the run crawls there on tiny accepted
         # steps until the budget is spent, and min_step shows why
-        traj = integrate(lambda t, y: -np.sign(y - 0.5), (0.0,), 10.0, max_steps=500)
+        monkeypatch.setattr(dyn, "_MAX_STEPS", 500)
+        traj = integrate(lambda t, y: -np.sign(y - 0.5), (0.0,), 10.0)
         assert traj.status == "step_limit"
         assert traj.blow_up_bracket is None
         assert traj.accepted + traj.rejected == 500

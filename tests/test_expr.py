@@ -635,6 +635,17 @@ def test_long_single_use_chains_compile_in_both_backends():
     assert vectorized_scalar(tree, CTX)(np.array([point]))[0] == want
 
 
+def test_doubling_dag_compiles_in_both_backends():
+    # 41 distinct nodes over 2^40 root-to-leaf paths: the emitter walks each
+    # node object once, so a shared subtree costs nothing to meet again
+    tree = Var("x")
+    for _ in range(40):
+        tree = Add(tree, tree)
+    point = (0.0, 0.0, 1.5, 0.0)
+    assert compile_scalar(tree, CTX)(point) == 2.0**40 * 1.5
+    assert vectorized_scalar(tree, CTX)(np.array([point]))[0] == 2.0**40 * 1.5
+
+
 # the exactly rounded operations: on these, numpy and Python give the same bits
 def _exact_branch(children):
     pairs = st.tuples(children, children)

@@ -265,7 +265,6 @@ class TestVerification:
         return Box.cube(ctx, 2.0)
 
     def verify(self, s, delta, ctx, **kw):
-        kw.setdefault("grid_points", 5)
         kw.setdefault("n_random", 100)
         return verify_tangent_structure(s, delta, self.box(ctx), **kw)
 
@@ -351,7 +350,7 @@ class TestVerification:
         s = Tensor11Field(CTX1, (("0", "0"), ("1/q1", "0")))
         _, delta = canonical_tangent_structure(CTX1)
         box = Box.cube(CTX1, 1.0)
-        report = verify_tangent_structure(s, delta, box, grid_points=5, n_random=20)
+        report = verify_tangent_structure(s, delta, box, n_random=20)
         assert report.check("S_squared_zero").max_residual == 0.0
         assert report.check("delta_in_image_S").max_residual == math.inf
         assert report.degenerate_rank
@@ -363,10 +362,10 @@ class TestVerification:
         tight = Box.cube(CTX1, 1.0, exclude_radius=0.5)
         loose = Box.cube(CTX1, 1.0)
         r1 = verify_tangent_structure(
-            s, delta, tight, field=gamma, grid_points=5, n_random=50
+            s, delta, tight, field=gamma, n_random=50
         )
         r2 = verify_tangent_structure(
-            s, delta, loose, field=gamma, grid_points=5, n_random=50
+            s, delta, loose, field=gamma, n_random=50
         )
         assert 0 < r1.samples < r2.samples
 

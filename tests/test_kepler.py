@@ -207,19 +207,19 @@ class TestChart:
 
     def test_rescaled_field_values(self):
         gamma = kp.unfolded_field(self.params)
-        fast = kp.rescaled_field(self.params, self.box)
+        fast = kp.rescaled_field(self.params)
         for p in self.points[:40]:
             r2 = float(np.dot(p[:4], p[:4]))
             assert np.allclose(fast(p), 2 * r2 * gamma(p), rtol=1e-12, atol=1e-12)
 
     def test_structure_shape(self):
-        st = kp.regularized_structure(self.params, self.box)
+        st = kp.regularized_structure(self.params)
         assert st.inverse_kind == "triangular"
         assert "nonlinear_fibers" not in st.warnings
         assert st.chart_ctx.names == ("Q1", "Q2", "Q3", "Q4", "V1", "V2", "V3", "V4")
 
     def test_fiber_velocity_is_scaled_momentum(self):
-        st = kp.regularized_structure(self.params, self.box)
+        st = kp.regularized_structure(self.params)
         for p in self.points[:40]:
             r2 = float(np.dot(p[:4], p[:4]))
             chart = st.forward(p)
@@ -227,13 +227,13 @@ class TestChart:
             assert np.allclose(chart[4:], 2 * r2 * p[4:], rtol=1e-12, atol=1e-12)
 
     def test_round_trip(self):
-        st = kp.regularized_structure(self.params, self.box)
+        st = kp.regularized_structure(self.params)
         for p in self.points[:20]:
             back = st.inverse(st.forward(p))
             assert np.allclose(back, p, atol=1e-9)
 
     def test_round_trip_over_the_domain_sample(self):
-        st = kp.regularized_structure(self.params, self.box)
+        st = kp.regularized_structure(self.params)
         points = self.box.sample(seed=0)[::50]
         assert len(points) >= 100
         for p in points:
@@ -241,13 +241,13 @@ class TestChart:
 
     def test_inverse_at_collision_is_refused(self):
         # at Q = 0 the velocity block 2|y|^2 I of the chart Jacobian vanishes
-        st = kp.regularized_structure(self.params, self.box)
+        st = kp.regularized_structure(self.params)
         with pytest.raises(NonInvertibleChartError):
             st.inverse([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
 
     def test_chart_force_is_energy_times_base(self):
-        st = kp.regularized_structure(self.params, self.box)
-        assert st.gamma == kp.rescaled_field(self.params, self.box)
+        st = kp.regularized_structure(self.params)
+        assert st.gamma == kp.rescaled_field(self.params)
         force = st.acceleration_exprs
         energy = kp.energy(self.params)
         for p in self.points[:40]:
@@ -258,7 +258,7 @@ class TestChart:
             assert np.allclose(values, 2 * e * p[:4], rtol=1e-10, atol=1e-10)
 
     def test_chart_rhs_matches_hand_field(self):
-        st = kp.regularized_structure(self.params, self.box)
+        st = kp.regularized_structure(self.params)
         hand = kp.chart_field(self.params)
         rhs = st.chart_rhs()
         for p in self.points[:20]:
@@ -266,14 +266,14 @@ class TestChart:
             assert np.allclose(rhs(0.0, chart), hand(chart), rtol=1e-9, atol=1e-9)
 
     def test_chart_energy_pulls_back(self):
-        st = kp.regularized_structure(self.params, self.box)
+        st = kp.regularized_structure(self.params)
         ce = kp.chart_energy(self.params)
         e = kp.energy(self.params)
         for p in self.points[:40]:
             assert float(ce(st.forward(p))) == pytest.approx(float(e(p)), abs=1e-10)
 
     def test_chart_constraint_is_weighted_constraint(self):
-        st = kp.regularized_structure(self.params, self.box)
+        st = kp.regularized_structure(self.params)
         cc = kp.chart_constraint()
         for p in self.points[:40]:
             r2 = float(np.dot(p[:4], p[:4]))
