@@ -6,14 +6,15 @@ certifies on a sample grid that the combined functions form a genuine chart.
 Every check reads the chart's one set of first-partial trees,
 :attr:`~sodelab.fields.PointMap.jacobian`; the shape tests take second
 partials of its rows.  The rank tests and the Jacobian floor come from one
-batched SVD of the least block that decides them.  A constant Jacobian is
-evaluated at one point, which holds over the whole space.  A base of distinct
-plain coordinates has unit rows, so its rank needs no test; with 2n
-functions on a 2n-dimensional space the chart Jacobian, its columns ordered
-(base, fibre), is [[I, 0], [A, B]], and only the fibre block B is ranked.
-Otherwise the whole Jacobian is sampled.  The chart is inverted by its
-symbolic affine map when it is affine, and otherwise by a damped Newton solve
-seeded from the base.  In the new chart the canonical vertical endomorphism
+batched SVD of the least block that decides them.  The function counts are
+checked first, so a ranked chart always has 2n functions on a 2n-dimensional
+space.  A constant Jacobian is evaluated at one point, which holds over the
+whole space.  A base of distinct plain coordinates has unit rows, so its rank
+needs no test, and the chart Jacobian, columns ordered (base, fibre), is
+[[I, 0], [A, B]]: only the fibre block B is ranked.  Otherwise the whole
+Jacobian is ranked.  The chart is inverted by its symbolic affine map when it
+is affine, and otherwise by a damped Newton solve, seeded from the base only
+for a triangular chart.  In the new chart the canonical vertical endomorphism
 and dilation field turn the original dynamics into an explicitly second-order
 system.
 """
@@ -162,15 +163,16 @@ class TangentStructure:
     the derived velocity block).  The chart's tangent structure is always
     ``canonical_tangent_structure(chart_ctx)``, so it is not stored.
     ``inverse`` is the symbolic affine map when the chart is affine and
-    otherwise a damped Newton solve seeded from the base: the target's Q is
-    written into ``triangular_base_slots`` when the base functions are plain
-    coordinates.  ``inverse_kind`` reports the chart's shape; for a
-    "triangular" chart, affine across the non-base coordinates, the seeded
-    solve ends after one exact step.  ``jacobian_min_abs_det`` is the
-    smallest |det| of the chart Jacobian over the build's sample points (its
-    one point when the Jacobian is constant): the product of the singular
-    values of the Jacobian, or of its fibre block B when the base is plain
-    coordinates, since then |det J| = |det B|.
+    otherwise a damped Newton solve from ``newton_guess``, the box centre (or
+    the first sample point when the box excludes it).  ``inverse_kind``
+    reports the chart's shape; only a "triangular" chart, affine across the
+    non-base coordinates, seeds the guess from the base (the target's Q is
+    written into ``triangular_base_slots``), and its solve ends after one
+    exact step.  ``jacobian_min_abs_det`` is the smallest |det| of the chart
+    Jacobian over the build's sample points (its one point when the Jacobian
+    is constant): the product of the singular values of the Jacobian, or of
+    its fibre block B when the base is plain coordinates, since then
+    |det J| = |det B|.
     """
 
     gamma: VectorField
@@ -283,12 +285,14 @@ def build(
     """Derive and certify a second-order chart for ``gamma`` from base functions.
 
     Velocity functions are the derivatives of the base functions along the
-    field.  Failure modes, in check order: base differentials degenerate
-    somewhere on the grid; the field vanishes identically (nothing to lift);
-    the combined functions are functionally dependent; the function count
-    cannot form a chart of the ambient dimension.  The checks run on
-    ``box.sample``: an 11-point grid on the first four axes plus ``n_random``
-    seeded draws.
+    field.  Failure modes, in check order.  First the function counts,
+    before any tree is derived or any point drawn: more base functions than
+    dimensions (:class:`DegenerateBaseError`), more chart functions than
+    dimensions (:class:`FunctionalDependenceError`), or fewer
+    (:class:`ChartDimensionError`).  Then, on ``box.sample`` (an 11-point
+    grid on the first four axes plus ``n_random`` seeded draws): base
+    differentials degenerate somewhere; the field vanishes identically
+    (nothing to lift); the combined functions are functionally dependent.
     """
     ctx = gamma.ctx
     if box.ctx != ctx:
@@ -298,6 +302,19 @@ def build(
     if n == 0:
         raise ValueError("at least one base function is required")
     dim = ctx.dim
+    # the counts alone decide these three; after them 2n == dim
+    if n > dim:
+        raise DegenerateBaseError(
+            f"{n} base functions on a {dim}-dimensional space cannot be independent"
+        )
+    if 2 * n > dim:
+        raise FunctionalDependenceError(
+            f"{2 * n} chart functions on a {dim}-dimensional space have rank at most {dim}"
+        )
+    if 2 * n < dim:
+        raise ChartDimensionError(
+            f"{2 * n} chart functions cannot coordinatize a {dim}-dimensional space"
+        )
 
     velocity_exprs = tuple(lie_scalar(gamma, ScalarField(ctx, q)).expr for q in base_exprs)
     chart_ctx = VariableContext(
@@ -306,16 +323,11 @@ def build(
     forward = PointMap(ctx, chart_ctx, base_exprs + velocity_exprs)
     points = box.sample(seed=seed, n_random=n_random)
 
-    # base differentials must stay independent everywhere on the grid
-    if n > dim:
-        raise DegenerateBaseError(
-            f"{n} base functions on a {dim}-dimensional space cannot be independent"
-        )
     # a constant Jacobian is ranked by one evaluation, valid over the whole space
     affine = _affine_in(forward.jacobian, ctx, ctx.names)
     ranked = points[:1] if affine else points
     slots = _coordinate_slots(base_exprs, ctx)
-    if slots is not None and 2 * n == dim:
+    if slots is not None:
         # columns ordered (base, fibre) give J = [[I, 0], [A, B]]: rank J is
         # n + rank B and |det J| = |det B|, so only B = dV/dfibre is evaluated
         fibre = [j for j in range(dim) if j not in slots]
@@ -324,8 +336,8 @@ def build(
         )
     else:
         jac = evaluate_on(forward.jacobian, ctx, ranked)
-    if slots is None:
-        # unit base rows hold rank n by construction; other bases are ranked
+        # base differentials must stay independent everywhere on the grid;
+        # unit base rows hold rank n by construction, other bases are ranked
         where = _rank_failure(_singular_values(jac[:, :n, :]), ranked)
         if where is not None:
             raise DegenerateBaseError(
@@ -344,10 +356,6 @@ def build(
         warnings.append("equilibria_on_base")
 
     # combined chart functions must be independent: rank 2n on the grid
-    if 2 * n > dim:
-        raise FunctionalDependenceError(
-            f"{2 * n} chart functions on a {dim}-dimensional space have rank at most {dim}"
-        )
     sigma = _singular_values(jac)
     where = _rank_failure(sigma, ranked)
     if where is not None:
@@ -355,12 +363,7 @@ def build(
             f"chart functions become dependent near {_point_text(where)}"
         )
 
-    if 2 * n < dim:
-        raise ChartDimensionError(
-            f"{2 * n} chart functions cannot coordinatize a {dim}-dimensional space"
-        )
-
-    # the ranked matrix is square here, so |det| is the product of its singular values
+    # the ranked matrix is square, so |det| is the product of its singular values
     jacobian_min_abs_det = float(np.min(np.prod(sigma, axis=1)))
 
     # fiber coordinates: source directions the base functions never see

@@ -39,6 +39,10 @@ class EvaluationDomainError(SodelabError):
     """Evaluation hit a singular point (log/sqrt domain, division by zero)."""
 
 
+class ExpressionDepthError(SodelabError):
+    """A tree is nested too deeply to evaluate or compile."""
+
+
 # --- sampling / domains --------------------------------------------------
 
 

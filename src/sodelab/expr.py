@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (
     EvaluationDomainError,
+    ExpressionDepthError,
     ExprSyntaxError,
     UnboundVariableError,
     UnknownIdentifierError,
@@ -79,42 +80,11 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 class Expression:
     """Base class for immutable formula nodes.
 
-    Python arithmetic operators are overloaded to build new trees (with the
-    same constant folding as the module helpers), which keeps hand-built
-    formulas readable.
+    Trees come from :func:`parse` and the folding constructors (:func:`add`,
+    :func:`mul`, ...); ``str(e)`` renders a tree with :func:`to_source`.
     """
 
     __slots__ = ()
-
-    def __add__(self, other: "Expression | float") -> "Expression":
-        return add(self, _coerce(other))
-
-    def __radd__(self, other: "Expression | float") -> "Expression":
-        return add(_coerce(other), self)
-
-    def __sub__(self, other: "Expression | float") -> "Expression":
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other: "Expression | float") -> "Expression":
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other: "Expression | float") -> "Expression":
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other: "Expression | float") -> "Expression":
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other: "Expression | float") -> "Expression":
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other: "Expression | float") -> "Expression":
-        return div(_coerce(other), self)
-
-    def __pow__(self, other: "Expression | float") -> "Expression":
-        return pow_(self, _coerce(other))
-
-    def __neg__(self) -> "Expression":
-        return neg(self)
 
     def __str__(self) -> str:
         return to_source(self)
@@ -176,14 +146,6 @@ class Call(Expression):
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
-
-
-def _coerce(value: "Expression | float") -> Expression:
-    if isinstance(value, Expression):
-        return value
-    if isinstance(value, (int, float)):
-        return Const(float(value))
-    raise TypeError(f"cannot use {type(value).__name__} as an expression")
 
 
 def _is_const(e: Expression, value: float | None = None) -> bool:
@@ -489,8 +451,16 @@ def evaluate(e: Expression, env: Mapping[str, float]) -> float:
     under a fractional power) raise :class:`EvaluationDomainError`; exponent
     overflow saturates to ``inf`` so blow-up detection can see it.  A
     saturated ``inf`` is not a domain point of ``sin`` or ``cos``: passed on
-    to either, it raises :class:`EvaluationDomainError`.
+    to either, it raises :class:`EvaluationDomainError`.  A tree nested
+    deeper than Python's recursion limit raises :class:`ExpressionDepthError`.
     """
+    try:
+        return _evaluate(e, env)
+    except RecursionError:
+        raise ExpressionDepthError("expression is nested too deeply to evaluate") from None
+
+
+def _evaluate(e: Expression, env: Mapping[str, float]) -> float:
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -499,24 +469,24 @@ def evaluate(e: Expression, env: Mapping[str, float]) -> float:
         except KeyError:
             raise UnboundVariableError(f"no value bound for '{e.name}'") from None
     if isinstance(e, Neg):
-        return -evaluate(e.arg, env)
+        return -_evaluate(e.arg, env)
     if isinstance(e, Add):
-        return evaluate(e.left, env) + evaluate(e.right, env)
+        return _evaluate(e.left, env) + _evaluate(e.right, env)
     if isinstance(e, Sub):
-        return evaluate(e.left, env) - evaluate(e.right, env)
+        return _evaluate(e.left, env) - _evaluate(e.right, env)
     if isinstance(e, Mul):
-        return evaluate(e.left, env) * evaluate(e.right, env)
+        return _evaluate(e.left, env) * _evaluate(e.right, env)
     if isinstance(e, Div):
-        denom = evaluate(e.right, env)
+        denom = _evaluate(e.right, env)
         try:
-            return evaluate(e.left, env) / denom
+            return _evaluate(e.left, env) / denom
         except ZeroDivisionError:
             raise EvaluationDomainError("division by zero") from None
     if isinstance(e, Pow):
-        base_value = evaluate(e.base, env)
+        base_value = _evaluate(e.base, env)
         if _is_square(e):
             return base_value * base_value
-        exp_value = evaluate(e.exponent, env)
+        exp_value = _evaluate(e.exponent, env)
         try:
             return math.pow(base_value, exp_value)
         except ValueError:
@@ -526,7 +496,7 @@ def evaluate(e: Expression, env: Mapping[str, float]) -> float:
         except OverflowError:
             return math.inf
     if isinstance(e, Call):
-        arg_value = evaluate(e.arg, env)
+        arg_value = _evaluate(e.arg, env)
         try:
             return _FUNCTIONS[e.fn](arg_value)
         except ValueError:
@@ -791,7 +761,10 @@ def _emit(
     """
     single = isinstance(e, Expression)
     exprs = (e,) if single else tuple(e)
-    lines, results, constants, used = _python_source(exprs)
+    try:
+        lines, results, constants, used = _python_source(exprs)
+    except RecursionError:
+        raise ExpressionDepthError("expression is nested too deeply to compile") from None
     unknown = used - set(ctx.names)
     if unknown:
         raise UnboundVariableError(
@@ -835,7 +808,9 @@ def compile_scalar(
     saturate or pass on), the point is evaluated again by ``evaluate``
     itself, so the two agree by construction.  With ``stage``, the generated
     function itself is returned: ``f(t, x1, ..., xn)`` on plain floats,
-    ignoring ``t``, as the integrator calls a field once per stage.
+    ignoring ``t``, as the integrator calls a field once per stage.  A tree
+    nested deeper than Python's recursion limit raises
+    :class:`ExpressionDepthError`.
     """
     raw = _emit(e, ctx, batch=False)
     if stage:

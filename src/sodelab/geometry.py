@@ -13,7 +13,8 @@ verifier reports them as holding by construction without sampling them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -72,55 +73,54 @@ def _same_ctx(*objects) -> VariableContext:
     return ctx
 
 
+def _along(x: Sequence[Expression], e: Expression, names: Sequence[str]) -> Expression:
+    """x(e) = x^j d_j e: the derivative of ``e`` along the components ``x``."""
+    return sum_of_products((xj, differentiate(e, name)) for xj, name in zip(x, names))
+
+
 def lie_scalar(x: VectorField, g: ScalarField) -> ScalarField:
     """Directional derivative of ``g`` along ``x``."""
     ctx = _same_ctx(x, g)
-    grad = (differentiate(g.expr, name) for name in ctx.names)
-    return ScalarField(ctx, sum_of_products(zip(x.components, grad)))
+    return ScalarField(ctx, _along(x.components, g.expr, ctx.names))
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Commutator [x, y]: how far the two flows fail to commute."""
+    """Commutator [x, y]^i = x(y^i) - y(x^i): how far the two flows fail to commute."""
     ctx = _same_ctx(x, y)
-    components = []
-    for i in range(ctx.dim):
-        total: Expression = Const(0.0)
-        for j, name in enumerate(ctx.names):
-            total = add(total, mul(x.components[j], differentiate(y.components[i], name)))
-            total = sub(total, mul(y.components[j], differentiate(x.components[i], name)))
-        components.append(total)
-    return VectorField(ctx, tuple(components))
+    return VectorField(ctx, tuple(
+        sub(_along(x.components, yi, ctx.names), _along(y.components, xi, ctx.names))
+        for xi, yi in zip(x.components, y.components)
+    ))
 
 
 def lie_oneform(x: VectorField, alpha: OneFormField) -> OneFormField:
-    """(L_x alpha)_i = x^j d_j alpha_i + alpha_j d_i x^j."""
+    """(L_x alpha)_i = x(alpha_i) + alpha_j d_i x^j."""
     ctx = _same_ctx(x, alpha)
-    components = []
-    for i, name_i in enumerate(ctx.names):
-        pairs = []
-        for j, name_j in enumerate(ctx.names):
-            pairs.append((x.components[j], differentiate(alpha.components[i], name_j)))
-            pairs.append((alpha.components[j], differentiate(x.components[j], name_i)))
-        components.append(sum_of_products(pairs))
-    return OneFormField(ctx, tuple(components))
+    return OneFormField(ctx, tuple(
+        add(
+            _along(x.components, alpha_i, ctx.names),
+            sum_of_products((a, differentiate(xj, name_i))
+                            for a, xj in zip(alpha.components, x.components)),
+        )
+        for alpha_i, name_i in zip(alpha.components, ctx.names)
+    ))
 
 
 def lie_tensor11(x: VectorField, t: Tensor11Field) -> Tensor11Field:
-    """(L_x T)^i_j = x^k d_k T^i_j - T^k_j d_k x^i + T^i_k d_j x^k."""
+    """(L_x T)^i_j = x(T^i_j) - (T e_j)(x^i) + T^i_k d_j x^k, with T e_j column j of T."""
     ctx = _same_ctx(x, t)
-    dim = ctx.dim
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            total: Expression = Const(0.0)
-            for k, name_k in enumerate(ctx.names):
-                total = add(total, mul(x.components[k], differentiate(t.matrix[i][j], name_k)))
-                total = sub(total, mul(t.matrix[k][j], differentiate(x.components[i], name_k)))
-                total = add(total, mul(t.matrix[i][k], differentiate(x.components[k], ctx.names[j])))
-            row.append(total)
-        rows.append(tuple(row))
-    return Tensor11Field(ctx, tuple(rows))
+    names, xs = ctx.names, x.components
+    columns = tuple(zip(*t.matrix))
+    return Tensor11Field(ctx, tuple(
+        tuple(
+            add(
+                sub(_along(xs, t_ij, names), _along(columns[j], xs[i], names)),
+                sum_of_products((t_ik, differentiate(xk, names[j])) for t_ik, xk in zip(row, xs)),
+            )
+            for j, t_ij in enumerate(row)
+        )
+        for i, row in enumerate(t.matrix)
+    ))
 
 
 def apply_tensor(t: Tensor11Field, x: VectorField) -> VectorField:
@@ -287,10 +287,11 @@ class VerificationReport:
     samples: int
     seed: int
     degenerate_rank: bool
-    verdict: str = dataclass_field(default="fail")
 
-    def __post_init__(self) -> None:
-        self.verdict = "pass" if all(check.passed for check in self.axioms) else "fail"
+    @property
+    def verdict(self) -> str:
+        """``"pass"`` when every axiom passes, else ``"fail"``."""
+        return "pass" if all(check.passed for check in self.axioms) else "fail"
 
     def check(self, name: str) -> AxiomCheck:
         for axiom in self.axioms:

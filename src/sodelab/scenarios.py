@@ -51,12 +51,16 @@ class SodeScenario:
     """A construction case: a field, a candidate base, and a sampling box."""
 
     name: str
-    ctx: VariableContext
     field: VectorField
     base: tuple[str, ...]
     box: Box
     expect_error: type | None = None
     notes: str = ""
+
+    @property
+    def ctx(self) -> VariableContext:
+        """The field's context."""
+        return self.field.ctx
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,13 +68,17 @@ class ConformalScenario:
     """A rescaling case: a field, a certified-sign factor, and its domain."""
 
     name: str
-    ctx: VariableContext
     field: VectorField
     factor: ScalarField
     box: Box
     conserved: ScalarField | None = None
     orbit_state: tuple[float, ...] | None = None
     notes: str = ""
+
+    @property
+    def ctx(self) -> VariableContext:
+        """The field's context."""
+        return self.field.ctx
 
 
 def _double_rotation() -> VectorField:
@@ -81,7 +89,6 @@ def _oscillator_case(n: int) -> SodeScenario:
     system = fo.make_oscillator(n)
     return SodeScenario(
         name=f"oscillator-{n}",
-        ctx=system.ctx,
         field=system.field,
         base=system.base_names(),
         box=system.domain(),
@@ -92,7 +99,6 @@ def _oscillator_case(n: int) -> SodeScenario:
 def _double_rotation_case(pair: str) -> SodeScenario:
     return SodeScenario(
         name=f"double-rotation-{pair}",
-        ctx=_X4,
         field=_double_rotation(),
         base=tuple(f"x{c}" for c in pair),
         box=Box.cube(_X4, 2.0, exclude_radius=0.5),
@@ -103,7 +109,6 @@ def _double_rotation_case(pair: str) -> SodeScenario:
 def _free_particle_case(name: str, base: str, notes: str) -> SodeScenario:
     return SodeScenario(
         name=name,
-        ctx=_X2,
         field=VectorField.of(_X2, "x2", "0"),
         base=(base,),
         box=Box.cube(_X2, 2.0),
@@ -114,7 +119,6 @@ def _free_particle_case(name: str, base: str, notes: str) -> SodeScenario:
 def _conformal_am_case() -> SodeScenario:
     return SodeScenario(
         name="conformal-am",
-        ctx=_X4,
         field=_double_rotation().scaled(_AM_FACTOR_SRC),
         base=("x1", "x3"),
         box=Box.cube(_X4, 1.2, exclude_radius=0.4),
@@ -126,7 +130,6 @@ def _conformal_am_case() -> SodeScenario:
 def _kepler_case() -> SodeScenario:
     return SodeScenario(
         name="kepler-chart",
-        ctx=kp.KS_CTX,
         field=kp.rescaled_field(),
         base=("y0", "y1", "y2", "y3"),
         box=kp.unfolded_domain(),
@@ -138,7 +141,6 @@ def _foscillator_case(deformation: fo.Deformation) -> SodeScenario:
     system = fo.make_oscillator(2)
     return SodeScenario(
         name=f"fosc-{deformation.name}",
-        ctx=system.ctx,
         field=fo.deformed_field(system, deformation),
         base=system.base_names(),
         box=system.domain(),
@@ -150,7 +152,6 @@ def _rotation_case(name: str, ctx: VariableContext, notes: str) -> SodeScenario:
     """The plane rotation over base (x1, x2), padded with zeros to ``ctx``."""
     return SodeScenario(
         name=name,
-        ctx=ctx,
         field=VectorField.of(ctx, "x2", "-x1", *("0",) * (ctx.dim - 2)),
         base=("x1", "x2"),
         box=Box.cube(ctx, 2.0, exclude_radius=0.3),
@@ -163,7 +164,6 @@ def _oscillator_clock(name: str, factor: str, notes: str) -> ConformalScenario:
     osc = fo.make_oscillator(1)
     return ConformalScenario(
         name=name,
-        ctx=osc.ctx,
         field=osc.field,
         factor=ScalarField(osc.ctx, factor),
         box=Box.cube(osc.ctx, 2.0),
@@ -176,7 +176,6 @@ def _oscillator_clock(name: str, factor: str, notes: str) -> ConformalScenario:
 def _am_clock() -> ConformalScenario:
     return ConformalScenario(
         name="am-clock",
-        ctx=_X4,
         field=_double_rotation(),
         factor=ScalarField(_X4, _AM_FACTOR_SRC),
         box=Box.cube(_X4, 1.2, exclude_radius=0.4),
@@ -191,7 +190,6 @@ def _kepler_clock() -> ConformalScenario:
     params = kp.KeplerParams()
     return ConformalScenario(
         name="kepler-clock",
-        ctx=kp.KS_CTX,
         field=kp.unfolded_field(params),
         factor=kp.conformal_factor(),
         box=kp.unfolded_domain(),
@@ -204,7 +202,6 @@ def _kepler_clock() -> ConformalScenario:
 def _blowup_damping() -> ConformalScenario:
     return ConformalScenario(
         name="blowup-damping",
-        ctx=_X1,
         field=VectorField.of(_X1, "x^2"),
         factor=ScalarField(_X1, "exp(-(x^4))"),
         box=Box.cube(_X1, 2.0),

@@ -187,6 +187,32 @@ class TestRejections:
             quick_build(SPIN4, ("x1", "2*x1"), BOX4)
 
 
+class TestCountChecksComeFirst:
+    """The function counts alone decide these rejections: nothing is sampled."""
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Box.sample was called")
+
+        monkeypatch.setattr(Box, "sample", refuse)
+
+    @pytest.mark.parametrize(
+        "field,base,box,error",
+        [
+            (VectorField.of(R2, "x2", "-x1"), ("x1", "x2"), BOX2, FunctionalDependenceError),
+            # a vanishing field: the count error wins over FixedPointOnBaseError
+            (VectorField.of(R2, "0", "0"), ("x1", "x2"), BOX2, FunctionalDependenceError),
+            (SPIN4, ("x1",), BOX4, ChartDimensionError),
+            (VectorField.of(R2, "x2", "-x1"), ("x1", "x2", "x1 + x2"), BOX2,
+             DegenerateBaseError),
+        ],
+    )
+    def test_count_error_is_raised_before_sampling(self, field, base, box, error):
+        with pytest.raises(error):
+            build(field, base, box)
+
+
 class TestRankedBlock:
     """The rank tests run on the least data that decides them."""
 

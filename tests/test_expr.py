@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sodelab.errors import (
     EvaluationDomainError,
+    ExpressionDepthError,
     ExprSyntaxError,
     UnboundVariableError,
     UnknownIdentifierError,
@@ -258,12 +259,12 @@ class TestStructuralOps:
             node.name = "y"
 
     def test_folding_in_constructors(self):
-        assert Const(2.0) + Const(3.0) == Const(5.0)
-        assert Var("x") * Const(0.0) == Const(0.0)
-        assert Var("x") * Const(1.0) == Var("x")
-        assert Var("x") ** Const(1.0) == Var("x")
+        assert expr.add(Const(2.0), Const(3.0)) == Const(5.0)
+        assert expr.mul(Var("x"), Const(0.0)) == Const(0.0)
+        assert expr.mul(Var("x"), Const(1.0)) == Var("x")
+        assert expr.pow_(Var("x"), Const(1.0)) == Var("x")
         # 0/x is not folded: it would hide a domain error at x = 0
-        z = Const(0.0) / Var("x")
+        z = expr.div(Const(0.0), Var("x"))
         with pytest.raises(EvaluationDomainError):
             evaluate(z, {"x": 0.0})
 
@@ -644,6 +645,27 @@ def test_doubling_dag_compiles_in_both_backends():
     point = (0.0, 0.0, 1.5, 0.0)
     assert compile_scalar(tree, CTX)(point) == 2.0**40 * 1.5
     assert vectorized_scalar(tree, CTX)(np.array([point]))[0] == 2.0**40 * 1.5
+
+
+def test_too_deep_a_tree_is_refused_with_a_typed_error():
+    def chain(depth):
+        tree = Var("x")
+        for _ in range(depth):
+            tree = Sub(Var("y"), tree)
+        return tree
+
+    point = (0.0, 0.0, 0.25, 1.0)
+    deep = chain(2000)
+    with pytest.raises(ExpressionDepthError):
+        evaluate(deep, CTX.env(point))
+    with pytest.raises(ExpressionDepthError):
+        compile_scalar(deep, CTX)
+    with pytest.raises(ExpressionDepthError):
+        vectorized_scalar(deep, CTX)
+    shallow = chain(200)  # y - (y - x) = x, 100 times over
+    assert evaluate(shallow, CTX.env(point)) == 0.25
+    assert compile_scalar(shallow, CTX)(point) == 0.25
+    assert vectorized_scalar(shallow, CTX)(np.array([point]))[0] == 0.25
 
 
 # the exactly rounded operations: on these, numpy and Python give the same bits

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sodelab.expr import VariableContext, parse, qv_context, phase_context
+from sodelab.expr import VariableContext, add, parse, qv_context, phase_context
 from sodelab.fields import (
     Box,
     PointMap,
@@ -20,6 +20,8 @@ from sodelab.fields import (
     canonical_tangent_structure,
 )
 from sodelab.geometry import (
+    AxiomCheck,
+    VerificationReport,
     _image_and_rank,
     apply_tensor,
     basis_field,
@@ -78,7 +80,7 @@ class TestLieIdentities:
             total = term if total is None else VectorField(
                 AB,
                 tuple(
-                    ti + ci for ti, ci in zip(total.components, term.components)
+                    add(ti, ci) for ti, ci in zip(total.components, term.components)
                 ),
             )
         for p in SAMPLE_POINTS_2D:
@@ -319,6 +321,17 @@ class TestVerification:
         report = self.verify(s, delta, CTX2)
         assert report.degenerate_rank
         assert report.verdict == "pass"
+
+    def test_verdict_is_derived_from_the_axioms(self):
+        passing = AxiomCheck("a", 0.0, 1e-9, True)
+        failing = AxiomCheck("b", 1.0, 1e-9, False)
+        with pytest.raises(TypeError):
+            VerificationReport([failing], 0, 0, False, verdict="pass")
+        report = VerificationReport([passing], 0, 0, degenerate_rank=False)
+        assert report.verdict == "pass"
+        report.axioms.append(failing)
+        assert report.verdict == "fail"
+        assert report.to_json()["verdict"] == "fail"
 
     def test_field_changes_sode_outcome(self):
         s, delta = canonical_tangent_structure(CTX1)

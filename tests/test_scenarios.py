@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -45,6 +46,12 @@ class TestRegistry:
             sc.get_sode_scenario("nope")
         with pytest.raises(KeyError):
             sc.get_conformal_scenario("nope")
+
+    def test_context_is_the_fields(self):
+        for s in sc.sode_scenarios() + sc.conformal_scenarios():
+            assert "ctx" not in {f.name for f in dataclasses.fields(s)}
+            assert s.ctx is s.field.ctx
+            assert s.box.ctx == s.ctx
 
     def test_canonical_contexts(self):
         cases = dict(sc.canonical_contexts())
