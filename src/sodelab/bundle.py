@@ -12,9 +12,10 @@ space.  A constant Jacobian is evaluated at one point, which holds over the
 whole space.  A base of distinct plain coordinates has unit rows, so its rank
 needs no test, and the chart Jacobian, columns ordered (base, fibre), is
 [[I, 0], [A, B]]: only the fibre block B is ranked.  Otherwise the whole
-Jacobian is ranked.  The chart is inverted by its symbolic affine map when it
-is affine, and otherwise by a damped Newton solve, seeded from the base only
-for a triangular chart.  In the new chart the canonical vertical endomorphism
+Jacobian is ranked, and its base rows only when it fails, to name the error.
+Every chart is inverted by one damped Newton solve, seeded from the base
+when the base is plain coordinates; the inverse kind names only the chart's
+shape.  In the new chart the canonical vertical endomorphism
 and dilation field turn the original dynamics into an explicitly second-order
 system.
 """
@@ -162,13 +163,14 @@ class TangentStructure:
     ``forward`` maps source coordinates to the chart (base block first, then
     the derived velocity block).  The chart's tangent structure is always
     ``canonical_tangent_structure(chart_ctx)``, so it is not stored.
-    ``inverse`` is the symbolic affine map when the chart is affine and
-    otherwise a damped Newton solve from ``newton_guess``, the box centre (or
-    the first sample point when the box excludes it).  ``inverse_kind``
-    reports the chart's shape; only a "triangular" chart, affine across the
-    non-base coordinates, seeds the guess from the base (the target's Q is
-    written into ``triangular_base_slots``), and its solve ends after one
-    exact step.  ``jacobian_min_abs_det`` is the smallest |det| of the chart
+    ``inverse`` is one damped Newton solve for every chart, from
+    ``newton_guess``, the box centre (or the first sample point when the box
+    excludes it); when the base is distinct plain coordinates, the target's
+    Q is first written into their ``base_slots``.  An affine chart's solve,
+    and a seeded one across linear fibres, ends after one exact step.
+    ``inverse_kind`` names only the chart's shape: "affine", "triangular"
+    (a coordinate base, affine across the other coordinates) or "newton".
+    ``jacobian_min_abs_det`` is the smallest |det| of the chart
     Jacobian over the build's sample points (its one point when the Jacobian
     is constant): the product of the singular values of the Jacobian, or of
     its fibre block B when the base is plain coordinates, since then
@@ -179,12 +181,10 @@ class TangentStructure:
     forward: PointMap
     n: int
     inverse_kind: str  # "affine" | "triangular" | "newton"
-    inverse_map: PointMap | None
     warnings: tuple[str, ...]
     jacobian_min_abs_det: float
     domain: Box
     newton_guess: tuple[float, ...]
-    triangular_base_slots: tuple[int, ...] | None
 
     @property
     def src_ctx(self) -> VariableContext:
@@ -203,6 +203,11 @@ class TangentStructure:
         return self.forward.components[self.n :]
 
     @cached_property
+    def base_slots(self) -> tuple[int, ...] | None:
+        """The base's slots when it is distinct plain coordinates, else None."""
+        return _coordinate_slots(self.base_exprs, self.src_ctx)
+
+    @cached_property
     def acceleration_exprs(self) -> tuple[Expression, ...]:
         """Force block over the source context: the field applied twice to the base."""
         return tuple(
@@ -216,20 +221,31 @@ class TangentStructure:
             raise ValueError(
                 f"chart point needs {self.chart_ctx.dim} coordinates, got {target.shape}"
             )
-        if self.inverse_map is not None:
-            return self.inverse_map(target)
         if guess is None:
             guess = np.array(self.newton_guess)
-            if self.triangular_base_slots is not None:
-                guess[list(self.triangular_base_slots)] = target[: self.n]
+            if self.base_slots is not None:
+                guess[list(self.base_slots)] = target[: self.n]
         return _newton_solve(self.forward, target, guess)
 
     @cached_property
     def chart_field(self) -> VectorField | None:
-        """The dynamics in chart coordinates, symbolic when the inverse is exact."""
-        if self.inverse_map is None:
+        """The dynamics in chart coordinates, through an affine chart's exact inverse."""
+        if self.inverse_kind != "affine":
             return None
-        bindings = dict(zip(self.src_ctx.names, self.inverse_map.components))
+        center = self.domain.center
+        origin = self.forward(center)
+        inverse_matrix = np.linalg.inv(self.forward.jacobian_at(center))
+        bindings = {}
+        for i, source in enumerate(self.src_ctx.names):
+            total: Expression = Const(float(center[i]))
+            for j, name in enumerate(self.chart_ctx.names):
+                coeff = float(inverse_matrix[i, j])
+                if coeff != 0.0:
+                    total = add(
+                        total,
+                        mul(Const(coeff), sub(Var(name), Const(float(origin[j])))),
+                    )
+            bindings[source] = total
         blocks = list(self.velocity_exprs) + list(self.acceleration_exprs)
         return VectorField(
             self.chart_ctx, tuple(substitute(e, bindings) for e in blocks)
@@ -237,12 +253,9 @@ class TangentStructure:
 
     def chart_rhs(self):
         """Numeric chart-coordinate dynamics f(t, chart_point) for integration."""
-        if self.chart_field is not None:
-            return self.chart_field.ode_rhs
-
-        def rhs(t, zeta, _self=self):
-            x = _self.inverse(zeta)
-            return _self.forward.jacobian_at(x) @ _self.gamma(x)
+        def rhs(t, zeta):
+            x = self.inverse(zeta)
+            return self.forward.jacobian_at(x) @ self.gamma(x)
 
         return rhs
 
@@ -250,8 +263,7 @@ class TangentStructure:
         # what each rank claim rests on: unit base rows, one evaluation of a
         # constant Jacobian, or the sample points
         chart = "exact" if self.inverse_kind == "affine" else "sampled"
-        coordinates = _coordinate_slots(self.base_exprs, self.src_ctx) is not None
-        base = "by_construction" if coordinates else chart
+        base = "by_construction" if self.base_slots is not None else chart
         return {
             "context": list(self.src_ctx.names),
             "chart_context": list(self.chart_ctx.names),
@@ -331,13 +343,16 @@ def build(
         # columns ordered (base, fibre) give J = [[I, 0], [A, B]]: rank J is
         # n + rank B and |det J| = |det B|, so only B = dV/dfibre is evaluated
         fibre = [j for j in range(dim) if j not in slots]
-        jac = evaluate_on(
-            [[row[j] for j in fibre] for row in forward.jacobian[n:]], ctx, ranked
-        )
+        block = [[row[j] for j in fibre] for row in forward.jacobian[n:]]
     else:
-        jac = evaluate_on(forward.jacobian, ctx, ranked)
-        # base differentials must stay independent everywhere on the grid;
-        # unit base rows hold rank n by construction, other bases are ranked
+        block = forward.jacobian
+    jac = evaluate_on(block, ctx, ranked)
+    sigma = _singular_values(jac)
+    dependent = _rank_failure(sigma, ranked)
+    if dependent is not None and slots is None:
+        # base differentials must stay independent everywhere on the grid.
+        # J's first n rows have sigma_min >= sigma_min(J) and sigma_max <=
+        # sigma_max(J), so they can fail only where J fails: ranked only now
         where = _rank_failure(_singular_values(jac[:, :n, :]), ranked)
         if where is not None:
             raise DegenerateBaseError(
@@ -356,11 +371,9 @@ def build(
         warnings.append("equilibria_on_base")
 
     # combined chart functions must be independent: rank 2n on the grid
-    sigma = _singular_values(jac)
-    where = _rank_failure(sigma, ranked)
-    if where is not None:
+    if dependent is not None:
         raise FunctionalDependenceError(
-            f"chart functions become dependent near {_point_text(where)}"
+            f"chart functions become dependent near {_point_text(dependent)}"
         )
 
     # the ranked matrix is square, so |det| is the product of its singular values
@@ -373,12 +386,11 @@ def build(
     if not linear_fibers:
         warnings.append("nonlinear_fibers")
 
-    inverse_map = triangular_slots = None
     if affine:
-        inverse_kind, inverse_map = "affine", _affine_inverse(forward, box.center)
+        inverse_kind = "affine"
     elif linear_fibers and slots is not None:
         # the chart is affine across the complement of the base coordinates
-        inverse_kind, triangular_slots = "triangular", slots
+        inverse_kind = "triangular"
     else:
         inverse_kind = "newton"
 
@@ -393,15 +405,13 @@ def build(
         forward=forward,
         n=n,
         inverse_kind=inverse_kind,
-        inverse_map=inverse_map,
         warnings=tuple(warnings),
         jacobian_min_abs_det=jacobian_min_abs_det,
         domain=box,
         newton_guess=guess,
-        triangular_base_slots=triangular_slots,
     )
 
-    # round-trip spot check certifies the chosen inversion on the domain
+    # round-trip spot check certifies the inversion on the domain
     stride = max(1, len(points) // 8)
     for p in points[::stride][:8]:
         recovered = structure.inverse(forward(p))
@@ -410,24 +420,6 @@ def build(
                 f"chart is not injective over the domain: round trip moved {_point_text(p)}"
             )
     return structure
-
-
-def _affine_inverse(forward: PointMap, center: np.ndarray) -> PointMap:
-    """The exact inverse of an affine chart, expanded about ``center``."""
-    origin = forward(center)
-    inverse_matrix = np.linalg.inv(forward.jacobian_at(center))
-    components = []
-    for i in range(forward.src.dim):
-        total: Expression = Const(float(center[i]))
-        for j, name in enumerate(forward.dst.names):
-            coeff = float(inverse_matrix[i, j])
-            if coeff != 0.0:
-                total = add(
-                    total,
-                    mul(Const(coeff), sub(Var(name), Const(float(origin[j])))),
-                )
-        components.append(total)
-    return PointMap(forward.dst, forward.src, tuple(components))
 
 
 def structure_sode_residual(

@@ -193,11 +193,13 @@ _OPTIONS = (
             {"period": 1000.0}, _POSITIVE),
     _Option("rescaled", _FLAG, "use the factor-rescaled field of a rescaling scenario",
             {"integrate": False, "period": False}),
+    # a resample of one point keeps only the start of the run
     _Option("csv_samples", _INT, "integrate: uniform resample count, 0 keeps "
             "solver nodes; match: samples per period",
-            {"integrate": 0, "match": 512}, _COUNT),
+            {"integrate": 0, "match": 512},
+            (lambda v: v == 0 or v >= 2, "must be 0 or >= 2")),
     _Option("csv_samples", _INT, "rows per trajectory CSV",
-            {"kepler-demo": 512}, (lambda v: v >= 1, "must be >= 1")),
+            {"kepler-demo": 512}, (lambda v: v >= 2, "must be >= 2")),
     _Option("energy", _REAL, "orbit energy", {"kepler-demo": -0.5}, _NEGATIVE),
     _Option("g", _REAL, "coupling constant",
             {"kepler-demo": 1.0, "match": 1.0}, _POSITIVE),

@@ -17,7 +17,13 @@ from sodelab.errors import (
 from sodelab import bundle
 from sodelab import scenarios as sc
 from sodelab.expr import Const, VariableContext, add, qv_context
-from sodelab.fields import Box, ScalarField, VectorField, canonical_tangent_structure
+from sodelab.fields import (
+    Box,
+    PointMap,
+    ScalarField,
+    VectorField,
+    canonical_tangent_structure,
+)
 from sodelab.bundle import build, structure_sode_residual
 from sodelab.geometry import verify_tangent_structure
 
@@ -64,11 +70,21 @@ class TestOscillatorBases:
                 -evaluate(parse(q, R4), env), abs=1e-14
             )
 
-    def test_affine_chart_has_symbolic_inverse(self):
+    def test_affine_chart_inverts_in_one_newton_step(self, monkeypatch):
         t = quick_build(SPIN4, ("x1", "x3"), BOX4)
         assert t.inverse_kind == "affine"
+        calls = []
+        original = PointMap.jacobian_at
+
+        def count(self, point):
+            calls.append(tuple(point))
+            return original(self, point)
+
+        monkeypatch.setattr(PointMap, "jacobian_at", count)
+        # the fibre values -0.25 and 1.0 lie away from the seed's centre values
         p = np.array([0.5, -0.25, 0.75, 1.0])
         np.testing.assert_allclose(t.inverse(t.forward(p)), p, atol=1e-12)
+        assert len(calls) == 1
 
     def test_chart_field_is_linear_oscillator(self):
         t = quick_build(SPIN4, ("x1", "x3"), BOX4)
@@ -147,44 +163,71 @@ class TestFreeParticle:
         assert "equilibria_on_base" in t.warnings
 
 
+def assert_rejected(field, base, box, error, message):
+    """``build`` raises exactly this error class with exactly this message."""
+    with pytest.raises(error) as info:
+        quick_build(field, base, box)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 class TestRejections:
+    """Each rejection keeps its error class and message, in check order."""
+
     def test_rotation_on_plane_rejected(self):
         spin2 = VectorField.of(R2, "x2", "-x1")
-        with pytest.raises(FunctionalDependenceError):
-            quick_build(spin2, ("x1", "x2"), BOX2)
+        assert_rejected(
+            spin2, ("x1", "x2"), BOX2, FunctionalDependenceError,
+            "4 chart functions on a 2-dimensional space have rank at most 2",
+        )
 
     def test_rotation_in_four_dimensions_rejected(self):
         lifted = VectorField.of(R4, "x2", "-x1", "0", "0")
-        with pytest.raises(FunctionalDependenceError):
-            quick_build(lifted, ("x1", "x2"), BOX4)
+        assert_rejected(
+            lifted, ("x1", "x2"), BOX4, FunctionalDependenceError,
+            "chart functions become dependent near (-1.5, -1.5, -1.5, -1.5)",
+        )
 
     def test_zero_field_rejected_before_dependence(self):
         silent = VectorField.of(R2, "0", "0")
-        with pytest.raises(FixedPointOnBaseError):
-            quick_build(silent, ("x1",), BOX2)
+        assert_rejected(
+            silent, ("x1",), BOX2, FixedPointOnBaseError,
+            "the field vanishes identically on the sampled domain",
+        )
 
     def test_degenerate_base_rejected_first(self):
         # even with a zero field, the base check comes first
         silent = VectorField.of(R2, "0", "0")
-        with pytest.raises(DegenerateBaseError):
-            quick_build(silent, ("x1^2",), BOX2)
+        assert_rejected(
+            silent, ("x1^2",), BOX2, DegenerateBaseError,
+            "base differentials degenerate near (0.0, -1.5)",
+        )
 
     def test_degenerate_base_on_nonzero_field(self):
         free = VectorField.of(R2, "x2", "0")
-        with pytest.raises(DegenerateBaseError):
-            quick_build(free, ("x1^2",), BOX2)
+        assert_rejected(
+            free, ("x1^2",), BOX2, DegenerateBaseError,
+            "base differentials degenerate near (0.0, -1.5)",
+        )
 
     def test_too_few_functions(self):
-        with pytest.raises(ChartDimensionError):
-            quick_build(SPIN4, ("x1",), BOX4)
+        assert_rejected(
+            SPIN4, ("x1",), BOX4, ChartDimensionError,
+            "2 chart functions cannot coordinatize a 4-dimensional space",
+        )
 
     def test_too_many_base_functions(self):
-        with pytest.raises(DegenerateBaseError):
-            quick_build(VectorField.of(R2, "x2", "-x1"), ("x1", "x2", "x1 + x2"), BOX2)
+        assert_rejected(
+            VectorField.of(R2, "x2", "-x1"), ("x1", "x2", "x1 + x2"), BOX2,
+            DegenerateBaseError,
+            "3 base functions on a 2-dimensional space cannot be independent",
+        )
 
     def test_dependent_base_pair(self):
-        with pytest.raises(DegenerateBaseError):
-            quick_build(SPIN4, ("x1", "2*x1"), BOX4)
+        assert_rejected(
+            SPIN4, ("x1", "2*x1"), BOX4, DegenerateBaseError,
+            "base differentials degenerate near (-1.5, -1.5, -1.5, -1.5)",
+        )
 
 
 class TestCountChecksComeFirst:
@@ -237,6 +280,12 @@ class TestRankedBlock:
         sc.build_scenario(scenario)
         assert svd_shapes == [(len(scenario.box.sample(seed=0)), 2, 2)]
 
+    def test_bent_base_takes_one_svd_of_the_whole_jacobian(self, svd_shapes):
+        # the base rows are ranked only where J fails; here J passes
+        scenario = sc.get_sode_scenario("free-particle-bent")
+        sc.build_scenario(scenario)
+        assert svd_shapes == [(len(scenario.box.sample(seed=0)), 2, 2)]
+
     def test_singular_fibre_block_is_refused(self):
         # B = dV/dx2 = 3 x2^2 vanishes on the grid line x2 = 0
         with pytest.raises(FunctionalDependenceError):
@@ -281,6 +330,24 @@ class TestInversionStrategies:
         assert t.inverse_kind == "triangular"
         p = np.array([0.7, -0.3, 0.5, 1.2])
         np.testing.assert_allclose(t.inverse(t.forward(p)), p, atol=1e-12)
+
+    def test_coordinate_base_seeds_the_solve_with_the_target_base(self, monkeypatch):
+        st = sc.build_scenario(sc.get_sode_scenario("fosc-power-2"))
+        assert st.inverse_kind == "newton" and st.base_slots == (0, 1)
+        guesses = []
+        original = bundle._newton_solve
+
+        def record(forward, target, guess):
+            guesses.append(np.array(guess))
+            return original(forward, target, guess)
+
+        monkeypatch.setattr(bundle, "_newton_solve", record)
+        target = st.forward(np.array([0.3, -0.2, 0.4, 0.1]))
+        st.inverse(target)
+        (guess,) = guesses
+        np.testing.assert_array_equal(guess[list(st.base_slots)], target[: st.n])
+        # the fibre slots keep the box-centre start
+        np.testing.assert_array_equal(guess[2:], np.array(st.newton_guess)[2:])
 
     def test_newton_on_nonlinear_fibers(self):
         ctx = qv_context(1)

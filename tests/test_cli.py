@@ -135,6 +135,11 @@ def test_integrate_without_out_is_usage_error(capsys):
          "--tol"),
         (["integrate", "--scenario", "oscillator-1", "--state", "1,0", "--t-end=1",
           "--tol=1e-323"], "--tol"),
+        # one resample point would keep only the start of the run
+        (["kepler-demo", "--csv-samples", "1"], "--csv-samples"),
+        (["match", "--csv-samples", "1"], "--csv-samples"),
+        (["integrate", "--scenario", "oscillator-1", "--state", "1,0", "--t-end=1",
+          "--csv-samples", "1"], "--csv-samples"),
     ],
 )
 def test_out_of_range_number_is_usage_error(tmp_path, capsys, argv, flag):
