@@ -3,9 +3,9 @@
 Multiplying a field by a nowhere-zero function keeps its unparametrized
 orbits and its constants of motion while changing the speed along them.  This
 module certifies the nowhere-zero condition on a sample grid, provides the
-rescaling identities as dual-route residuals, reparametrizes trajectories
-between the two clocks, and builds the damping factor that makes an escaping
-field complete.
+rescaling identities as dual-route residuals, measures the distance between
+two traced orbits, and builds the damping factor that makes an escaping field
+complete.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "shared_constants_residual",
     "CompletenessCertificate",
     "regularize_complete",
-    "reparametrize_time",
     "polyline_deviation",
 ]
 
@@ -202,27 +201,6 @@ def regularize_complete(
         grid_bound=grid_bound,
         bound_holds=grid_bound <= 1.0 + 1e-12,
     )
-
-
-def reparametrize_time(trajectory, factor: ScalarField) -> np.ndarray:
-    """Clock of the rescaled field along a trajectory of the original one.
-
-    If the input solves the original field, the returned times s_k satisfy
-    y(s_k) = x(t_k) for the flow y of factor*field: ds/dt = 1/factor along
-    the orbit.  Each accepted step is integrated by 8-point Gauss-Legendre
-    quadrature on the step's dense output (exact for polynomials of degree
-    15), so quadrature error stays below the interpolation error of the
-    trajectory itself.
-    """
-    times = trajectory.times
-    x, w = np.polynomial.legendre.leggauss(8)
-    h = np.diff(times)
-    ts = times[:-1, None] + (0.5 * h)[:, None] * (x + 1.0)  # (steps, nodes)
-    states = trajectory.sample_many(ts.reshape(-1))
-    rates = 1.0 / evaluate_on((factor.expr,), factor.ctx, states)[:, 0]
-    out = np.zeros(len(times))
-    out[1:] = np.cumsum(0.5 * h * (rates.reshape(ts.shape) @ w))
-    return out
 
 
 def polyline_deviation(a: np.ndarray, b: np.ndarray) -> float:

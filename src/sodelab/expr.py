@@ -510,33 +510,41 @@ def _evaluate(e: Expression, env: Mapping[str, float]) -> float:
 
 
 def differentiate(e: Expression, name: str) -> Expression:
-    """Exact partial derivative of ``e`` with respect to coordinate ``name``."""
+    """Exact partial derivative of ``e`` with respect to coordinate ``name``;
+    a tree nested too deeply to recurse raises :class:`ExpressionDepthError`."""
+    try:
+        return _differentiate(e, name)
+    except RecursionError:
+        raise ExpressionDepthError("expression is nested too deeply to differentiate") from None
+
+
+def _differentiate(e: Expression, name: str) -> Expression:
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == name else ZERO
     if isinstance(e, Neg):
-        return neg(differentiate(e.arg, name))
+        return neg(_differentiate(e.arg, name))
     if isinstance(e, Add):
-        return add(differentiate(e.left, name), differentiate(e.right, name))
+        return add(_differentiate(e.left, name), _differentiate(e.right, name))
     if isinstance(e, Sub):
-        return sub(differentiate(e.left, name), differentiate(e.right, name))
+        return sub(_differentiate(e.left, name), _differentiate(e.right, name))
     if isinstance(e, Mul):
         return add(
-            mul(differentiate(e.left, name), e.right),
-            mul(e.left, differentiate(e.right, name)),
+            mul(_differentiate(e.left, name), e.right),
+            mul(e.left, _differentiate(e.right, name)),
         )
     if isinstance(e, Div):
         return div(
             sub(
-                mul(differentiate(e.left, name), e.right),
-                mul(e.left, differentiate(e.right, name)),
+                mul(_differentiate(e.left, name), e.right),
+                mul(e.left, _differentiate(e.right, name)),
             ),
             mul(e.right, e.right),
         )
     if isinstance(e, Pow):
-        dbase = differentiate(e.base, name)
-        dexp = differentiate(e.exponent, name)
+        dbase = _differentiate(e.base, name)
+        dexp = _differentiate(e.exponent, name)
         if _is_const(dexp, 0.0) and isinstance(e.exponent, Const):
             # d(b^c) = c * b^(c-1) * b', valid for negative bases with integer c
             c = e.exponent.value
@@ -550,7 +558,7 @@ def differentiate(e: Expression, name: str) -> Expression:
             ),
         )
     if isinstance(e, Call):
-        darg = differentiate(e.arg, name)
+        darg = _differentiate(e.arg, name)
         if e.fn == "sin":
             return mul(call("cos", e.arg), darg)
         if e.fn == "cos":
@@ -595,25 +603,33 @@ def free_variables(e: Expression) -> frozenset[str]:
 
 
 def substitute(e: Expression, bindings: Mapping[str, Expression]) -> Expression:
-    """Replace variables by expressions, rebuilding through the folding helpers."""
+    """Replace variables by expressions, rebuilding through the folding helpers;
+    a tree nested too deeply to recurse raises :class:`ExpressionDepthError`."""
+    try:
+        return _substitute(e, bindings)
+    except RecursionError:
+        raise ExpressionDepthError("expression is nested too deeply to substitute") from None
+
+
+def _substitute(e: Expression, bindings: Mapping[str, Expression]) -> Expression:
     if isinstance(e, Const):
         return e
     if isinstance(e, Var):
         return bindings.get(e.name, e)
     if isinstance(e, Neg):
-        return neg(substitute(e.arg, bindings))
+        return neg(_substitute(e.arg, bindings))
     if isinstance(e, Add):
-        return add(substitute(e.left, bindings), substitute(e.right, bindings))
+        return add(_substitute(e.left, bindings), _substitute(e.right, bindings))
     if isinstance(e, Sub):
-        return sub(substitute(e.left, bindings), substitute(e.right, bindings))
+        return sub(_substitute(e.left, bindings), _substitute(e.right, bindings))
     if isinstance(e, Mul):
-        return mul(substitute(e.left, bindings), substitute(e.right, bindings))
+        return mul(_substitute(e.left, bindings), _substitute(e.right, bindings))
     if isinstance(e, Div):
-        return div(substitute(e.left, bindings), substitute(e.right, bindings))
+        return div(_substitute(e.left, bindings), _substitute(e.right, bindings))
     if isinstance(e, Pow):
-        return pow_(substitute(e.base, bindings), substitute(e.exponent, bindings))
+        return pow_(_substitute(e.base, bindings), _substitute(e.exponent, bindings))
     if isinstance(e, Call):
-        return call(e.fn, substitute(e.arg, bindings))
+        return call(e.fn, _substitute(e.arg, bindings))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -639,14 +655,22 @@ def _prec(e: Expression) -> int:
 
 
 def _wrap(e: Expression, minimum: int) -> str:
-    text = to_source(e)
+    text = _to_source(e)
     if _prec(e) < minimum:
         return f"({text})"
     return text
 
 
 def to_source(e: Expression) -> str:
-    """Render to text that reparses to an equivalent tree under this grammar."""
+    """Render to text that reparses to an equivalent tree under this grammar;
+    a tree nested too deeply to recurse raises :class:`ExpressionDepthError`."""
+    try:
+        return _to_source(e)
+    except RecursionError:
+        raise ExpressionDepthError("expression is nested too deeply to print") from None
+
+
+def _to_source(e: Expression) -> str:
     if isinstance(e, Const):
         if e.value == int(e.value) and abs(e.value) < 1e16:
             return repr(int(e.value))
@@ -667,7 +691,7 @@ def to_source(e: Expression) -> str:
         # left operand fully wrapped unless atomic: '^' grabs a bare '-x' first
         return f"{_wrap(e.base, _PREC_ATOM)}^{_wrap(e.exponent, _PREC_POW)}"
     if isinstance(e, Call):
-        return f"{e.fn}({to_source(e.arg)})"
+        return f"{e.fn}({_to_source(e.arg)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -4,8 +4,8 @@ Composing the oscillator energy with a monotone profile f and multiplying
 the field by f'(energy) gives a new second-order system whose angular
 frequency on each energy level is exactly f'(level): the profile reshapes
 the spectrum without touching the orbits.  Because the energy is conserved,
-the slope factor rides along every orbit as a constant, so the rebuilt
-chart force is -f'(E)^2 Q and the contraction of the rescaled field with
+the slope factor rides along every orbit as a constant, so the chart force
+over the base q is -f'(E)^2 Q and the contraction of the rescaled field with
 the canonical two-form is the exact differential of f(E).
 """
 
@@ -17,8 +17,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .bundle import TangentStructure, build
-from .errors import EvaluationDomainError
 from .expr import (
     Expression,
     VariableContext,
@@ -43,10 +41,8 @@ __all__ = [
     "kepler_matching_deformation",
     "deformed_field",
     "deformed_hamiltonian",
-    "rebuild_structure",
     "shell_state",
     "symplectic_residual",
-    "rebuilt_shell_residual",
 ]
 
 XI_CTX = VariableContext.of("xi")
@@ -168,19 +164,6 @@ def deformed_hamiltonian(
     )
 
 
-def rebuild_structure(
-    system: OscillatorSystem, deformation: Deformation
-) -> TangentStructure:
-    """Tangent-bundle structure for the rescaled field over the plain base q.
-
-    The fiber velocity is f'(energy) v, which depends on v through the energy,
-    so unless the profile is linear the chart carries the nonlinear-fibers
-    warning and inverts by Newton iteration.
-    """
-    field = deformed_field(system, deformation)
-    return build(field, system.base_names(), system.domain())
-
-
 def shell_state(system: OscillatorSystem, level: float) -> np.ndarray:
     """A state on the energy level: first coordinate sqrt(2c), at rest."""
     if level <= 0:
@@ -208,23 +191,3 @@ def symplectic_residual(
     residuals = [sub(a, b) for a, b in zip(lhs.components, rhs.components)]
     return max_abs_on(residuals, system.ctx, points)
 
-
-def rebuilt_shell_residual(
-    system: OscillatorSystem,
-    deformation: Deformation,
-    chart_point,
-    level: float,
-) -> float:
-    """Distance of a chart point from the rebuilt level set.
-
-    On the level c, the chart variables satisfy |V|^2 / f'(c)^2 + |Q|^2 = 2c:
-    the image of the energy sphere under (q, v) -> (q, f'(c) v).
-    """
-    slope = deformation.slope_at(level)
-    if slope == 0:
-        raise EvaluationDomainError("profile slope vanishes on this level")
-    p = np.asarray(chart_point, dtype=float)
-    n = system.n
-    q2 = float(np.dot(p[:n], p[:n]))
-    w2 = float(np.dot(p[n:], p[n:]))
-    return abs(w2 / slope**2 + q2 - 2.0 * level)

@@ -26,7 +26,6 @@ from .expr import (
     add,
     differentiate,
     mul,
-    neg,
     sub,
     substitute,
     sum_of_products,
@@ -55,9 +54,7 @@ __all__ = [
     "sode_residual",
     "theta_from_lagrangian",
     "lagrange_residual",
-    "hamiltonian_field",
     "interior_twoform",
-    "conformal_hamiltonian_residual",
     "pullback_twoform",
     "AxiomCheck",
     "VerificationReport",
@@ -188,41 +185,11 @@ def lagrange_residual(
     return OneFormField(ctx, components)
 
 
-def hamiltonian_field(h: ScalarField) -> VectorField:
-    """Symplectic gradient on a (position, momentum) context: (dH/dp, -dH/dq)."""
-    ctx = h.ctx
-    if ctx.dim % 2 != 0:
-        raise ValueError("a Hamiltonian needs an even-dimensional phase context")
-    n = ctx.dim // 2
-    components = [differentiate(h.expr, ctx.names[n + k]) for k in range(n)]
-    components += [neg(differentiate(h.expr, ctx.names[k])) for k in range(n)]
-    return VectorField(ctx, tuple(components))
-
-
 def interior_twoform(omega: TwoFormField, x: VectorField) -> OneFormField:
     """(i_x omega)_j = x^i omega_ij."""
     ctx = _same_ctx(omega, x)
     components = tuple(
         sum_of_products(zip(x.components, column)) for column in zip(*omega.matrix)
-    )
-    return OneFormField(ctx, components)
-
-
-def conformal_hamiltonian_residual(
-    gamma: VectorField,
-    omega: TwoFormField,
-    h: ScalarField,
-    factor: ScalarField,
-) -> OneFormField:
-    """i_gamma(omega) - factor * dH, the defect of a conformally Hamiltonian field."""
-    ctx = _same_ctx(gamma, omega, h, factor)
-    contracted = interior_twoform(omega, gamma)
-    components = tuple(
-        sub(
-            contracted.components[i],
-            mul(factor.expr, differentiate(h.expr, name)),
-        )
-        for i, name in enumerate(ctx.names)
     )
     return OneFormField(ctx, components)
 

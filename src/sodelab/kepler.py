@@ -24,14 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import TangentStructure, build
 from .conformal import rescale
 from .errors import PositiveEnergyError
 from .expr import VariableContext, parse
-from .fields import Box, PointMap, ScalarField, VectorField
+from .fields import Box, ScalarField, VectorField
 
 __all__ = [
-    "KS_BASE_CTX",
     "KS_CTX",
     "CHART_CTX",
     "THREE_CTX",
@@ -39,47 +37,33 @@ __all__ = [
     "ks_map",
     "ks_jacobian",
     "ks_tangent",
-    "ks_point_map",
     "fiber_direction",
     "ks_constraint",
     "constraint_field",
-    "constraint_rate_field",
     "lagrangian",
     "energy",
     "unfolded_field",
     "conformal_factor",
     "unfolded_domain",
     "rescaled_field",
-    "regularized_structure",
     "chart_field",
     "chart_energy",
-    "chart_constraint",
     "shell_frequency",
     "shell_period",
     "shell_field",
     "shell_state",
     "shell_representative",
-    "shell_residual",
     "mean_motion",
     "half_mean_motion",
     "kepler3d_field",
     "project_state",
-    "project_trajectory",
     "unfolded_circular_state",
     "kepler3d_circular_state",
 ]
 
-KS_BASE_CTX = VariableContext.of("y0", "y1", "y2", "y3")
 KS_CTX = VariableContext.of("y0", "y1", "y2", "y3", "v0", "v1", "v2", "v3")
 CHART_CTX = VariableContext.of("Q1", "Q2", "Q3", "Q4", "V1", "V2", "V3", "V4")
 THREE_CTX = VariableContext.of("x1", "x2", "x3", "u1", "u2", "u3")
-_POSITION_CTX = VariableContext.of("x1", "x2", "x3")
-
-_KS_SOURCES = (
-    "2 * (y0*y1 + y2*y3)",
-    "2 * (y0*y2 - y1*y3)",
-    "y0^2 + y3^2 - y1^2 - y2^2",
-)
 
 _R2 = "(y0^2 + y1^2 + y2^2 + y3^2)"
 _VSQ = "(v0^2 + v1^2 + v2^2 + v3^2)"
@@ -131,13 +115,6 @@ def ks_tangent(y, v) -> tuple[np.ndarray, np.ndarray]:
     return ks_map(y), ks_jacobian(y) @ np.asarray(v, dtype=float)
 
 
-def ks_point_map() -> PointMap:
-    """The square map as a symbolic coordinate map for pullback work."""
-    return PointMap(
-        KS_BASE_CTX, _POSITION_CTX, tuple(parse(s, KS_BASE_CTX) for s in _KS_SOURCES)
-    )
-
-
 def fiber_direction(y) -> np.ndarray:
     """Spanning vector of ker(ks_jacobian(y)): the direction the map forgets."""
     y0, y1, y2, y3 = np.asarray(y, dtype=float)
@@ -158,16 +135,6 @@ def ks_constraint(y, v) -> float:
 
 def constraint_field() -> ScalarField:
     return ScalarField(KS_CTX, parse("y0*v3 - y3*v0 + y1*v2 - y2*v1", KS_CTX))
-
-
-def constraint_rate_field() -> ScalarField:
-    """Closed form for the constraint's rate along the unfolded field.
-
-    The rate is proportional to the constraint itself, which is why the zero
-    locus is invariant and why |y|^2 times the constraint is conserved.
-    """
-    src = f"-2 * {_YDV} * (y0*v3 - y3*v0 + y1*v2 - y2*v1) / {_R2}"
-    return ScalarField(KS_CTX, parse(src, KS_CTX))
 
 
 # ------------------------------------------------- unfolded dynamics
@@ -221,16 +188,6 @@ def rescaled_field(params: KeplerParams = KeplerParams()) -> VectorField:
     return pair.rescaled
 
 
-def regularized_structure(params: KeplerParams = KeplerParams()) -> TangentStructure:
-    """Tangent-bundle structure with base y for the rescaled field.
-
-    The fiber velocity comes out as 2 |y|^2 v, linear across the fibers, so
-    the chart inverts by one linear solve per point.
-    """
-    base = tuple(f"y{k}" for k in range(4))
-    return build(rescaled_field(params), base, unfolded_domain())
-
-
 # ----------------------------------------------------- chart-side field
 
 
@@ -253,11 +210,6 @@ def chart_field(params: KeplerParams = KeplerParams()) -> VectorField:
     comps = [parse(f"V{k}", CHART_CTX) for k in range(1, 5)]
     comps += [parse(f"2 * {e_src} * Q{k}", CHART_CTX) for k in range(1, 5)]
     return VectorField(CHART_CTX, tuple(comps))
-
-
-def chart_constraint() -> ScalarField:
-    """The bilinear constraint transported to the chart variables."""
-    return ScalarField(CHART_CTX, parse("Q1*V4 - Q4*V1 + Q2*V3 - Q3*V2", CHART_CTX))
 
 
 # -------------------------------------------------------- energy shells
@@ -321,17 +273,6 @@ def shell_representative(
     return shell_state(energy_value, math.sqrt(params.g / (2.0 * depth)), params)
 
 
-def shell_residual(
-    point, energy_value: float, params: KeplerParams = KeplerParams()
-) -> float:
-    """|V^2 / 2 + |E| Q^2 - g| at a chart point: zero exactly on the shell."""
-    depth = _require_bound(energy_value)
-    p = np.asarray(point, dtype=float)
-    q2 = float(np.dot(p[:4], p[:4]))
-    w2 = float(np.dot(p[4:], p[4:]))
-    return abs(0.5 * w2 + depth * q2 - params.g)
-
-
 def mean_motion(energy_value: float, params: KeplerParams = KeplerParams()) -> float:
     """Physical orbital frequency 2 sqrt(2|E|^3) / g at negative energy."""
     depth = _require_bound(energy_value)
@@ -361,11 +302,6 @@ def project_state(state) -> np.ndarray:
     state = np.asarray(state, dtype=float)
     x, u = ks_tangent(state[:4], state[4:])
     return np.concatenate([x, u])
-
-
-def project_trajectory(trajectory) -> np.ndarray:
-    """Project every stored state of an unfolded trajectory, shape (m, 6)."""
-    return np.array([project_state(s) for s in trajectory.states])
 
 
 # ------------------------------------------------------------ orbit data

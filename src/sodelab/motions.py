@@ -32,7 +32,6 @@ __all__ = [
     "record_curve",
     "figure_rows",
     "write_figure_csv",
-    "angle_flow_residual",
 ]
 
 
@@ -214,8 +213,12 @@ def record_curve(
 
     Returns (times, states, closure): closure is the gap |x(T) - x(0)| in
     the max norm, x(T) read from the run's dense output: the periodicity
-    certificate for the emitted curve.
+    certificate for the emitted curve.  ``samples_per_period`` is 0 (no
+    rows, closure still measured) or at least 2: one sample would be a
+    curve of only its start point, so 1 raises ``ValueError``.
     """
+    if samples_per_period != 0 and samples_per_period < 2:
+        raise ValueError(f"samples_per_period must be 0 or >= 2, not {samples_per_period}")
     traj = record.trajectory
     times = np.linspace(0.0, record.period, samples_per_period)
     states = traj.sample_many(times)
@@ -240,15 +243,3 @@ def write_figure_csv(path, records, samples_per_period: int = 512) -> dict:
     write_csv(path, ["t", "absQ", "absV", "label"], rows)
     return closures
 
-
-def angle_flow_residual(times, x, y, omega: float) -> float:
-    """Max wrapped gap between atan2(y, x) and a uniform rotation.
-
-    Zero exactly when the planar curve (x, y) turns at constant rate omega:
-    the factorization of a motion through a circle, checked pointwise.
-    """
-    times = np.asarray(times, dtype=float)
-    theta = np.arctan2(np.asarray(y, float), np.asarray(x, float))
-    drift = theta - theta[0] - omega * (times - times[0])
-    wrapped = (drift + np.pi) % (2.0 * np.pi) - np.pi
-    return float(np.max(np.abs(wrapped)))

@@ -9,7 +9,6 @@ from sodelab.conformal import (
     oneform_rescaling_residual,
     polyline_deviation,
     regularize_complete,
-    reparametrize_time,
     rescale,
     shared_constants_residual,
 )
@@ -148,45 +147,6 @@ class TestPeriodScaling:
         a = slow.sample_many(np.linspace(0.0, slow.final_time, 2048))
         b = fast.sample_many(np.linspace(0.0, fast.final_time, 2048))
         assert polyline_deviation(a, b) < 1e-5
-
-
-# ------------------------------------------------------ reparametrization
-
-
-class TestReparametrizeTime:
-    def test_constant_factor_scales_clock(self, osc):
-        ctx, x = osc
-        traj = integrate(x.ode_rhs, np.array([1.0, 0.0]), 3.0)
-        s = reparametrize_time(traj, _scalar(ctx, "2"))
-        assert np.allclose(s, traj.times / 2, atol=1e-12)
-
-    def test_matches_rescaled_flow(self, osc):
-        ctx, x = osc
-        factor = _scalar(ctx, "1 + q1^2 / 2")
-        pair = rescale(x, factor, Box.cube(ctx, 2.0))
-        x0 = np.array([1.0, 0.0])
-        traj = integrate(x.ode_rhs, x0, 3.0)
-        s = reparametrize_time(traj, factor)
-        assert s[0] == 0.0
-        assert np.all(np.diff(s) > 0)
-        fast = integrate(pair.rescaled.ode_rhs, x0, float(s[-1]))
-        states = fast.sample_many(s)
-        err = float(np.max(np.linalg.norm(states - traj.states, axis=1)))
-        assert err < 1e-6
-
-    def test_quadrature_against_augmented_system(self, osc):
-        # independent oracle: carry the clock as an extra integrated variable
-        ctx, x = osc
-        factor = _scalar(ctx, "1 + q1^2 / 2")
-
-        def augmented(t, y):
-            q, v = y[0], y[1]
-            return np.array([v, -q, 1.0 / (1.0 + q * q / 2.0)])
-
-        traj = integrate(x.ode_rhs, np.array([1.0, 0.0]), 3.0)
-        ref = integrate(augmented, np.array([1.0, 0.0, 0.0]), 3.0)
-        s = reparametrize_time(traj, factor)
-        assert abs(s[-1] - ref.final_state[2]) < 1e-8
 
 
 # ------------------------------------------------- completeness repair

@@ -662,10 +662,21 @@ def test_too_deep_a_tree_is_refused_with_a_typed_error():
         compile_scalar(deep, CTX)
     with pytest.raises(ExpressionDepthError):
         vectorized_scalar(deep, CTX)
+    with pytest.raises(ExpressionDepthError):
+        differentiate(deep, "x")
+    with pytest.raises(ExpressionDepthError):
+        substitute(deep, {"x": Var("q1")})
+    with pytest.raises(ExpressionDepthError):
+        to_source(deep)
+    with pytest.raises(ExpressionDepthError):
+        str(deep)
     shallow = chain(200)  # y - (y - x) = x, 100 times over
     assert evaluate(shallow, CTX.env(point)) == 0.25
     assert compile_scalar(shallow, CTX)(point) == 0.25
     assert vectorized_scalar(shallow, CTX)(np.array([point]))[0] == 0.25
+    assert evaluate(differentiate(shallow, "x"), CTX.env(point)) == 1.0
+    assert evaluate(substitute(shallow, {"x": Var("y")}), CTX.env(point)) == 1.0
+    assert evaluate(parse(str(shallow), CTX), CTX.env(point)) == 0.25
 
 
 # the exactly rounded operations: on these, numpy and Python give the same bits

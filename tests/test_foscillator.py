@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from sodelab import foscillator as fo
+from sodelab.bundle import build
 from sodelab.dynamics import estimate_period, integrate
 from sodelab.expr import sub
 from sodelab.fields import canonical_tangent_structure, max_abs_on, vectorized_scalar
 from sodelab.geometry import lagrange_residual, lie_scalar
+
+
+def _chart(system, deformation):
+    """The chart over q for the deformed field, built as the fosc-* scenarios are."""
+    return build(fo.deformed_field(system, deformation), system.base_names(), system.domain())
 
 
 @pytest.fixture(scope="module")
@@ -152,18 +158,18 @@ class TestDeformedField:
 
 class TestRebuild:
     def test_nonlinear_profile_needs_newton(self, sys2):
-        st = fo.rebuild_structure(sys2, fo.kepler_matching_deformation())
+        st = _chart(sys2, fo.kepler_matching_deformation())
         assert st.inverse_kind == "newton"
         assert "nonlinear_fibers" in st.warnings
 
     def test_linear_profile_stays_affine(self, sys2):
-        st = fo.rebuild_structure(sys2, fo.linear_deformation(2.0))
+        st = _chart(sys2, fo.linear_deformation(2.0))
         assert st.inverse_kind == "affine"
         assert "nonlinear_fibers" not in st.warnings
 
     def test_forward_map_values(self, sys2, points):
         d = fo.kepler_matching_deformation()
-        st = fo.rebuild_structure(sys2, d)
+        st = _chart(sys2, d)
         for p in points[:30]:
             c = float(sys2.energy(p))
             chart = st.forward(p)
@@ -172,7 +178,7 @@ class TestRebuild:
 
     def test_round_trip(self, sys2, points):
         d = fo.kepler_matching_deformation()
-        st = fo.rebuild_structure(sys2, d)
+        st = _chart(sys2, d)
         for p in points[:12]:
             back = st.inverse(st.forward(p), guess=p + 0.05)
             assert np.allclose(back, p, atol=1e-9)
@@ -181,7 +187,7 @@ class TestRebuild:
         # energy conservation makes the slope ride as a constant, so the
         # chart force is exactly -f'(E)^2 Q
         d = fo.kepler_matching_deformation()
-        st = fo.rebuild_structure(sys2, d)
+        st = _chart(sys2, d)
         assert st.gamma == fo.deformed_field(sys2, d)
         force = st.acceleration_exprs
         for p in points[:30]:
@@ -194,20 +200,14 @@ class TestRebuild:
     def test_level_set_transport(self, sys2):
         # integrate on the source side, transport, check the rebuilt level set
         d = fo.kepler_matching_deformation()
-        st = fo.rebuild_structure(sys2, d)
+        st = _chart(sys2, d)
         level = 0.5
         gamma = fo.deformed_field(sys2, d)
         period = 2 * math.pi / d.slope_at(level)
         traj = integrate(gamma.ode_rhs, fo.shell_state(sys2, level), period)
-        worst = max(
-            fo.rebuilt_shell_residual(sys2, d, st.forward(s), level)
-            for s in traj.states
-        )
+        # on the level c the chart satisfies |V|^2 / f'(c)^2 + |Q|^2 = 2c
+        chart = np.array([st.forward(s) for s in traj.states])
+        q2 = np.sum(chart[:, :2] ** 2, axis=1)
+        w2 = np.sum(chart[:, 2:] ** 2, axis=1)
+        worst = float(np.max(np.abs(w2 / d.slope_at(level) ** 2 + q2 - 2 * level)))
         assert worst < 1e-8
-
-    def test_rebuilt_shell_residual_detects_off_level(self, sys2):
-        d = fo.linear_deformation(2.0)
-        st = fo.rebuild_structure(sys2, d)
-        on = st.forward(fo.shell_state(sys2, 0.5))
-        assert fo.rebuilt_shell_residual(sys2, d, on, 0.5) < 1e-12
-        assert fo.rebuilt_shell_residual(sys2, d, on * 1.1, 0.5) > 1e-3

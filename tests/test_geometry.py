@@ -25,8 +25,6 @@ from sodelab.geometry import (
     _image_and_rank,
     apply_tensor,
     basis_field,
-    conformal_hamiltonian_residual,
-    hamiltonian_field,
     interior_twoform,
     lagrange_residual,
     lie_bracket,
@@ -193,33 +191,6 @@ class TestVariationalResiduals:
 
 
 class TestHamiltonianSide:
-    def test_symplectic_gradient(self):
-        ctx = phase_context(1)
-        h = ScalarField.of(ctx, "(q1^2 + p1^2)/2")
-        xh = hamiltonian_field(h)
-        np.testing.assert_allclose(xh((2.0, 3.0)), [3.0, -2.0])
-
-    def test_contraction_recovers_dh(self):
-        ctx = phase_context(2)
-        h = ScalarField.of(ctx, "(q1^2 + q2^2 + p1^2 + p2^2)/2 + q1*p2")
-        xh = hamiltonian_field(h)
-        omega = canonical_symplectic(ctx)
-        unit = ScalarField.of(ctx, 1.0)
-        residual = conformal_hamiltonian_residual(xh, omega, h, unit)
-        for p in [(0.4, -0.6, 1.0, 0.3), (1.0, 1.0, -1.0, 2.0)]:
-            np.testing.assert_allclose(residual(p), 0.0, atol=1e-14)
-
-    def test_rescaled_field_needs_matching_factor(self):
-        ctx = phase_context(1)
-        h = ScalarField.of(ctx, "(q1^2 + p1^2)/2")
-        omega = canonical_symplectic(ctx)
-        doubled = hamiltonian_field(h).scaled(2.0)
-        good = conformal_hamiltonian_residual(doubled, omega, h, ScalarField.of(ctx, 2.0))
-        bad = conformal_hamiltonian_residual(doubled, omega, h, ScalarField.of(ctx, 1.0))
-        p = (0.7, -0.2)
-        np.testing.assert_allclose(good(p), 0.0, atol=1e-14)
-        assert np.max(np.abs(bad(p))) > 0.1
-
     def test_interior_product(self):
         ctx = phase_context(1)
         omega = canonical_symplectic(ctx)

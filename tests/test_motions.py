@@ -13,6 +13,14 @@ from sodelab.foscillator import deformed_field, kepler_matching_deformation, mak
 ENERGIES = (-0.5, -1.0, -2.0)
 
 
+def _shell_gap(states, energy):
+    """Max |V^2 / 2 + |E| Q^2 - g| over chart states (g = 1): zero on the shell."""
+    states = np.atleast_2d(states)
+    q2 = np.sum(states[:, :4] ** 2, axis=1)
+    w2 = np.sum(states[:, 4:] ** 2, axis=1)
+    return float(np.max(np.abs(0.5 * w2 + abs(energy) * q2 - 1.0)))
+
+
 @pytest.fixture(scope="module")
 def kepler_records():
     return mo.extract_kepler_motions(ENERGIES)
@@ -70,7 +78,7 @@ class TestExtraction:
 
     def test_kepler_states_sit_on_their_shells(self, kepler_records):
         for rec in kepler_records:
-            assert kp.shell_residual(rec.state, rec.parameter) < 1e-12
+            assert _shell_gap(rec.state, rec.parameter) < 1e-12
 
     def test_oscillator_measured_equals_assigned(self, oscillator_records):
         for rec in oscillator_records:
@@ -145,8 +153,7 @@ class TestCurves:
     def test_kepler_curves_respect_shell_relation(self, kepler_records):
         for rec in kepler_records:
             _, states, _ = mo.record_curve(rec, samples_per_period=128)
-            worst = max(kp.shell_residual(s, rec.parameter) for s in states)
-            assert worst < 1e-8
+            assert _shell_gap(states, rec.parameter) < 1e-8
 
     def test_kepler_curves_oscillate(self, kepler_records):
         # the sub-equipartition start makes |Q| genuinely move
@@ -224,41 +231,27 @@ class TestOneIntegrationPerMotion:
         self, kepler_records, oscillator_records
     ):
         for rec in (*kepler_records, *oscillator_records):
-            curves = {n: mo.record_curve(rec, samples_per_period=n) for n in (0, 1, 512)}
+            curves = {n: mo.record_curve(rec, samples_per_period=n) for n in (0, 2, 512)}
             assert curves[0][0].shape == (0,)
             assert curves[0][1].shape == (0, len(rec.state))
             closures = {curve[2] for curve in curves.values()}
             assert len(closures) == 1
             assert 0.0 < closures.pop() < 1e-6
 
+    def test_a_one_point_curve_is_refused(self, tmp_path, kepler_records):
+        # one sample is a curve of only its start point; 0 means no rows
+        path = tmp_path / "figure.csv"
+        for n in (1, -1):
+            with pytest.raises(ValueError, match="0 or >= 2"):
+                mo.record_curve(kepler_records[0], samples_per_period=n)
+            with pytest.raises(ValueError, match="0 or >= 2"):
+                mo.figure_rows(kepler_records, samples_per_period=n)
+            with pytest.raises(ValueError, match="0 or >= 2"):
+                mo.write_figure_csv(path, kepler_records, samples_per_period=n)
+            assert not path.exists()
+
     def test_period_json_leaves_the_run_out(self, kepler_records):
         rec = kepler_records[0]
         estimate = dynamics.estimate_period(kp.chart_field().ode_rhs, rec.state)
         assert estimate.trajectory.final_time > 2.0 * estimate.period - 1e-6
         assert set(estimate.to_json()) == {"period", "return_residual", "second_return"}
-
-
-class TestAngleFlow:
-    def test_circular_shell_orbit_turns_uniformly(self):
-        rec = mo.extract_kepler_motions((-0.5,), radius_scale=1.0)[0]
-        times, states, _ = mo.record_curve(rec, samples_per_period=128)
-        res = mo.angle_flow_residual(
-            times, states[:, 0], states[:, 1], kp.shell_frequency(-0.5)
-        )
-        assert res < 1e-6
-
-    def test_eccentric_shell_orbit_does_not(self):
-        rec = mo.extract_kepler_motions((-0.5,), radius_scale=0.6)[0]
-        times, states, _ = mo.record_curve(rec, samples_per_period=128)
-        res = mo.angle_flow_residual(
-            times, states[:, 0], states[:, 1], kp.shell_frequency(-0.5)
-        )
-        assert res > 1e-2
-
-    def test_oscillator_phase_plane_turns_uniformly(self, oscillator_records):
-        rec = oscillator_records[1]
-        times, states, _ = mo.record_curve(rec, samples_per_period=128)
-        res = mo.angle_flow_residual(
-            times, states[:, 0], -states[:, 2], rec.frequency
-        )
-        assert res < 1e-6

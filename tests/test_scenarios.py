@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sodelab import cli
-from sodelab import foscillator as fo
 from sodelab import kepler as kp
 from sodelab import scenarios as sc
 from sodelab.conformal import (
@@ -177,22 +176,6 @@ class TestConstruction:
 
     def test_conformal_am_nonlinear_fibers(self, library):
         assert "nonlinear_fibers" in library["conformal-am"].warnings
-
-    def test_kepler_helper_builds_the_library_chart(self, library):
-        assert kp.regularized_structure().to_json() == library["kepler-chart"].to_json()
-
-    @pytest.mark.parametrize(
-        "deformation",
-        [
-            fo.linear_deformation(2.0),
-            fo.power_deformation(2.0),
-            fo.kepler_matching_deformation(1.0),
-        ],
-        ids=lambda d: d.name,
-    )
-    def test_oscillator_helper_builds_the_library_chart(self, library, deformation):
-        st = fo.rebuild_structure(fo.make_oscillator(2), deformation)
-        assert st.to_json() == library[f"fosc-{deformation.name}"].to_json()
 
     def test_rejections_raise(self):
         for s in sc.rejection_scenarios():
