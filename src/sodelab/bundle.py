@@ -17,7 +17,9 @@ Every chart is inverted by one damped Newton solve, seeded from the base
 when the base is plain coordinates; the inverse kind names only the chart's
 shape.  In the new chart the canonical vertical endomorphism
 and dilation field turn the original dynamics into an explicitly second-order
-system.
+system.  The structure stores no chart-coordinate field: the chart velocity
+is the pushforward of the field through the chart, whose base block is V and
+whose fibre block is the force, the field's derivative of each V.
 """
 
 from __future__ import annotations
@@ -42,13 +44,8 @@ from .expr import (
     Expression,
     Var,
     VariableContext,
-    add,
     differentiate,
     free_variables,
-    mul,
-    sub,
-    substitute,
-    sum_of_products,
     to_source,
 )
 from .fields import (
@@ -174,7 +171,10 @@ class TangentStructure:
     Jacobian over the build's sample points (its one point when the Jacobian
     is constant): the product of the singular values of the Jacobian, or of
     its fibre block B when the base is plain coordinates, since then
-    |det J| = |det B|.
+    |det J| = |det B|.  The chart dynamics are not stored either: the force
+    block is ``lie_scalar(gamma, ScalarField(src_ctx, v)).expr`` for each
+    velocity tree v, and the chart velocity at zeta is the pushforward
+    ``forward.jacobian_at(x) @ gamma(x)`` at ``x = inverse(zeta)``.
     """
 
     gamma: VectorField
@@ -207,14 +207,6 @@ class TangentStructure:
         """The base's slots when it is distinct plain coordinates, else None."""
         return _coordinate_slots(self.base_exprs, self.src_ctx)
 
-    @cached_property
-    def acceleration_exprs(self) -> tuple[Expression, ...]:
-        """Force block over the source context: the field applied twice to the base."""
-        return tuple(
-            sum_of_products(zip(self.gamma.components, row))
-            for row in self.forward.jacobian[self.n :]
-        )
-
     def inverse(self, chart_point, *, guess=None) -> np.ndarray:
         target = np.asarray(chart_point, dtype=float)
         if target.shape != (self.chart_ctx.dim,):
@@ -226,38 +218,6 @@ class TangentStructure:
             if self.base_slots is not None:
                 guess[list(self.base_slots)] = target[: self.n]
         return _newton_solve(self.forward, target, guess)
-
-    @cached_property
-    def chart_field(self) -> VectorField | None:
-        """The dynamics in chart coordinates, through an affine chart's exact inverse."""
-        if self.inverse_kind != "affine":
-            return None
-        center = self.domain.center
-        origin = self.forward(center)
-        inverse_matrix = np.linalg.inv(self.forward.jacobian_at(center))
-        bindings = {}
-        for i, source in enumerate(self.src_ctx.names):
-            total: Expression = Const(float(center[i]))
-            for j, name in enumerate(self.chart_ctx.names):
-                coeff = float(inverse_matrix[i, j])
-                if coeff != 0.0:
-                    total = add(
-                        total,
-                        mul(Const(coeff), sub(Var(name), Const(float(origin[j])))),
-                    )
-            bindings[source] = total
-        blocks = list(self.velocity_exprs) + list(self.acceleration_exprs)
-        return VectorField(
-            self.chart_ctx, tuple(substitute(e, bindings) for e in blocks)
-        )
-
-    def chart_rhs(self):
-        """Numeric chart-coordinate dynamics f(t, chart_point) for integration."""
-        def rhs(t, zeta):
-            x = self.inverse(zeta)
-            return self.forward.jacobian_at(x) @ self.gamma(x)
-
-        return rhs
 
     def to_json(self) -> dict:
         # what each rank claim rests on: unit base rows, one evaluation of a

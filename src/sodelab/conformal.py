@@ -158,7 +158,6 @@ class CompletenessCertificate:
     """A damping factor with its certified speed bound along the witness."""
 
     pair: ConformalPair
-    witness: ScalarField
     grid_bound: float  # max |L_(rescaled) witness| on the sample grid
     bound_holds: bool
 
@@ -197,7 +196,6 @@ def regularize_complete(
     grid_bound = max_abs_on([damped_rate], field.ctx, points)
     return CompletenessCertificate(
         pair=pair,
-        witness=witness,
         grid_bound=grid_bound,
         bound_holds=grid_bound <= 1.0 + 1e-12,
     )

@@ -181,9 +181,13 @@ def sub(a: Expression, b: Expression) -> Expression:
         folded = a.value - b.value
         # a non-finite difference stays a node, before `a == b` could fold inf - inf to 0
         return Const(folded) if math.isfinite(folded) else Sub(a, b)
-    if a == b:
+    if a is b:
         return ZERO
-    return Sub(a, b)
+    try:
+        same = a == b  # the dataclass __eq__ recurses once per level
+    except RecursionError:
+        raise ExpressionDepthError("expression is nested too deeply to compare") from None
+    return ZERO if same else Sub(a, b)
 
 
 def mul(a: Expression, b: Expression) -> Expression:
@@ -303,14 +307,6 @@ class VariableContext:
     def __iter__(self):
         return iter(self.names)
 
-    def env(self, point) -> dict[str, float]:
-        """Bind a point (sequence ordered like ``names``) to an eval environment."""
-        if len(point) != len(self.names):
-            raise ValueError(
-                f"point has {len(point)} coordinates, context has {len(self.names)}"
-            )
-        return {name: float(value) for name, value in zip(self.names, point)}
-
 
 def qv_context(n: int, base: str = "q", fiber: str = "v") -> VariableContext:
     """Context (q1..qn, v1..vn) for a tangent-bundle chart."""
@@ -318,11 +314,6 @@ def qv_context(n: int, base: str = "q", fiber: str = "v") -> VariableContext:
         f"{fiber}{k}" for k in range(1, n + 1)
     )
     return VariableContext(names)
-
-
-def phase_context(n: int) -> VariableContext:
-    """Context (q1..qn, p1..pn) for a cotangent-bundle chart."""
-    return qv_context(n, base="q", fiber="p")
 
 
 # --- parsing ----------------------------------------------------------------

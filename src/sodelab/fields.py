@@ -179,10 +179,6 @@ class ScalarField(_Shaped):
     def _layout(self):
         return self.ctx, ()
 
-    @classmethod
-    def of(cls, ctx: VariableContext, source: Expression | str | float) -> "ScalarField":
-        return cls(ctx, source)  # type: ignore[arg-type]
-
     def gradient(self) -> "OneFormField":
         return OneFormField(
             self.ctx,

@@ -5,8 +5,11 @@ the field by f'(energy) gives a new second-order system whose angular
 frequency on each energy level is exactly f'(level): the profile reshapes
 the spectrum without touching the orbits.  Because the energy is conserved,
 the slope factor rides along every orbit as a constant, so the chart force
-over the base q is -f'(E)^2 Q and the contraction of the rescaled field with
-the canonical two-form is the exact differential of f(E).
+over the base q (the field's derivative of each chart velocity) is
+-f'(E)^2 Q, and the contraction of the rescaled field with the canonical
+two-form is the exact differential of f(E).  A deformation offers its
+profile f and its slope f' as trees, and f' at one level as a number: the
+field needs only f', and f enters through :func:`deformed_hamiltonian`.
 """
 
 from __future__ import annotations
@@ -85,7 +88,11 @@ def make_oscillator(n: int) -> OscillatorSystem:
 
 @dataclass(frozen=True)
 class Deformation:
-    """A smooth profile f(xi) applied to the oscillator energy."""
+    """A smooth profile f(xi) applied to the oscillator energy.
+
+    ``slope`` is the tree f'(xi), and ``slope_at`` its value at one level:
+    the level's frequency.
+    """
 
     name: str
     profile: Expression
@@ -97,18 +104,8 @@ class Deformation:
     def slope(self) -> Expression:
         return differentiate(self.profile, "xi")
 
-    @cached_property
-    def curvature(self) -> Expression:
-        return differentiate(self.slope, "xi")
-
-    def value_at(self, xi: float) -> float:
-        return evaluate(self.profile, {"xi": float(xi)})
-
     def slope_at(self, xi: float) -> float:
         return evaluate(self.slope, {"xi": float(xi)})
-
-    def curvature_at(self, xi: float) -> float:
-        return evaluate(self.curvature, {"xi": float(xi)})
 
 
 def deformation_from_source(name: str, source: str) -> Deformation:
@@ -130,7 +127,7 @@ def power_deformation(exponent: float) -> Deformation:
     return deformation_from_source(f"power-{exponent:g}", f"xi^{p!r} / {p!r}")
 
 
-def kepler_matching_deformation(g: float = 1.0) -> Deformation:
+def kepler_matching_deformation(g: float) -> Deformation:
     """Profile (2 xi)^(5/2) / (10 g): level frequency sqrt(2 xi^3) / g.
 
     With this profile the oscillator level at (g^2 |E|)^(1/3) beats at

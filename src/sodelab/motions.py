@@ -133,17 +133,14 @@ def matched_oscillator_grid(
     """
     if g <= 0:
         raise ValueError("coupling g must be positive")
+    if mode not in ("frequency", "energy"):
+        raise ValueError(f"unknown grid mode {mode!r}")
     levels = []
     for e in energies:
         depth = -float(e)
         if depth <= 0:
             raise ValueError(f"energy {e} is not negative")
-        if mode == "frequency":
-            levels.append(float((g * g * depth) ** (1.0 / 3.0)))
-        elif mode == "energy":
-            levels.append(depth)
-        else:
-            raise ValueError(f"unknown grid mode {mode!r}")
+        levels.append(float((g * g * depth) ** (1.0 / 3.0)) if mode == "frequency" else depth)
     return tuple(levels)
 
 
@@ -175,9 +172,7 @@ class MotionMatching:
         }
 
 
-def match_motions(
-    records_a, records_b, *, tol: float = 1e-3
-) -> MotionMatching:
+def match_motions(records_a, records_b, *, tol: float) -> MotionMatching:
     """Pair two motion families bijectively by measured frequency.
 
     Both families are sorted by frequency and paired in order; a cardinality
@@ -205,10 +200,7 @@ def match_motions(
     return MotionMatching(tuple(pairs), tol)
 
 
-def record_curve(
-    record: MotionRecord,
-    samples_per_period: int = 512,
-):
+def record_curve(record: MotionRecord, samples_per_period: int):
     """Sample one period of a motion uniformly from its period run.
 
     Returns (times, states, closure): closure is the gap |x(T) - x(0)| in
@@ -226,7 +218,7 @@ def record_curve(
     return times, states, closure
 
 
-def figure_rows(records, samples_per_period: int = 512):
+def figure_rows(records, samples_per_period: int):
     """Rows (t, |Q|, |V|, label) for every record, plus closure residuals."""
     rows, closures = [], {}
     for rec in records:
@@ -237,7 +229,7 @@ def figure_rows(records, samples_per_period: int = 512):
     return rows, closures
 
 
-def write_figure_csv(path, records, samples_per_period: int = 512) -> dict:
+def write_figure_csv(path, records, samples_per_period: int) -> dict:
     """One flat CSV with columns t, absQ, absV, label; returns closures."""
     rows, closures = figure_rows(records, samples_per_period)
     write_csv(path, ["t", "absQ", "absV", "label"], rows)

@@ -55,7 +55,6 @@ class SodeScenario:
     base: tuple[str, ...]
     box: Box
     expect_error: type | None = None
-    notes: str = ""
 
     @property
     def ctx(self) -> VariableContext:
@@ -73,7 +72,6 @@ class ConformalScenario:
     box: Box
     conserved: ScalarField | None = None
     orbit_state: tuple[float, ...] | None = None
-    notes: str = ""
 
     @property
     def ctx(self) -> VariableContext:
@@ -92,7 +90,6 @@ def _oscillator_case(n: int) -> SodeScenario:
         field=system.field,
         base=system.base_names(),
         box=system.domain(),
-        notes="unit oscillator over its own configuration coordinates",
     )
 
 
@@ -102,17 +99,15 @@ def _double_rotation_case(pair: str) -> SodeScenario:
         field=_double_rotation(),
         base=tuple(f"x{c}" for c in pair),
         box=Box.cube(_X4, 2.0, exclude_radius=0.5),
-        notes="two uncoupled unit rotations; every mixed pair is a base",
     )
 
 
-def _free_particle_case(name: str, base: str, notes: str) -> SodeScenario:
+def _free_particle_case(name: str, base: str) -> SodeScenario:
     return SodeScenario(
         name=name,
         field=VectorField.of(_X2, "x2", "0"),
         base=(base,),
         box=Box.cube(_X2, 2.0),
-        notes=notes,
     )
 
 
@@ -122,8 +117,6 @@ def _conformal_am_case() -> SodeScenario:
         field=_double_rotation().scaled(_AM_FACTOR_SRC),
         base=("x1", "x3"),
         box=Box.cube(_X4, 1.2, exclude_radius=0.4),
-        notes="rotation on an orbit-dependent clock; chart determinant is "
-        "(1 + ell^2)(1 + 3 ell^2) with ell the plane-mixing invariant",
     )
 
 
@@ -133,7 +126,6 @@ def _kepler_case() -> SodeScenario:
         field=kp.rescaled_field(),
         base=("y0", "y1", "y2", "y3"),
         box=kp.unfolded_domain(),
-        notes="unfolded gravitational field on the fast clock over the plain base",
     )
 
 
@@ -144,11 +136,10 @@ def _foscillator_case(deformation: fo.Deformation) -> SodeScenario:
         field=fo.deformed_field(system, deformation),
         base=system.base_names(),
         box=system.domain(),
-        notes="oscillator on an energy-dependent clock, rebuilt over q",
     )
 
 
-def _rotation_case(name: str, ctx: VariableContext, notes: str) -> SodeScenario:
+def _rotation_case(name: str, ctx: VariableContext) -> SodeScenario:
     """The plane rotation over base (x1, x2), padded with zeros to ``ctx``."""
     return SodeScenario(
         name=name,
@@ -156,11 +147,10 @@ def _rotation_case(name: str, ctx: VariableContext, notes: str) -> SodeScenario:
         base=("x1", "x2"),
         box=Box.cube(ctx, 2.0, exclude_radius=0.3),
         expect_error=FunctionalDependenceError,
-        notes=notes,
     )
 
 
-def _oscillator_clock(name: str, factor: str, notes: str) -> ConformalScenario:
+def _oscillator_clock(name: str, factor: str) -> ConformalScenario:
     osc = fo.make_oscillator(1)
     return ConformalScenario(
         name=name,
@@ -169,7 +159,6 @@ def _oscillator_clock(name: str, factor: str, notes: str) -> ConformalScenario:
         box=Box.cube(osc.ctx, 2.0),
         conserved=osc.energy,
         orbit_state=(1.0, 0.0),
-        notes=notes,
     )
 
 
@@ -181,8 +170,6 @@ def _am_clock() -> ConformalScenario:
         box=Box.cube(_X4, 1.2, exclude_radius=0.4),
         conserved=ScalarField(_X4, _AM_FACTOR_SRC),
         orbit_state=(1.0, 0.0, 0.3, 0.2),
-        notes="factor built from the plane-mixing invariant: constant on "
-        "every orbit yet not constant on space",
     )
 
 
@@ -195,7 +182,6 @@ def _kepler_clock() -> ConformalScenario:
         box=kp.unfolded_domain(),
         conserved=kp.energy(params),
         orbit_state=tuple(kp.unfolded_circular_state(-0.5)),
-        notes="the slow-to-fast clock change of the unfolded problem",
     )
 
 
@@ -206,42 +192,48 @@ def _blowup_damping() -> ConformalScenario:
         factor=ScalarField(_X1, "exp(-(x^4))"),
         box=Box.cube(_X1, 2.0),
         orbit_state=(1.0,),
-        notes="finite-time escape stretched to completeness by the damping",
     )
 
 
 _TABLE = (
+    # unit oscillator over its own configuration coordinates
     ("construction", "oscillator-1", partial(_oscillator_case, 1)),
     ("construction", "oscillator-2", partial(_oscillator_case, 2)),
+    # two uncoupled unit rotations; every mixed pair is a base
     *(("construction", f"double-rotation-{pair}", partial(_double_rotation_case, pair))
       for pair in ("13", "14", "23", "24")),
+    # drift field; rest states sit on the base, which is a warning
     ("construction", "free-particle", partial(
-        _free_particle_case, "free-particle", "x1",
-        "drift field; rest states sit on the base, which is a warning")),
+        _free_particle_case, "free-particle", "x1")),
+    # same field under a bent base function; chart inverts by Newton
     ("construction", "free-particle-bent", partial(
-        _free_particle_case, "free-particle-bent", "x1 + x2^2",
-        "same field under a bent base function; chart inverts by Newton")),
+        _free_particle_case, "free-particle-bent", "x1 + x2^2")),
+    # rotation on an orbit-dependent clock; chart determinant is
+    # (1 + ell^2)(1 + 3 ell^2) with ell the plane-mixing invariant
     ("construction", "conformal-am", _conformal_am_case),
+    # unfolded gravitational field on the fast clock over the plain base
     ("construction", "kepler-chart", _kepler_case),
+    # oscillators on an energy-dependent clock, rebuilt over q
     ("construction", "fosc-linear-2", lambda: _foscillator_case(fo.linear_deformation(2.0))),
     ("construction", "fosc-power-2", lambda: _foscillator_case(fo.power_deformation(2.0))),
     ("construction", "fosc-kepler-match-g1",
      lambda: _foscillator_case(fo.kepler_matching_deformation(1.0))),
-    ("construction", "rotation-2d", partial(
-        _rotation_case, "rotation-2d", _X2,
-        "two base functions on a two-dimensional ambient space")),
-    ("construction", "rotation-4d-lift", partial(
-        _rotation_case, "rotation-4d-lift", _X4,
-        "same rotation padded into four dimensions: the velocity functions "
-        "repeat the base functions, so the chart rank collapses")),
-    ("rescaling", "uniform-speedup", partial(
-        _oscillator_clock, "uniform-speedup", "2",
-        "constant clock factor: period divides by the constant")),
+    # two base functions on a two-dimensional ambient space
+    ("construction", "rotation-2d", partial(_rotation_case, "rotation-2d", _X2)),
+    # same rotation padded into four dimensions: the velocity functions
+    # repeat the base functions, so the chart rank collapses
+    ("construction", "rotation-4d-lift", partial(_rotation_case, "rotation-4d-lift", _X4)),
+    # constant clock factor: period divides by the constant
+    ("rescaling", "uniform-speedup", partial(_oscillator_clock, "uniform-speedup", "2")),
+    # state-dependent clock: same orbits, reshaped time
     ("rescaling", "state-speedup", partial(
-        _oscillator_clock, "state-speedup", "2 + q1^2 / 4",
-        "state-dependent clock: same orbits, reshaped time")),
+        _oscillator_clock, "state-speedup", "2 + q1^2 / 4")),
+    # factor built from the plane-mixing invariant: constant on every orbit
+    # yet not constant on space
     ("rescaling", "am-clock", _am_clock),
+    # the slow-to-fast clock change of the unfolded problem
     ("rescaling", "kepler-clock", _kepler_clock),
+    # finite-time escape stretched to completeness by the damping
     ("rescaling", "blowup-damping", _blowup_damping),
     # the flat tangent spaces of one and two degrees of freedom
     ("flat", "flat-2", partial(qv_context, 1)),

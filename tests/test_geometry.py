@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sodelab.expr import VariableContext, add, parse, qv_context, phase_context
+from sodelab.expr import VariableContext, add, parse, qv_context
 from sodelab.fields import (
     Box,
     PointMap,
@@ -54,7 +54,7 @@ class TestLieIdentities:
 
     X = field_ab("a*b", "sin(a)")
     Y = field_ab("b^2", "a - b")
-    G = ScalarField.of(AB, "exp(a)*cos(b)")
+    G = ScalarField(AB, "exp(a)*cos(b)")
 
     def test_bracket_against_second_derivatives(self):
         # L_X L_Y g - L_Y L_X g = L_[X,Y] g
@@ -169,7 +169,7 @@ class TestNijenhuisOracle:
 class TestVariationalResiduals:
     def test_oscillator_lagrangian_closes(self):
         s, _ = canonical_tangent_structure(CTX1)
-        lagr = ScalarField.of(CTX1, "(v1^2 - q1^2)/2")
+        lagr = ScalarField(CTX1, "(v1^2 - q1^2)/2")
         gamma = VectorField.of(CTX1, "v1", "-q1")
         residual = lagrange_residual(lagr, gamma, s)
         for p in [(0.3, 1.7), (-1.1, 0.2)]:
@@ -177,7 +177,7 @@ class TestVariationalResiduals:
 
     def test_free_lagrangian_rejects_oscillator_field(self):
         s, _ = canonical_tangent_structure(CTX1)
-        lagr = ScalarField.of(CTX1, "v1^2/2")
+        lagr = ScalarField(CTX1, "v1^2/2")
         gamma = VectorField.of(CTX1, "v1", "-q1")
         residual = lagrange_residual(lagr, gamma, s)
         # defect reduces to (-q1, 0)
@@ -185,14 +185,14 @@ class TestVariationalResiduals:
 
     def test_theta_components(self):
         s, _ = canonical_tangent_structure(CTX1)
-        lagr = ScalarField.of(CTX1, "v1^2/2")
+        lagr = ScalarField(CTX1, "v1^2/2")
         theta = theta_from_lagrangian(lagr, s)
         np.testing.assert_allclose(theta((3.0, 2.0)), [2.0, 0.0])
 
 
 class TestHamiltonianSide:
     def test_interior_product(self):
-        ctx = phase_context(1)
+        ctx = VariableContext.of("q1", "p1")
         omega = canonical_symplectic(ctx)
         x = VectorField.of(ctx, "1", "0")
         np.testing.assert_allclose(interior_twoform(omega, x)((0.0, 0.0)), [0.0, 1.0])

@@ -57,6 +57,12 @@ class TestGrids:
             mo.matched_oscillator_grid(ENERGIES, mode="nope")
         with pytest.raises(ValueError):
             mo.matched_oscillator_grid(ENERGIES, g=-1.0)
+        # the options are checked before the first energy, so an empty grid
+        # refuses them too
+        with pytest.raises(ValueError):
+            mo.matched_oscillator_grid([], mode="bogus")
+        with pytest.raises(ValueError):
+            mo.matched_oscillator_grid([], g=0.0)
 
 
 class TestExtraction:
@@ -113,7 +119,7 @@ class TestMatching:
         assert len({p.record_b.label for p in matching.pairs}) == 3
 
     def test_sorted_pairing_aligns_shells(self, kepler_records, oscillator_records):
-        matching = mo.match_motions(kepler_records, oscillator_records)
+        matching = mo.match_motions(kepler_records, oscillator_records, tol=1e-3)
         for pair in matching.pairs:
             e = pair.record_a.parameter
             level = pair.record_b.parameter
@@ -129,10 +135,10 @@ class TestMatching:
 
     def test_cardinality_gap_rejected(self, kepler_records, oscillator_records):
         with pytest.raises(CardinalityMismatchError):
-            mo.match_motions(kepler_records, oscillator_records[:2])
+            mo.match_motions(kepler_records, oscillator_records[:2], tol=1e-3)
 
     def test_matching_json_shape(self, kepler_records, oscillator_records):
-        blob = mo.match_motions(kepler_records, oscillator_records).to_json()
+        blob = mo.match_motions(kepler_records, oscillator_records, tol=1e-3).to_json()
         assert set(blob) == {"tolerance", "pairs"}
         for entry in blob["pairs"]:
             assert set(entry) == {
@@ -201,7 +207,7 @@ class TestOneIntegrationPerMotion:
                         monkeypatch.setattr(module, attr, refuse)
         records = (*kepler_records, *oscillator_records)
         for rec in records:
-            mo.record_curve(rec)
+            mo.record_curve(rec, 512)
         rows, closures = mo.figure_rows(records, samples_per_period=16)
         assert len(rows) == 16 * len(records)
         assert set(closures) == {rec.label for rec in records}
@@ -224,7 +230,7 @@ class TestOneIntegrationPerMotion:
             assert np.array_equal(run.times[below], fresh.times[:k])
             assert np.array_equal(run.states[below], fresh.states[:k])
             assert np.array_equal(run.dense[: k - 1], fresh.dense[: k - 1])
-            times, states, _ = mo.record_curve(rec)
+            times, states, _ = mo.record_curve(rec, 512)
             assert np.max(np.abs(states - fresh.sample_many(times))) <= 1e-10
 
     def test_closure_does_not_depend_on_the_sample_count(

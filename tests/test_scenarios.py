@@ -15,7 +15,7 @@ from sodelab.conformal import (
 )
 from sodelab.dynamics import estimate_period
 from sodelab.errors import FunctionalDependenceError
-from sodelab.expr import differentiate, parse
+from sodelab.expr import add, differentiate, parse
 from sodelab.fields import (
     OneFormField,
     ScalarField,
@@ -161,9 +161,8 @@ class TestConstruction:
         # every mixed base sees the same harmonic force -Q
         for pair in ("13", "14", "23", "24"):
             st = library[f"double-rotation-{pair}"]
-            for accel, base in zip(st.acceleration_exprs, st.base_exprs):
-                from sodelab.expr import add
-
+            for v, base in zip(st.velocity_exprs, st.base_exprs):
+                accel = lie_scalar(st.gamma, ScalarField(st.src_ctx, v)).expr
                 residual = add(accel, base)
                 pts = st.domain.sample(seed=9, n_random=50, grid_points=1)
                 vals = np.asarray(

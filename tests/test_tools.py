@@ -1,4 +1,4 @@
-"""Smoke tests for the scripts under ``tools/``, and a guard on the public surface."""
+"""Smoke tests for the scripts under ``tools/``, and guards on the public surface."""
 
 import ast
 import runpy
@@ -19,7 +19,7 @@ def test_surface_prints_one_row_per_module_and_a_total():
     )
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
-    assert header.split() == ["module", "lines", "public", "defaults", "fields"]
+    assert header.split() == ["module", "lines", "public", "defaults", "fields", "members"]
     table = {name: int(lines) for name, lines, *_ in (row.split() for row in rows)}
     modules = sorted(PACKAGE.glob("*.py"))
     assert [row.split()[0] for row in rows] == [p.name for p in modules] + ["total"]
@@ -28,19 +28,23 @@ def test_surface_prints_one_row_per_module_and_a_total():
     assert table["total"] == sum(table[path.name] for path in modules)
 
 
-# public names that no program code reaches yet, each kept for a stated reason
+# public names (module.name) and class members (module.Class.member) that
+# no program code reaches yet, each kept for a stated reason
 _UNREACHED_BY_DESIGN = {
     "geometry.pullback_twoform": "ROADMAP.md direction 1 builds the source-space "
     "tangent structure on it",
+    "dynamics.Trajectory.min_step": "ROADMAP.md direction 4 reports it as run "
+    "telemetry",
 }
 
 
-def _reached_names():
-    """Names used as a name, an attribute or an import by program code.
+def _program_reads():
+    """(names, attributes) that program code uses.
 
     Program code is the package, ``perfbench/``, ``tools/`` and the
-    acceptance suite; the tracer patches functions by name, so its strings
-    count too.
+    acceptance suite.  ``attributes`` holds the names read after a dot;
+    ``names`` adds every plain name and import alias.  The tracer patches
+    functions by name, so its strings count in both.
     """
     paths = [
         *PACKAGE.glob("*.py"),
@@ -48,30 +52,61 @@ def _reached_names():
         *(ROOT / "tools").glob("*.py"),
         ROOT / "tests" / "test_acceptance.py",
     ]
-    reached = set()
+    names, attributes = set(), set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                reached.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                reached.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                reached.add(node.name)
+                names.add(node.name)
             elif path.name == "tracing.py" and isinstance(node, ast.Constant):
                 if isinstance(node.value, str):
-                    reached.add(node.value)
-    return reached
+                    attributes.add(node.value)
+    return names | attributes, attributes
+
+
+def _exemptions(dots):
+    return {key for key in _UNREACHED_BY_DESIGN if key.count(".") == dots}
+
+
+def _modules():
+    for path in PACKAGE.glob("*.py"):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def test_every_public_name_is_reached_by_program_code():
     public_names = runpy.run_path(str(ROOT / "tools" / "surface.py"))["_public_names"]
-    reached = _reached_names()
+    reached, _ = _program_reads()
     unreached = {
-        f"{path.stem}.{name}"
-        for path in PACKAGE.glob("*.py")
-        for name in public_names(ast.parse(path.read_text(encoding="utf-8")))
+        f"{module}.{name}"
+        for module, tree in _modules()
+        for name in public_names(tree)
         if name not in reached
     }
     # an exemption that code now reaches fails here too, so none goes stale
-    assert unreached == set(_UNREACHED_BY_DESIGN)
+    assert unreached == _exemptions(1)
+
+
+def test_every_class_member_is_read_by_program_code():
+    """Each public method, property and dataclass field of a class in a
+    module's ``__all__`` is read as an attribute by program code.
+
+    A name-based tripwire, not a proof: it matches attribute names, not
+    classes, so a member that shares its name with any attribute read
+    elsewhere (``of``, ``ctx``, ``to_json``) escapes it.
+    """
+    surface = runpy.run_path(str(ROOT / "tools" / "surface.py"))
+    public_names, members = surface["_public_names"], surface["_members"]
+    _, read = _program_reads()
+    unread = {
+        f"{module}.{node.name}.{member}"
+        for module, tree in _modules()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in public_names(tree)
+        for member in members(node)
+        if member not in read
+    }
+    assert unread == _exemptions(2)

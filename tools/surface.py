@@ -12,7 +12,9 @@ then one ``total`` line.  The columns are:
   constructor (a dataclass's defaulted fields, or ``__init__``) and its
   public methods;
 * ``fields``   -- annotated fields of every dataclass in the module, public
-  or private (``ClassVar`` annotations excluded).
+  or private (``ClassVar`` annotations excluded);
+* ``members``  -- public methods, properties and dataclass fields of the
+  classes in ``__all__``.
 
 Running the script on two checkouts and diffing the outputs compares their
 surfaces.
@@ -58,6 +60,18 @@ def _fields(cls: ast.ClassDef) -> list[ast.AnnAssign]:
     ]
 
 
+def _members(cls: ast.ClassDef) -> list[str]:
+    """The class's public methods and properties, then its public dataclass fields."""
+    names = [
+        node.name
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    if _is_dataclass(cls):
+        names += [field.target.id for field in _fields(cls)]
+    return [name for name in names if not name.startswith("_")]
+
+
 def _class_defaults(cls: ast.ClassDef) -> int:
     methods = [n for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
     if _is_dataclass(cls):
@@ -67,12 +81,13 @@ def _class_defaults(cls: ast.ClassDef) -> int:
     return total + sum(_defaults(m) for m in methods if not m.name.startswith("_"))
 
 
-def surface(path: Path) -> tuple[int, int, int, int]:
-    """(lines, public names, defaulted parameters, dataclass fields) of one module."""
+def surface(path: Path) -> tuple[int, int, int, int, int]:
+    """(lines, public names, defaulted parameters, dataclass fields, class
+    members) of one module."""
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source)
     public = _public_names(tree)
-    defaults = 0
+    defaults = members = 0
     for node in tree.body:
         if getattr(node, "name", None) not in public:
             continue
@@ -80,20 +95,21 @@ def surface(path: Path) -> tuple[int, int, int, int]:
             defaults += _defaults(node)
         elif isinstance(node, ast.ClassDef):
             defaults += _class_defaults(node)
+            members += len(_members(node))
     fields = sum(
         len(_fields(node))
         for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef) and _is_dataclass(node)
     )
-    return source.count("\n"), len(public), defaults, fields
+    return source.count("\n"), len(public), defaults, fields, members
 
 
 def main() -> None:
     rows = [(path.name, surface(path)) for path in sorted(PACKAGE.glob("*.py"))]
     totals = tuple(sum(column) for column in zip(*(counts for _, counts in rows)))
-    print(f"{'module':<16}{'lines':>7}{'public':>8}{'defaults':>10}{'fields':>8}")
-    for name, (lines, public, defaults, fields) in [*rows, ("total", totals)]:
-        print(f"{name:<16}{lines:>7}{public:>8}{defaults:>10}{fields:>8}")
+    print(f"{'module':<16}{'lines':>7}{'public':>8}{'defaults':>10}{'fields':>8}{'members':>9}")
+    for name, (lines, public, defaults, fields, members) in [*rows, ("total", totals)]:
+        print(f"{name:<16}{lines:>7}{public:>8}{defaults:>10}{fields:>8}{members:>9}")
 
 
 if __name__ == "__main__":
