@@ -3,9 +3,12 @@
 The integrator is DOP853, the 8th-order Dormand-Prince pair of Hairer,
 Norsett & Wanner (Solving ODEs I, II.5-II.6): 12 stages per attempt with the
 last one reused as the next first (FSAL), the combined 5th/3rd-order error
-estimate, and a step-size exponent of 1/8.  Each accepted step stores its own
-7th-order interpolant (3 extra stages) for :meth:`Trajectory.sample` and
-:meth:`Trajectory.sample_many`; period detection bisects its projection.
+estimate, and a step-size exponent of 1/8.  Each accepted step keeps what its
+7th-order interpolant (3 extra stages) is built from, and the interpolant is
+built on its first read only, as the reference code builds dense output on
+request: by :meth:`Trajectory.sample` and :meth:`Trajectory.sample_many`, or
+by period detection, which bisects the projection of just the steps where
+its section is crossed.
 
 The step itself is generated code, one kernel per state dimension, emitted
 from the coefficient tables on the first integration of that dimension and
@@ -29,9 +32,9 @@ floor gives ``"step_underflow"``, and a spent step budget ``"step_limit"``
 (``Trajectory.min_step`` then shows how small the steps got).  Despite its
 name, ``Trajectory.blow_up_bracket`` holds the failure bracket of both
 ``"blow_up"`` and ``"step_underflow"``.  An optional
-``stop`` hook sees the nodes after each accepted step and can end the run
-early (``status == "stopped"``); period detection uses it to stop at the
-second return.
+``stop`` hook sees the nodes after each accepted step, with a callable that
+builds the newest step's interpolant, and can end the run early (``status ==
+"stopped"``); period detection uses it to stop at the second return.
 """
 
 from __future__ import annotations
@@ -442,38 +445,64 @@ def _initial_step(
     return min(100.0 * h0, h1, span)
 
 
-def _interpolate(y_old, dense: np.ndarray, i, x):
+def _interpolate(y_old, row, x):
     """The dense output y_old + x(F0 + (1-x)(F1 + x(F2 + ... (1-x)(F5 + x F6)))).
 
-    F0..F6 are ``dense[i]``: of one step, with ``i`` an index and ``x`` a
-    scalar, or of many, with ``i`` an index array and ``x`` a column of
-    fractions.  Both take the same operations in the same order, so rows
-    agree bit for bit.  Rows projected on a normal, ``(1, 7)``, give a scalar.
+    Fk is ``row(k)``: of one step, a state row or, projected on a normal, a
+    float, with ``x`` a float; or of many, a ``(times, dim)`` block with
+    ``x`` a column of fractions, fetched only when the sum reaches it.  All
+    take the same operations in the same order, so their values agree bit
+    for bit.
     """
     u = 1.0 - x
-    acc = dense[i, 6] * x
+    acc = row(6) * x
     for k, w in ((5, u), (4, x), (3, u), (2, x), (1, u), (0, x)):
-        acc = (dense[i, k] + acc) * w
+        acc = (row(k) + acc) * w
     return y_old + acc
+
+
+def _interpolant(steps: list, j: int) -> tuple:
+    """Step ``j``'s 7 interpolant rows as one flat tuple, row after row.
+
+    ``steps[j]`` holds the step's builder, the dense kernel bound to its
+    stage record, until the first read; that read calls it (3 RHS calls) and
+    keeps the coefficients in its place.
+    """
+    step = steps[j]
+    if callable(step):
+        step = steps[j] = step()
+    return step
 
 
 @dataclass
 class Trajectory:
-    """Accepted integration nodes plus each step's dense-output coefficients."""
+    """Accepted integration nodes; each step's interpolant is built on first read."""
 
     times: np.ndarray
     states: np.ndarray
-    dense: np.ndarray  # (steps, 7, dim): the interpolant of each accepted step
     status: str  # "completed" | "stopped" | "blow_up" | "step_underflow" | "step_limit"
     accepted: int
     rejected: int
     # the failure bracket of "blow_up" and of "step_underflow" alike; the name
     # predates the split and is kept for readers of integrate.json
     blow_up_bracket: tuple[float, float] | None = None
-    # RHS evaluations: the initial value, the initial-step probe, 12 per
-    # attempted step and 3 more per accepted step for its dense output
-    nfev: int = 0
     min_step: float = math.inf  # the smallest accepted step
+    # RHS evaluations of the run before any interpolant: the initial value,
+    # the initial-step probe and 12 per attempted step
+    _step_fev: int = 0
+    # per accepted step, its interpolant's builder until the first read, then
+    # the interpolant (see _interpolant)
+    _steps: list = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def nfev(self) -> int:
+        """RHS evaluations so far: the run's, plus 3 per interpolant built.
+
+        It grows when a read builds an interpolant, during the run (the
+        ``stop`` hook) or after it.
+        """
+        built = sum(not callable(step) for step in self._steps)
+        return self._step_fev + 3 * built
 
     @property
     def final_time(self) -> float:
@@ -501,7 +530,8 @@ class Trajectory:
                 f"t = {ts[outside][0]} outside the covered range "
                 f"[{times[0]}, {times[-1]}]"
             )
-        out = np.empty((len(ts), self.states.shape[1]))
+        dim = self.states.shape[1]
+        out = np.empty((len(ts), dim))
         last = ts >= times[-1]
         first = ~last & (ts <= times[0])
         inner = ~(last | first)
@@ -510,7 +540,11 @@ class Trajectory:
         t = ts[inner]
         i = np.searchsorted(times, t, side="right") - 1
         x = (t - times[i]) / (times[i + 1] - times[i])
-        out[inner] = _interpolate(self.states[i], self.dense, i, x[:, None])
+        # build each step the times fall in once, in one pass
+        read, row = np.unique(i, return_inverse=True)
+        table = np.array([_interpolant(self._steps, j) for j in read.tolist()])
+        table = table.reshape(len(read), 7, dim)
+        out[inner] = _interpolate(self.states[i], lambda k: table[row, k], x[:, None])
         return out
 
 
@@ -538,18 +572,22 @@ def integrate(
     *,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    stop: Callable[[list, list, list], bool] | None = None,
+    stop: Callable[[list, list, Callable[[], tuple]], bool] | None = None,
 ) -> Trajectory:
     """Integrate dy/dt = f(t, y) from t = 0 forward to t_end.
 
-    ``stop(times, states, dense)``, if given, is called after each accepted
-    step with the node lists so far, states as tuples of floats, and each
-    step's dense-output coefficients as one flat tuple of 7 rows of ``dim``
-    (the new step last; read them, do not change them).  It ends the run
-    with status ``"stopped"`` when it returns true.  A run that has not
-    reached ``t_end`` after ``_MAX_STEPS`` (200,000) step attempts, accepted
-    or rejected, ends with status ``"step_limit"``.  A ``t_end``, ``rtol`` or
-    ``atol`` that is not finite and positive raises ValueError.
+    ``stop(times, states, interpolant)``, if given, is called after each
+    accepted step with the node lists so far (states as tuples of floats;
+    read them, do not change them) and a callable of no arguments.  That
+    callable returns the new step's dense-output coefficients as one flat
+    tuple of 7 rows of ``dim``.  It builds them on its first call, at the
+    cost of 3 RHS calls, and the returned ``Trajectory`` reuses them; a hook
+    that never calls it leaves the step unbuilt until a sample reads it.
+    The hook ends the run with status ``"stopped"`` when it returns true.
+    A run that has not reached ``t_end`` after ``_MAX_STEPS`` (200,000) step
+    attempts, accepted or rejected, ends with status ``"step_limit"``.  A
+    ``t_end``, ``rtol`` or ``atol`` that is not finite and positive raises
+    ValueError.
     """
     y_arr = np.array(y0, dtype=float)
     dim = y_arr.shape[0]
@@ -568,7 +606,7 @@ def integrate(
 
     times = [t]
     states = [y]
-    dense: list[tuple] = []
+    steps: list = []  # per accepted step, as Trajectory._steps holds them
     accepted = 0
     rejected = 0
     status = "step_limit"
@@ -600,8 +638,9 @@ def integrate(
                 status = "blow_up"
                 bracket = (t, t_new)
                 break
-            nfev += 3
-            dense.append(dense_step(stage, t, h, y, y_new, k_new, ks))
+            # the step's own h: times[i + 1] - times[i] may differ from it
+            # in the last bit
+            steps.append(functools.partial(dense_step, stage, t, h, y, y_new, k_new, ks))
             k0 = k_new
             t = t_new
             y = y_new
@@ -609,7 +648,9 @@ def integrate(
             states.append(y)
             accepted += 1
             min_step = min(min_step, h)
-            if stop is not None and stop(times, states, dense):
+            if stop is not None and stop(
+                times, states, functools.partial(_interpolant, steps, accepted - 1)
+            ):
                 status = "stopped"
                 break
             factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err**_EXPONENT
@@ -623,13 +664,13 @@ def integrate(
     return Trajectory(
         times=np.array(times),
         states=np.array(states),
-        dense=np.array(dense).reshape(-1, 7, dim),
         status=status,
         accepted=accepted,
         rejected=rejected,
         blow_up_bracket=bracket,
-        nfev=nfev,
         min_step=min_step,
+        _step_fev=nfev,
+        _steps=steps,
     )
 
 
@@ -663,11 +704,11 @@ def estimate_period(
     The return section is the hyperplane through ``x0`` normal to the initial
     velocity.  One integration up to ``t_max`` tests the section value
     g = (y - x0) . n, a plain float per node, for a negative-to-positive
-    change; only such a step's dense output is projected on the normal, and
-    the crossing is bisected on that scalar polynomial.  It counts as a return
-    only within ``_RETURN_TOL`` (1e-4) of the start; the run stops at the
-    second return, which must lie at twice the first (to a relative
-    ``_CONSISTENCY_TOL``, 5e-3) before a period is reported.
+    change; only such a step's interpolant is built and projected on the
+    normal, and the crossing is bisected on that polynomial in plain floats.
+    It counts as a return only within ``_RETURN_TOL`` (1e-4) of the start;
+    the run stops at the second return, which must lie at twice the first
+    (to a relative ``_CONSISTENCY_TOL``, 5e-3) before a period is reported.
     """
     x0 = np.asarray(x0, dtype=float)
     f0 = np.array(_derivative(_stage_function(f, len(x0)), 0.0, x0.tolist()))
@@ -680,25 +721,27 @@ def estimate_period(
     returns: list[tuple[float, float]] = []
     g_new = 0.0  # x0 lies on the section
 
-    def second_return(times: list, states: list, dense: list) -> bool:
+    def second_return(times: list, states: list, interpolant: Callable) -> bool:
         nonlocal g_new
         g_old = g_new
         g_new = sum((y - c) * n for y, (c, n) in zip(states[-1], pairs))
         if not g_old < 0.0 <= g_new:
             return False
         a, b = t0, t1 = times[-2], times[-1]
-        coeffs = np.reshape(dense[-1], (1, 7, -1))
-        projected = coeffs @ normal
+        coeffs = np.reshape(interpolant(), (7, -1))
+        projected = (coeffs @ normal).tolist()
         for _ in range(80):
             mid = 0.5 * (a + b)
-            if _interpolate(g_old, projected, 0, (mid - t0) / (t1 - t0)) < 0.0:
+            if _interpolate(g_old, projected.__getitem__, (mid - t0) / (t1 - t0)) < 0.0:
                 a = mid
             else:
                 b = mid
             if b - a < 1e-15 * max(1.0, abs(b)):
                 break
         t_star = 0.5 * (a + b)
-        state = _interpolate(np.array(states[-2]), coeffs, 0, (t_star - t0) / (t1 - t0))
+        state = _interpolate(
+            np.array(states[-2]), coeffs.__getitem__, (t_star - t0) / (t1 - t0)
+        )
         residual = float(np.linalg.norm(state - x0))
         if residual > _RETURN_TOL:
             return False  # crosses the section away from the start

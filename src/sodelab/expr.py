@@ -308,11 +308,9 @@ class VariableContext:
         return iter(self.names)
 
 
-def qv_context(n: int, base: str = "q", fiber: str = "v") -> VariableContext:
+def qv_context(n: int) -> VariableContext:
     """Context (q1..qn, v1..vn) for a tangent-bundle chart."""
-    names = tuple(f"{base}{k}" for k in range(1, n + 1)) + tuple(
-        f"{fiber}{k}" for k in range(1, n + 1)
-    )
+    names = tuple(f"q{k}" for k in range(1, n + 1)) + tuple(f"v{k}" for k in range(1, n + 1))
     return VariableContext(names)
 
 

@@ -23,6 +23,12 @@ from sodelab.dynamics import (
 from sodelab.errors import NotPeriodicError
 from sodelab.expr import VariableContext, qv_context
 from sodelab.fields import VectorField
+from sodelab.foscillator import (
+    deformed_field,
+    kepler_matching_deformation,
+    make_oscillator,
+    shell_state,
+)
 
 
 def circle_rhs(t, y):
@@ -43,6 +49,11 @@ def counting(f):
 
     wrapped.calls = 0
     return wrapped
+
+
+def step_midpoints(traj):
+    """One time inside each accepted step, so sampling there reads every interpolant."""
+    return 0.5 * (traj.times[:-1] + traj.times[1:])
 
 
 def budgeted(f, calls):
@@ -105,10 +116,16 @@ class TestAccuracy:
         rhs = counting(f)
         traj = integrate(rhs, y0, 10.0, rtol=1e-6, atol=1e-9)
         assert (traj.rejected > 0) == rejects
-        # the initial value, the initial-step probe, 12 stages per attempted
-        # step and 3 dense-output stages per accepted one (the DP5 core took
-        # 2 + 6 * attempted)
+        # the initial value, the initial-step probe and 12 stages per
+        # attempted step (the DP5 core took 2 + 6 * attempted); no
+        # interpolant is built before a read
+        assert traj.nfev == 2 + 12 * (traj.accepted + traj.rejected)
+        assert traj.nfev == rhs.calls
+        # reading every step builds each interpolant once: 3 stages apiece
+        traj.sample_many(step_midpoints(traj))
         assert traj.nfev == 2 + 12 * (traj.accepted + traj.rejected) + 3 * traj.accepted
+        assert traj.nfev == rhs.calls
+        traj.sample_many(traj.times)
         assert traj.nfev == rhs.calls
 
     def test_wrapped_field_is_called_nfev_times(self):
@@ -128,14 +145,23 @@ class TestAccuracy:
         direct = integrate(field.ode_rhs, y0, 2.0, rtol=1e-10, atol=1e-12)
         assert calls == traj.nfev == direct.nfev
         assert np.array_equal(traj.states, direct.states)
-        assert np.array_equal(traj.dense, direct.dense)
+        mids = step_midpoints(traj)
+        assert np.array_equal(traj.sample_many(mids), direct.sample_many(mids))
+        assert calls == traj.nfev == direct.nfev
 
     def test_stop_hook_ends_the_run(self):
         seen = []
+        built = []
 
-        # the hook sees the dense-output coefficients (it saw node derivatives)
-        def past_one(times, states, dense):
+        # the hook gets a callable that builds the newest step's interpolant
+        # (it got the coefficient list, and before that node derivatives)
+        def past_one(times, states, interpolant):
             seen.append(len(times))
+            if len(times) % 2:
+                coeffs = interpolant()
+                assert len(coeffs) == 7 * 2
+                assert interpolant() is coeffs  # built once
+                built.append(coeffs)
             return times[-1] > 1.0
 
         traj = integrate(circle_rhs, (1.0, 0.0), 10.0, stop=past_one)
@@ -147,6 +173,37 @@ class TestAccuracy:
         n = len(traj.times)
         assert np.array_equal(traj.times, full.times[:n])
         assert np.array_equal(traj.states, full.states[:n])
+        # the steps the hook built count 3 RHS calls each, and the trajectory
+        # reuses them: reading every step adds 3 calls for each other step
+        attempted = 2 + 12 * (traj.accepted + traj.rejected)
+        assert traj.nfev == attempted + 3 * len(built)
+        traj.sample_many(step_midpoints(traj))
+        assert traj.nfev == attempted + 3 * traj.accepted
+        assert [dyn._interpolant(traj._steps, j) for j in range(1, n - 1, 2)] == built
+
+    def test_lazy_coefficients_equal_those_built_at_step_time(self):
+        # building every interpolant inside the hook, right after its step
+        # is accepted, is what the eager integrator did; a read after the
+        # run must build the same bits
+        field = kp.chart_field()
+        y0 = kp.shell_representative(-0.5)
+        at_step = []
+
+        def build_each(times, states, interpolant):
+            at_step.append(interpolant())
+            return False
+
+        eager = integrate(field.ode_rhs, y0, 2.0 * math.pi, stop=build_each)
+        lazy = integrate(field.ode_rhs, y0, 2.0 * math.pi)
+        assert eager.status == lazy.status == "completed"
+        assert lazy.nfev == eager.nfev - 3 * eager.accepted
+        mids = step_midpoints(lazy)
+        assert np.array_equal(lazy.sample_many(mids), eager.sample_many(mids))
+        assert lazy.nfev == eager.nfev
+        lazy_coeffs = [dyn._interpolant(lazy._steps, j) for j in range(lazy.accepted)]
+        assert np.array_equal(
+            np.array(lazy_coeffs).view(np.uint64), np.array(at_step).view(np.uint64)
+        )
 
     def test_forward_only(self):
         with pytest.raises(ValueError):
@@ -383,6 +440,28 @@ class TestPeriodDetection:
         estimate = estimate_period(field.ode_rhs, kp.shell_representative(-0.5))
         # DP5 core: 0x1.921fb5444b32ap+2; DOP853 with numpy stages: unchanged
         assert estimate.period.hex() == "0x1.921fb54413636p+2"
+        # unchanged since the crossing is bisected on plain floats
+        assert estimate.second_return.hex() == "0x1.921fb5440caeap+3"
+
+    def test_matched_oscillator_period_bits(self):
+        # the f-oscillator partner of the chart field in ``sodelab match``
+        field = deformed_field(make_oscillator(2), kepler_matching_deformation(1.0))
+        estimate = estimate_period(field.ode_rhs, shell_state(make_oscillator(2), 0.5))
+        assert estimate.period.hex() == "0x1.921fb543f4e25p+3"
+        assert estimate.second_return.hex() == "0x1.921fb54408147p+4"
+
+    @pytest.mark.parametrize("case", ["circle", "chart-field"])
+    def test_period_run_builds_only_its_crossing_steps(self, case):
+        if case == "circle":
+            f, x0 = circle_rhs, np.array([0.6, 0.8])
+        else:
+            f, x0 = kp.chart_field().ode_rhs, kp.shell_representative(-0.5)
+        traj = estimate_period(f, x0).trajectory
+        # the section value at each node; only upward crossings are bisected
+        g = (traj.states - x0) @ f(0.0, x0)
+        crossings = int(np.count_nonzero((g[:-1] < 0.0) & (g[1:] >= 0.0)))
+        assert crossings == 2  # one per lap
+        assert traj.nfev == 2 + 12 * (traj.accepted + traj.rejected) + 3 * crossings
 
     def test_anisotropic_start_point(self):
         # same orbit entered at a generic phase
@@ -439,7 +518,6 @@ class TestConservedDrift:
         traj = Trajectory(
             times=np.array([0.0, 1.0, 2.0]),
             states=np.array([[0.0], [1.0], [2.0]]),
-            dense=np.zeros((2, 7, 1)),
             status="completed",
             accepted=2,
             rejected=0,
@@ -467,14 +545,20 @@ class TestScipyOracle:
         else:
             f, y0 = kp.chart_field().ode_rhs, kp.shell_representative(-0.5)
         ours = integrate(f, y0, 2 * math.pi, rtol=1e-10, atol=1e-12)
-        # scipy counts the dense-output stages only when asked for them
-        ref = solve_ivp(
-            f, (0.0, 2 * math.pi), y0, method="DOP853", rtol=1e-10, atol=1e-12,
-            dense_output=True,
+        # scipy counts the dense-output stages only when asked for them, as
+        # ours counts them only once a read builds them
+        sparse, dense = (
+            solve_ivp(
+                f, (0.0, 2 * math.pi), y0, method="DOP853", rtol=1e-10, atol=1e-12,
+                dense_output=want,
+            )
+            for want in (False, True)
         )
-        assert ours.status == "completed" and ref.success
-        assert abs(ours.nfev - ref.nfev) <= 0.15 * ref.nfev
-        assert np.max(np.abs(ours.final_state - ref.y[:, -1])) < 1e-12
+        assert ours.status == "completed" and sparse.success and dense.success
+        assert ours.nfev == sparse.nfev  # 338 on the chart field
+        assert np.max(np.abs(ours.final_state - dense.y[:, -1])) < 1e-12
+        ours.sample_many(step_midpoints(ours))
+        assert ours.nfev == dense.nfev  # 422 on the chart field
 
     # the end-state bound, fixed in terms of rtol before the generated step
     # kernel replaced the numpy stage loop: both runs take DOP853 steps at

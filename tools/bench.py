@@ -51,13 +51,15 @@ Fifteen cases are run:
 
 Each case records deterministic counters summed over every ``integrate``
 call it makes (RHS evaluations ``nfev``, ``accepted`` and ``rejected``
-steps, ``runs``; a case that makes none records none) and the median and
-spread of the wall time over all timed runs of all the tree's processes,
-``_REPEAT`` per process after one untimed run that also warms the compiled
-fields.  Wall times depend on the machine
-and its load; the counters do not, and the script fails if they differ
-between two processes of one tree.  Each case with RHS evaluations also
-gets ``us_per_fev``, its median wall time per RHS evaluation, and
+steps, ``runs``, and ``interpolants``, the dense-output interpolants built;
+a case that makes none records none).  They are totalled when the case
+ends, so interpolants built by reads after ``integrate`` returns count too.
+Each case also records the median and spread of the wall time over all
+timed runs of all the tree's processes, ``_REPEAT`` per process after one
+untimed run that also warms the compiled fields.  Wall times depend on the
+machine and its load; the counters do not, and the script fails if they
+differ between two processes of one tree.  Each case with RHS evaluations
+also gets ``us_per_fev``, its median wall time per RHS evaluation, and
 ``rhs_chart_field`` gets ``us_per_call``.
 """
 
@@ -84,26 +86,62 @@ _PROCESSES = 3  # measuring processes per tree
 _RHS_CALLS = 10_000  # calls per timed run of rhs_chart_field
 
 
-def _count_integrate() -> Counter:
-    """Wrap ``integrate`` wherever ``sodelab`` bound it; return the totals."""
+def _count_integrate():
+    """Wrap ``integrate`` wherever ``sodelab`` bound it, and the dense kernel.
+
+    Returns ``(totals, reset)``.  ``totals()`` sums the counters of the runs
+    made since the last ``reset()``, reading each trajectory's ``nfev`` only
+    then: a tree that builds interpolants on read counts their RHS calls
+    after ``integrate`` returns.
+    """
     import sodelab.cli  # noqa: F401  (binds the names patched below)
     import sodelab.dynamics as dynamics
 
     original = dynamics.integrate
-    totals: Counter = Counter()
+    runs: list = []
+    built = Counter()
 
     def integrate(*args, **kwargs):
         traj = original(*args, **kwargs)
-        totals["runs"] += 1
-        totals["nfev"] += traj.nfev
-        totals["accepted"] += traj.accepted
-        totals["rejected"] += traj.rejected
+        runs.append(traj)
         return traj
 
     for name, module in list(sys.modules.items()):
         if name.startswith("sodelab") and getattr(module, "integrate", None) is original:
             module.integrate = integrate
-    return totals
+
+    kernel = getattr(dynamics, "_kernel", None)  # trees before the generated kernel lack it
+
+    def counted_kernel(dim):
+        attempt, dense = kernel(dim)
+
+        def counted_dense(*args):
+            built["interpolants"] += 1
+            return dense(*args)
+
+        return attempt, counted_dense
+
+    if kernel is not None:
+        dynamics._kernel = counted_kernel
+        built["interpolants"] = 0
+
+    def totals() -> dict:
+        if not runs:
+            return {}
+        return {
+            "runs": len(runs),
+            "nfev": sum(traj.nfev for traj in runs),
+            "accepted": sum(traj.accepted for traj in runs),
+            "rejected": sum(traj.rejected for traj in runs),
+            **built,
+        }
+
+    def reset() -> None:
+        runs.clear()
+        for key in built:
+            built[key] = 0
+
+    return totals, reset
 
 
 def _cases():
@@ -190,17 +228,18 @@ def _cases():
 
 def measure() -> dict:
     """The counters and timed wall times of every case, for the imported tree."""
-    totals = _count_integrate()
+    totals, reset = _count_integrate()
     results = {}
     for name, run in _cases().items():
-        totals.clear()
+        reset()
         extra = run() or {}
-        counters = dict(sorted({**totals, **extra}.items()))
+        counters = dict(sorted({**totals(), **extra}.items()))
         walls = []
         for _ in range(_REPEAT):
             start = time.perf_counter()
             run()
             walls.append(time.perf_counter() - start)
+            reset()
         results[name] = {"counters": counters, "walls": walls}
     return results
 
