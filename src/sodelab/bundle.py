@@ -5,14 +5,16 @@ the matching velocity functions by differentiating along the field, and
 certifies on a sample grid that the combined functions form a genuine chart.
 Every check reads the chart's one set of first-partial trees,
 :attr:`~sodelab.fields.PointMap.jacobian`; the shape tests take second
-partials of its rows.  The rank tests and the Jacobian floor come from one
-batched SVD of the least block that decides them.  The function counts are
-checked first, so a ranked chart always has 2n functions on a 2n-dimensional
-space.  A constant Jacobian is evaluated at one point, which holds over the
-whole space.  A base of distinct plain coordinates has unit rows, so its rank
-needs no test, and the chart Jacobian, columns ordered (base, fibre), is
-[[I, 0], [A, B]]: only the fibre block B is ranked.  Otherwise the whole
-Jacobian is ranked, and its base rows only when it fails, to name the error.
+partials of its rows.  The chart rank test and the Jacobian floor come from
+one batched determinant of the least block that decides them; an SVD
+decomposes only the points whose determinant cannot clear the rank test.
+The function counts are checked first, so a ranked chart always has 2n
+functions on a 2n-dimensional space.  A constant Jacobian is evaluated at
+one point, which holds over the whole space.  A base of distinct plain
+coordinates has unit rows, so its rank needs no test, and the chart
+Jacobian, columns ordered (base, fibre), is [[I, 0], [A, B]]: only the
+fibre block B is ranked.  Otherwise the whole Jacobian is ranked, and its
+base rows only when it fails, to name the error.
 Every chart is inverted by one damped Newton solve, seeded from the base
 when the base is plain coordinates; the inverse kind names only the chart's
 shape.  In the new chart the canonical vertical endomorphism
@@ -104,13 +106,44 @@ def _rank_failure(sigma: np.ndarray, points: np.ndarray) -> np.ndarray | None:
     ``sigma`` holds each point's singular values in descending order.
     """
     ratio = sigma[:, -1] - _RANK_RTOL * (1.0 + sigma[:, 0])
+    if not len(ratio):
+        return None
     worst = int(np.argmin(ratio))
     return points[worst] if ratio[worst] <= 0.0 else None
 
 
 def _singular_values(jac: np.ndarray) -> np.ndarray:
-    """Each point's singular values, descending; nan (a bad evaluation) reads as 0."""
-    return np.nan_to_num(np.linalg.svd(jac, compute_uv=False), nan=0.0)
+    """Each point's singular values, descending.
+
+    A point with a non-finite entry (a bad evaluation) reads as all 0; its
+    matrix never reaches LAPACK, whose SVD does not converge on it.
+    """
+    finite = np.isfinite(jac).all(axis=(1, 2))
+    sigma = np.zeros((len(jac), min(jac.shape[1:])))
+    sigma[finite] = np.linalg.svd(jac[finite], compute_uv=False)
+    return sigma
+
+
+def _screened_rank_failure(
+    jac: np.ndarray, points: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """``_rank_failure`` of square matrices, decomposing only what a det cannot clear.
+
+    Returns the failing point (or None) and each point's det.  |det| =
+    prod(sigma) <= sigma_min * sigma_max^(m-1) and sigma_max <= the Frobenius
+    norm F, so sigma_min >= |det| / F^(m-1): a point whose finite det has
+    |det| > 2 * _RANK_RTOL * (1 + F) * F^(m-1) passes the rank test.  The
+    factor 2 covers the LU rounding, about eps * F against the test's margin
+    of 1e-9 * F.  A non-finite entry makes F non-finite, so it never clears.
+    Only the other points are decomposed, in their order, so a failure names
+    the point that an SVD of every point would name.
+    """
+    with np.errstate(all="ignore"):
+        fro = np.sqrt(np.einsum("mij,mij->m", jac, jac))
+        det = np.linalg.det(jac)
+        bound = 2.0 * _RANK_RTOL * (1.0 + fro) * fro ** (jac.shape[-1] - 1)
+    doubtful = ~(np.isfinite(det) & (np.abs(det) > bound))
+    return _rank_failure(_singular_values(jac[doubtful]), points[doubtful]), det
 
 
 def _newton_solve(forward: PointMap, target: np.ndarray, guess: np.ndarray) -> np.ndarray:
@@ -169,11 +202,11 @@ class TangentStructure:
     (a coordinate base, affine across the other coordinates) or "newton".
     ``jacobian_min_abs_det`` is the smallest |det| of the chart
     Jacobian over the build's sample points (its one point when the Jacobian
-    is constant): the product of the singular values of the Jacobian, or of
-    its fibre block B when the base is plain coordinates, since then
-    |det J| = |det B|.  The chart dynamics are not stored either: the force
-    block is ``lie_scalar(gamma, ScalarField(src_ctx, v)).expr`` for each
-    velocity tree v, and the chart velocity at zeta is the pushforward
+    is constant): the LU determinant of the Jacobian, or of its fibre block
+    B when the base is plain coordinates, since then |det J| = |det B|.  The
+    chart dynamics are not stored either: the force block is
+    ``lie_scalar(gamma, ScalarField(src_ctx, v)).expr`` for each velocity
+    tree v, and the chart velocity at zeta is the pushforward
     ``forward.jacobian_at(x) @ gamma(x)`` at ``x = inverse(zeta)``.
     """
 
@@ -307,8 +340,7 @@ def build(
     else:
         block = forward.jacobian
     jac = evaluate_on(block, ctx, ranked)
-    sigma = _singular_values(jac)
-    dependent = _rank_failure(sigma, ranked)
+    dependent, det = _screened_rank_failure(jac, ranked)
     if dependent is not None and slots is None:
         # base differentials must stay independent everywhere on the grid.
         # J's first n rows have sigma_min >= sigma_min(J) and sigma_max <=
@@ -336,8 +368,7 @@ def build(
             f"chart functions become dependent near {_point_text(dependent)}"
         )
 
-    # the ranked matrix is square, so |det| is the product of its singular values
-    jacobian_min_abs_det = float(np.min(np.prod(sigma, axis=1)))
+    jacobian_min_abs_det = float(np.min(np.abs(det)))
 
     # fiber coordinates: source directions the base functions never see
     base_vars = set().union(*(free_variables(q) for q in base_exprs))

@@ -283,14 +283,19 @@ def _matrix_product(a: Tensor11Field, b: Tensor11Field) -> list[Expression]:
 
 
 def _image_and_rank(s_stack: np.ndarray, delta_stack: np.ndarray) -> tuple[float, np.ndarray]:
-    """The ``delta_in_image_S`` residual and the rank of S at each point, from one SVD."""
-    u, sigma, _ = np.linalg.svd(s_stack, full_matrices=False)
+    """The ``delta_in_image_S`` residual and the rank of S at each point, from one SVD.
+
+    A point where S has a non-finite entry makes the residual inf and has
+    rank 0; its matrix never reaches LAPACK, whose SVD does not converge on it.
+    """
+    finite = np.isfinite(s_stack).all(axis=(1, 2))[:, None, None]
+    u, sigma, _ = np.linalg.svd(np.where(finite, s_stack, 0.0), full_matrices=False)
     # the image keeps the singular vectors above numpy's pseudo-inverse cutoff
     image = u * (sigma > 1e-15 * sigma.max(axis=-1, keepdims=True))[:, None, :]
     projected = np.einsum("mij,mkj,mk->mi", image, image, delta_stack)
     membership = float(np.max(np.abs(projected - delta_stack)))
     killed = float(np.max(np.abs(np.einsum("mij,mj->mi", s_stack, delta_stack))))
-    residual = max(membership, killed)
+    residual = float(np.max([membership, killed]))  # nan in either reads as inf
     ranks = np.count_nonzero(sigma > 1e-9, axis=-1)
     return (math.inf if math.isnan(residual) else residual), ranks
 

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sodelab.errors import (
     ChartDimensionError,
@@ -269,39 +272,57 @@ class TestCountChecksComeFirst:
 
 
 class TestRankedBlock:
-    """The rank tests run on the least data that decides them."""
+    """The rank tests run on the least data that decides them: one batched det
+    of the ranked block, then an SVD of only the points the det cannot clear."""
 
     @pytest.fixture
-    def svd_shapes(self, monkeypatch):
-        shapes = []
-        original = bundle._singular_values
+    def ranked(self, monkeypatch):
+        """The stack shapes handed to the det screen and to the SVD, call by call."""
+        shapes = {"det": [], "svd": []}
+        for key, name in (("det", "_screened_rank_failure"), ("svd", "_singular_values")):
+            original = getattr(bundle, name)
 
-        def record(jac):
-            shapes.append(jac.shape)
-            return original(jac)
+            def record(jac, *args, key=key, original=original):
+                shapes[key].append(jac.shape)
+                return original(jac, *args)
 
-        monkeypatch.setattr(bundle, "_singular_values", record)
+            monkeypatch.setattr(bundle, name, record)
         return shapes
 
-    def test_affine_chart_is_ranked_at_one_point(self, svd_shapes):
-        sc.build_scenario(sc.get_sode_scenario("oscillator-2"))
-        assert svd_shapes and all(shape[0] == 1 for shape in svd_shapes)
+    @staticmethod
+    def svd_points(shapes):
+        return sum(shape[0] for shape in shapes["svd"])
 
-    def test_coordinate_base_ranks_only_the_fibre_block(self, svd_shapes):
+    def test_affine_chart_is_ranked_at_one_point(self, ranked):
+        sc.build_scenario(sc.get_sode_scenario("oscillator-2"))
+        assert [shape[0] for shape in ranked["det"]] == [1]
+        assert self.svd_points(ranked) == 0
+
+    def test_coordinate_base_ranks_only_the_fibre_block(self, ranked):
         scenario = sc.get_sode_scenario("fosc-power-2")
         sc.build_scenario(scenario)
-        assert svd_shapes == [(len(scenario.box.sample(seed=0)), 2, 2)]
+        assert ranked["det"] == [(len(scenario.box.sample(seed=0)), 2, 2)]
+        assert self.svd_points(ranked) == 0
 
-    def test_bent_base_takes_one_svd_of_the_whole_jacobian(self, svd_shapes):
+    def test_bent_base_takes_one_det_of_the_whole_jacobian(self, ranked):
         # the base rows are ranked only where J fails; here J passes
         scenario = sc.get_sode_scenario("free-particle-bent")
         sc.build_scenario(scenario)
-        assert svd_shapes == [(len(scenario.box.sample(seed=0)), 2, 2)]
+        assert ranked["det"] == [(len(scenario.box.sample(seed=0)), 2, 2)]
+        assert self.svd_points(ranked) == 0
 
-    def test_singular_fibre_block_is_refused(self):
+    def test_no_library_chart_sends_a_point_to_the_svd(self, ranked):
+        names = [name for name, _ in sc.structure_library()]
+        assert len(ranked["det"]) == len(names)
+        assert self.svd_points(ranked) == 0
+
+    def test_singular_fibre_block_is_refused(self, ranked):
         # B = dV/dx2 = 3 x2^2 vanishes on the grid line x2 = 0
-        with pytest.raises(FunctionalDependenceError):
+        with pytest.raises(FunctionalDependenceError) as info:
             quick_build(VectorField.of(R2, "x2^3", "0"), ("x1",), BOX2)
+        assert str(info.value) == "chart functions become dependent near (-1.5, 0.0)"
+        # only the points the det cannot clear are decomposed
+        assert 0 < self.svd_points(ranked) < ranked["det"][0][0]
 
     def test_fibre_block_takes_the_non_base_column(self):
         # the base is the trailing coordinate, so the fibre column is x1
@@ -315,6 +336,73 @@ class TestRankedBlock:
         assert str(info.value) == (
             "chart functions become dependent near (-2.0, -2.0, -2.0, -2.0)"
         )
+
+    def test_nan_jacobian_entry_is_rank_loss(self):
+        # dV/dx1 = 1 / (2 sqrt(x1)) is nan for x1 < 0 and inf at x1 = 0
+        with pytest.raises(FunctionalDependenceError) as info:
+            build(VectorField.of(R2, "1", "sqrt(x1)"), ("x2",), Box.cube(R2, 2.0))
+        assert str(info.value) == "chart functions become dependent near (-2.0, -2.0)"
+
+
+def _full_svd_oracle(jac, points):
+    """The failing point (or None) and the singular values, from an SVD of every
+    point: the test-only oracle.
+
+    A point with a non-finite entry has singular values 0, as in ``build``.
+    """
+    sigma = np.zeros(jac.shape[:2])
+    for k, matrix in enumerate(jac):
+        if np.all(np.isfinite(matrix)):
+            sigma[k] = np.linalg.svd(matrix, compute_uv=False)
+    return bundle._rank_failure(sigma, points), sigma
+
+
+def _rank_stack(data):
+    """A stack of square matrices mixing plain, near-singular, zero, inf and
+    nan points, each scaled by its own power of ten."""
+    size = data.draw(st.integers(1, 4), label="size")
+    count = data.draw(st.integers(1, 6), label="points")
+    entries = st.floats(-3.0, 3.0, allow_nan=False)
+    stack = []
+    for _ in range(count):
+        kind = data.draw(st.sampled_from(["plain", "near_singular", "zero", "inf", "nan"]))
+        scale = 10.0 ** data.draw(st.one_of(st.just(0), st.integers(-60, 60)))
+        matrix = scale * data.draw(arrays(float, (size, size), elements=entries))
+        if kind == "near_singular":
+            # singular values of order scale and one near scale * tilt, around
+            # the rank test's threshold when tilt is near 1e-9
+            rank = data.draw(st.integers(0, size - 1))
+            left = data.draw(arrays(float, (size, rank), elements=entries))
+            right = data.draw(arrays(float, (rank, size), elements=entries))
+            tilt = 10.0 ** data.draw(st.integers(-16, -4))
+            matrix = scale * (left @ right) + tilt * matrix
+        elif kind == "zero":
+            matrix = np.zeros((size, size))
+        elif kind in ("inf", "nan"):
+            i, j = data.draw(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)))
+            bad = st.just(np.nan) if kind == "nan" else st.sampled_from([-np.inf, np.inf])
+            matrix[i, j] = data.draw(bad)
+        stack.append(matrix)
+    return np.array(stack)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_det_screen_matches_the_full_svd(data):
+    jac = _rank_stack(data)
+    points = np.arange(float(len(jac)))[:, None]
+    dependent, det = bundle._screened_rank_failure(jac, points)
+    expected, sigma = _full_svd_oracle(jac, points)
+    if expected is None:
+        assert dependent is None
+        # every point passed, so each condition number is below about 1e9; the
+        # LU det and the product of the singular values agree to its rounding
+        cond = float(np.max(sigma[:, 0] / sigma[:, -1]))
+        floor = float(np.min(np.abs(det)))
+        oracle = float(np.min(np.prod(sigma, axis=1)))
+        assert abs(floor - oracle) <= 1e3 * np.finfo(float).eps * cond * oracle
+    else:
+        assert dependent is not None and dependent[0] == expected[0]
 
 
 class TestBaseEntries:

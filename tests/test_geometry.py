@@ -434,3 +434,23 @@ def test_one_svd_matches_pinv_and_matrix_rank(data):
     scale = max(1.0, float(np.max(np.abs(delta_stack))))
     oracle = _pinv_image_residual(s_stack, delta_stack)
     assert abs(residual - oracle) <= 1e3 * np.finfo(float).eps * cond * scale
+
+
+def test_nan_in_s_reads_as_an_infinite_image_residual():
+    # S = [[0, 0], [sqrt(x1), 0]] is nan for x1 < 0: those points must not
+    # reach the SVD, and the residual there reads inf
+    ctx = VariableContext.of("x1", "x2")
+    s = Tensor11Field(ctx, (("0", "0"), ("sqrt(x1)", "0")))
+    delta = VectorField.of(ctx, "0", "x2")
+    report = verify_tangent_structure(s, delta, Box.cube(ctx, 2.0))
+    assert report.check("delta_in_image_S").max_residual == math.inf
+    assert report.verdict == "fail"
+
+
+def test_non_finite_s_has_rank_zero_and_an_infinite_residual():
+    s_stack = np.array([[[1.0, 0.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]],
+                        [[np.inf, 0.0], [0.0, 1.0]]])
+    delta_stack = np.zeros((3, 2))
+    residual, ranks = _image_and_rank(s_stack, delta_stack)
+    assert residual == math.inf
+    assert ranks.tolist() == [1, 0, 0]

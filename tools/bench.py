@@ -54,6 +54,10 @@ call it makes (RHS evaluations ``nfev``, ``accepted`` and ``rejected``
 steps, ``runs``, and ``interpolants``, the dense-output interpolants built;
 a case that makes none records none).  They are totalled when the case
 ends, so interpolants built by reads after ``integrate`` returns count too.
+Each case that calls ``bundle.build`` also records ``builds``, the number
+of calls, and ``svd_points``, the matrices handed to
+``bundle._singular_values`` (the points whose rank a cheaper test did not
+settle).
 Each case also records the median and spread of the wall time over all
 timed runs of all the tree's processes, ``_REPEAT`` per process after one
 untimed run that also warms the compiled fields.  Wall times depend on the
@@ -86,29 +90,50 @@ _PROCESSES = 3  # measuring processes per tree
 _RHS_CALLS = 10_000  # calls per timed run of rhs_chart_field
 
 
-def _count_integrate():
-    """Wrap ``integrate`` wherever ``sodelab`` bound it, and the dense kernel.
+def _rebind(name: str, original, wrapper) -> None:
+    """Bind ``wrapper`` in place of ``original`` wherever ``sodelab`` bound ``name``."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("sodelab") and getattr(module, name, None) is original:
+            setattr(module, name, wrapper)
+
+
+def _counters():
+    """Wrap ``integrate``, the dense kernel, ``build`` and its SVD wherever
+    ``sodelab`` bound them.
 
     Returns ``(totals, reset)``.  ``totals()`` sums the counters of the runs
     made since the last ``reset()``, reading each trajectory's ``nfev`` only
     then: a tree that builds interpolants on read counts their RHS calls
     after ``integrate`` returns.
     """
+    import sodelab.bundle as bundle
     import sodelab.cli  # noqa: F401  (binds the names patched below)
     import sodelab.dynamics as dynamics
 
     original = dynamics.integrate
     runs: list = []
     built = Counter()
+    charts = Counter()
 
     def integrate(*args, **kwargs):
         traj = original(*args, **kwargs)
         runs.append(traj)
         return traj
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sodelab") and getattr(module, "integrate", None) is original:
-            module.integrate = integrate
+    _rebind("integrate", original, integrate)
+
+    original_build, singular_values = bundle.build, bundle._singular_values
+
+    def build(*args, **kwargs):
+        charts["builds"] += 1
+        return original_build(*args, **kwargs)
+
+    def counted_singular_values(jac):
+        charts["svd_points"] += len(jac)
+        return singular_values(jac)
+
+    _rebind("build", original_build, build)
+    bundle._singular_values = counted_singular_values
 
     kernel = getattr(dynamics, "_kernel", None)  # trees before the generated kernel lack it
 
@@ -126,9 +151,11 @@ def _count_integrate():
         built["interpolants"] = 0
 
     def totals() -> dict:
+        counts = {"svd_points": 0, **charts} if charts else {}
         if not runs:
-            return {}
+            return counts
         return {
+            **counts,
             "runs": len(runs),
             "nfev": sum(traj.nfev for traj in runs),
             "accepted": sum(traj.accepted for traj in runs),
@@ -140,6 +167,7 @@ def _count_integrate():
         runs.clear()
         for key in built:
             built[key] = 0
+        charts.clear()
 
     return totals, reset
 
@@ -228,7 +256,7 @@ def _cases():
 
 def measure() -> dict:
     """The counters and timed wall times of every case, for the imported tree."""
-    totals, reset = _count_integrate()
+    totals, reset = _counters()
     results = {}
     for name, run in _cases().items():
         reset()
