@@ -294,7 +294,7 @@ def _stage_function(f: Callable, dim: int) -> Callable[..., Sequence[float]]:
     ``functools.wraps`` wrapper copies attributes and must still be called.
     """
     if type(f) is FieldRhs:
-        return f.field.stage_fn
+        return f.stage_fn
 
     def stage(t, *y):
         out = np.asarray(f(t, np.array(y)), dtype=float)

@@ -15,6 +15,18 @@ leading minus inside ``base``, so ``-x^2`` parses as ``(-x)^2``.
 Construction helpers (:func:`add`, :func:`mul`, ...) fold constants and drop
 algebraic no-ops (``0 + x``, ``1 * x``); no other simplification is applied, so
 derivative trees may be verbose but evaluate exactly.
+
+Nodes are interned (hash-consed): every way of building a node, the node
+classes themselves included, returns the one live node with that type, leaf
+value and operands, so equal trees are the same object, ``==`` is identity
+and ``hash`` takes constant time.  A constant is keyed by the bits of its
+float: ``Const(0.0)`` and ``Const(-0.0)`` are two nodes, and each nan payload
+is one node.  The table holds its nodes weakly, so a node lives only as long
+as something else holds it.  Each node carries its free variables from its
+construction on, and keeps the derivatives taken of it, by coordinate name,
+for as long as something holds them: a derivative often holds the node
+itself (d exp(u) = exp(u)*u'), so a node holds its derivatives weakly, and
+no memo keeps a tree alive or outlives the trees it was computed for.
 """
 
 from __future__ import annotations
@@ -22,8 +34,11 @@ from __future__ import annotations
 import keyword
 import math
 import re
+import struct
+import weakref
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -78,70 +93,129 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 class Expression:
-    """Base class for immutable formula nodes.
+    """Base class for immutable, interned formula nodes.
 
     Trees come from :func:`parse` and the folding constructors (:func:`add`,
     :func:`mul`, ...); ``str(e)`` renders a tree with :func:`to_source`.
+    Calling a node class returns the one live node of that structure, so
+    ``==`` is ``is`` and ``hash`` is the identity's.  ``_fv`` holds the
+    node's free variables from its construction on, and ``_d`` the
+    derivatives :func:`differentiate` has taken of it, by coordinate name.
     """
 
-    __slots__ = ()
+    __slots__ = ("_d", "_fv", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(repr(getattr(self, name)) for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self) -> str:
         return to_source(self)
 
 
-@dataclass(frozen=True, slots=True)
+# every live node by its key (its type, then its leaf value or its operands'
+# identities), held weakly: the entry goes when the node dies
+_NODES: dict[tuple, weakref.ref] = {}
+_set = object.__setattr__
+_float_bits = struct.Struct("<d").pack  # a Const key: 0.0 and -0.0 differ, as nan payloads do
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def _drop(key: tuple, ref: weakref.ref) -> None:
+    """Forget a dead node's entry, unless a newer node has taken its key."""
+    if _NODES.get(key) is ref:
+        del _NODES[key]
+
+
+def _node(cls: type, key: tuple, fields: tuple, names: frozenset[str] = _NO_NAMES):
+    """The live node of ``key``, else a new ``cls`` node holding ``fields``.
+
+    A new node's free variables are ``names`` and those of its operands.
+    """
+    ref = _NODES.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            _set(node, name, value)
+            if isinstance(value, Expression) and not value._fv <= names:
+                names = value._fv if names <= value._fv else names | value._fv
+        _set(node, "_d", None)
+        _set(node, "_fv", names)
+        _NODES[key] = weakref.ref(node, partial(_drop, key))
+    return node
+
+
 class Const(Expression):
+    __slots__ = _fields = ("value",)
     value: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
+    def __new__(cls, value: float) -> Const:
+        value = float(value)
+        return _node(cls, (cls, _float_bits(value)), (value,))
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Expression):
+    __slots__ = _fields = ("name",)
     name: str
 
+    def __new__(cls, name: str) -> Var:
+        return _node(cls, (cls, name), (name,), frozenset((name,)))
 
-@dataclass(frozen=True, slots=True)
+
 class Neg(Expression):
+    __slots__ = _fields = ("arg",)
     arg: Expression
 
+    def __new__(cls, arg: Expression) -> Neg:
+        return _node(cls, (cls, id(arg)), (arg,))
 
-@dataclass(frozen=True, slots=True)
-class Add(Expression):
+
+class _Binary(Expression):
+    __slots__ = _fields = ("left", "right")
     left: Expression
     right: Expression
 
-
-@dataclass(frozen=True, slots=True)
-class Sub(Expression):
-    left: Expression
-    right: Expression
+    def __new__(cls, left: Expression, right: Expression):
+        return _node(cls, (cls, id(left), id(right)), (left, right))
 
 
-@dataclass(frozen=True, slots=True)
-class Mul(Expression):
-    left: Expression
-    right: Expression
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Div(Expression):
-    left: Expression
-    right: Expression
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Div(_Binary):
+    __slots__ = ()
+
+
 class Pow(Expression):
+    __slots__ = _fields = ("base", "exponent")
     base: Expression
     exponent: Expression
 
+    def __new__(cls, base: Expression, exponent: Expression) -> Pow:
+        return _node(cls, (cls, id(base), id(exponent)), (base, exponent))
 
-@dataclass(frozen=True, slots=True)
+
 class Call(Expression):
+    __slots__ = _fields = ("fn", "arg")
     fn: str
     arg: Expression
+
+    def __new__(cls, fn: str, arg: Expression) -> Call:
+        return _node(cls, (cls, fn, id(arg)), (fn, arg))
 
 
 ZERO = Const(0.0)
@@ -179,15 +253,9 @@ def sub(a: Expression, b: Expression) -> Expression:
         return neg(b)
     if isinstance(a, Const) and isinstance(b, Const):
         folded = a.value - b.value
-        # a non-finite difference stays a node, before `a == b` could fold inf - inf to 0
+        # a non-finite difference stays a node, before `a is b` could fold inf - inf to 0
         return Const(folded) if math.isfinite(folded) else Sub(a, b)
-    if a is b:
-        return ZERO
-    try:
-        same = a == b  # the dataclass __eq__ recurses once per level
-    except RecursionError:
-        raise ExpressionDepthError("expression is nested too deeply to compare") from None
-    return ZERO if same else Sub(a, b)
+    return ZERO if a is b else Sub(a, b)
 
 
 def mul(a: Expression, b: Expression) -> Expression:
@@ -512,6 +580,25 @@ def _differentiate(e: Expression, name: str) -> Expression:
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == name else ZERO
+    memo = e._d
+    if memo is None:
+        memo = {}
+        _set(e, "_d", memo)
+    elif name in memo:
+        d = memo[name]()
+        if d is not None:
+            return d
+    d = _derivative(e, name)
+    if _is_const(d, 0.0):
+        d = ZERO  # not the Const(-0.0) that neg(ZERO) folds to
+    # held weakly: a derivative often holds ``e`` itself (d exp(u) = exp(u)*u'),
+    # and a strong memo would make that a cycle that outlives every reference
+    memo[name] = weakref.ref(d)
+    return d
+
+
+def _derivative(e: Expression, name: str) -> Expression:
+    """One differentiation rule at ``e``, an operation node."""
     if isinstance(e, Neg):
         return neg(_differentiate(e.arg, name))
     if isinstance(e, Add):
@@ -568,27 +655,8 @@ def _differentiate(e: Expression, name: str) -> Expression:
 
 
 def free_variables(e: Expression) -> frozenset[str]:
-    """The coordinate names a tree uses; a shared subtree is walked once."""
-    names: set[str] = set()
-    seen: set[int] = set()  # ids of operations: every node stays alive under ``e``
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            names.add(node.name)
-        elif isinstance(node, Const) or id(node) in seen:
-            continue
-        else:
-            seen.add(id(node))
-            if isinstance(node, (Add, Sub, Mul, Div)):
-                stack += (node.left, node.right)
-            elif isinstance(node, (Neg, Call)):
-                stack.append(node.arg)
-            elif isinstance(node, Pow):
-                stack += (node.base, node.exponent)
-            else:
-                raise TypeError(f"not an expression node: {node!r}")
-    return frozenset(names)
+    """The coordinate names a tree uses, kept on each node since its construction."""
+    return e._fv
 
 
 def substitute(e: Expression, bindings: Mapping[str, Expression]) -> Expression:
@@ -709,16 +777,17 @@ def _python_source(exprs: Sequence[Expression]) -> tuple[list, list, dict, set]:
     trees or within them, is computed once into a local; every other one is
     written inline where it is used (up to ``_MAX_NESTING`` parentheses), so
     that a batch temporary is freed as soon as it is consumed.  ``b^2`` is
-    written ``b * b``.  Subexpressions are told apart by their text over
-    their operands' numbers, which keeps the frozen nodes' recursive hashes
-    out of it.  Each distinct constant is a name; the returned dict maps the
-    constant's ``repr`` to it.  Each node object is numbered once, so a
-    shared subtree is walked once.
+    written ``b * b``.  Nodes are interned, so node identity is structural
+    equality: each operation node is numbered once, after its operands, and
+    a shared subtree is walked once; the numbering lives only for the call.
+    Each distinct constant text is a name, and the returned dict maps the
+    constant's ``repr`` to it: ``0.0`` and ``-0.0`` get a name each, while
+    every nan shares one.
     """
-    keys: dict[tuple, int] = {}  # operands are numbered before their operations
+    ops: list[tuple] = []  # each operation's text parts, by its number
+    numbered: dict[Expression, int] = {}
     constants: dict[str, str] = {}
     names: set[str] = set()
-    numbered: dict[int, int] = {}  # by id: every node stays alive under ``exprs``
 
     def number(e: Expression) -> str | int:
         """The text of a leaf, or the number of an operation."""
@@ -727,29 +796,34 @@ def _python_source(exprs: Sequence[Expression]) -> tuple[list, list, dict, set]:
         if isinstance(e, Var):
             names.add(e.name)
             return e.name
-        if id(e) in numbered:
-            return numbered[id(e)]
+        if e in numbered:
+            return numbered[e]
         if isinstance(e, Neg):
-            key = ("(-", number(e.arg), ")")
-        elif isinstance(e, (Add, Sub, Mul, Div)):
-            key = ("(", number(e.left), f" {_BINARY_OPS[type(e)]} ", number(e.right), ")")
+            parts = ("(-", number(e.arg), ")")
+        elif isinstance(e, _Binary):
+            parts = ("(", number(e.left), f" {_BINARY_OPS[type(e)]} ", number(e.right), ")")
         elif isinstance(e, Pow) and _is_square(e):
             base = number(e.base)
-            key = ("(", base, " * ", base, ")")
+            parts = ("(", base, " * ", base, ")")
         elif isinstance(e, Pow):
-            key = ("_pow(", number(e.base), ", ", number(e.exponent), ")")
+            parts = ("_pow(", number(e.base), ", ", number(e.exponent), ")")
         elif isinstance(e, Call):
-            key = (f"_{e.fn}(", number(e.arg), ")")
+            parts = (f"_{e.fn}(", number(e.arg), ")")
         else:
             raise TypeError(f"not an expression node: {e!r}")
-        return numbered.setdefault(id(e), keys.setdefault(key, len(keys)))
+        numbered[e] = len(ops)
+        ops.append(parts)
+        return numbered[e]
 
-    roots = [number(e) for e in exprs]
-    uses = Counter(part for key in (*keys, roots) for part in key if isinstance(part, int))
+    try:
+        roots = [number(e) for e in exprs]
+    finally:
+        numbered.clear()  # ``number`` calls itself, a cycle: it must not keep nodes alive
+    uses = Counter(part for parts in (*ops, roots) for part in parts if isinstance(part, int))
     lines: list[str] = []
     texts: list[str] = []  # each operation's inline text, or its local
-    for index, key in enumerate(keys):
-        text = "".join(part if isinstance(part, str) else texts[part] for part in key)
+    for index, parts in enumerate(ops):
+        text = "".join(part if isinstance(part, str) else texts[part] for part in parts)
         if uses[index] > 1 or text.count("(") > _MAX_NESTING:
             lines.append(f"_{index} = {text}")
             text = f"_{index}"
@@ -807,7 +881,8 @@ def _emit(
 
         namespace.update(_fallback=fallback, _raises=_SCALAR_RAISES)
     exec(compile(source, "<sodelab-expr>", "exec"), namespace)
-    return namespace["_compiled"]
+    # taken out of its own globals, so that no cycle keeps the trees alive
+    return namespace.pop("_compiled")
 
 
 def compile_scalar(

@@ -224,16 +224,18 @@ class FieldRhs:
     """``VectorField.ode_rhs``: ``f(t, y)`` is the field at ``y``, as an array.
 
     :func:`~sodelab.dynamics.integrate` recognises this type and calls the
-    field's :attr:`VectorField.stage_fn` on plain floats directly.
+    field's :attr:`VectorField.stage_fn` on plain floats directly.  It holds
+    that function, not the field, so the field's cached ``ode_rhs`` is no
+    reference cycle that would keep the field's trees alive.
     """
 
-    __slots__ = ("field",)
+    __slots__ = ("stage_fn",)
 
     def __init__(self, field: VectorField) -> None:
-        self.field = field
+        self.stage_fn = field.stage_fn
 
     def __call__(self, t: float, y) -> np.ndarray:
-        return np.array(self.field.stage_fn(t, *np.asarray(y, dtype=float).tolist()))
+        return np.array(self.stage_fn(t, *np.asarray(y, dtype=float).tolist()))
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ row of one table, ``(kind, name, builder)``: ``"construction"`` cases (with
 the bases that succeed and the fields that must be rejected),
 ``"rescaling"`` pairs of a field and a conformal factor, and ``"flat"``
 canonical contexts.  The table's order is the public order of every
-listing.  A lookup calls only the named row's builder, afresh on every call
-(nothing is cached, so two lookups give distinct objects); listing names
-builds nothing.  Each scenario owns its sampling box so callers never have
-to guess a safe domain.
+listing.  A lookup calls only the named row's builder, afresh on every call:
+no scenario or field is cached, so two lookups give distinct scenario and
+field objects, though their equal trees are the same interned nodes (see
+:mod:`sodelab.expr`).  Listing names builds nothing.  Each scenario owns its
+sampling box so callers never have to guess a safe domain.
 """
 
 from __future__ import annotations

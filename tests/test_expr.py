@@ -1,5 +1,6 @@
 """Expression engine: parsing, printing, differentiation, evaluation."""
 
+import gc
 import math
 
 import numpy as np
@@ -272,6 +273,85 @@ class TestStructuralOps:
         z = expr.div(Const(0.0), Var("x"))
         with pytest.raises(EvaluationDomainError):
             evaluate(z, {"x": 0.0})
+
+
+class TestInterning:
+    def test_equal_trees_built_apart_are_one_node(self):
+        built = Add(Mul(Const(2), Var("x")), Call("sin", Neg(Var("y"))))
+        assert parse("2*x + sin(-y)", CTX) is built
+        folded = expr.add(
+            expr.mul(Const(2.0), Var("x")), expr.call("sin", expr.neg(Var("y")))
+        )
+        assert folded is built
+        assert parse("2*x + sin(-y)", CTX) is not parse("2*x + sin(y)", CTX)
+
+    def test_constants_are_keyed_by_their_bits(self):
+        assert Const(0.0) is not Const(-0.0)
+        assert parse("-0", CTX) is Const(-0.0)
+        payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        assert Const(math.nan) is Const(float("nan"))
+        assert Const(float(payload)) is not Const(math.nan)
+
+    def test_deep_chains_hash_and_compare_without_recursing(self):
+        def chain(depth):
+            tree = Var("x")
+            for _ in range(depth):
+                tree = Sub(Var("y"), tree)
+            return tree
+
+        deep = chain(2000)  # deeper than the interpreter's recursion limit
+        assert hash(deep) == hash(chain(2000))
+        assert deep == chain(2000)
+        assert deep != chain(1999)
+
+    def test_zero_derivatives_are_the_zero_node(self):
+        # neg(ZERO) folds to Const(-0.0), a node of its own
+        assert differentiate(Neg(Const(0.0)), "x") is Const(0.0)
+        assert differentiate(parse("cos(y)", CTX), "x") is Const(0.0)
+        assert differentiate(parse("-(x*y)", CTX), "q1") is Const(0.0)
+
+    def test_trees_and_their_memos_go_when_nothing_holds_them(self):
+        from sodelab import conformal, scenarios
+
+        gc.collect()
+        before = len(expr._NODES)
+        clock = scenarios.get_conformal_scenario("kepler-clock")
+        names = clock.ctx.names
+        probe = VectorField(clock.ctx, tuple(
+            parse(f"{names[(i + 1) % len(names)]}^2 - {name}", clock.ctx)
+            for i, name in enumerate(names)
+        ))
+        points = clock.box.sample(n_random=50, grid_points=3)
+        conformal.bracket_rescaling_residual(clock.field, clock.factor, probe, points)
+        assert len(expr._NODES) > before
+        del clock, probe
+        assert len(expr._NODES) == before  # no reference cycle holds a node
+        gc.collect()
+        assert len(expr._NODES) == before
+
+    def test_a_compiled_function_holds_its_trees_only_while_it_lives(self):
+        gc.collect()
+        before = len(expr._NODES)
+        f = compile_scalar([parse("sqrt(x*y) + q1", CTX), parse("1/v1", CTX)], CTX)
+        assert f((1.0, 2.0, 4.0, 9.0)) == (7.0, 0.5)
+        assert len(expr._NODES) > before  # the fallback path keeps the trees
+        del f
+        assert len(expr._NODES) == before
+
+    def test_a_node_keeps_its_derivatives_while_they_live(self, monkeypatch):
+        gc.collect()
+        before = len(expr._NODES)
+        tree = parse("sin(x)*exp(x*y) + sqrt(x)^y", CTX)
+        d = differentiate(tree, "x")
+        rules = []
+        rule = expr._derivative
+        monkeypatch.setattr(expr, "_derivative", lambda e, name: rules.append(e) or rule(e, name))
+        assert differentiate(tree, "x") is d and rules == []
+        differentiate(tree, "y")
+        assert rules
+        # d exp(u) holds exp(u): a memo that held d strongly would be a cycle
+        del tree, d, rules
+        assert len(expr._NODES) == before
 
 
 class TestPrinting:
@@ -669,11 +749,9 @@ def test_too_deep_a_tree_is_refused_with_a_typed_error():
         to_source(deep)
     with pytest.raises(ExpressionDepthError):
         str(deep)
-    # folding a difference compares its operands: identity first, then
-    # the recursive equality, which an equal but distinct chain exhausts
+    # an equal chain built again is the same node, so the difference folds
     assert expr.sub(deep, deep) == Const(0.0)
-    with pytest.raises(ExpressionDepthError):
-        expr.sub(deep, chain(2000))
+    assert expr.sub(deep, chain(2000)) is Const(0.0)
     shallow = chain(200)  # y - (y - x) = x, 100 times over
     assert evaluate(shallow, _env(point)) == 0.25
     assert compile_scalar(shallow, CTX)(point) == 0.25

@@ -1,10 +1,12 @@
 """Field containers, sampling boxes, canonical structures."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
+from sodelab import expr
 from sodelab.errors import ChartDimensionError, DomainSamplingError
 from sodelab.expr import Const, Var, VariableContext, parse, qv_context
 from sodelab.fields import (
@@ -261,3 +263,15 @@ class TestCanonicalStructures:
         assert dq1 @ m @ dp1 == 1.0
         assert dp1 @ m @ dq1 == -1.0
         np.testing.assert_array_equal(m, -m.T)
+
+
+def test_a_field_and_its_rhs_hold_no_reference_cycle():
+    gc.collect()
+    before = len(expr._NODES)
+    field = VectorField.of(CTX2, "v1", "v2", "-q1*sqrt(q1^2 + q2^2)", "-q2")
+    rhs = field.ode_rhs
+    del field  # the rhs works on without the field
+    np.testing.assert_array_equal(rhs(0.0, [3.0, 4.0, 1.0, 2.0]), [1.0, 2.0, -15.0, -4.0])
+    assert len(expr._NODES) > before
+    del rhs
+    assert len(expr._NODES) == before

@@ -44,7 +44,10 @@ Fifteen cases are run:
   ``kepler-clock`` field and factor against the probe field with components
   ``(next coordinate)^2 - (coordinate)``, over the scenario box's default
   sample (about 15k points): the batch backend on 8 large derived trees,
-  compiled and evaluated in every run;
+  compiled and evaluated in every run.  Each run looks the scenario up and
+  builds the probe afresh, as a benchmark op does: a tree node keeps the
+  derivatives taken of it, so runs that reused one field would find the
+  brackets' derivatives already taken;
 * ``build_library``: ``bundle.build`` of every buildable scenario, in
   process (``scenarios.structure_library``), with each scenario's default
   sample.
@@ -207,15 +210,15 @@ def _cases():
                 stage(0.0, *coords)
         return {"calls": _RHS_CALLS}
 
-    clock = sc.get_conformal_scenario("kepler-clock")
-    names = clock.ctx.names
-    probe = VectorField(clock.ctx, tuple(
-        parse(f"{names[(i + 1) % len(names)]}^2 - {name}", clock.ctx)
-        for i, name in enumerate(names)
-    ))
-    clock_points = clock.box.sample()
+    clock_points = sc.get_conformal_scenario("kepler-clock").box.sample()
 
     def bracket():
+        clock = sc.get_conformal_scenario("kepler-clock")
+        names = clock.ctx.names
+        probe = VectorField(clock.ctx, tuple(
+            parse(f"{names[(i + 1) % len(names)]}^2 - {name}", clock.ctx)
+            for i, name in enumerate(names)
+        ))
         conformal.bracket_rescaling_residual(clock.field, clock.factor, probe, clock_points)
         return {"points": len(clock_points)}
 
