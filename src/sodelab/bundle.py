@@ -4,10 +4,11 @@
 the matching velocity functions by differentiating along the field, and
 certifies on a sample grid that the combined functions form a genuine chart.
 Every check reads the chart's one set of first-partial trees,
-:attr:`~sodelab.fields.PointMap.jacobian`; the shape tests take second
-partials of its rows.  The chart rank test and the Jacobian floor come from
-one batched determinant of the least block that decides them; an SVD
-decomposes only the points whose determinant cannot clear the rank test.
+:attr:`~sodelab.fields.PointMap.jacobian`; the shape tests read which
+coordinates its entries use from their free variables.  The chart rank test
+and the Jacobian floor come from one batched determinant of the least block
+that decides them; an SVD decomposes only the points whose determinant
+cannot clear the rank test.
 The function counts are checked first, so a ranked chart always has 2n
 functions on a 2n-dimensional space.  A constant Jacobian is evaluated at
 one point, which holds over the whole space.  A base of distinct plain
@@ -21,12 +22,14 @@ shape.  In the new chart the canonical vertical endomorphism
 and dilation field turn the original dynamics into an explicitly second-order
 system.  The structure stores no chart-coordinate field: the chart velocity
 is the pushforward of the field through the chart, whose base block is V and
-whose fibre block is the force, the field's derivative of each V.
+whose fibre block is the force, the field's derivative of each V.  Nodes are
+interned, so that V is the very tree dQ(field) builds from the Jacobian's
+base rows: :func:`structure_sode_residual` finds a built chart second order
+by node identity, and evaluates only residuals that do not fold to zero.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -42,12 +45,13 @@ from .errors import (
     NonInvertibleChartError,
 )
 from .expr import (
-    Const,
+    ZERO,
     Expression,
     Var,
     VariableContext,
-    differentiate,
     free_variables,
+    sub,
+    sum_of_products,
     to_source,
 )
 from .fields import (
@@ -57,6 +61,7 @@ from .fields import (
     VectorField,
     _entries,
     evaluate_on,
+    max_abs_on,
 )
 from .geometry import lie_scalar
 
@@ -80,14 +85,13 @@ def _point_text(x) -> str:
 def _affine_in(
     rows: Sequence[Sequence[Expression]], ctx: VariableContext, names: Sequence[str]
 ) -> bool:
-    """Whether the map with these Jacobian rows is affine in the coordinates ``names``."""
+    """Whether the map with these Jacobian rows is affine in the coordinates ``names``.
+
+    It is when no entry in the ``names`` columns uses one of ``names``, read
+    from each entry's free variables; no second derivative is taken.
+    """
     cols = [ctx.index(name) for name in names]
-    return all(
-        differentiate(row[j], name) == Const(0.0)
-        for row in rows
-        for j in cols
-        for name in names
-    )
+    return all(free_variables(row[j]).isdisjoint(names) for row in rows for j in cols)
 
 
 def _coordinate_slots(
@@ -240,16 +244,15 @@ class TangentStructure:
         """The base's slots when it is distinct plain coordinates, else None."""
         return _coordinate_slots(self.base_exprs, self.src_ctx)
 
-    def inverse(self, chart_point, *, guess=None) -> np.ndarray:
+    def inverse(self, chart_point) -> np.ndarray:
         target = np.asarray(chart_point, dtype=float)
         if target.shape != (self.chart_ctx.dim,):
             raise ValueError(
                 f"chart point needs {self.chart_ctx.dim} coordinates, got {target.shape}"
             )
-        if guess is None:
-            guess = np.array(self.newton_guess)
-            if self.base_slots is not None:
-                guess[list(self.base_slots)] = target[: self.n]
+        guess = np.array(self.newton_guess)
+        if self.base_slots is not None:
+            guess[list(self.base_slots)] = target[: self.n]
         return _newton_solve(self.forward, target, guess)
 
     def to_json(self) -> dict:
@@ -418,14 +421,18 @@ def structure_sode_residual(
 ) -> float:
     """Max |dQ(field) - V| over points: how far the chart misses second-orderness.
 
-    Zero by construction up to roundoff; exercised as a tautology guard.  All
-    points are evaluated in one batch; nan counts as inf.
+    Each residual is the tree dQ_i(field) - V_i, written as ``build`` writes
+    V_i, so on a built chart every one folds to ``ZERO`` and the result is
+    0.0 without evaluating anything.  The residuals that do not fold are
+    evaluated on the points in one batch; nan counts as inf.
     """
+    gamma = structure.gamma.components
+    residuals = [
+        sub(sum_of_products(zip(gamma, row)), v)
+        for row, v in zip(structure.forward.jacobian, structure.velocity_exprs)
+    ]
+    unfolded = [r for r in residuals if r is not ZERO]
+    if not unfolded:
+        return 0.0
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    ctx = structure.src_ctx
-    jac = evaluate_on(structure.forward.jacobian[: structure.n], ctx, points)
-    gamma = evaluate_on(structure.gamma.components, ctx, points)
-    lifted = np.einsum("mij,mj->mi", jac, gamma)
-    direct = evaluate_on(structure.velocity_exprs, ctx, points)
-    worst = float(np.max(np.abs(lifted - direct), initial=0.0))
-    return math.inf if math.isnan(worst) else worst
+    return max_abs_on(unfolded, structure.src_ctx, points)

@@ -350,13 +350,13 @@ def _cmd_verify(run: _Run, opts: dict) -> int:
     seed, samples, tol = opts["seed"], opts["samples"], opts["tol"]
     kind, found = _scenario(name, "flat", "construction")
     if kind == "flat":
-        ctx, half_width, field = found, 2.0, fo.make_oscillator(found.dim // 2).field
+        ctx, field = found, fo.make_oscillator(found.dim // 2).field
     else:
         structure = sc.build_scenario(found, seed=seed, n_random=samples)
-        ctx, half_width, field = structure.chart_ctx, 1.5, None
+        ctx, field = structure.chart_ctx, None
     s, delta = canonical_tangent_structure(ctx)
     report = verify_tangent_structure(
-        s, delta, Box.cube(ctx, half_width), field=field, seed=seed,
+        s, delta, Box.cube(ctx, 2.0), field=field, seed=seed,
         n_random=samples, tol=tol,
     )
     payload = {"scenario": name, "report": report.to_json()}

@@ -770,8 +770,8 @@ _SCALAR_RAISES = (ValueError, ZeroDivisionError, OverflowError)
 _MAX_NESTING = 100  # inline text with more "(" is bound: Python's parser stops at 200
 
 
-def _python_source(exprs: Sequence[Expression]) -> tuple[list, list, dict, set]:
-    """Python statements, one result text per tree, constants and coordinate names.
+def _python_source(exprs: Sequence[Expression]) -> tuple[list, list, dict]:
+    """Python statements, one result text per tree, and the constants they name.
 
     One rule serves both: a subexpression used more than once, across the
     trees or within them, is computed once into a local; every other one is
@@ -782,19 +782,18 @@ def _python_source(exprs: Sequence[Expression]) -> tuple[list, list, dict, set]:
     a shared subtree is walked once; the numbering lives only for the call.
     Each distinct constant text is a name, and the returned dict maps the
     constant's ``repr`` to it: ``0.0`` and ``-0.0`` get a name each, while
-    every nan shares one.
+    every nan shares one.  A coordinate is written as its name; which names
+    the code uses, :func:`_emit` reads from the roots' free variables.
     """
     ops: list[tuple] = []  # each operation's text parts, by its number
     numbered: dict[Expression, int] = {}
     constants: dict[str, str] = {}
-    names: set[str] = set()
 
     def number(e: Expression) -> str | int:
         """The text of a leaf, or the number of an operation."""
         if isinstance(e, Const):
             return constants.setdefault(repr(e.value), f"_k{len(constants)}")
         if isinstance(e, Var):
-            names.add(e.name)
             return e.name
         if e in numbered:
             return numbered[e]
@@ -829,7 +828,7 @@ def _python_source(exprs: Sequence[Expression]) -> tuple[list, list, dict, set]:
             text = f"_{index}"
         texts.append(text)
     results = [root if isinstance(root, str) else texts[root] for root in roots]
-    return lines, results, constants, names
+    return lines, results, constants
 
 
 def _emit(
@@ -844,14 +843,17 @@ def _emit(
     ignored.  The scalar backend takes a time argument it ignores, then the
     coordinates as separate floats; where its code raises ValueError,
     ZeroDivisionError or OverflowError, the point is evaluated again by
-    :func:`evaluate`, so the two agree by construction.
+    :func:`evaluate`, so the two agree by construction.  The coordinates the
+    code uses are the roots' free variables, checked against ``ctx`` after
+    the source is written, so a tree too deep to write is refused first.
     """
     single = isinstance(e, Expression)
     exprs = (e,) if single else tuple(e)
     try:
-        lines, results, constants, used = _python_source(exprs)
+        lines, results, constants = _python_source(exprs)
     except RecursionError:
         raise ExpressionDepthError("expression is nested too deeply to compile") from None
+    used = frozenset().union(*(x._fv for x in exprs))
     unknown = used - set(ctx.names)
     if unknown:
         raise UnboundVariableError(

@@ -88,11 +88,11 @@ def max_abs_on(
 
     One compiled call evaluates the whole set, so every non-constant tree's
     (m,) column and one (m,) array per shared subexpression are alive at
-    once; a constant tree gives one scalar.  An empty set gives 0.0.
+    once; a constant tree gives one scalar.  No trees, or no points, give 0.0.
     """
     worst = 0.0
     for value in vectorized_scalar(exprs, ctx)(points):
-        peak = float(np.max(np.abs(value)))
+        peak = float(np.max(np.abs(value), initial=0.0))
         worst = max(worst, math.inf if math.isnan(peak) else peak)
     return worst
 
@@ -336,20 +336,10 @@ class Box:
 
     @classmethod
     def cube(
-        cls,
-        ctx: VariableContext,
-        half_width: float,
-        *,
-        exclude_radius: float = 0.0,
-        exclude_dims: tuple[int, ...] | None = None,
+        cls, ctx: VariableContext, half_width: float, *, exclude_radius: float = 0.0
     ) -> "Box":
-        return cls(
-            ctx,
-            tuple(-half_width for _ in range(ctx.dim)),
-            tuple(half_width for _ in range(ctx.dim)),
-            exclude_radius,
-            exclude_dims,
-        )
+        """The box |x_k| <= half_width, minus the ball |x| < exclude_radius."""
+        return cls(ctx, (-half_width,) * ctx.dim, (half_width,) * ctx.dim, exclude_radius)
 
     @property
     def center(self) -> np.ndarray:

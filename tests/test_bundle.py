@@ -17,9 +17,19 @@ from sodelab.errors import (
     FunctionalDependenceError,
     NonInvertibleChartError,
 )
-from sodelab import bundle
+from sodelab import bundle, expr, fields
 from sodelab import scenarios as sc
-from sodelab.expr import Const, VariableContext, add, evaluate, parse, qv_context
+from sodelab.expr import (
+    ZERO,
+    Const,
+    VariableContext,
+    add,
+    evaluate,
+    parse,
+    qv_context,
+    sub,
+    sum_of_products,
+)
 from sodelab.fields import (
     Box,
     PointMap,
@@ -154,6 +164,81 @@ class TestOscillatorBases:
             t, gamma=VectorField.of(R4, "x2 / x1", "-x1", "x4", "-x3")
         )  # 1/0 is inf and 0/0 is nan at the two points
         assert structure_sode_residual(broken, [point]) == math.inf
+
+
+# each buildable scenario's chart shape: (inverse kind, warnings, rank basis)
+LIBRARY_SHAPES = {
+    "oscillator-1": ("affine", (), ("by_construction", "exact")),
+    "oscillator-2": ("affine", (), ("by_construction", "exact")),
+    "double-rotation-13": ("affine", (), ("by_construction", "exact")),
+    "double-rotation-14": ("affine", (), ("by_construction", "exact")),
+    "double-rotation-23": ("affine", (), ("by_construction", "exact")),
+    "double-rotation-24": ("affine", (), ("by_construction", "exact")),
+    "free-particle": ("affine", ("equilibria_on_base",), ("by_construction", "exact")),
+    "free-particle-bent": ("newton", ("equilibria_on_base",), ("sampled", "sampled")),
+    "conformal-am": ("newton", ("nonlinear_fibers",), ("by_construction", "sampled")),
+    "kepler-chart": ("triangular", (), ("by_construction", "sampled")),
+    "fosc-linear-2": ("affine", (), ("by_construction", "exact")),
+    "fosc-power-2": ("newton", ("nonlinear_fibers",), ("by_construction", "sampled")),
+    "fosc-kepler-match-g1": ("newton", ("nonlinear_fibers",), ("by_construction", "sampled")),
+}
+
+
+class TestReadFromTheTrees:
+    """Second-orderness is a node identity, and affinity a free-variable test."""
+
+    def test_library_residual_trees_are_zero_and_nothing_is_compiled(self, monkeypatch):
+        library = sc.structure_library()
+        compiled = []
+        original = fields.vectorized_scalar
+
+        def spy(e, ctx):
+            compiled.append(e)
+            return original(e, ctx)
+
+        monkeypatch.setattr(fields, "vectorized_scalar", spy)
+        for name, t in library:
+            residuals = [
+                sub(sum_of_products(zip(t.gamma.components, row)), v)
+                for row, v in zip(t.forward.jacobian, t.velocity_exprs)
+            ]
+            assert all(r is ZERO for r in residuals), name
+            assert structure_sode_residual(t, t.domain.sample()) == 0.0, name
+        assert compiled == []
+
+    def test_infinite_field_entry_off_the_base_rows_reads_zero(self):
+        # dQ = (1, 0) meets the field's 1/x1, so a sampled product at x1 = 0
+        # would be 0 * inf = nan; the residual tree x2 - x2 folds to zero
+        box = Box.cube(R2, 2.0)
+        t = build(VectorField.of(R2, "x2", "1/x1"), ("x1",), box)
+        assert t.inverse_kind == "affine"
+        assert structure_sode_residual(t, box.sample()) == 0.0
+
+    def test_unfolded_residual_over_no_points_is_zero(self):
+        t = quick_build(SPIN4, ("x1", "x3"), BOX4)
+        shifted = dataclasses.replace(t, gamma=t.gamma.scaled(2.0))
+        assert structure_sode_residual(shifted, np.empty((0, 4))) == 0.0
+
+    def test_affine_in_takes_no_derivative(self, monkeypatch):
+        library = sc.structure_library()
+        calls = []
+        original = expr._differentiate
+
+        def spy(e, name):
+            calls.append(name)
+            return original(e, name)
+
+        monkeypatch.setattr(expr, "_differentiate", spy)
+        for _, t in library:
+            bundle._affine_in(t.forward.jacobian, t.src_ctx, t.src_ctx.names)
+        assert calls == []
+
+    def test_library_chart_shapes(self):
+        shapes = {}
+        for name, t in sc.structure_library():
+            rank = t.to_json()["rank_basis"]
+            shapes[name] = (t.inverse_kind, t.warnings, (rank["base"], rank["chart"]))
+        assert shapes == LIBRARY_SHAPES
 
 
 class TestFreeParticle:
@@ -464,6 +549,15 @@ class TestInversionStrategies:
         t = quick_build(field, ("q1", "q2"), Box.cube(ctx, 1.5))
         assert "nonlinear_fibers" not in t.warnings
 
+    def test_fibre_slope_over_a_base_denominator_is_linear(self):
+        # dV/dv1 = 1/(1 + q1^2) uses only q1, though its v1-derivative is an
+        # unfolded 0/(...) tree
+        ctx = qv_context(1)
+        field = VectorField.of(ctx, "v1/(1 + q1^2)", "-q1")
+        t = build(field, ("q1",), Box.cube(ctx, 1.5))
+        assert t.inverse_kind == "triangular"
+        assert "nonlinear_fibers" not in t.warnings
+
     def test_singular_jacobian_message_holds_plain_numbers(self):
         # dV/dv1 = 1 - v1^2 vanishes at v1 = 1, outside the certified box
         ctx = qv_context(1)
@@ -471,7 +565,7 @@ class TestInversionStrategies:
         t = quick_build(field, ("q1",), Box.cube(ctx, 0.9))
         assert t.inverse_kind == "newton"
         with pytest.raises(NonInvertibleChartError) as info:
-            t.inverse(t.forward([0.2, 0.5]), guess=(0.5, 1.0))
+            bundle._newton_solve(t.forward, t.forward([0.2, 0.5]), np.array([0.5, 1.0]))
         message = str(info.value)
         assert "np." not in message
         assert ast.literal_eval(message.split(" near ")[1]) == (0.5, 1.0)

@@ -10,11 +10,13 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from sodelab import cli
+from sodelab import cli, expr, fields
+from sodelab import scenarios as sc
 from sodelab.cli import main
 
 
@@ -369,6 +371,22 @@ def test_verify_built_scenario_writes_report(tmp_path):
     assert manifest["command"] == "verify"
     assert "verify.json" in manifest["outputs"]
     assert manifest["exit_code"] == 0
+
+
+@pytest.mark.parametrize("name", sc.scenario_names("construction"))
+def test_verify_compiles_each_tree_tuple_once(tmp_path, monkeypatch, name):
+    # nodes are interned, so trees, context and backend key a compile by identity
+    compiles = Counter()
+    original = expr._emit
+
+    def spy(e, ctx, batch):
+        compiles[(e if isinstance(e, expr.Expression) else tuple(e), ctx, batch)] += 1
+        return original(e, ctx, batch)
+
+    monkeypatch.setattr(expr, "_emit", spy)
+    monkeypatch.setattr(fields, "_emit", spy)
+    run_to(tmp_path, "run", ["verify", "--scenario", name])
+    assert [key for key, count in compiles.items() if count > 1] == []
 
 
 def test_verify_rejection_scenario_exits_one(tmp_path):

@@ -207,7 +207,7 @@ class TestBox:
         assert np.all(pts <= np.array(box.hi) + 1e-12)
 
     def test_exclusion_ball_over_selected_dims(self):
-        box = Box.cube(CTX2, 1.0, exclude_radius=0.5, exclude_dims=(0, 1))
+        box = Box(CTX2, (-1.0,) * 4, (1.0,) * 4, exclude_radius=0.5, exclude_dims=(0, 1))
         pts = box.sample(seed=0, n_random=200)
         assert np.all(np.linalg.norm(pts[:, :2], axis=1) >= 0.5)
         # fiber coordinates are free to be small

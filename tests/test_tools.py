@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under ``tools/``, and guards on the public surface."""
 
 import ast
+import gc
 import runpy
 import subprocess
 import sys
@@ -26,6 +27,22 @@ def test_surface_prints_one_row_per_module_and_a_total():
     for path in modules:
         assert table[path.name] == path.read_text(encoding="utf-8").count("\n")
     assert table["total"] == sum(table[path.name] for path in modules)
+
+
+def test_bench_cases_leave_no_node_behind():
+    """Each ``tools/bench.py`` case is measured as the script measures it, and
+    the interned node table is then back to its size from before the case:
+    no case holds another's trees."""
+    from sodelab import expr
+
+    bench = runpy.run_path(str(ROOT / "tools" / "bench.py"))
+    for name, setup in bench["_cases"]().items():
+        gc.collect()
+        before = len(expr._NODES)
+        result = bench["_measure_case"](setup, dict, lambda: None)
+        assert len(result["walls"]) == bench["_REPEAT"]
+        gc.collect()
+        assert len(expr._NODES) == before, name
 
 
 # public names (module.name) and class members (module.Class.member) that

@@ -52,6 +52,13 @@ Fifteen cases are run:
   process (``scenarios.structure_library``), with each scenario's default
   sample.
 
+Each case builds its own expression trees and keeps none of them past its
+end, so no case finds another's trees alive.  Nodes are interned and keep
+the derivatives taken of them, so a case that did would run warm where a
+cold op would not.  The four chart-field cases build the field once, before
+their runs, which then share its compiled function; every other case builds
+its trees afresh in each run.
+
 Each case records deterministic counters summed over every ``integrate``
 call it makes (RHS evaluations ``nfev``, ``accepted`` and ``rejected``
 steps, ``runs``, and ``interpolants``, the dense-output interpolants built;
@@ -176,6 +183,8 @@ def _counters():
 
 
 def _cases():
+    """Each case's setup by name: a call builds the case's expression trees
+    and returns the case's run, which holds them for as long as it lives."""
     import numpy as np
     from sodelab import conformal, kepler
     from sodelab import scenarios as sc
@@ -184,43 +193,68 @@ def _cases():
     from sodelab.expr import parse, qv_context
     from sodelab.fields import VectorField
 
-    field = kepler.chart_field()
-    x0 = kepler.shell_representative(-0.5)
-    zero = VectorField(qv_context(4), (0.0,) * 8)
-    # trees from before the generated step kernel have no stage function
-    stage = getattr(field, "stage_fn", None)
-    coords = x0.tolist()
+    def chart_start():
+        """The Kepler chart field, built afresh, and the E = -0.5 shell start."""
+        return kepler.chart_field(), kepler.shell_representative(-0.5)
 
     def chart_period(rtol):
-        traj = integrate(field.ode_rhs, x0, 2.0 * math.pi, rtol=rtol, atol=1e-12)
-        return {"end_gap": float(np.linalg.norm(traj.final_state - x0))}
+        field, x0 = chart_start()
+
+        def run():
+            traj = integrate(field.ode_rhs, x0, 2.0 * math.pi, rtol=rtol, atol=1e-12)
+            return {"end_gap": float(np.linalg.norm(traj.final_state - x0))}
+
+        return run
 
     def period():
-        estimate_period(field.ode_rhs, x0)
+        field, x0 = chart_start()
+
+        def run():
+            estimate_period(field.ode_rhs, x0)
+
+        return run
 
     def zero_rhs():
-        integrate(zero.ode_rhs, np.ones(8), 1e6)
+        zero = VectorField(qv_context(4), (0.0,) * 8)
+
+        def run():
+            integrate(zero.ode_rhs, np.ones(8), 1e6)
+
+        return run
 
     def rhs_calls():
-        if stage is None:
-            for _ in range(_RHS_CALLS):
-                field.ode_rhs(0.0, x0)
-        else:
-            for _ in range(_RHS_CALLS):
-                stage(0.0, *coords)
-        return {"calls": _RHS_CALLS}
+        field, x0 = chart_start()
+        # trees from before the generated step kernel have no stage function
+        stage = getattr(field, "stage_fn", None)
+        coords = x0.tolist()
 
-    clock_points = sc.get_conformal_scenario("kepler-clock").box.sample()
+        def run():
+            if stage is None:
+                for _ in range(_RHS_CALLS):
+                    field.ode_rhs(0.0, x0)
+            else:
+                for _ in range(_RHS_CALLS):
+                    stage(0.0, *coords)
+            return {"calls": _RHS_CALLS}
+
+        return run
 
     def bracket():
-        clock = sc.get_conformal_scenario("kepler-clock")
-        names = clock.ctx.names
-        probe = VectorField(clock.ctx, tuple(
-            parse(f"{names[(i + 1) % len(names)]}^2 - {name}", clock.ctx)
-            for i, name in enumerate(names)
-        ))
-        conformal.bracket_rescaling_residual(clock.field, clock.factor, probe, clock_points)
-        return {"points": len(clock_points)}
+        clock_points = sc.get_conformal_scenario("kepler-clock").box.sample()
+
+        def run():
+            clock = sc.get_conformal_scenario("kepler-clock")
+            names = clock.ctx.names
+            probe = VectorField(clock.ctx, tuple(
+                parse(f"{names[(i + 1) % len(names)]}^2 - {name}", clock.ctx)
+                for i, name in enumerate(names)
+            ))
+            conformal.bracket_rescaling_residual(
+                clock.field, clock.factor, probe, clock_points
+            )
+            return {"points": len(clock_points)}
+
+        return run
 
     def build_library():
         return {"structures": len(sc.structure_library())}
@@ -235,44 +269,51 @@ def _cases():
         if code != 0:
             raise RuntimeError(f"{argv[0]} exited {code}")
 
+    def plain(fn, *args):
+        """The setup of a case that builds all its trees in each run."""
+        return lambda: lambda: fn(*args)
+
     return {
         "chart_period": lambda: chart_period(1e-10),
         "chart_period_rtol_1e-11": lambda: chart_period(1e-11),
         "estimate_period": period,
         "rhs_chart_field": rhs_calls,
         "integrator_zero_rhs": zero_rhs,
-        "cli_match": lambda: cli("match"),
-        "cli_integrate_kepler_chart": lambda: cli(
-            "integrate", "--scenario", "kepler-chart", "--state", "1,0,0,0,0,0.5,0,0",
+        "cli_match": plain(cli, "match"),
+        "cli_integrate_kepler_chart": plain(
+            cli, "integrate", "--scenario", "kepler-chart", "--state", "1,0,0,0,0,0.5,0,0",
             "--t-end", "20",
         ),
-        "cli_verify_kepler_chart": lambda: cli("verify", "--scenario", "kepler-chart"),
-        "cli_verify_oscillator_2": lambda: cli("verify", "--scenario", "oscillator-2"),
-        "lookup_construction": lambda: lookup("oscillator-2"),
-        "lookup_rescaling": lambda: lookup("uniform-speedup"),
-        "lookup_kepler_chart": lambda: lookup("kepler-chart"),
-        "cli_build_kepler_chart": lambda: cli("build", "--scenario", "kepler-chart"),
+        "cli_verify_kepler_chart": plain(cli, "verify", "--scenario", "kepler-chart"),
+        "cli_verify_oscillator_2": plain(cli, "verify", "--scenario", "oscillator-2"),
+        "lookup_construction": plain(lookup, "oscillator-2"),
+        "lookup_rescaling": plain(lookup, "uniform-speedup"),
+        "lookup_kepler_chart": plain(lookup, "kepler-chart"),
+        "cli_build_kepler_chart": plain(cli, "build", "--scenario", "kepler-chart"),
         "bracket_kepler_clock": bracket,
-        "build_library": build_library,
+        "build_library": plain(build_library),
     }
+
+
+def _measure_case(setup, totals, reset) -> dict:
+    """One case's counters and timed wall times; its trees die on return."""
+    run = setup()
+    reset()
+    extra = run() or {}
+    counters = dict(sorted({**totals(), **extra}.items()))
+    walls = []
+    for _ in range(_REPEAT):
+        start = time.perf_counter()
+        run()
+        walls.append(time.perf_counter() - start)
+        reset()
+    return {"counters": counters, "walls": walls}
 
 
 def measure() -> dict:
     """The counters and timed wall times of every case, for the imported tree."""
     totals, reset = _counters()
-    results = {}
-    for name, run in _cases().items():
-        reset()
-        extra = run() or {}
-        counters = dict(sorted({**totals(), **extra}.items()))
-        walls = []
-        for _ in range(_REPEAT):
-            start = time.perf_counter()
-            run()
-            walls.append(time.perf_counter() - start)
-            reset()
-        results[name] = {"counters": counters, "walls": walls}
-    return results
+    return {name: _measure_case(setup, totals, reset) for name, setup in _cases().items()}
 
 
 def _measure_process(path: Path) -> dict:
