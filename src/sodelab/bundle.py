@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -417,14 +417,17 @@ def build(
 
 
 def structure_sode_residual(
-    structure: TangentStructure, points: np.ndarray
+    structure: TangentStructure, points: np.ndarray | Callable[[], np.ndarray]
 ) -> float:
     """Max |dQ(field) - V| over points: how far the chart misses second-orderness.
 
     Each residual is the tree dQ_i(field) - V_i, written as ``build`` writes
     V_i, so on a built chart every one folds to ``ZERO`` and the result is
     0.0 without evaluating anything.  The residuals that do not fold are
-    evaluated on the points in one batch; nan counts as inf.
+    evaluated on the points in one batch; nan counts as inf.  ``points`` is
+    an array of points or a zero-argument callable that draws them; the
+    callable is called only when some residual does not fold, so a built
+    chart draws no sample for this check.
     """
     gamma = structure.gamma.components
     residuals = [
@@ -434,5 +437,7 @@ def structure_sode_residual(
     unfolded = [r for r in residuals if r is not ZERO]
     if not unfolded:
         return 0.0
+    if callable(points):
+        points = points()
     points = np.atleast_2d(np.asarray(points, dtype=float))
     return max_abs_on(unfolded, structure.src_ctx, points)

@@ -348,12 +348,9 @@ class Box:
     def _excluded(self, points: np.ndarray) -> np.ndarray:
         if self.exclude_radius <= 0.0:
             return np.zeros(len(points), dtype=bool)
-        dims = (
-            list(range(self.ctx.dim))
-            if self.exclude_dims is None
-            else list(self.exclude_dims)
-        )
-        return np.linalg.norm(points[:, dims], axis=1) < self.exclude_radius
+        if self.exclude_dims is not None:
+            points = points[:, list(self.exclude_dims)]
+        return np.linalg.norm(points, axis=1) < self.exclude_radius
 
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
@@ -367,21 +364,25 @@ class Box:
 
         The grid spans the first min(dim, 4) axes; remaining coordinates sit
         at the box center so the point count stays bounded in high dimension.
+        Rows come in a fixed order: the ``grid_points ** min(dim, 4)`` grid
+        rows in C order over the gridded axes (the last one varies fastest),
+        then the ``n_random`` draws of ``default_rng(seed).uniform``.  The
+        exclusion ball drops rows and keeps that order.  Raises
+        :class:`DomainSamplingError` when fewer than 10 points are left.
         """
         dim = self.ctx.dim
         gridded = min(dim, 4)
-        axes = [
-            np.linspace(self.lo[k], self.hi[k], grid_points) for k in range(gridded)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([m.ravel() for m in mesh], axis=1)
-        if gridded < dim:
-            rest = np.tile(self.center[gridded:], (len(grid), 1))
-            grid = np.hstack([grid, rest])
+        n_grid = grid_points**gridded
+        points = np.empty((n_grid + n_random, dim))
+        grid = points[:n_grid].reshape((grid_points,) * gridded + (dim,))
+        for k in range(gridded):
+            axis = np.linspace(self.lo[k], self.hi[k], grid_points)
+            grid[..., k] = axis.reshape((-1,) + (1,) * (gridded - 1 - k))
+        points[:n_grid, gridded:] = self.center[gridded:]
         rng = np.random.default_rng(seed)
-        random = rng.uniform(self.lo, self.hi, size=(n_random, dim))
-        points = np.vstack([grid, random])
-        points = points[~self._excluded(points)]
+        points[n_grid:] = rng.uniform(self.lo, self.hi, size=(n_random, dim))
+        if self.exclude_radius > 0.0:
+            points = points[~self._excluded(points)]
         if len(points) < 10:
             raise DomainSamplingError(
                 f"only {len(points)} sample points survive the exclusion ball"

@@ -5,6 +5,7 @@ and stdout JSON.  Determinism checks run a command twice into separate
 directories and compare bytes.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from sodelab import cli, expr, fields
+from sodelab import bundle, cli, expr, fields
 from sodelab import scenarios as sc
 from sodelab.cli import main
 
@@ -387,6 +388,59 @@ def test_verify_compiles_each_tree_tuple_once(tmp_path, monkeypatch, name):
     monkeypatch.setattr(fields, "_emit", spy)
     run_to(tmp_path, "run", ["verify", "--scenario", name])
     assert [key for key, count in compiles.items() if count > 1] == []
+
+
+def _spy_on_draws(monkeypatch):
+    """Record ``(box, kwargs)`` of every ``Box.sample`` call from now on."""
+    draws = []
+    original = fields.Box.sample
+
+    def spy(self, *args, **kwargs):
+        draws.append((self, kwargs))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(fields.Box, "sample", spy)
+    return draws
+
+
+@pytest.mark.parametrize("name", [s.name for s in sc.buildable_scenarios()])
+def test_verify_draws_only_the_build_sample(tmp_path, monkeypatch, name):
+    # a built chart's residuals fold to zero, so nothing reads a verify sample
+    draws = _spy_on_draws(monkeypatch)
+    scenario = sc.lookup("construction", name)
+    looked_up = len(draws)
+    draws.clear()
+    code, out = run_to(tmp_path, "run", ["verify", "--scenario", name])
+    assert code == 0
+    assert len(draws) == looked_up + 1
+    assert draws[-1] == (scenario.box, {"seed": 0, "n_random": 500})
+    assert read_json(out / "verify.json")["sode_residual"] == 0.0
+
+
+def test_verify_evaluates_an_unfolded_residual_on_the_verify_sample(
+    tmp_path, monkeypatch
+):
+    build_scenario, built = sc.build_scenario, []
+
+    def build_moved(scenario, **kwargs):
+        # V_i + x^2 no longer folds against dQ_i(field), and varies over the box
+        t = build_scenario(scenario, **kwargs)
+        x = expr.Var(t.src_ctx.names[0])
+        moved = tuple(expr.add(v, expr.mul(x, x)) for v in t.velocity_exprs)
+        forward = dataclasses.replace(t.forward, components=t.base_exprs + moved)
+        built.append(dataclasses.replace(t, forward=forward))
+        return built[-1]
+
+    monkeypatch.setattr(sc, "build_scenario", build_moved)
+    draws = _spy_on_draws(monkeypatch)
+    argv = ["verify", "--scenario", "oscillator-1", "--seed", "3", "--samples", "150"]
+    code, out = run_to(tmp_path, "run", argv)
+    assert code == 1
+    box = sc.lookup("construction", "oscillator-1").box
+    assert draws[-1] == (box, {"seed": 3, "n_random": 150})
+    expected = bundle.structure_sode_residual(built[0], box.sample(seed=3, n_random=150))
+    assert expected > 1.0
+    assert read_json(out / "verify.json")["sode_residual"] == expected
 
 
 def test_verify_rejection_scenario_exits_one(tmp_path):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sodelab import expr
 from sodelab.errors import ChartDimensionError, DomainSamplingError
@@ -234,6 +236,66 @@ class TestBox:
         assert box.contains((0.5, 0.5, 0.5, 0.5))
         assert not box.contains((2.0, 0.0, 0.0, 0.0))
         assert not box.contains((0.1, 0.0, 0.0, 0.0))
+
+
+def _meshgrid_sample(box, seed, n_random, grid_points):
+    """The draw as it was written before ``Box.sample`` filled one array:
+    meshgrid, stack, tile and stack again, then a masked copy.  The oracle
+    the one-array draw must match bit for bit."""
+    dim = box.ctx.dim
+    gridded = min(dim, 4)
+    axes = [np.linspace(box.lo[k], box.hi[k], grid_points) for k in range(gridded)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=1)
+    if gridded < dim:
+        grid = np.hstack([grid, np.tile(box.center[gridded:], (len(grid), 1))])
+    rng = np.random.default_rng(seed)
+    points = np.vstack([grid, rng.uniform(box.lo, box.hi, size=(n_random, dim))])
+    if box.exclude_radius > 0.0:
+        dims = list(range(dim)) if box.exclude_dims is None else list(box.exclude_dims)
+        points = points[~(np.linalg.norm(points[:, dims], axis=1) < box.exclude_radius)]
+    if len(points) < 10:
+        raise DomainSamplingError(
+            f"only {len(points)} sample points survive the exclusion ball"
+        )
+    return points
+
+
+@st.composite
+def _boxes(draw):
+    dim = draw(st.integers(1, 8))
+    ctx = VariableContext(tuple(f"x{k}" for k in range(dim)))
+    bounds = st.floats(-10.0, 10.0)
+    lo = draw(st.lists(bounds, min_size=dim, max_size=dim))
+    widths = draw(st.lists(st.floats(1e-3, 10.0), min_size=dim, max_size=dim))
+    radius = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+    dims = draw(st.one_of(
+        st.none(),
+        st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True),
+    ))
+    hi = [a + w for a, w in zip(lo, widths)]
+    return Box(ctx, tuple(lo), tuple(hi), exclude_radius=radius, exclude_dims=dims)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    box=_boxes(),
+    seed=st.integers(0, 2**32 - 1),
+    n_random=st.integers(0, 600),
+    grid_points=st.integers(1, 11),
+)
+def test_sample_matches_the_meshgrid_draw_bit_for_bit(box, seed, n_random, grid_points):
+    try:
+        expected = _meshgrid_sample(box, seed, n_random, grid_points)
+    except DomainSamplingError as exc:
+        with pytest.raises(DomainSamplingError) as raised:
+            box.sample(seed, n_random, grid_points)
+        assert str(raised.value) == str(exc)
+        return
+    points = box.sample(seed, n_random, grid_points)
+    assert points.shape == expected.shape
+    assert points.dtype == np.float64 and points.flags.c_contiguous
+    np.testing.assert_array_equal(points.view(np.int64), expected.view(np.int64))
 
 
 class TestCanonicalStructures:

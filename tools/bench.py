@@ -6,10 +6,11 @@ Usage::
 
 Each ``LABEL=PATH`` names a checkout whose ``src/`` is measured in Python
 processes of its own (default: ``change=`` the checkout holding this script),
-so two trees can be compared in one file.  Each tree gets ``_PROCESSES``
-measuring processes, started alternately in ABBA order (A B, B A, A B, ...),
-so that load drift on a shared machine lands on both trees alike.
-Fifteen cases are run:
+so two trees can be compared in one file.  Each case is measured in a
+process of its own, so that no case runs on the allocator state another
+case left behind.  Each tree gets ``_PROCESSES`` measuring processes per
+case, started alternately in ABBA order (A B, B A, A B, ...), so that load
+drift on a shared machine lands on both trees alike.  Sixteen cases are run:
 
 * ``chart_period``: ``integrate`` on the Kepler chart field over one period
   2*pi from the E = -0.5 shell representative, rtol 1e-10, atol 1e-12;
@@ -48,6 +49,9 @@ Fifteen cases are run:
   builds the probe afresh, as a benchmark op does: a tree node keeps the
   derivatives taken of it, so runs that reused one field would find the
   brackets' derivatives already taken;
+* ``sample_kepler_box``: ``kepler.unfolded_domain().sample(seed=0)``, the
+  8-dim box draw (an 11-point grid on four axes, 500 seeded draws, the
+  collision ball taken out) that chart building and verification repeat;
 * ``build_library``: ``bundle.build`` of every buildable scenario, in
   process (``scenarios.structure_library``), with each scenario's default
   sample.
@@ -67,14 +71,15 @@ ends, so interpolants built by reads after ``integrate`` returns count too.
 Each case that calls ``bundle.build`` also records ``builds``, the number
 of calls, and ``svd_points``, the matrices handed to
 ``bundle._singular_values`` (the points whose rank a cheaper test did not
-settle).
+settle).  Each case that draws a box sample records ``box_draws``, the
+calls to ``fields.Box.sample``, and ``box_points``, the rows they return.
 Each case also records the median and spread of the wall time over all
-timed runs of all the tree's processes, ``_REPEAT`` per process after one
-untimed run that also warms the compiled fields.  Wall times depend on the
-machine and its load; the counters do not, and the script fails if they
-differ between two processes of one tree.  Each case with RHS evaluations
-also gets ``us_per_fev``, its median wall time per RHS evaluation, and
-``rhs_chart_field`` gets ``us_per_call``.
+timed runs of all the tree's processes for the case, ``_REPEAT`` per
+process after one untimed run that also warms the compiled fields.  Wall
+times depend on the machine and its load; the counters do not, and the
+script fails if they differ between two processes of one tree.  Each case
+with RHS evaluations also gets ``us_per_fev``, its median wall time per RHS
+evaluation, and ``rhs_chart_field`` gets ``us_per_call``.
 """
 
 from __future__ import annotations
@@ -109,7 +114,7 @@ def _rebind(name: str, original, wrapper) -> None:
 
 def _counters():
     """Wrap ``integrate``, the dense kernel, ``build`` and its SVD wherever
-    ``sodelab`` bound them.
+    ``sodelab`` bound them, and ``Box.sample`` on its class.
 
     Returns ``(totals, reset)``.  ``totals()`` sums the counters of the runs
     made since the last ``reset()``, reading each trajectory's ``nfev`` only
@@ -119,11 +124,13 @@ def _counters():
     import sodelab.bundle as bundle
     import sodelab.cli  # noqa: F401  (binds the names patched below)
     import sodelab.dynamics as dynamics
+    import sodelab.fields as fields
 
     original = dynamics.integrate
     runs: list = []
     built = Counter()
     charts = Counter()
+    draws = Counter()
 
     def integrate(*args, **kwargs):
         traj = original(*args, **kwargs)
@@ -145,6 +152,16 @@ def _counters():
     _rebind("build", original_build, build)
     bundle._singular_values = counted_singular_values
 
+    original_sample = fields.Box.sample
+
+    def sample(self, *args, **kwargs):
+        points = original_sample(self, *args, **kwargs)
+        draws["box_draws"] += 1
+        draws["box_points"] += len(points)
+        return points
+
+    fields.Box.sample = sample
+
     kernel = getattr(dynamics, "_kernel", None)  # trees before the generated kernel lack it
 
     def counted_kernel(dim):
@@ -162,6 +179,7 @@ def _counters():
 
     def totals() -> dict:
         counts = {"svd_points": 0, **charts} if charts else {}
+        counts.update(draws)
         if not runs:
             return counts
         return {
@@ -178,6 +196,7 @@ def _counters():
         for key in built:
             built[key] = 0
         charts.clear()
+        draws.clear()
 
     return totals, reset
 
@@ -256,6 +275,9 @@ def _cases():
 
         return run
 
+    def sample_kepler_box():
+        kepler.unfolded_domain().sample(seed=0)
+
     def build_library():
         return {"structures": len(sc.structure_library())}
 
@@ -291,6 +313,7 @@ def _cases():
         "lookup_kepler_chart": plain(lookup, "kepler-chart"),
         "cli_build_kepler_chart": plain(cli, "build", "--scenario", "kepler-chart"),
         "bracket_kepler_clock": bracket,
+        "sample_kepler_box": plain(sample_kepler_box),
         "build_library": plain(build_library),
     }
 
@@ -310,39 +333,41 @@ def _measure_case(setup, totals, reset) -> dict:
     return {"counters": counters, "walls": walls}
 
 
-def measure() -> dict:
-    """The counters and timed wall times of every case, for the imported tree."""
+def measure(name: str) -> dict:
+    """The counters and timed wall times of one case, for the imported tree."""
     totals, reset = _counters()
-    return {name: _measure_case(setup, totals, reset) for name, setup in _cases().items()}
+    return _measure_case(_cases()[name], totals, reset)
 
 
-def _measure_process(path: Path) -> dict:
+def _run_script(path: Path, *argv: str):
+    """Run this script on the ``src/`` of ``path``; its stdout, read as JSON."""
     env = {**os.environ, "PYTHONPATH": str(path / "src")}
     out = subprocess.run(
-        [sys.executable, str(HERE), "--measure"],
+        [sys.executable, str(HERE), *argv],
         env=env, cwd=path, capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout)
 
 
 def _measure_trees(trees: dict[str, Path]) -> dict:
-    """Run the trees' processes in ABBA order; merge each tree's timed runs."""
-    runs: dict[str, list[dict]] = {label: [] for label in trees}
+    """Run each case's processes in ABBA order over the trees; merge each
+    tree's timed runs of the case."""
     order = list(trees)
-    for k in range(_PROCESSES):
-        for label in order if k % 2 == 0 else order[::-1]:
-            runs[label].append(_measure_process(trees[label]))
-    report = {}
-    for label, results in runs.items():
-        report[label] = {}
-        for case, first in results[0].items():
+    report: dict[str, dict] = {label: {} for label in trees}
+    for case in _run_script(trees[order[0]], "--cases"):
+        runs: dict[str, list[dict]] = {label: [] for label in trees}
+        for k in range(_PROCESSES):
+            for label in order if k % 2 == 0 else order[::-1]:
+                runs[label].append(_run_script(trees[label], "--measure", case))
+        for label, results in runs.items():
+            first = results[0]
             for other in results[1:]:
-                if other[case]["counters"] != first["counters"]:
+                if other["counters"] != first["counters"]:
                     raise RuntimeError(
                         f"{label}: counters of {case} differ between processes: "
-                        f"{first['counters']} vs {other[case]['counters']}"
+                        f"{first['counters']} vs {other['counters']}"
                     )
-            walls = [w for result in results for w in result[case]["walls"]]
+            walls = [w for result in results for w in result["walls"]]
             counters = first["counters"]
             median = statistics.median(walls)
             report[label][case] = {
@@ -361,10 +386,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", metavar="LABEL=PATH")
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--cases", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--measure", metavar="CASE", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.cases:
+        print(json.dumps(list(_cases())))
+        return 0
     if args.measure:
-        print(json.dumps(measure()))
+        print(json.dumps(measure(args.measure)))
         return 0
     if args.out is None:
         parser.error("--out is required")
