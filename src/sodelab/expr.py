@@ -131,23 +131,27 @@ def _drop(key: tuple, ref: weakref.ref) -> None:
         del _NODES[key]
 
 
-def _node(cls: type, key: tuple, fields: tuple, names: frozenset[str] = _NO_NAMES):
-    """The live node of ``key``, else a new ``cls`` node holding ``fields``.
-
-    A new node's free variables are ``names`` and those of its operands.
-    """
+def _live(key: tuple) -> Expression | None:
+    """The live node of ``key``, else None; a node is always true."""
     ref = _NODES.get(key)
-    node = None if ref is None else ref()
-    if node is None:
-        node = object.__new__(cls)
-        for name, value in zip(cls._fields, fields):
-            _set(node, name, value)
-            if isinstance(value, Expression) and not value._fv <= names:
-                names = value._fv if names <= value._fv else names | value._fv
-        _set(node, "_d", None)
-        _set(node, "_fv", names)
-        _NODES[key] = weakref.ref(node, partial(_drop, key))
+    return None if ref is None else ref()
+
+
+def _new(cls: type, key: tuple, names: frozenset[str], first, second=None) -> Expression:
+    """A new ``cls`` node of ``key`` holding one field or two, with free variables ``names``."""
+    node = object.__new__(cls)
+    _set(node, "_d", None)
+    _set(node, "_fv", names)
+    _set(node, cls._fields[0], first)
+    if second is not None:
+        _set(node, cls._fields[1], second)
+    _NODES[key] = weakref.ref(node, partial(_drop, key))
     return node
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """``a | b``, as ``a`` or ``b`` itself where one holds the other."""
+    return a if b <= a else b if a <= b else a | b
 
 
 class Const(Expression):
@@ -155,8 +159,8 @@ class Const(Expression):
     value: float
 
     def __new__(cls, value: float) -> Const:
-        value = float(value)
-        return _node(cls, (cls, _float_bits(value)), (value,))
+        key = (cls, _float_bits(value := float(value)))
+        return _live(key) or _new(cls, key, _NO_NAMES, value)
 
 
 class Var(Expression):
@@ -164,7 +168,7 @@ class Var(Expression):
     name: str
 
     def __new__(cls, name: str) -> Var:
-        return _node(cls, (cls, name), (name,), frozenset((name,)))
+        return _live((cls, name)) or _new(cls, (cls, name), frozenset((name,)), name)
 
 
 class Neg(Expression):
@@ -172,7 +176,7 @@ class Neg(Expression):
     arg: Expression
 
     def __new__(cls, arg: Expression) -> Neg:
-        return _node(cls, (cls, id(arg)), (arg,))
+        return _live((cls, id(arg))) or _new(cls, (cls, id(arg)), arg._fv, arg)
 
 
 class _Binary(Expression):
@@ -181,7 +185,8 @@ class _Binary(Expression):
     right: Expression
 
     def __new__(cls, left: Expression, right: Expression):
-        return _node(cls, (cls, id(left), id(right)), (left, right))
+        key = (cls, id(left), id(right))
+        return _live(key) or _new(cls, key, _union(left._fv, right._fv), left, right)
 
 
 class Add(_Binary):
@@ -206,7 +211,8 @@ class Pow(Expression):
     exponent: Expression
 
     def __new__(cls, base: Expression, exponent: Expression) -> Pow:
-        return _node(cls, (cls, id(base), id(exponent)), (base, exponent))
+        key = (cls, id(base), id(exponent))
+        return _live(key) or _new(cls, key, _union(base._fv, exponent._fv), base, exponent)
 
 
 class Call(Expression):
@@ -215,7 +221,7 @@ class Call(Expression):
     arg: Expression
 
     def __new__(cls, fn: str, arg: Expression) -> Call:
-        return _node(cls, (cls, fn, id(arg)), (fn, arg))
+        return _live((cls, fn, id(arg))) or _new(cls, (cls, fn, id(arg)), arg._fv, fn, arg)
 
 
 ZERO = Const(0.0)
@@ -350,7 +356,7 @@ class VariableContext:
             if not _IDENT_RE.match(name):
                 raise ValueError(f"invalid coordinate name '{name}'")
             if keyword.iskeyword(name):
-                # the compiled backends bind coordinates as Python names
+                # the scalar backend binds coordinates as Python names
                 raise ValueError(f"coordinate name '{name}' is a Python keyword")
             if name in _FUNCTIONS:
                 raise ValueError(f"coordinate name '{name}' shadows a function")
@@ -754,14 +760,12 @@ def _to_source(e: Expression) -> str:
 
 # --- compilation ------------------------------------------------------------
 
-# namespaces of the two backends; ``_c`` is the backend's float type, in which
-# the namespace binds each constant: a batch constant 1/0 gives inf, not a raise
-_SCALAR_NAMESPACE = {f"_{name}": fn for name, fn in _FUNCTIONS.items()}
-_SCALAR_NAMESPACE.update(_pow=math.pow, _c=float)
-_BATCH_NAMESPACE = {f"_{name}": getattr(np, name) for name in _FUNCTIONS}
-_BATCH_NAMESPACE.update(
-    _pow=np.power, _c=np.float64, _asarray=np.asarray, _errstate=np.errstate
-)
+# each operation of a tape as scalar text, and as the batch backend's ufunc
+_TEXTS = {"+": "({} + {})", "-": "({} - {})", "*": "({} * {})", "/": "({} / {})"}
+_TEXTS.update({"neg": "(-{})", "pow": "_pow({}, {})"}, **{f: f"_{f}({{}})" for f in _FUNCTIONS})
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+_UFUNCS.update(neg=np.negative, pow=np.power, **{f: getattr(np, f) for f in _FUNCTIONS})
+_SCALAR_NAMESPACE = {"_pow": math.pow, **{f"_{f}": fn for f, fn in _FUNCTIONS.items()}}
 
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 # what the generated scalar code may raise where ``evaluate`` raises a domain
@@ -770,121 +774,156 @@ _SCALAR_RAISES = (ValueError, ZeroDivisionError, OverflowError)
 _MAX_NESTING = 100  # inline text with more "(" is bound: Python's parser stops at 200
 
 
-def _python_source(exprs: Sequence[Expression]) -> tuple[list, list, dict]:
-    """Python statements, one result text per tree, and the constants they name.
+def _tape(exprs: tuple[Expression, ...], ctx: VariableContext) -> tuple[list, list]:
+    """The trees' nodes, each numbered once after its operands, and the roots' numbers.
 
-    One rule serves both: a subexpression used more than once, across the
-    trees or within them, is computed once into a local; every other one is
-    written inline where it is used (up to ``_MAX_NESTING`` parentheses), so
-    that a batch temporary is freed as soon as it is consumed.  ``b^2`` is
-    written ``b * b``.  Nodes are interned, so node identity is structural
-    equality: each operation node is numbered once, after its operands, and
-    a shared subtree is walked once; the numbering lives only for the call.
-    Each distinct constant text is a name, and the returned dict maps the
-    constant's ``repr`` to it: ``0.0`` and ``-0.0`` get a name each, while
-    every nan shares one.  A coordinate is written as its name; which names
-    the code uses, :func:`_emit` reads from the roots' free variables.
+    An entry is ``("var", name)``, ``("const", value)`` or an operation: its
+    kind (a key of ``_TEXTS`` and ``_UFUNCS``), then its operands' numbers;
+    ``b^2`` is ``("*", b, b)``.  Nodes are interned, so a subexpression used
+    more than once, across the trees or within them, is one entry, and a
+    shared subtree is walked once.  Too deep a tree raises
+    :class:`ExpressionDepthError`; a coordinate outside ``ctx``,
+    :class:`UnboundVariableError`.
     """
-    ops: list[tuple] = []  # each operation's text parts, by its number
+    tape: list[tuple] = []
     numbered: dict[Expression, int] = {}
-    constants: dict[str, str] = {}
 
-    def number(e: Expression) -> str | int:
-        """The text of a leaf, or the number of an operation."""
-        if isinstance(e, Const):
-            return constants.setdefault(repr(e.value), f"_k{len(constants)}")
-        if isinstance(e, Var):
-            return e.name
+    def number(e: Expression) -> int:
         if e in numbered:
             return numbered[e]
-        if isinstance(e, Neg):
-            parts = ("(-", number(e.arg), ")")
+        if isinstance(e, Const):
+            entry = ("const", e.value)
+        elif isinstance(e, Var):
+            entry = ("var", e.name)
+        elif isinstance(e, Neg):
+            entry = ("neg", number(e.arg))
         elif isinstance(e, _Binary):
-            parts = ("(", number(e.left), f" {_BINARY_OPS[type(e)]} ", number(e.right), ")")
-        elif isinstance(e, Pow) and _is_square(e):
-            base = number(e.base)
-            parts = ("(", base, " * ", base, ")")
+            entry = (_BINARY_OPS[type(e)], number(e.left), number(e.right))
         elif isinstance(e, Pow):
-            parts = ("_pow(", number(e.base), ", ", number(e.exponent), ")")
+            base = number(e.base)
+            entry = ("*", base, base) if _is_square(e) else ("pow", base, number(e.exponent))
         elif isinstance(e, Call):
-            parts = (f"_{e.fn}(", number(e.arg), ")")
+            entry = (e.fn, number(e.arg))
         else:
             raise TypeError(f"not an expression node: {e!r}")
-        numbered[e] = len(ops)
-        ops.append(parts)
+        numbered[e] = len(tape)
+        tape.append(entry)
         return numbered[e]
 
     try:
         roots = [number(e) for e in exprs]
+    except RecursionError:
+        raise ExpressionDepthError("expression is nested too deeply to compile") from None
     finally:
         numbered.clear()  # ``number`` calls itself, a cycle: it must not keep nodes alive
-    uses = Counter(part for parts in (*ops, roots) for part in parts if isinstance(part, int))
+    if unknown := {arg for kind, arg, *_ in tape if kind == "var"} - set(ctx.names):
+        message = f"expression uses {sorted(unknown)} outside context {ctx.names}"
+        raise UnboundVariableError(message)
+    return tape, roots
+
+
+def _python_source(tape: list[tuple], roots: list[int]) -> tuple[list, list, dict]:
+    """Python statements, one result text per root, and the constants they name.
+
+    An operation used more than once is computed once into a local; every
+    other one is written inline where it is used, up to ``_MAX_NESTING``
+    parentheses.  Each distinct constant text is a name, and the returned
+    dict maps the constant's ``repr`` to it: ``0.0`` and ``-0.0`` get a name
+    each, while every nan shares one.  A coordinate is written as its name.
+    """
+    uses = Counter(roots)
+    uses.update(arg for kind, *args in tape if kind in _TEXTS for arg in args)
     lines: list[str] = []
-    texts: list[str] = []  # each operation's inline text, or its local
-    for index, parts in enumerate(ops):
-        text = "".join(part if isinstance(part, str) else texts[part] for part in parts)
-        if uses[index] > 1 or text.count("(") > _MAX_NESTING:
-            lines.append(f"_{index} = {text}")
-            text = f"_{index}"
+    texts: list[str] = []  # each entry's inline text, or its local
+    constants: dict[str, str] = {}
+    for index, (kind, *args) in enumerate(tape):
+        if kind == "var":
+            text = args[0]
+        elif kind == "const":
+            text = constants.setdefault(repr(args[0]), f"_k{len(constants)}")
+        else:
+            text = _TEXTS[kind].format(*(texts[arg] for arg in args))
+            if uses[index] > 1 or text.count("(") > _MAX_NESTING:
+                lines.append(f"_{index} = {text}")
+                text = f"_{index}"
         texts.append(text)
-    results = [root if isinstance(root, str) else texts[root] for root in roots]
-    return lines, results, constants
+    return lines, [texts[root] for root in roots], constants
 
 
-def _emit(
-    e: Expression | Sequence[Expression], ctx: VariableContext, batch: bool
-) -> Callable:
-    """Generate one function for a tree, or one returning a tuple for a sequence.
+def _emit(e: Expression | Sequence[Expression], ctx: VariableContext) -> Callable:
+    """Generate the scalar function of a tree, or one returning a tuple for a sequence.
 
-    Both backends run the statements of :func:`_python_source`; they differ
-    only in how the coordinates are bound, in the block around the statements
-    and in the namespace.  The batch backend takes an (m, dim) array, one row
-    per point, and computes with numpy ufuncs with every floating-point error
-    ignored.  The scalar backend takes a time argument it ignores, then the
-    coordinates as separate floats; where its code raises ValueError,
-    ZeroDivisionError or OverflowError, the point is evaluated again by
-    :func:`evaluate`, so the two agree by construction.  The coordinates the
-    code uses are the roots' free variables, checked against ``ctx`` after
-    the source is written, so a tree too deep to write is refused first.
+    The function takes a time argument it ignores, then the coordinates as
+    separate floats, and runs the statements of :func:`_python_source`;
+    where they raise ValueError, ZeroDivisionError or OverflowError, the
+    point is evaluated again by :func:`evaluate`, so the two agree by
+    construction.
     """
     single = isinstance(e, Expression)
     exprs = (e,) if single else tuple(e)
-    try:
-        lines, results, constants = _python_source(exprs)
-    except RecursionError:
-        raise ExpressionDepthError("expression is nested too deeply to compile") from None
-    used = frozenset().union(*(x._fv for x in exprs))
-    unknown = used - set(ctx.names)
-    if unknown:
-        raise UnboundVariableError(
-            f"expression uses {sorted(unknown)} outside context {ctx.names}"
-        )
+    lines, results, constants = _python_source(*_tape(exprs, ctx))
     body = results[0] if single else "(" + "".join(f"{r}, " for r in results) + ")"
-    namespace = {**(_BATCH_NAMESPACE if batch else _SCALAR_NAMESPACE), "__builtins__": {}}
-    namespace.update((name, namespace["_c"](text)) for text, name in constants.items())
+    namespace = {**_SCALAR_NAMESPACE, "__builtins__": {}}
+    namespace.update((name, float(text)) for text, name in constants.items())
     statements = "".join(f"        {line}\n" for line in [*lines, f"return {body}"])
-    if batch:
-        targets = ", ".join(name if name in used else "_" for name in ctx.names)
-        source = (
-            f"def _compiled(_p):\n    {targets}, = _asarray(_p, dtype=_c).T\n"
-            f"    with _errstate(all='ignore'):\n{statements}"
-        )
-    else:
-        coords = ", ".join(ctx.names)
-        source = (
-            f"def _compiled(_t, {coords}):\n    try:\n{statements}"
-            f"    except _raises:\n        return _fallback({coords})\n"
-        )
+    coords = ", ".join(ctx.names)
+    source = (
+        f"def _compiled(_t, {coords}):\n    try:\n{statements}"
+        f"    except _raises:\n        return _fallback({coords})\n"
+    )
 
-        def fallback(*point):
-            env = dict(zip(ctx.names, point))
-            values = tuple(evaluate(x, env) for x in exprs)
-            return values[0] if single else values
+    def fallback(*point):
+        env = dict(zip(ctx.names, point))
+        values = tuple(evaluate(x, env) for x in exprs)
+        return values[0] if single else values
 
-        namespace.update(_fallback=fallback, _raises=_SCALAR_RAISES)
+    namespace.update(_fallback=fallback, _raises=_SCALAR_RAISES)
     exec(compile(source, "<sodelab-expr>", "exec"), namespace)
     # taken out of its own globals, so that no cycle keeps the trees alive
     return namespace.pop("_compiled")
+
+
+def _batch(e: Expression | Sequence[Expression], ctx: VariableContext) -> Callable:
+    """Build the batch function of a tree, or one returning a tuple for a sequence.
+
+    The function takes an (m, dim) array, one row per point, binds the
+    coordinates as the columns of its float64 transpose, and runs the tape:
+    one numpy ufunc per operation, every floating-point error ignored, each
+    value dropped after its last use.  It holds floats, ufuncs and entry
+    numbers, no tree node.
+    """
+    single = isinstance(e, Expression)
+    tape, roots = _tape((e,) if single else tuple(e), ctx)
+    last = {arg: i for i, (kind, *args) in enumerate(tape) if kind in _UFUNCS for arg in args}
+    last.update(dict.fromkeys(roots))  # a root is never dropped
+    initial: list = [None] * len(tape)  # a call's values before its first operation
+    columns, steps = [], []  # (entry, coordinate index); (ufunc, operands, entry, drops)
+    for index, (kind, *args) in enumerate(tape):
+        if kind == "var":
+            columns.append((index, ctx.index(args[0])))
+        elif kind == "const":
+            initial[index] = np.float64(repr(args[0]))  # so constant 1/0 gives inf
+        else:
+            drops = tuple({arg for arg in args if last[arg] == index})
+            steps.append((_UFUNCS[kind], tuple(args), index, drops))
+    dim = ctx.dim
+
+    def batch(points):
+        coords = np.asarray(points, dtype=np.float64).T
+        if len(coords) != dim:
+            raise ValueError(f"points have {len(coords)} coordinates, context has {dim}")
+        values = initial.copy()
+        for index, k in columns:
+            values[index] = coords[k]
+        with np.errstate(all="ignore"):
+            for ufunc, args, index, drops in steps:
+                values[index] = ufunc(*[values[arg] for arg in args])
+                for arg in drops:
+                    values[arg] = None
+        results = tuple(values[root] for root in roots)
+        return results[0] if single else results
+
+    return batch
 
 
 def compile_scalar(
@@ -902,7 +941,7 @@ def compile_scalar(
     nested deeper than Python's recursion limit raises
     :class:`ExpressionDepthError`.
     """
-    raw = _emit(e, ctx, batch=False)
+    raw = _emit(e, ctx)
     if stage:
         return raw
     dim = ctx.dim

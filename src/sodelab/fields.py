@@ -2,11 +2,11 @@
 
 A field here is a tuple (or matrix) of expression trees tied to one
 :class:`~sodelab.expr.VariableContext`.  Evaluation compiles all entries once
-into one cached function, so repeated sampling (verification grids, numeric
-integration) stays cheap while every derivative used to build the field was
-taken symbolically.  :func:`vectorized_scalar`, :func:`evaluate_on` and
-:func:`max_abs_on` evaluate trees on point arrays through the batch backend;
-like the scalar one, it computes a subexpression the trees share once.
+into one cached function, so repeated calls (numeric integration) stay cheap
+while every derivative used to build the field was taken symbolically.
+:func:`vectorized_scalar`, :func:`evaluate_on` and :func:`max_abs_on` evaluate
+trees on point arrays by walking them, with no code generated: one numpy ufunc
+per operation, and a subexpression the trees share computed once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .expr import (
     Expression,
     Var,
     VariableContext,
-    _emit,
+    _batch,
     compile_scalar,
     differentiate,
     free_variables,
@@ -54,14 +54,14 @@ __all__ = [
 def vectorized_scalar(
     e: Expression | Sequence[Expression], ctx: VariableContext
 ) -> Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, ...]]:
-    """Compile a tree, or a sequence of trees, to a function of an (m, dim) array.
+    """A function of an (m, dim) array that walks a tree, or a sequence of trees.
 
-    Uses numpy ufuncs and never raises on values: domain violations and
-    overflow give nan/inf entries, and callers scanning for residual maxima
-    treat non-finite as failure.  A sequence gives a tuple of values; a
-    constant tree may give a scalar instead of an (m,) array.
+    Nothing is compiled: a call runs one numpy ufunc per operation and never
+    raises on values: domain violations and overflow give nan/inf entries,
+    and callers scanning for residual maxima treat non-finite as failure.  A
+    sequence gives a tuple; a constant tree may give a scalar, not an array.
     """
-    return _emit(e, ctx, batch=True)
+    return _batch(e, ctx)
 
 
 def _flattened(rows) -> tuple[list[Expression], tuple[int, ...]]:
@@ -86,9 +86,9 @@ def max_abs_on(
 ) -> float:
     """Largest |value| of the trees over the points; nan counts as inf.
 
-    One compiled call evaluates the whole set, so every non-constant tree's
-    (m,) column and one (m,) array per shared subexpression are alive at
-    once; a constant tree gives one scalar.  No trees, or no points, give 0.0.
+    One batch call evaluates the whole set, so every non-constant tree's (m,)
+    column is alive at once, and each intermediate column until its last
+    use; a constant tree gives one scalar.  No trees, or no points, give 0.0.
     """
     worst = 0.0
     for value in vectorized_scalar(exprs, ctx)(points):

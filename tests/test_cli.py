@@ -376,18 +376,20 @@ def test_verify_built_scenario_writes_report(tmp_path):
 
 @pytest.mark.parametrize("name", sc.scenario_names("construction"))
 def test_verify_compiles_each_tree_tuple_once(tmp_path, monkeypatch, name):
-    # nodes are interned, so trees, context and backend key a compile by identity
-    compiles = Counter()
-    original = expr._emit
+    # nodes are interned, so trees, context and backend key a build by identity
+    builds = Counter()
 
-    def spy(e, ctx, batch):
-        compiles[(e if isinstance(e, expr.Expression) else tuple(e), ctx, batch)] += 1
-        return original(e, ctx, batch)
+    def spy(backend, build):
+        def spied(e, ctx):
+            builds[(e if isinstance(e, expr.Expression) else tuple(e), ctx, backend)] += 1
+            return build(e, ctx)
 
-    monkeypatch.setattr(expr, "_emit", spy)
-    monkeypatch.setattr(fields, "_emit", spy)
+        return spied
+
+    monkeypatch.setattr(expr, "_emit", spy("scalar", expr._emit))
+    monkeypatch.setattr(fields, "_batch", spy("batch", expr._batch))
     run_to(tmp_path, "run", ["verify", "--scenario", name])
-    assert [key for key, count in compiles.items() if count > 1] == []
+    assert [key for key, count in builds.items() if count > 1] == []
 
 
 def _spy_on_draws(monkeypatch):

@@ -1,7 +1,9 @@
 """Expression engine: parsing, printing, differentiation, evaluation."""
 
+import builtins
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from sodelab.expr import (
     to_source,
 )
 from sodelab.dynamics import _derivative
-from sodelab.fields import VectorField, vectorized_scalar
+from sodelab.fields import VectorField, evaluate_on, max_abs_on, vectorized_scalar
 
 CTX = VariableContext.of("q1", "v1", "x", "y")
 
@@ -337,6 +339,13 @@ class TestInterning:
         assert len(expr._NODES) > before  # the fallback path keeps the trees
         del f
         assert len(expr._NODES) == before
+
+    def test_a_batch_function_holds_no_tree(self):
+        gc.collect()
+        before = len(expr._NODES)
+        f = vectorized_scalar([parse("sqrt(x*y) + q1", CTX), parse("1/v1", CTX)], CTX)
+        assert len(expr._NODES) == before  # only floats, ufuncs and entry numbers
+        assert [list(v) for v in f(np.array([[1.0, 2.0, 4.0, 9.0]]))] == [[7.0], [0.5]]
 
     def test_a_node_keeps_its_derivatives_while_they_live(self, monkeypatch):
         gc.collect()
@@ -694,7 +703,7 @@ def test_batch_computes_a_repeated_subexpression_once(monkeypatch):
         calls.append(value)
         return np.sin(value)
 
-    monkeypatch.setitem(expr._BATCH_NAMESPACE, "_sin", counting_sin)
+    monkeypatch.setitem(expr._UFUNCS, "sin", counting_sin)
     points = np.array(_BACKEND_POINTS, dtype=float)
     fn = vectorized_scalar(parse("sin(x)*sin(x) + sin(x)", CTX), CTX)
     values = fn(points)
@@ -724,6 +733,52 @@ def test_doubling_dag_compiles_in_both_backends():
     point = (0.0, 0.0, 1.5, 0.0)
     assert compile_scalar(tree, CTX)(point) == 2.0**40 * 1.5
     assert vectorized_scalar(tree, CTX)(np.array([point]))[0] == 2.0**40 * 1.5
+
+
+def test_batch_evaluation_calls_no_compile(monkeypatch):
+    from sodelab import conformal, scenarios
+
+    clock = scenarios.get_conformal_scenario("kepler-clock")
+    names = clock.ctx.names
+    probe = VectorField(clock.ctx, tuple(
+        parse(f"{names[(i + 1) % len(names)]}^2 - {name}", clock.ctx)
+        for i, name in enumerate(names)
+    ))
+    points = clock.box.sample(n_random=50, grid_points=3)
+    captured = []
+    monkeypatch.setattr(conformal, "max_abs_on", lambda *args: captured.append(args) or 0.0)
+    conformal.bracket_rescaling_residual(clock.field, clock.factor, probe, points)
+    [(residuals, ctx, _)] = captured
+    calls = []
+    real = builtins.compile
+    monkeypatch.setattr(builtins, "compile", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    values = evaluate_on(residuals, ctx, points)
+    worst = max_abs_on(residuals, ctx, points)
+    assert calls == []
+    assert values.shape == (len(points), ctx.dim)
+    assert worst == np.max(np.abs(values)) < 1e-9
+
+
+def test_batch_frees_each_value_after_its_last_use():
+    # 300 single-use terms over 100k points: the tape drops each column once
+    # no later operation reads it, so the peak stays at a few columns
+    x, y = Var("x"), Var("y")
+    tree = Mul(Call("sin", Add(x, Const(1.0))), y)
+    for k in range(2, 301):
+        tree = Add(tree, Mul(Call("sin", Add(x, Const(float(k)))), y))
+    points = np.zeros((100_000, 4))
+    points[:, 2:] = np.random.default_rng(3).uniform(-1.0, 1.0, (100_000, 2))
+    column = points[:, 0].nbytes
+    tracemalloc.start()
+    try:
+        values = vectorized_scalar(tree, CTX)(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * column
+    scalar = compile_scalar(tree, CTX)
+    want = np.array([scalar(point) for point in points[::1000]])
+    assert np.array_equal(values[::1000].view(np.int64), want.view(np.int64))
 
 
 def test_too_deep_a_tree_is_refused_with_a_typed_error():

@@ -2,6 +2,8 @@
 
 import ast
 import gc
+import json
+import os
 import runpy
 import subprocess
 import sys
@@ -43,6 +45,26 @@ def test_bench_cases_leave_no_node_behind():
         assert len(result["walls"]) == bench["_REPEAT"]
         gc.collect()
         assert len(expr._NODES) == before, name
+
+
+def test_bench_counters_sum_each_wrapped_layer():
+    """``tools/bench.py --measure`` counts every wrapped layer of one case:
+    integration runs alongside code generation and batch builds."""
+    counters = {}
+    for case in ("chart_period", "cli_verify_oscillator_2"):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "bench.py"), "--measure", case],
+            capture_output=True, text=True, timeout=120, cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        counters[case] = json.loads(proc.stdout)["counters"]
+    period = counters["chart_period"]
+    assert period["runs"] == 1 and period["nfev"] > 0
+    assert (period["codegen"], period["batch_evals"]) == (1, 0)
+    verify = counters["cli_verify_oscillator_2"]
+    assert verify["builds"] == 1 and verify["box_draws"] == 1
+    assert verify["batch_evals"] > 0 and verify["codegen"] > 0
 
 
 # public names (module.name) and class members (module.Class.member) that

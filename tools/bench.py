@@ -73,6 +73,10 @@ of calls, and ``svd_points``, the matrices handed to
 ``bundle._singular_values`` (the points whose rank a cheaper test did not
 settle).  Each case that draws a box sample records ``box_draws``, the
 calls to ``fields.Box.sample``, and ``box_points``, the rows they return.
+Each case records ``codegen``, the functions ``expr._emit`` generates, and
+``batch_evals``, the calls to ``fields.vectorized_scalar`` (each builds one
+batch function, which a tree whose batch backend is generated code also
+counts in ``codegen``).
 Each case also records the median and spread of the wall time over all
 timed runs of all the tree's processes for the case, ``_REPEAT`` per
 process after one untimed run that also warms the compiled fields.  Wall
@@ -113,8 +117,9 @@ def _rebind(name: str, original, wrapper) -> None:
 
 
 def _counters():
-    """Wrap ``integrate``, the dense kernel, ``build`` and its SVD wherever
-    ``sodelab`` bound them, and ``Box.sample`` on its class.
+    """Wrap ``integrate``, the dense kernel, ``build`` and its SVD, the code
+    generator and the batch builder wherever ``sodelab`` bound them, and
+    ``Box.sample`` on its class.
 
     Returns ``(totals, reset)``.  ``totals()`` sums the counters of the runs
     made since the last ``reset()``, reading each trajectory's ``nfev`` only
@@ -124,6 +129,7 @@ def _counters():
     import sodelab.bundle as bundle
     import sodelab.cli  # noqa: F401  (binds the names patched below)
     import sodelab.dynamics as dynamics
+    import sodelab.expr as expr
     import sodelab.fields as fields
 
     original = dynamics.integrate
@@ -131,6 +137,18 @@ def _counters():
     built = Counter()
     charts = Counter()
     draws = Counter()
+    built_code = Counter(codegen=0, batch_evals=0)
+
+    def counted(counter, builder):
+        def wrapper(*args, **kwargs):
+            built_code[counter] += 1
+            return builder(*args, **kwargs)
+
+        return wrapper
+
+    _rebind("_emit", expr._emit, counted("codegen", expr._emit))
+    _rebind("vectorized_scalar", fields.vectorized_scalar,
+            counted("batch_evals", fields.vectorized_scalar))
 
     def integrate(*args, **kwargs):
         traj = original(*args, **kwargs)
@@ -180,6 +198,7 @@ def _counters():
     def totals() -> dict:
         counts = {"svd_points": 0, **charts} if charts else {}
         counts.update(draws)
+        counts.update(built_code)
         if not runs:
             return counts
         return {
@@ -197,6 +216,8 @@ def _counters():
             built[key] = 0
         charts.clear()
         draws.clear()
+        for key in built_code:
+            built_code[key] = 0
 
     return totals, reset
 
