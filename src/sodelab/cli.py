@@ -15,13 +15,15 @@ under ``--out``, a manifest.  So is a config file that cannot be read or that
 holds an unknown key; that manifest echoes the defaults and flags alone.
 
 Exit codes: 0 success, 1 domain failure (a verification, construction,
-periodicity, or matching claim fails), 2 usage or configuration errors,
-among them a ``--state`` the integrator refuses.
+periodicity, or matching claim fails, or a ``kepler-demo`` orbit does not
+complete), 2 usage or configuration errors, among them a start state the
+integrator refuses, which names the options it was derived from.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -38,7 +40,7 @@ from . import scenarios as sc
 from .bundle import structure_sode_residual
 from .dynamics import estimate_period, integrate, write_csv
 from .errors import SodelabError
-from .fields import Box, canonical_tangent_structure
+from .fields import Box, canonical_tangent_structure, evaluate_on
 from .geometry import verify_tangent_structure
 
 __all__ = ["main"]
@@ -297,6 +299,16 @@ def _check(command: str, opts: dict) -> None:
                 raise _UsageError(f"{_flag_name(key)} {phrase}, got {entry!r}")
 
 
+@contextlib.contextmanager
+def _refused(options: str):
+    """Turn a start state the integrator refuses (ValueError), or an orbit time
+    out of float range (ArithmeticError), into a usage error naming ``options``."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        raise _UsageError(f"{options}: {exc}") from exc
+
+
 def _require(opts: dict, key: str):
     value = opts.get(key)
     if value is None:
@@ -383,10 +395,8 @@ def _cmd_integrate(run: _Run, opts: dict) -> int:
     ctx, field, state = _orbit(opts)
     t_end = _require(opts, "t_end")
     csv_samples, tol = opts["csv_samples"], opts["tol"]
-    try:
+    with _refused(f"--state {opts['state']}"):
         traj = integrate(field.ode_rhs, state, t_end, rtol=tol, atol=tol * 1e-2)
-    except ValueError as exc:  # the start state is refused
-        raise _UsageError(f"--state {opts['state']}: {exc}") from exc
     if csv_samples > 0 and traj.status == "completed":
         times = np.linspace(traj.times[0], traj.final_time, csv_samples)
         states = traj.sample_many(times)
@@ -410,12 +420,10 @@ def _cmd_integrate(run: _Run, opts: dict) -> int:
 def _cmd_period(run: _Run, opts: dict) -> int:
     _, field, state = _orbit(opts)
     tol = opts["tol"]
-    try:
+    with _refused(f"--state {opts['state']}"):
         est = estimate_period(
             field.ode_rhs, state, rtol=tol, atol=tol * 1e-2, t_max=opts["t_max"]
         )
-    except ValueError as exc:  # the start state is refused
-        raise _UsageError(f"--state {opts['state']}: {exc}") from exc
     run.emit_json("period.json", {"scenario": opts["scenario"], **est.to_json()})
     return 0
 
@@ -423,43 +431,48 @@ def _cmd_period(run: _Run, opts: dict) -> int:
 def _cmd_kepler_demo(run: _Run, opts: dict) -> int:
     energy, tol, samples = opts["energy"], opts["tol"], opts["csv_samples"]
     params = kp.KeplerParams(g=opts["g"])
-    period = 2.0 * math.pi / kp.mean_motion(energy, params)
-
-    unfolded = integrate(
-        kp.unfolded_field(params).ode_rhs,
-        kp.unfolded_circular_state(energy, params),
-        period,
-    )
-    direct = integrate(
-        kp.kepler3d_field(params).ode_rhs,
-        kp.kepler3d_circular_state(energy, params),
-        period,
-    )
+    options = f"--energy {energy} with --g {params.g}"
+    with _refused(options):
+        period = 2.0 * math.pi / kp.mean_motion(energy, params)
+        unfolded = integrate(
+            kp.unfolded_field(params).ode_rhs,
+            kp.unfolded_circular_state(energy, params),
+            period,
+        )
+        direct = integrate(
+            kp.kepler3d_field(params).ode_rhs,
+            kp.kepler3d_circular_state(energy, params),
+            period,
+        )
+    payload = {"energy": energy, "g": params.g, "orbit_period": period}
+    status = {"unfolded": unfolded.status, "direct": direct.status}
+    if set(status.values()) != {"completed"}:
+        run.emit_json("kepler_demo.json", {**payload, "status": status})
+        return 1
     times = np.linspace(0.0, period, samples)
-    projected = np.array([kp.project_state(s) for s in unfolded.sample_many(times)])
+    tpi = kp.tangent_map()
+    projected = evaluate_on(tpi.components, tpi.src, unfolded.sample_many(times))
     reference = direct.sample_many(times)
     gap = float(np.max(np.abs(projected[:, :3] - reference[:, :3])))
 
-    header = ["t", *kp.THREE_CTX.names]
+    header = ["t", *tpi.dst.names]
     for fname, table in (("projected.csv", projected), ("direct.csv", reference)):
         write_csv(run.path(fname), header, np.column_stack([times, table]))
 
-    est = estimate_period(
-        kp.chart_field(params).ode_rhs, kp.shell_representative(energy, params)
-    )
+    with _refused(options):
+        est = estimate_period(
+            kp.chart_field(params).ode_rhs, kp.shell_representative(energy, params)
+        )
     predicted = kp.shell_period(energy)
     rel = abs(est.period - predicted) / predicted
-    payload = {
-        "energy": energy,
-        "g": params.g,
-        "orbit_period": period,
-        "max_position_gap": gap,
-        "chart": {
+    payload.update(
+        max_position_gap=gap,
+        chart={
             "measured_period": est.period,
             "predicted_period": predicted,
             "rel_error": rel,
         },
-    }
+    )
     run.emit_json("kepler_demo.json", payload)
     return 0 if gap < tol and rel < 1e-3 else 1
 
@@ -469,7 +482,8 @@ def _cmd_fosc_demo(run: _Run, opts: dict) -> int:
     level, tol = opts["level"], opts["tol"]
     system = fo.make_oscillator(2)
     gamma = fo.deformed_field(system, deformation)
-    est = estimate_period(gamma.ode_rhs, fo.shell_state(system, level))
+    with _refused(f"--level {level}"):
+        est = estimate_period(gamma.ode_rhs, fo.shell_state(system, level))
     measured = 2.0 * math.pi / est.period
     predicted = deformation.slope_at(level)
     rel = abs(measured - predicted) / abs(predicted)
@@ -495,12 +509,15 @@ def _cmd_match(run: _Run, opts: dict) -> int:
         levels = mo.matched_oscillator_grid(energies, g=g, mode=mode)
     else:
         levels = tuple(_floats(opts["levels"]))
-    kepler_records = mo.extract_kepler_motions(
-        energies, params, radius_scale=opts["radius_scale"]
-    )
+    with _refused(f"--energies {opts['energies']} with --g {g}"):
+        kepler_records = mo.extract_kepler_motions(
+            energies, params, radius_scale=opts["radius_scale"]
+        )
     system = fo.make_oscillator(2)
     deformation = fo.kepler_matching_deformation(g)
-    oscillator_records = mo.extract_oscillator_motions(system, deformation, levels)
+    key = "energies" if opts["levels"] is None else "levels"
+    with _refused(f"--{key} {opts[key]} with --g {g}"):
+        oscillator_records = mo.extract_oscillator_motions(system, deformation, levels)
     matching = mo.match_motions(kepler_records, oscillator_records, tol=tol)
 
     closures = mo.write_figure_csv(

@@ -27,11 +27,11 @@ that attempt's error is infinite and the step is rejected.
 It only runs forward in time; backward flows are handled upstream by negating
 the field.  Failures are reported, not raised, each with a time bracket and
 the last finite sample kept: a state whose max norm passes ``_BLOW_UP_NORM``
-or turns non-finite gives ``status == "blow_up"``, a step shrunk below its
-floor gives ``"step_underflow"``, and a spent step budget ``"step_limit"``
-(``Trajectory.min_step`` then shows how small the steps got).  Despite its
-name, ``Trajectory.blow_up_bracket`` holds the failure bracket of both
-``"blow_up"`` and ``"step_underflow"``.  An optional
+or turns non-finite gives ``status == "blow_up"``, a step that rejections
+shrank below its floor gives ``"step_underflow"``, and a spent step budget
+``"step_limit"`` (``Trajectory.min_step`` then shows how small the steps
+got).  Despite its name, ``Trajectory.blow_up_bracket`` holds the failure
+bracket of both ``"blow_up"`` and ``"step_underflow"``.  An optional
 ``stop`` hook sees the nodes after each accepted step, with a callable that
 builds the newest step's interpolant, and can end the run early (``status ==
 "stopped"``); period detection uses it to stop at the second return.
@@ -622,9 +622,9 @@ def integrate(
         if t >= t_end:
             status = "completed"
             break
-        # the floor applies to a step the controller shrank, not to one that
-        # only reaches t_end
-        if h < h_floor and h < t_end - t:
+        # the floor applies to a step the controller shrank after a rejection,
+        # not to a small first guess or to a step that only reaches t_end
+        if retry and h < h_floor and h < t_end - t:
             status = "step_underflow"
             bracket = (t, t + h)
             break

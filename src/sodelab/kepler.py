@@ -2,12 +2,14 @@
 
 The square map of Kustaanheimo and Stiefel sends y in R^4 to x in R^3 with
 |x| = |y|^2, turning the gravitational two-body problem into a system whose
-collision set is a plain coordinate puncture.  This module carries:
+collision set is a plain coordinate puncture.  This module carries, all as
+expression trees:
 
-  * the square map, its tangent map, its fiber direction, and the bilinear
-    constraint whose zero locus projects onto physical motion;
-  * the unfolded variational field, its energy, and the slow-clock rescaling
-    that makes the fiber-velocity pair (Q, V) a genuine chart;
+  * the tangent map (y, v) -> (x, u) of the square map, and the bilinear
+    constraint whose zero locus projects onto physical motion; its gradient
+    in v spans the fiber the square map forgets;
+  * the unfolded variational field, its energy, and the fast-clock rescaling
+    by 2 |y|^2 that makes the fiber-velocity pair (Q, V) a genuine chart;
   * the chart-side field, whose negative-energy shells are linear harmonic
     blocks with frequency sqrt(2|E|);
   * the direct three-dimensional field for cross-checks.
@@ -24,21 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import rescale
 from .errors import PositiveEnergyError
-from .expr import VariableContext, parse
-from .fields import Box, ScalarField, VectorField
+from .expr import Var, VariableContext, differentiate, parse, sum_of_products
+from .fields import Box, PointMap, ScalarField, VectorField
 
 __all__ = [
     "KS_CTX",
     "CHART_CTX",
     "THREE_CTX",
     "KeplerParams",
-    "ks_map",
-    "ks_jacobian",
-    "ks_tangent",
-    "fiber_direction",
-    "ks_constraint",
+    "tangent_map",
     "constraint_field",
     "lagrangian",
     "energy",
@@ -56,7 +53,6 @@ __all__ = [
     "mean_motion",
     "half_mean_motion",
     "kepler3d_field",
-    "project_state",
     "unfolded_circular_state",
     "kepler3d_circular_state",
 ]
@@ -85,55 +81,40 @@ class KeplerParams:
 
 # ------------------------------------------------------------ square map
 
-
-def ks_map(y) -> np.ndarray:
-    """Square map R^4 -> R^3; |ks_map(y)| = |y|^2."""
-    y0, y1, y2, y3 = np.asarray(y, dtype=float)
-    return np.array(
-        [
-            2.0 * (y0 * y1 + y2 * y3),
-            2.0 * (y0 * y2 - y1 * y3),
-            y0 * y0 + y3 * y3 - y1 * y1 - y2 * y2,
-        ]
-    )
+# pi(y), written with + - * alone, so every backend gives the same bits
+_SQUARE_MAP = (
+    "2 * (y0*y1 + y2*y3)",
+    "2 * (y0*y2 - y1*y3)",
+    "y0*y0 + y3*y3 - y1*y1 - y2*y2",
+)
 
 
-def ks_jacobian(y) -> np.ndarray:
-    """Tangent map of the square map, shape (3, 4); J J^T = 4 |y|^2 I."""
-    y0, y1, y2, y3 = np.asarray(y, dtype=float)
-    return 2.0 * np.array(
-        [
-            [y1, y0, y3, y2],
-            [y2, -y3, y0, -y1],
-            [y0, -y1, -y2, y3],
-        ]
-    )
+def tangent_map() -> PointMap:
+    """The tangent map (y, v) -> (x, u) = (pi(y), Dpi(y) v) of the square map.
 
-
-def ks_tangent(y, v) -> tuple[np.ndarray, np.ndarray]:
-    """Push a tangent vector (y, v) down to (x, u) = (ks_map(y), J(y) v)."""
-    return ks_map(y), ks_jacobian(y) @ np.asarray(v, dtype=float)
-
-
-def fiber_direction(y) -> np.ndarray:
-    """Spanning vector of ker(ks_jacobian(y)): the direction the map forgets."""
-    y0, y1, y2, y3 = np.asarray(y, dtype=float)
-    return np.array([-y3, -y2, y1, y0])
+    pi sends R^4 to R^3 with |pi(y)| = |y|^2, and u_i is the sum over k of
+    v_k d(pi_i)/d(y_k).  The first three rows of ``jacobian``, over the
+    y columns, are Dpi, with Dpi Dpi^T = 4 |y|^2 I; its kernel is spanned
+    by the v-gradient (-y3, -y2, y1, y0) of :func:`constraint_field`.
+    """
+    positions = [parse(src, KS_CTX) for src in _SQUARE_MAP]
+    pairs = list(zip(KS_CTX.names[:4], KS_CTX.names[4:]))
+    velocities = [
+        sum_of_products((Var(v), differentiate(x, y)) for y, v in pairs)
+        for x in positions
+    ]
+    return PointMap(KS_CTX, THREE_CTX, (*positions, *velocities))
 
 
 # ------------------------------------------------------------ constraint
 
 
-def ks_constraint(y, v) -> float:
+def constraint_field() -> ScalarField:
     """Bilinear constraint: the fiber component of v.
 
     Zero exactly when (y, v) projects onto a kinematic 3d state; its zero
     locus is invariant under the unfolded flow.
     """
-    return float(np.dot(fiber_direction(y), np.asarray(v, dtype=float)))
-
-
-def constraint_field() -> ScalarField:
     return ScalarField(KS_CTX, parse("y0*v3 - y3*v0 + y1*v2 - y2*v1", KS_CTX))
 
 
@@ -183,9 +164,13 @@ def unfolded_domain() -> Box:
 
 
 def rescaled_field(params: KeplerParams = KeplerParams()) -> VectorField:
-    """The unfolded field on the fast clock: 2 |y|^2 times unfolded_field."""
-    pair = rescale(unfolded_field(params), conformal_factor(), unfolded_domain())
-    return pair.rescaled
+    """The unfolded field on the fast clock: 2 |y|^2 times unfolded_field.
+
+    The factor is positive off the puncture y = 0 and is not sampled here;
+    a chart built on this field ranks its velocity block 2 |y|^2 I, which
+    refuses a factor that vanishes on the build's sample.
+    """
+    return unfolded_field(params).scaled(conformal_factor().expr)
 
 
 # ----------------------------------------------------- chart-side field
@@ -295,13 +280,6 @@ def kepler3d_field(params: KeplerParams = KeplerParams()) -> VectorField:
     comps = [parse(f"u{k}", THREE_CTX) for k in range(1, 4)]
     comps += [parse(f"-{params.g!r} * x{k} / {r3}", THREE_CTX) for k in range(1, 4)]
     return VectorField(THREE_CTX, tuple(comps))
-
-
-def project_state(state) -> np.ndarray:
-    """Push an unfolded tangent state (y, v) down to a 3d state (x, u)."""
-    state = np.asarray(state, dtype=float)
-    x, u = ks_tangent(state[:4], state[4:])
-    return np.concatenate([x, u])
 
 
 # ------------------------------------------------------------ orbit data

@@ -25,6 +25,7 @@ from sodelab.fields import (
     ScalarField,
     VectorField,
     canonical_tangent_structure,
+    evaluate_on,
     max_abs_on,
 )
 from sodelab.expr import parse, qv_context
@@ -108,16 +109,21 @@ def test_criterion_01_axiom_suite(criterion, library):
 def test_criterion_02_square_map_identities(criterion):
     rng = np.random.default_rng(11)
     ys = rng.uniform(-2.0, 2.0, (10_000, 4))
+    tpi = kp.tangent_map()
+    states = np.hstack([ys, np.zeros_like(ys)])
+    positions = evaluate_on(tpi.components[:3], tpi.src, states)
     norm_gap = 0.0
-    for y in ys:
-        norm_gap = max(
-            norm_gap, abs(float(np.linalg.norm(kp.ks_map(y))) - float(y @ y))
-        )
+    for y, x in zip(ys, positions):
+        norm_gap = max(norm_gap, abs(float(np.linalg.norm(x)) - float(y @ y)))
 
     kernel_gap = 0.0
-    for y in ys[np.linalg.norm(ys, axis=1) > 0.3][:1000]:
-        jac = kp.ks_jacobian(y)
-        fiber = kp.fiber_direction(y)
+    away = ys[np.linalg.norm(ys, axis=1) > 0.3][:1000]
+    away_states = np.hstack([away, np.zeros_like(away)])
+    jacobians = evaluate_on([row[:4] for row in tpi.jacobian[:3]], tpi.src, away_states)
+    fibers = evaluate_on(
+        kp.constraint_field().gradient().components[4:], tpi.src, away_states
+    )
+    for jac, fiber in zip(jacobians, fibers):
         kernel_gap = max(kernel_gap, float(np.max(np.abs(jac @ fiber))))
         _, sing, vt = np.linalg.svd(jac)
         if sing[2] < 1e-6:
@@ -161,21 +167,21 @@ def test_criterion_03_shell_clock_law(criterion, kepler_records):
 
 def test_criterion_04_orbit_projection(criterion):
     eccentric = np.array([1.0, 0.1, 0.0, 0.0, 0.0, 0.25, 0.2, -0.02])
+    tpi = kp.tangent_map()
+    ell = kp.constraint_field()
     gap = 0.0
     for y0 in (kp.unfolded_circular_state(-0.5), eccentric):
-        assert abs(kp.ks_constraint(y0[:4], y0[4:])) < 1e-14
+        assert abs(float(ell(y0))) < 1e-14
         period = 2.0 * math.pi / kp.mean_motion(float(kp.energy()(y0)))
         upstairs = integrate(
             kp.unfolded_field().ode_rhs, y0, period, rtol=1e-10, atol=1e-12
         )
-        x0 = kp.project_state(y0)
+        x0 = tpi(y0)
         downstairs = integrate(
             kp.kepler3d_field().ode_rhs, x0, period, rtol=1e-10, atol=1e-12
         )
         times = np.linspace(0.0, period, 400)
-        projected = np.array(
-            [kp.project_state(s)[:3] for s in upstairs.sample_many(times)]
-        )
+        projected = evaluate_on(tpi.components[:3], tpi.src, upstairs.sample_many(times))
         reference = downstairs.sample_many(times)[:, :3]
         gap = max(gap, float(np.max(np.abs(projected - reference))))
     criterion(

@@ -85,6 +85,27 @@ def test_state_the_integrator_refuses_is_usage_error(tmp_path, capsys, argv):
     assert manifest["outputs"] == []
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["kepler-demo", "--energy=-1e-20"], "--energy -1e-20 with --g 1.0"),
+        (["kepler-demo", "--g", "1e30"], "--energy -0.5 with --g 1e+30"),
+        (["match", "--energies=-1e-20"], "--energies -1e-20 with --g 1.0"),
+        (["match", "--levels", "1e30"], "--levels 1e30 with --g 1.0"),
+        (["fosc-demo", "--level", "1e30"], "--level 1e+30"),
+    ],
+)
+def test_derived_start_the_integrator_refuses_is_usage_error(tmp_path, capsys, argv, flags):
+    # each start state, derived from the options, lies past the blow-up threshold
+    code, out = run_to(tmp_path, "run", argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags}: ") and err.count("\n") == 1
+    manifest = read_json(out / "run_manifest.json")
+    assert manifest["exit_code"] == 2
+    assert manifest["outputs"] == []
+
+
 def test_integrate_without_out_is_usage_error(capsys):
     code = main(
         ["integrate", "--scenario", "oscillator-1", "--state", "1,0",
@@ -601,6 +622,29 @@ def test_kepler_demo(tmp_path):
     header = (out / "projected.csv").read_text().splitlines()[0]
     assert header == "t,x1,x2,x3,u1,u2,u3"
     assert (out / "direct.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["--energy=-1e6"], ["--g", "1e-9"]])
+def test_kepler_demo_completes_on_short_orbits(tmp_path, argv):
+    # the first step guesses fall below the step floor; no step is rejected there
+    code, out = run_to(tmp_path, "run", ["kepler-demo", *argv])
+    assert code == 0
+    payload = read_json(out / "kepler_demo.json")
+    assert payload["max_position_gap"] < 1e-6
+    assert payload["chart"]["rel_error"] < 1e-3
+
+
+def test_kepler_demo_reports_a_run_that_does_not_complete(tmp_path, monkeypatch):
+    from sodelab import dynamics
+
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 10)
+    code, out = run_to(tmp_path, "run", ["kepler-demo"])
+    assert code == 1
+    payload = read_json(out / "kepler_demo.json")
+    assert payload["status"] == {"unfolded": "step_limit", "direct": "step_limit"}
+    assert "max_position_gap" not in payload
+    manifest = read_json(out / "run_manifest.json")
+    assert (manifest["exit_code"], manifest["outputs"]) == (1, ["kepler_demo.json"])
 
 
 def test_fosc_demo_matching_profile(capsys):

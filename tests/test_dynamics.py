@@ -315,6 +315,19 @@ class TestBlowUp:
         assert traj.accepted == 1
         assert traj.final_time == 1e-15
 
+    def test_small_first_guess_is_not_an_underflow(self):
+        # one period of the E = -1e6 circular orbit: the initial-step guess,
+        # 2.5e-15, sits below the 1e-14 floor, yet that step is accepted and
+        # the steps then grow; the floor waits for a rejection
+        t_end = 2.2214e-9
+        traj = integrate(
+            kp.kepler3d_field().ode_rhs, kp.kepler3d_circular_state(-1e6), t_end
+        )
+        assert traj.status == "completed"
+        assert traj.blow_up_bracket is None
+        assert traj.final_time == t_end
+        assert traj.min_step < 1e-14 * max(1.0, t_end)
+
 
 class TestDenseOutput:
     def test_matches_closed_form_between_nodes(self):

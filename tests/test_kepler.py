@@ -1,16 +1,27 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sodelab import expr
+from sodelab import fields
 from sodelab import kepler as kp
 from sodelab import scenarios as sc
+from sodelab.bundle import build
 from sodelab.dynamics import conserved_drift, estimate_period, integrate
-from sodelab.errors import NonInvertibleChartError, PositiveEnergyError
+from sodelab.errors import (
+    FunctionalDependenceError,
+    NonInvertibleChartError,
+    PositiveEnergyError,
+)
 from sodelab.expr import parse
 from sodelab.fields import (
+    Box,
     ScalarField,
     canonical_tangent_structure,
+    evaluate_on,
     max_abs_on,
     vectorized_scalar,
 )
@@ -31,54 +42,159 @@ def _samples(seed=7, n=200):
     return ys, vs
 
 
+# hand-written numeric oracles of the square map, its Jacobian and its fiber
+
+
+def _square_map(y):
+    y0, y1, y2, y3 = y
+    return np.array(
+        [
+            2.0 * (y0 * y1 + y2 * y3),
+            2.0 * (y0 * y2 - y1 * y3),
+            y0 * y0 + y3 * y3 - y1 * y1 - y2 * y2,
+        ]
+    )
+
+
+def _square_jacobian(y):
+    y0, y1, y2, y3 = y
+    return 2.0 * np.array(
+        [
+            [y1, y0, y3, y2],
+            [y2, -y3, y0, -y1],
+            [y0, -y1, -y2, y3],
+        ]
+    )
+
+
+def _fiber(y):
+    y0, y1, y2, y3 = y
+    return np.array([-y3, -y2, y1, y0])
+
+
+def _ell(y, v):
+    """The constraint: the fiber component of v."""
+    return float(np.dot(_fiber(y), v))
+
+
+@pytest.fixture(scope="module")
+def tpi():
+    return kp.tangent_map()
+
+
+def _read(trees, ys, vs=None):
+    """Batch values of ``trees`` over the KS points (ys, vs); vs defaults to 0."""
+    states = np.hstack([ys, np.zeros_like(ys) if vs is None else vs])
+    return evaluate_on(trees, kp.KS_CTX, states)
+
+
+def _positions(tpi, ys):
+    return _read(tpi.components[:3], ys)
+
+
+def _dpi(tpi, ys):
+    """The y-block of the tangent map's Jacobian: Dpi at each y, (m, 3, 4)."""
+    return _read([row[:4] for row in tpi.jacobian[:3]], ys)
+
+
+def _fibers(ys):
+    """The v-gradient of the constraint field at each y, (m, 4)."""
+    return _read(kp.constraint_field().gradient().components[4:], ys)
+
+
 # -------------------------------------------------------------- square map
 
 
 class TestSquareMap:
-    def test_norm_identity(self):
+    def test_norm_identity(self, tpi):
         ys, _ = _samples()
-        for y in ys:
+        for y, x in zip(ys, _positions(tpi, ys)):
             r2 = float(np.dot(y, y))
-            assert abs(np.linalg.norm(kp.ks_map(y)) - r2) <= 1e-12 * (1 + r2)
+            assert abs(np.linalg.norm(x) - r2) <= 1e-12 * (1 + r2)
 
-    def test_jacobian_rows_orthogonal(self):
+    def test_jacobian_rows_orthogonal(self, tpi):
         ys, _ = _samples(seed=2, n=60)
-        for y in ys:
-            j = kp.ks_jacobian(y)
+        for y, j in zip(ys, _dpi(tpi, ys)):
             r2 = float(np.dot(y, y))
             assert np.allclose(j @ j.T, 4 * r2 * np.eye(3), atol=1e-10 * (1 + r2**2))
 
-    def test_radial_direction_doubles(self):
+    def test_radial_direction_doubles(self, tpi):
         ys, _ = _samples(seed=3, n=60)
-        for y in ys:
-            assert np.allclose(kp.ks_jacobian(y) @ y, 2 * kp.ks_map(y), atol=1e-12)
+        for y, j, x in zip(ys, _dpi(tpi, ys), _positions(tpi, ys)):
+            assert np.allclose(j @ y, 2 * x, atol=1e-12)
 
-    def test_fiber_spans_kernel(self):
+    def test_fiber_spans_kernel(self, tpi):
         ys, _ = _samples(seed=4, n=100)
-        for y in ys:
-            k = kp.fiber_direction(y)
+        for y, j, k in zip(ys, _dpi(tpi, ys), _fibers(ys)):
             assert abs(float(np.dot(k, y))) < 1e-12
-            assert float(np.linalg.norm(kp.ks_jacobian(y) @ k)) < 1e-10
+            assert float(np.linalg.norm(j @ k)) < 1e-10
 
-    def test_off_fiber_stretch(self):
+    def test_off_fiber_stretch(self, tpi):
         # vectors orthogonal to the fiber are stretched by exactly 2|y|
         ys, vs = _samples(seed=5, n=80)
-        for y, v in zip(ys, vs):
-            k = kp.fiber_direction(y)
+        for y, v, j, k in zip(ys, vs, _dpi(tpi, ys), _fibers(ys)):
             u = v - (np.dot(v, k) / np.dot(k, k)) * k
             r2 = float(np.dot(y, y))
-            lhs = float(np.dot(kp.ks_jacobian(y) @ u, kp.ks_jacobian(y) @ u))
+            lhs = float(np.dot(j @ u, j @ u))
             assert abs(lhs - 4 * r2 * np.dot(u, u)) < 1e-9 * (1 + r2**2)
 
-    def test_tangent_matches_finite_differences(self):
+    def test_tangent_matches_finite_differences(self, tpi):
         rng = np.random.default_rng(11)
         for _ in range(20):
             y = rng.uniform(-1.0, 1.0, 4)
             w = rng.uniform(-1.0, 1.0, 4)
             eps = 1e-6
-            fd = (kp.ks_map(y + eps * w) - kp.ks_map(y - eps * w)) / (2 * eps)
-            _, u = kp.ks_tangent(y, w)
+            ahead, behind = _positions(tpi, np.array([y + eps * w, y - eps * w]))
+            fd = (ahead - behind) / (2 * eps)
+            u = tpi(np.concatenate([y, w]))[3:]
             assert np.allclose(u, fd, atol=1e-8)
+
+    def test_matches_the_numeric_oracle(self, tpi):
+        rng = np.random.default_rng(17)
+        points = rng.uniform(-2.0, 2.0, (2000, 8))
+        ys, vs = points[:, :4], points[:, 4:]
+        values = _read(tpi.components, ys, vs)
+        for y, v, x, j, k in zip(ys, vs, values, _dpi(tpi, ys), _fibers(ys)):
+            assert np.array_equal(x[:3], _square_map(y))
+            assert np.array_equal(j, _square_jacobian(y))
+            assert np.array_equal(k, _fiber(y))
+            assert np.allclose(x[3:], _square_jacobian(y) @ v, rtol=1e-14, atol=1e-14)
+
+    def test_scalar_and_batch_values_agree_bitwise(self, tpi):
+        points = kp.unfolded_domain().sample(seed=3, n_random=200, grid_points=3)
+        values = evaluate_on(tpi.components, kp.KS_CTX, points)
+        jacobians = evaluate_on(tpi.jacobian, kp.KS_CTX, points)
+        for p, value, jac in zip(points, values, jacobians):
+            assert np.array_equal(tpi(p), value)
+            assert np.array_equal(tpi.jacobian_at(p), jac)
+
+    def test_trees_use_only_plus_minus_and_times(self, tpi):
+        allowed = (expr.Add, expr.Sub, expr.Mul, expr.Neg, expr.Var, expr.Const)
+        seen = set()
+
+        def walk(e):
+            assert isinstance(e, allowed), expr.to_source(e)
+            if e not in seen:
+                seen.add(e)
+                for child in (getattr(e, key, None) for key in ("left", "right", "arg")):
+                    if isinstance(child, expr.Expression):
+                        walk(child)
+
+        for tree in (*tpi.components, *(e for row in tpi.jacobian for e in row)):
+            walk(tree)
+        assert tpi.src == kp.KS_CTX and tpi.dst == kp.THREE_CTX
+
+
+def test_kepler_imports_no_geometry_dynamics_or_certificate():
+    """``sodelab.kepler`` states its trees over ``errors``, ``expr`` and
+    ``fields`` alone."""
+    path = Path(kp.__file__)
+    imported = {
+        node.module
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    assert imported == {"errors", "expr", "fields"}
 
 
 # -------------------------------------------------------------- constraint
@@ -90,7 +206,7 @@ class TestConstraint:
         field = kp.constraint_field()
         for y, v in zip(ys, vs):
             state = np.concatenate([y, v])
-            assert abs(float(field(state)) - kp.ks_constraint(y, v)) < 1e-13
+            assert abs(float(field(state)) - _ell(y, v)) < 1e-13
 
     def test_rate_law(self):
         gamma = kp.unfolded_field()
@@ -121,7 +237,7 @@ class TestConstraint:
         gamma = kp.unfolded_field()
         state = kp.unfolded_circular_state(-0.5)
         state[4:] = state[4:] + 0.05 * np.array([1.0, 0.0, 0.0, 0.0])
-        assert abs(kp.ks_constraint(state[:4], state[4:])) < 1e-14
+        assert abs(_ell(state[:4], state[4:])) < 1e-14
         traj = integrate(gamma.ode_rhs, state, 2 * math.pi)
         drift = conserved_drift(kp.constraint_field(), traj)
         assert drift < 1e-8
@@ -158,16 +274,22 @@ class TestUnfoldedDynamics:
         for e in (-0.5, -1.0, -2.0):
             state = kp.unfolded_circular_state(e)
             assert float(kp.energy()(state)) == pytest.approx(e, abs=1e-12)
-            assert abs(kp.ks_constraint(state[:4], state[4:])) < 1e-14
+            assert abs(_ell(state[:4], state[4:])) < 1e-14
 
 
 # ------------------------------------------------------------- projection
 
 
+def _project(states):
+    """Push unfolded states (y, v) down to 3d states (x, u), one row each."""
+    tpi = kp.tangent_map()
+    return evaluate_on(tpi.components, tpi.src, np.atleast_2d(states))
+
+
 class TestProjection:
     def test_circular_initial_data_projects(self):
         state = kp.unfolded_circular_state(-0.5)
-        assert np.allclose(kp.project_state(state), [0, 0, 1, 1, 0, 0], atol=1e-14)
+        assert np.allclose(_project(state)[0], [0, 0, 1, 1, 0, 0], atol=1e-14)
 
     def test_circular_orbit_matches_direct_integration(self):
         unfolded = integrate(
@@ -177,9 +299,7 @@ class TestProjection:
             kp.kepler3d_field().ode_rhs, kp.kepler3d_circular_state(-0.5), 2 * math.pi
         )
         times = np.linspace(0.0, 2 * math.pi, 200)
-        projected = np.array(
-            [kp.project_state(s) for s in unfolded.sample_many(times)]
-        )
+        projected = _project(unfolded.sample_many(times))
         reference = direct.sample_many(times)
         err = float(np.max(np.abs(projected[:, :3] - reference[:, :3])))
         assert err < 1e-6
@@ -187,14 +307,12 @@ class TestProjection:
     def test_eccentric_orbit_matches_direct_integration(self):
         y = np.array([1.0, 0.1, 0.0, 0.0])
         v = np.array([0.0, 0.25, 0.2, -0.02])
-        assert abs(kp.ks_constraint(y, v)) < 1e-15
+        assert abs(_ell(y, v)) < 1e-15
         start = np.concatenate([y, v])
         unfolded = integrate(kp.unfolded_field().ode_rhs, start, 3.0)
-        direct = integrate(kp.kepler3d_field().ode_rhs, kp.project_state(start), 3.0)
+        direct = integrate(kp.kepler3d_field().ode_rhs, _project(start)[0], 3.0)
         times = np.linspace(0.0, 3.0, 120)
-        projected = np.array(
-            [kp.project_state(s) for s in unfolded.sample_many(times)]
-        )
+        projected = _project(unfolded.sample_many(times))
         reference = direct.sample_many(times)
         assert float(np.max(np.abs(projected[:, :3] - reference[:, :3]))) < 1e-6
         assert float(np.max(np.abs(projected[:, 3:] - reference[:, 3:]))) < 1e-5
@@ -215,6 +333,33 @@ class TestChart:
         for p in self.points[:40]:
             r2 = float(np.dot(p[:4], p[:4]))
             assert np.allclose(fast(p), 2 * r2 * gamma(p), rtol=1e-12, atol=1e-12)
+
+    def test_lookup_draws_no_sample(self, monkeypatch):
+        draws = []
+
+        def spy(box, *args, **kwargs):
+            draws.append(box)
+            raise AssertionError("a kepler-chart lookup drew a sample")
+
+        monkeypatch.setattr(fields.Box, "sample", spy)
+        scenario = sc.get_sode_scenario("kepler-chart")
+        assert scenario.field.ctx == kp.KS_CTX
+        assert draws == []
+
+    def test_chart_field_is_the_scaled_clock_field(self):
+        chart = sc.get_sode_scenario("kepler-chart")
+        clock = sc.get_conformal_scenario("kepler-clock")
+        scaled = clock.field.scaled(clock.factor.expr)
+        assert chart.field.ctx == scaled.ctx
+        assert len(chart.field.components) == len(scaled.components) == 8
+        assert all(a is b for a, b in zip(chart.field.components, scaled.components))
+
+    def test_build_refuses_the_clock_where_it_vanishes(self):
+        # without the exclusion ball the grid holds y = 0, where the velocity
+        # block 2 |y|^2 I of the chart Jacobian is zero
+        box = Box(kp.KS_CTX, (-1.5,) * 4 + (-1.0,) * 4, (1.5,) * 4 + (1.0,) * 4)
+        with pytest.raises(FunctionalDependenceError):
+            build(kp.rescaled_field(self.params), kp.KS_CTX.names[:4], box)
 
     def test_structure_shape(self, structure):
         assert structure.inverse_kind == "triangular"
@@ -279,9 +424,9 @@ class TestChart:
         # the constraint in (y, v)
         for p in self.points[:40]:
             r2 = float(np.dot(p[:4], p[:4]))
-            expected = 2 * r2 * kp.ks_constraint(p[:4], p[4:])
+            expected = 2 * r2 * _ell(p[:4], p[4:])
             q, w = np.split(structure.forward(p), 2)
-            assert kp.ks_constraint(q, w) == pytest.approx(expected, abs=1e-11)
+            assert _ell(q, w) == pytest.approx(expected, abs=1e-11)
 
 
 # ------------------------------------------------------------ energy shells
@@ -308,7 +453,7 @@ class TestShells:
             q, w = np.split(rep, 2)
             assert abs(0.5 * np.dot(w, w) - e * np.dot(q, q) - 1.0) < 1e-12
             assert float(kp.chart_energy()(rep)) == pytest.approx(e, abs=1e-12)
-            assert kp.ks_constraint(rep[:4], rep[4:]) == pytest.approx(0.0, abs=1e-14)
+            assert _ell(rep[:4], rep[4:]) == pytest.approx(0.0, abs=1e-14)
 
     def test_shell_and_chart_fields_agree_on_shell(self):
         for e in (-0.5, -2.0):

@@ -79,7 +79,7 @@ _RESCALING_NAMES = [
 class TestLazyTable:
     @pytest.fixture
     def no_kepler_chart(self, monkeypatch):
-        """Make building ``kepler-chart`` (its sign-certified rescaling) fail."""
+        """Make building ``kepler-chart`` (its rescaled field) fail."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("kepler-chart was built")

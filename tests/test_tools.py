@@ -49,7 +49,8 @@ def test_bench_cases_leave_no_node_behind():
 
 def test_bench_counters_sum_each_wrapped_layer():
     """``tools/bench.py --measure`` counts every wrapped layer of one case:
-    integration runs alongside code generation and batch builds."""
+    integration runs alongside code generation and batch builds.  Each timed
+    run records its wall and its CPU time."""
     counters = {}
     for case in ("chart_period", "cli_verify_oscillator_2"):
         proc = subprocess.run(
@@ -58,7 +59,10 @@ def test_bench_counters_sum_each_wrapped_layer():
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         )
         assert proc.returncode == 0, proc.stderr
-        counters[case] = json.loads(proc.stdout)["counters"]
+        result = json.loads(proc.stdout)
+        counters[case] = result["counters"]
+        assert len(result["cpus"]) == len(result["walls"]) > 0
+        assert all(t > 0.0 for t in result["walls"] + result["cpus"])
     period = counters["chart_period"]
     assert period["runs"] == 1 and period["nfev"] > 0
     assert (period["codegen"], period["batch_evals"]) == (1, 0)

@@ -38,7 +38,8 @@ drift on a shared machine lands on both trees alike.  Sixteen cases are run:
 * ``lookup_construction``, ``lookup_rescaling`` and ``lookup_kepler_chart``:
   the scenario lookup of ``sodelab integrate`` (construction names first,
   then rescaling ones) for ``oscillator-2``, ``uniform-speedup`` and
-  ``kepler-chart``, whose build certifies the sign of its clock factor;
+  ``kepler-chart``, whose field is the unfolded field times its clock
+  factor 2 |y|^2 (trees alone: the factor's sign is not sampled there);
 * ``cli_build_kepler_chart``: ``sodelab build --scenario kepler-chart``,
   into a temporary directory;
 * ``bracket_kepler_clock``: ``conformal.bracket_rescaling_residual`` of the
@@ -71,17 +72,20 @@ ends, so interpolants built by reads after ``integrate`` returns count too.
 Each case that calls ``bundle.build`` also records ``builds``, the number
 of calls, and ``svd_points``, the matrices handed to
 ``bundle._singular_values`` (the points whose rank a cheaper test did not
-settle).  Each case that draws a box sample records ``box_draws``, the
-calls to ``fields.Box.sample``, and ``box_points``, the rows they return.
-Each case records ``codegen``, the functions ``expr._emit`` generates, and
-``batch_evals``, the calls to ``fields.vectorized_scalar`` (each builds one
-batch function, which a tree whose batch backend is generated code also
-counts in ``codegen``).
+settle).  Each case records ``box_draws``, the calls to
+``fields.Box.sample``, and ``box_points``, the rows they return (0 and 0
+for a case that draws none), and ``codegen``, the functions ``expr._emit``
+generates, and ``batch_evals``, the calls to ``fields.vectorized_scalar``
+(each builds one batch function, which a tree whose batch backend is
+generated code also counts in ``codegen``).
 Each case also records the median and spread of the wall time over all
 timed runs of all the tree's processes for the case, ``_REPEAT`` per
-process after one untimed run that also warms the compiled fields.  Wall
-times depend on the machine and its load; the counters do not, and the
-script fails if they differ between two processes of one tree.  Each case
+process after one untimed run that also warms the compiled fields, and
+beside them the same of the CPU time (``time.process_time``) of each timed
+run, which time the process spends waiting for a shared CPU does not
+inflate.  Wall and CPU times depend on the machine and its load; the
+counters do not, and the script fails if they differ between two processes
+of one tree.  Each case
 with RHS evaluations also gets ``us_per_fev``, its median wall time per RHS
 evaluation, and ``rhs_chart_field`` gets ``us_per_call``.
 """
@@ -136,7 +140,7 @@ def _counters():
     runs: list = []
     built = Counter()
     charts = Counter()
-    draws = Counter()
+    draws = Counter(box_draws=0, box_points=0)
     built_code = Counter(codegen=0, batch_evals=0)
 
     def counted(counter, builder):
@@ -215,9 +219,9 @@ def _counters():
         for key in built:
             built[key] = 0
         charts.clear()
-        draws.clear()
-        for key in built_code:
-            built_code[key] = 0
+        for counter in (draws, built_code):
+            for key in counter:
+                counter[key] = 0
 
     return totals, reset
 
@@ -340,22 +344,23 @@ def _cases():
 
 
 def _measure_case(setup, totals, reset) -> dict:
-    """One case's counters and timed wall times; its trees die on return."""
+    """One case's counters and timed wall and CPU times; its trees die on return."""
     run = setup()
     reset()
     extra = run() or {}
     counters = dict(sorted({**totals(), **extra}.items()))
-    walls = []
+    walls, cpus = [], []
     for _ in range(_REPEAT):
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.process_time()
         run()
         walls.append(time.perf_counter() - start)
+        cpus.append(time.process_time() - cpu_start)
         reset()
-    return {"counters": counters, "walls": walls}
+    return {"counters": counters, "walls": walls, "cpus": cpus}
 
 
 def measure(name: str) -> dict:
-    """The counters and timed wall times of one case, for the imported tree."""
+    """The counters and timed wall and CPU times of one case, for the imported tree."""
     totals, reset = _counters()
     return _measure_case(_cases()[name], totals, reset)
 
@@ -388,18 +393,16 @@ def _measure_trees(trees: dict[str, Path]) -> dict:
                         f"{label}: counters of {case} differ between processes: "
                         f"{first['counters']} vs {other['counters']}"
                     )
-            walls = [w for result in results for w in result["walls"]]
             counters = first["counters"]
-            median = statistics.median(walls)
-            report[label][case] = {
-                **counters,
-                "wall_s_median": median,
-                "wall_s_min": min(walls),
-                "wall_s_max": max(walls),
-            }
+            entry = report[label][case] = dict(counters)
+            for key, clock in (("walls", "wall"), ("cpus", "cpu")):
+                times = [t for result in results for t in result[key]]
+                entry[f"{clock}_s_median"] = statistics.median(times)
+                entry[f"{clock}_s_min"] = min(times)
+                entry[f"{clock}_s_max"] = max(times)
             for count, key in (("nfev", "us_per_fev"), ("calls", "us_per_call")):
                 if counters.get(count):
-                    report[label][case][key] = median / counters[count] * 1e6
+                    entry[key] = entry["wall_s_median"] / counters[count] * 1e6
     return report
 
 
