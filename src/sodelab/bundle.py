@@ -6,9 +6,13 @@ certifies on a sample grid that the combined functions form a genuine chart.
 Every check reads the chart's one set of first-partial trees,
 :attr:`~sodelab.fields.PointMap.jacobian`; the shape tests read which
 coordinates its entries use from their free variables.  The chart rank test
-and the Jacobian floor come from one batched determinant of the least block
-that decides them; an SVD decomposes only the points whose determinant
-cannot clear the rank test.
+and the Jacobian floor come from the determinant of the least block that
+decides them.  One batch call evaluates the block's entries as columns of
+values over the sample points; a block of up to 7 rows (every library
+chart's has 1, 2 or 4) takes its determinant by cofactors over those
+columns, and a larger one is packed into matrices for LAPACK's.  Only the
+points whose determinant cannot clear the rank test are packed and
+decomposed by an SVD, which also gives their |det|.
 The function counts are checked first, so a ranked chart always has 2n
 functions on a 2n-dimensional space.  A constant Jacobian is evaluated at
 one point, which holds over the whole space.  A base of distinct plain
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,8 +65,8 @@ from .fields import (
     ScalarField,
     VectorField,
     _entries,
-    evaluate_on,
     max_abs_on,
+    vectorized_scalar,
 )
 from .geometry import lie_scalar
 
@@ -75,6 +80,12 @@ _ZERO_FIELD_TOL = 1e-12
 # a point fails a rank check when sigma_min <= _RANK_RTOL * (1 + sigma_max)
 _RANK_RTOL = 1e-9
 _NEWTON_MAX_ITER = 100
+# the largest block whose det is taken by cofactors: over 15k stacked points
+# they beat LAPACK's batched det up to 7 x 7 (6.9 against 11.9 ms, packing
+# included; the whole rank screen of a dense block 11.6 against 12.8 ms) and
+# lose at 8 x 8 (16.4 against 14.8 ms; screen 24.5 against 19.7 ms).  CPU
+# medians, x86-64, numpy 2.4.6, one BLAS thread
+_COFACTOR_MAX_ROWS = 7
 
 
 def _point_text(x) -> str:
@@ -128,26 +139,78 @@ def _singular_values(jac: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def _screened_rank_failure(
-    jac: np.ndarray, points: np.ndarray
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """``_rank_failure`` of square matrices, decomposing only what a det cannot clear.
+def _packed(block, count: int, where) -> np.ndarray:
+    """The entries of ``block``, rows of point columns over ``count`` points
+    (a constant entry may be a scalar), at the points ``where`` selects, as
+    one (points, rows, cols) stack."""
+    rows = [[np.broadcast_to(c, (count,))[where] for c in row] for row in block]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=1)
 
-    Returns the failing point (or None) and each point's det.  |det| =
-    prod(sigma) <= sigma_min * sigma_max^(m-1) and sigma_max <= the Frobenius
-    norm F, so sigma_min >= |det| / F^(m-1): a point whose finite det has
-    |det| > 2 * _RANK_RTOL * (1 + F) * F^(m-1) passes the rank test.  The
-    factor 2 covers the LU rounding, about eps * F against the test's margin
-    of 1e-9 * F.  A non-finite entry makes F non-finite, so it never clears.
-    Only the other points are decomposed, in their order, so a failure names
-    the point that an SVD of every point would name.
+
+def _cofactor_det(block) -> np.ndarray:
+    """Each point's determinant of a square block of point columns.
+
+    Laplace expansion along the first row, and so on down: the minors on
+    the trailing rows are formed once for each set of columns, from the last
+    row up, so a 4 x 4 block takes 6 2 x 2 and 4 3 x 3 minors, one ufunc per
+    product or sum.
     """
+    m = len(block)
+    minors = {(c,): block[m - 1][c] for c in range(m)}
+    for k in range(m - 2, -1, -1):
+        larger = {}
+        for cols in combinations(range(m), m - k):
+            det = block[k][cols[0]] * minors[cols[1:]]
+            for i in range(1, len(cols)):
+                term = block[k][cols[i]] * minors[cols[:i] + cols[i + 1 :]]
+                det = det - term if i % 2 else det + term
+            larger[cols] = det
+        minors = larger
+    return minors[tuple(range(m))]
+
+
+def _screened_rank_failure(
+    block, points: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """``_rank_failure`` of a square block, decomposing only what a det cannot clear.
+
+    ``block`` holds rows of point columns, one value per point (a constant
+    entry may be a scalar).  Returns the failing point (or None) and each
+    point's |det|.  |det| = prod(sigma) <= sigma_min * sigma_max^(m-1) and
+    sigma_max <= the Frobenius norm F, so sigma_min >= |det| / F^(m-1): a
+    point whose finite det has |det| > 2 * _RANK_RTOL * (1 + F) * F^(m-1)
+    passes the rank test.  Blocks of up to ``_COFACTOR_MAX_ROWS`` rows take
+    the det by cofactors over the point columns.  Each of its m! terms is a
+    product of m entries, rounded at most m^2 times, and their absolute
+    values sum to the permanent of |block|, at most prod(row 1-norms) <=
+    F^m: the rounding is under m^2 * eps * F^m, far inside the test's margin
+    of 1e-9 * F^m, and the factor 2 covers it.  A larger block is packed for
+    LAPACK's LU det, whose rounding is about eps * F against a margin of
+    1e-9 * F.  A non-finite entry, or an overflow, leaves F or the det
+    non-finite, so the point never clears.  Where the bound underflows,
+    F^(m-1) is below about 1e-299 and every product of m entries, at most
+    F^m, underflows to 0 with it, so the det reads 0 and does not clear
+    either.  Only the other points are packed and decomposed, in their
+    order, so a failure names the point that an SVD of every point would
+    name.  A cleared point's |det| exceeds 2e-9 * F^m, so its cofactor
+    rounding is under m^2 * eps / 2e-9 of it, 6e-6 at m = 7.  At a
+    doubtful point the det may be all rounding, so its |det| is read from
+    the SVD as prod(sigma), correct to about eps * cond.
+    """
+    count = len(points)
     with np.errstate(all="ignore"):
-        fro = np.sqrt(np.einsum("mij,mij->m", jac, jac))
-        det = np.linalg.det(jac)
-        bound = 2.0 * _RANK_RTOL * (1.0 + fro) * fro ** (jac.shape[-1] - 1)
-    doubtful = ~(np.isfinite(det) & (np.abs(det) > bound))
-    return _rank_failure(_singular_values(jac[doubtful]), points[doubtful]), det
+        fro = np.sqrt(sum(np.square(c) for row in block for c in row))
+        if len(block) <= _COFACTOR_MAX_ROWS:
+            det = np.broadcast_to(_cofactor_det(block), (count,))
+        else:
+            det = np.linalg.det(_packed(block, count, slice(None)))
+        bound = 2.0 * _RANK_RTOL * (1.0 + fro) * fro ** (len(block) - 1)
+    abs_det = np.abs(det)
+    doubtful = ~(np.isfinite(abs_det) & (abs_det > bound))
+    sigma = _singular_values(_packed(block, count, doubtful))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 fails anyway
+        abs_det[doubtful] = np.prod(sigma, axis=1)
+    return _rank_failure(sigma, points[doubtful]), abs_det
 
 
 def _newton_solve(forward: PointMap, target: np.ndarray, guess: np.ndarray) -> np.ndarray:
@@ -206,8 +269,11 @@ class TangentStructure:
     (a coordinate base, affine across the other coordinates) or "newton".
     ``jacobian_min_abs_det`` is the smallest |det| of the chart
     Jacobian over the build's sample points (its one point when the Jacobian
-    is constant): the LU determinant of the Jacobian, or of its fibre block
-    B when the base is plain coordinates, since then |det J| = |det B|.  The
+    is constant): the determinant of the Jacobian, or of its fibre block B
+    when the base is plain coordinates, since then |det J| = |det B|, taken
+    by cofactors for a block of up to 7 rows and by LAPACK's LU above, or
+    as the product of the singular values where the rank screen needed an
+    SVD.  The
     chart dynamics are not stored either: the force block is
     ``lie_scalar(gamma, ScalarField(src_ctx, v)).expr`` for each velocity
     tree v, and the chart velocity at zeta is the pushforward
@@ -339,24 +405,29 @@ def build(
         # columns ordered (base, fibre) give J = [[I, 0], [A, B]]: rank J is
         # n + rank B and |det J| = |det B|, so only B = dV/dfibre is evaluated
         fibre = [j for j in range(dim) if j not in slots]
-        block = [[row[j] for j in fibre] for row in forward.jacobian[n:]]
+        trees = [[row[j] for j in fibre] for row in forward.jacobian[n:]]
     else:
-        block = forward.jacobian
-    jac = evaluate_on(block, ctx, ranked)
-    dependent, det = _screened_rank_failure(jac, ranked)
+        trees = forward.jacobian
+    # one batch call gives each entry of the square block as a column of points
+    values = vectorized_scalar([e for row in trees for e in row], ctx)(ranked)
+    m = len(trees)
+    block = [values[i * m : (i + 1) * m] for i in range(m)]
+    dependent, abs_det = _screened_rank_failure(block, ranked)
     if dependent is not None and slots is None:
         # base differentials must stay independent everywhere on the grid.
         # J's first n rows have sigma_min >= sigma_min(J) and sigma_max <=
         # sigma_max(J), so they can fail only where J fails: ranked only now
-        where = _rank_failure(_singular_values(jac[:, :n, :]), ranked)
+        base_rows = _packed(block[:n], len(ranked), slice(None))
+        where = _rank_failure(_singular_values(base_rows), ranked)
         if where is not None:
             raise DegenerateBaseError(
                 f"base differentials degenerate near {_point_text(where)}"
             )
 
     # a field with no motion anywhere has no velocity functions to offer
-    gamma_values = evaluate_on(gamma.components, ctx, points)
-    pointwise = np.max(np.abs(gamma_values), axis=1)
+    pointwise = np.zeros(len(points))
+    for component in vectorized_scalar(gamma.components, ctx)(points):
+        pointwise = np.maximum(pointwise, np.abs(component))  # nan stays nan
     warnings: list[str] = []
     if float(np.max(pointwise)) <= _ZERO_FIELD_TOL:
         raise FixedPointOnBaseError(
@@ -371,7 +442,7 @@ def build(
             f"chart functions become dependent near {_point_text(dependent)}"
         )
 
-    jacobian_min_abs_det = float(np.min(np.abs(det)))
+    jacobian_min_abs_det = float(np.min(abs_det))
 
     # fiber coordinates: source directions the base functions never see
     base_vars = set().union(*(free_variables(q) for q in base_exprs))

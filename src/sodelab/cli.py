@@ -433,7 +433,7 @@ def _cmd_kepler_demo(run: _Run, opts: dict) -> int:
     params = kp.KeplerParams(g=opts["g"])
     options = f"--energy {energy} with --g {params.g}"
     with _refused(options):
-        period = 2.0 * math.pi / kp.mean_motion(energy, params)
+        period = kp.orbit_period(energy, params)
         unfolded = integrate(
             kp.unfolded_field(params).ode_rhs,
             kp.unfolded_circular_state(energy, params),

@@ -52,6 +52,7 @@ __all__ = [
     "shell_representative",
     "mean_motion",
     "half_mean_motion",
+    "orbit_period",
     "kepler3d_field",
     "unfolded_circular_state",
     "kepler3d_circular_state",
@@ -258,10 +259,29 @@ def shell_representative(
     return shell_state(energy_value, math.sqrt(params.g / (2.0 * depth)), params)
 
 
+def _outside_float_range(
+    energy_value: float, params: KeplerParams, quantity: str
+) -> OverflowError:
+    return OverflowError(
+        f"energy {energy_value!r} with g {params.g!r} puts the orbit {quantity}"
+        " outside the float range"
+    )
+
+
 def mean_motion(energy_value: float, params: KeplerParams = KeplerParams()) -> float:
-    """Physical orbital frequency 2 sqrt(2|E|^3) / g at negative energy."""
+    """Physical orbital frequency 2 sqrt(2|E|^3) / g at negative energy.
+
+    Raises OverflowError when the frequency leaves the float range: |E|^3
+    overflows, or the frequency is inf or underflows to 0.
+    """
     depth = _require_bound(energy_value)
-    return 2.0 * math.sqrt(2.0 * depth**3) / params.g
+    try:
+        frequency = 2.0 * math.sqrt(2.0 * depth**3) / params.g
+    except OverflowError:
+        frequency = math.inf
+    if not 0.0 < frequency < math.inf:
+        raise _outside_float_range(energy_value, params, "frequency")
+    return frequency
 
 
 def half_mean_motion(
@@ -269,6 +289,18 @@ def half_mean_motion(
 ) -> float:
     """Half the physical frequency: the rate at which the unfolded angle turns."""
     return 0.5 * mean_motion(energy_value, params)
+
+
+def orbit_period(energy_value: float, params: KeplerParams = KeplerParams()) -> float:
+    """Physical orbital period 2 pi / mean_motion at negative energy.
+
+    Raises OverflowError when the frequency or the period leaves the float
+    range.
+    """
+    period = 2.0 * math.pi / mean_motion(energy_value, params)
+    if math.isinf(period):
+        raise _outside_float_range(energy_value, params, "period")
+    return period
 
 
 # ------------------------------------------------------- direct 3d side

@@ -362,16 +362,30 @@ class TestRankedBlock:
 
     @pytest.fixture
     def ranked(self, monkeypatch):
-        """The stack shapes handed to the det screen and to the SVD, call by call."""
-        shapes = {"det": [], "svd": []}
-        for key, name in (("det", "_screened_rank_failure"), ("svd", "_singular_values")):
-            original = getattr(bundle, name)
+        """What the rank tests are handed, call by call: the det screen's
+        (points, rows, cols), and the stack shapes of the SVD and of LAPACK's
+        det."""
+        shapes = {"det": [], "svd": [], "lapack": []}
+        screen, svd = bundle._screened_rank_failure, bundle._singular_values
+        lapack = np.linalg.det
 
-            def record(jac, *args, key=key, original=original):
+        def record_screen(block, points):
+            # one value per point in every column, or one scalar for them all
+            assert all(np.shape(c) in ((), (len(points),)) for row in block for c in row)
+            assert all(len(row) == len(block) for row in block)
+            shapes["det"].append((len(points), len(block), len(block[0])))
+            return screen(block, points)
+
+        def record(key, original):
+            def wrapper(jac):
                 shapes[key].append(jac.shape)
-                return original(jac, *args)
+                return original(jac)
 
-            monkeypatch.setattr(bundle, name, record)
+            return wrapper
+
+        monkeypatch.setattr(bundle, "_screened_rank_failure", record_screen)
+        monkeypatch.setattr(bundle, "_singular_values", record("svd", svd))
+        monkeypatch.setattr(np.linalg, "det", record("lapack", lapack))
         return shapes
 
     @staticmethod
@@ -400,6 +414,25 @@ class TestRankedBlock:
         names = [name for name, _ in sc.structure_library()]
         assert len(ranked["det"]) == len(names)
         assert self.svd_points(ranked) == 0
+        # every library block has 1, 2 or 4 rows: all take the det by cofactors
+        assert {rows for _, rows, _ in ranked["det"]} == {1, 2, 4}
+        assert ranked["lapack"] == []
+
+    @pytest.mark.parametrize("rows", [5, 7, 8])
+    def test_only_blocks_above_seven_rows_take_the_lapack_det(self, ranked, rows):
+        # coordinate bases over cubic fibres: B = diag(3 x^2 + 1), rows x rows
+        ctx = VariableContext.of(*(f"x{k}" for k in range(1, 2 * rows + 1)))
+        cubic = VectorField(ctx, tuple(
+            parse(f"x{k}^3 + x{k}", ctx) for k in range(rows + 1, 2 * rows + 1)
+        ) + (Const(0.0),) * rows)
+        base = tuple(f"x{k}" for k in range(1, rows + 1))
+        t = quick_build(cubic, base, Box.cube(ctx, 1.0))
+        count = ranked["det"][0][0]
+        assert ranked["det"] == [(count, rows, rows)]
+        assert ranked["lapack"] == ([] if rows <= 7 else [(count, rows, rows)])
+        assert self.svd_points(ranked) == 0
+        # the grid rows hold the fibre at the box centre, where B = I
+        assert t.jacobian_min_abs_det == pytest.approx(1.0)
 
     def test_singular_fibre_block_is_refused(self, ranked):
         # B = dV/dx2 = 3 x2^2 vanishes on the grid line x2 = 0
@@ -444,14 +477,17 @@ def _full_svd_oracle(jac, points):
 
 def _rank_stack(data):
     """A stack of square matrices mixing plain, near-singular, zero, inf and
-    nan points, each scaled by its own power of ten."""
-    size = data.draw(st.integers(1, 4), label="size")
+    nan points, each scaled by its own power of ten.
+
+    Blocks of 1 to 7 rows take the det by cofactors and 8 rows by LAPACK;
+    scales up to 10^+-100 make a cofactor det overflow or underflow."""
+    size = data.draw(st.integers(1, 8), label="size")
     count = data.draw(st.integers(1, 6), label="points")
     entries = st.floats(-3.0, 3.0, allow_nan=False)
     stack = []
     for _ in range(count):
         kind = data.draw(st.sampled_from(["plain", "near_singular", "zero", "inf", "nan"]))
-        scale = 10.0 ** data.draw(st.one_of(st.just(0), st.integers(-60, 60)))
+        scale = 10.0 ** data.draw(st.one_of(st.just(0), st.integers(-100, 100)))
         matrix = scale * data.draw(arrays(float, (size, size), elements=entries))
         if kind == "near_singular":
             # singular values of order scale and one near scale * tilt, around
@@ -471,21 +507,59 @@ def _rank_stack(data):
     return np.array(stack)
 
 
+def test_det_the_screen_cannot_clear_is_read_from_the_svd():
+    # B = Q diag(1, 1e-8, 1e-8, 1e-8) Q^T passes the rank test (sigma_min 1e-8
+    # against 1e-9 * (1 + 1)), but its det 1e-24 is far below the cofactor
+    # rounding eps * F^4 of about 1e-16, so only the SVD can give it
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+    matrix = q @ np.diag([1.0, 1e-8, 1e-8, 1e-8]) @ q.T
+    block = [[np.array([matrix[i, j]]) for j in range(4)] for i in range(4)]
+    dependent, abs_det = bundle._screened_rank_failure(block, np.zeros((1, 1)))
+    assert dependent is None
+    assert abs(abs_det[0] - 1e-24) <= 1e-6 * 1e-24
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_det_screen_matches_the_full_svd(data):
     jac = _rank_stack(data)
+    size = jac.shape[1]
+    # the screen reads rows of point columns, as build evaluates them; an entry
+    # drawn constant is one scalar shared by every point, as a constant tree gives
+    constant = data.draw(arrays(bool, (size, size)), label="constant")
+    jac[:, constant] = jac[:1, constant]
+    block = [
+        [jac[0, i, j] if constant[i, j] else jac[:, i, j] for j in range(size)]
+        for i in range(size)
+    ]
     points = np.arange(float(len(jac)))[:, None]
-    dependent, det = bundle._screened_rank_failure(jac, points)
+    dependent, abs_det = bundle._screened_rank_failure(block, points)
     expected, sigma = _full_svd_oracle(jac, points)
     if expected is None:
         assert dependent is None
-        # every point passed, so each condition number is below about 1e9; the
-        # LU det and the product of the singular values agree to its rounding
-        cond = float(np.max(sigma[:, 0] / sigma[:, -1]))
-        floor = float(np.min(np.abs(det)))
-        oracle = float(np.min(np.prod(sigma, axis=1)))
-        assert abs(floor - oracle) <= 1e3 * np.finfo(float).eps * cond * oracle
+        # every point passed, so each condition number is below about 1e9.  Each
+        # |det| and the product of its singular values agree to about eps cond
+        # |det|: the rounding of LAPACK's LU det and of the SVD.  A cofactor det
+        # also rounds by up to size^2 eps F^size, allowed only where it cleared
+        # the screen's bound 2e-9 (1 + F) F^(size - 1), which makes that under
+        # about 1e-6 of it; a point the screen sent to the SVD reads prod(sigma).
+        # A product past the float range leaves |det| non-finite too.
+        eps = np.finfo(float).eps
+        cond = sigma[:, 0] / sigma[:, -1]
+        with np.errstate(over="ignore"):
+            oracle = np.prod(sigma, axis=1)
+            fro = np.sqrt(np.einsum("kij,kij->k", jac, jac))
+            tol = 1e3 * eps * cond * oracle
+            if size <= bundle._COFACTOR_MAX_ROWS:
+                bound = 2.0 * bundle._RANK_RTOL * (1.0 + fro) * fro ** (size - 1)
+                cleared = abs_det > bound
+                # size^2 eps F^size, in an order that stays finite where the bound does
+                rounding = np.where(cleared, size**2 * eps * fro * fro ** (size - 1), 0.0)
+                assert np.all(rounding[cleared] < 1e-5 * abs_det[cleared])
+                tol = tol + rounding
+        inside = np.isfinite(oracle)
+        assert np.all(np.abs(abs_det[inside] - oracle[inside]) <= tol[inside])
+        assert not np.any(np.isfinite(abs_det[~inside]))
     else:
         assert dependent is not None and dependent[0] == expected[0]
 

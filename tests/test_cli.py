@@ -106,6 +106,30 @@ def test_derived_start_the_integrator_refuses_is_usage_error(tmp_path, capsys, a
     assert manifest["outputs"] == []
 
 
+@pytest.mark.parametrize(
+    "argv, flags, cause",
+    [
+        (["kepler-demo", "--energy=-1e200"], "--energy -1e+200 with --g 1.0",
+         "energy -1e+200 with g 1.0 puts the orbit frequency"),
+        (["kepler-demo", "--energy=-1e-300"], "--energy -1e-300 with --g 1.0",
+         "energy -1e-300 with g 1.0 puts the orbit frequency"),
+        (["match", "--energies=-1e200"], "--energies -1e200 with --g 1.0",
+         "energy -1e+200 with g 1.0 puts the orbit frequency"),
+        (["kepler-demo", "--g", "1e308"], "--energy -0.5 with --g 1e+308",
+         "energy -0.5 with g 1e+308 puts the orbit period"),
+    ],
+)
+def test_energy_past_the_float_range_is_usage_error(tmp_path, capsys, argv, flags, cause):
+    code, out = run_to(tmp_path, "run", argv)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {flags}: {cause} outside the float range\n"
+    )
+    manifest = read_json(out / "run_manifest.json")
+    assert manifest["exit_code"] == 2
+    assert manifest["outputs"] == []
+
+
 def test_integrate_without_out_is_usage_error(capsys):
     code = main(
         ["integrate", "--scenario", "oscillator-1", "--state", "1,0",

@@ -481,6 +481,35 @@ class TestShells:
         assert kp.half_mean_motion(-0.5) == pytest.approx(0.5)
         assert kp.mean_motion(-1.0) == pytest.approx(2 * math.sqrt(2.0))
 
+    @pytest.mark.parametrize(
+        "energy, g",
+        [
+            (-1e200, 1.0),  # |E|^3 overflows
+            (-1e-300, 1.0),  # |E|^3, and so the frequency, underflows to 0
+            (-0.5, 1e-310),  # the division by g overflows
+        ],
+    )
+    def test_mean_motion_outside_the_float_range_is_refused(self, energy, g):
+        with pytest.raises(OverflowError) as info:
+            kp.mean_motion(energy, kp.KeplerParams(g=g))
+        assert str(info.value) == (
+            f"energy {energy!r} with g {g!r} puts the orbit frequency outside the float range"
+        )
+
+    def test_orbit_period_is_two_pi_over_mean_motion(self):
+        assert kp.orbit_period(-0.5) == pytest.approx(2 * math.pi)
+        assert kp.orbit_period(-1.0) == 2 * math.pi / kp.mean_motion(-1.0)
+
+    def test_orbit_period_outside_the_float_range_is_refused(self):
+        # the frequency 1e-308 is still positive, but 2 pi over it overflows
+        with pytest.raises(OverflowError) as info:
+            kp.orbit_period(-0.5, kp.KeplerParams(g=1e308))
+        assert str(info.value) == (
+            "energy -0.5 with g 1e+308 puts the orbit period outside the float range"
+        )
+        with pytest.raises(OverflowError, match="orbit frequency outside"):
+            kp.orbit_period(-1e200)
+
     def test_direct_period_matches_mean_motion(self):
         for e in (-0.5, -1.0):
             est = estimate_period(

@@ -10,7 +10,7 @@ so two trees can be compared in one file.  Each case is measured in a
 process of its own, so that no case runs on the allocator state another
 case left behind.  Each tree gets ``_PROCESSES`` measuring processes per
 case, started alternately in ABBA order (A B, B A, A B, ...), so that load
-drift on a shared machine lands on both trees alike.  Sixteen cases are run:
+drift on a shared machine lands on both trees alike.  Nineteen cases are run:
 
 * ``chart_period``: ``integrate`` on the Kepler chart field over one period
   2*pi from the E = -0.5 shell representative, rtol 1e-10, atol 1e-12;
@@ -35,6 +35,10 @@ drift on a shared machine lands on both trees alike.  Sixteen cases are run:
 * ``cli_verify_oscillator_2``: ``sodelab verify --scenario oscillator-2``,
   the 4-dim chart verify that makes up most of the chart-certify
   benchmark workload, also without ``integrate`` calls;
+* ``cli_verify_fosc_power_2``: ``sodelab verify --scenario fosc-power-2``,
+  whose chart ranks a 2 x 2 fibre block at every sample point, as most
+  sampled library charts do (kepler-chart ranks a 4 x 4 block, and
+  oscillator-2's constant Jacobian is ranked at one point);
 * ``lookup_construction``, ``lookup_rescaling`` and ``lookup_kepler_chart``:
   the scenario lookup of ``sodelab integrate`` (construction names first,
   then rescaling ones) for ``oscillator-2``, ``uniform-speedup`` and
@@ -55,7 +59,15 @@ drift on a shared machine lands on both trees alike.  Sixteen cases are run:
   collision ball taken out) that chart building and verification repeat;
 * ``build_library``: ``bundle.build`` of every buildable scenario, in
   process (``scenarios.structure_library``), with each scenario's default
-  sample.
+  sample;
+* ``build_coupled_fibres_7`` and ``build_coupled_fibres_8``:
+  ``bundle.build`` on R^14 and R^16 of the field x_k' = x_(k+r) + 0.001 s^2
+  for k <= r, s = x_(r+1) + ... + x_(2r) (r = 7 or 8), the other components
+  0, over the plain coordinate base x_1..x_r in the cube [-1, 1]^(2r) with
+  its default sample.  The fibre block I + 0.002 s J (J all ones) has no
+  constant entry, so its 7 x 7 or 8 x 8 determinant is dense work at every
+  point, on either side of the largest block whose determinant the rank
+  screen takes by cofactors.
 
 Each case builds its own expression trees and keeps none of them past its
 end, so no case finds another's trees alive.  Nodes are interned and keep
@@ -230,12 +242,12 @@ def _cases():
     """Each case's setup by name: a call builds the case's expression trees
     and returns the case's run, which holds them for as long as it lives."""
     import numpy as np
-    from sodelab import conformal, kepler
+    from sodelab import bundle, conformal, kepler
     from sodelab import scenarios as sc
     from sodelab.cli import _scenario, main
     from sodelab.dynamics import estimate_period, integrate
-    from sodelab.expr import parse, qv_context
-    from sodelab.fields import VectorField
+    from sodelab.expr import VariableContext, parse, qv_context
+    from sodelab.fields import Box, VectorField
 
     def chart_start():
         """The Kepler chart field, built afresh, and the E = -0.5 shell start."""
@@ -306,6 +318,15 @@ def _cases():
     def build_library():
         return {"structures": len(sc.structure_library())}
 
+    def build_coupled_fibres(rows):
+        ctx = VariableContext.of(*(f"x{k}" for k in range(1, 2 * rows + 1)))
+        fibre = ctx.names[rows:]
+        total = " + ".join(fibre)
+        field = VectorField(ctx, tuple(
+            parse(f"{x} + 0.001 * ({total})^2", ctx) for x in fibre
+        ) + (0.0,) * rows)
+        bundle.build(field, ctx.names[:rows], Box.cube(ctx, 1.0))
+
     def lookup(name):
         _scenario(name, "construction", "rescaling")
 
@@ -333,6 +354,7 @@ def _cases():
         ),
         "cli_verify_kepler_chart": plain(cli, "verify", "--scenario", "kepler-chart"),
         "cli_verify_oscillator_2": plain(cli, "verify", "--scenario", "oscillator-2"),
+        "cli_verify_fosc_power_2": plain(cli, "verify", "--scenario", "fosc-power-2"),
         "lookup_construction": plain(lookup, "oscillator-2"),
         "lookup_rescaling": plain(lookup, "uniform-speedup"),
         "lookup_kepler_chart": plain(lookup, "kepler-chart"),
@@ -340,6 +362,8 @@ def _cases():
         "bracket_kepler_clock": bracket,
         "sample_kepler_box": plain(sample_kepler_box),
         "build_library": plain(build_library),
+        "build_coupled_fibres_7": plain(build_coupled_fibres, 7),
+        "build_coupled_fibres_8": plain(build_coupled_fibres, 8),
     }
 
 
