@@ -21,7 +21,7 @@ CPU or its BLAS build.  Each stage calls a stage function ``(t, y1, ..., yn)
 own generated function, which shares common subexpressions, and for any
 other ``f(t, y)`` a small adapter that hands ``f`` the state as an array.
 An :class:`~sodelab.errors.EvaluationDomainError` raised by the field, once
-the scalar fallback to ``evaluate`` has run, makes the whole stage NaN, so
+its checked scalar fallback has run, makes the whole stage NaN, so
 that attempt's error is infinite and the step is rejected.
 
 It only runs forward in time; backward flows are handled upstream by negating

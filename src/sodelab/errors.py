@@ -40,7 +40,7 @@ class EvaluationDomainError(SodelabError):
 
 
 class ExpressionDepthError(SodelabError):
-    """A tree is nested too deeply to evaluate or compile."""
+    """A tree is nested too deeply to evaluate, compile, differentiate, substitute or print."""
 
 
 # --- sampling / domains --------------------------------------------------

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import keyword
 import math
+import operator
 import re
 import struct
 import weakref
@@ -310,12 +311,7 @@ def pow_(base: Expression, exponent: Expression) -> Expression:
     if _is_const(exponent, 0.0):
         return ONE
     if isinstance(base, Const) and isinstance(exponent, Const):
-        try:
-            folded = math.pow(base.value, exponent.value)
-        except (ValueError, OverflowError):
-            return Pow(base, exponent)
-        if math.isfinite(folded):
-            return Const(folded)
+        return _folded(Pow(base, exponent))
     return Pow(base, exponent)
 
 
@@ -323,15 +319,18 @@ def call(fn: str, arg: Expression) -> Expression:
     if fn not in _FUNCTIONS:
         raise ValueError(f"unknown function '{fn}'")
     if isinstance(arg, Const):
-        try:
-            folded = _FUNCTIONS[fn](arg.value)
-        except (ValueError, OverflowError):
-            # left unfolded: evaluation raises the domain error (ValueError)
-            # or saturates to inf (OverflowError, as from exp)
-            return Call(fn, arg)
-        if math.isfinite(folded):
-            return Const(folded)
+        return _folded(Call(fn, arg))
     return Call(fn, arg)
+
+
+def _folded(e: Expression) -> Expression:
+    """A node of constant operands as the constant :func:`evaluate` gives it,
+    or the node itself where that is a domain error or not finite."""
+    try:
+        value = evaluate(e, {})
+    except EvaluationDomainError:
+        return e
+    return Const(value) if math.isfinite(value) else e
 
 
 # --- variable contexts ----------------------------------------------------
@@ -507,66 +506,19 @@ def parse(source: str, ctx: VariableContext) -> Expression:
 
 
 def evaluate(e: Expression, env: Mapping[str, float]) -> float:
-    """Evaluate ``e`` with coordinate values from ``env``.
+    """Evaluate ``e`` with coordinate values from ``env``, bound as Python floats.
 
-    Pure: neither the expression nor the environment is mutated.  Domain
-    violations (division by zero, log/sqrt outside their domain, negative base
-    under a fractional power) raise :class:`EvaluationDomainError`; exponent
-    overflow saturates to ``inf`` so blow-up detection can see it.  A
-    saturated ``inf`` is not a domain point of ``sin`` or ``cos``: passed on
-    to either, it raises :class:`EvaluationDomainError`.  A tree nested
-    deeper than Python's recursion limit raises :class:`ExpressionDepthError`.
+    Pure: neither the expression nor the environment is mutated.  It runs
+    the tree's tape under ``_CHECKED``, as the generated code's fallback
+    does: division by zero, and log, sqrt or a fractional power outside its
+    domain, raise :class:`EvaluationDomainError`; overflow saturates to
+    ``inf`` so blow-up detection can see it, and an ``inf`` passed on to
+    ``sin`` or ``cos`` is a domain error too.  Too deep a tree raises
+    :class:`ExpressionDepthError`; an unbound coordinate,
+    :class:`UnboundVariableError`.
     """
-    try:
-        return _evaluate(e, env)
-    except RecursionError:
-        raise ExpressionDepthError("expression is nested too deeply to evaluate") from None
-
-
-def _evaluate(e: Expression, env: Mapping[str, float]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise UnboundVariableError(f"no value bound for '{e.name}'") from None
-    if isinstance(e, Neg):
-        return -_evaluate(e.arg, env)
-    if isinstance(e, Add):
-        return _evaluate(e.left, env) + _evaluate(e.right, env)
-    if isinstance(e, Sub):
-        return _evaluate(e.left, env) - _evaluate(e.right, env)
-    if isinstance(e, Mul):
-        return _evaluate(e.left, env) * _evaluate(e.right, env)
-    if isinstance(e, Div):
-        denom = _evaluate(e.right, env)
-        try:
-            return _evaluate(e.left, env) / denom
-        except ZeroDivisionError:
-            raise EvaluationDomainError("division by zero") from None
-    if isinstance(e, Pow):
-        base_value = _evaluate(e.base, env)
-        if _is_square(e):
-            return base_value * base_value
-        exp_value = _evaluate(e.exponent, env)
-        try:
-            return math.pow(base_value, exp_value)
-        except ValueError:
-            raise EvaluationDomainError(
-                f"pow domain error: base={base_value!r}, exponent={exp_value!r}"
-            ) from None
-        except OverflowError:
-            return math.inf
-    if isinstance(e, Call):
-        arg_value = _evaluate(e.arg, env)
-        try:
-            return _FUNCTIONS[e.fn](arg_value)
-        except ValueError:
-            raise EvaluationDomainError(f"{e.fn} domain error at {arg_value!r}") from None
-        except OverflowError:
-            return math.inf
-    raise TypeError(f"not an expression node: {e!r}")
+    run = _walker(*_tape((e,), env, "evaluate"), _CHECKED, float)
+    return run(lambda name: float(env[name]))[0]
 
 
 # --- differentiation --------------------------------------------------------
@@ -760,30 +712,54 @@ def _to_source(e: Expression) -> str:
 
 # --- compilation ------------------------------------------------------------
 
-# each operation of a tape as scalar text, and as the batch backend's ufunc
+
+def _checked(kind: str, fn: Callable[..., float]) -> Callable[..., float]:
+    """``fn`` on Python floats, where a division by zero or a math domain
+    error raises :class:`EvaluationDomainError` and an overflow gives inf."""
+
+    def op(*args: float) -> float:
+        try:
+            return fn(*args)
+        except (ValueError, ZeroDivisionError):
+            at = ", ".join(map(repr, args))
+            raise EvaluationDomainError(f"{kind} domain error at {at}") from None
+        except OverflowError:
+            return math.inf
+
+    return op
+
+
+# each operation of a tape: as the generated scalar code's text, as the batch
+# backend's ufunc, and as the float operator or ``math`` function the text
+# calls; ``_CHECKED`` wraps each of the last in the scalar rules, stated only there
 _TEXTS = {"+": "({} + {})", "-": "({} - {})", "*": "({} * {})", "/": "({} / {})"}
 _TEXTS.update({"neg": "(-{})", "pow": "_pow({}, {})"}, **{f: f"_{f}({{}})" for f in _FUNCTIONS})
 _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 _UFUNCS.update(neg=np.negative, pow=np.power, **{f: getattr(np, f) for f in _FUNCTIONS})
-_SCALAR_NAMESPACE = {"_pow": math.pow, **{f"_{f}": fn for f, fn in _FUNCTIONS.items()}}
+_FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_FLOAT_OPS.update(neg=operator.neg, pow=math.pow, **_FUNCTIONS)
+_SCALAR_NAMESPACE = {f"_{kind}": fn for kind, fn in _FLOAT_OPS.items() if kind.isalpha()}
+_CHECKED = {kind: _checked(kind, fn) for kind, fn in _FLOAT_OPS.items()}
 
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-# what the generated scalar code may raise where ``evaluate`` raises a domain
-# error, saturates an overflow, or passes an overflow on
+# what the generated scalar code may raise where ``_CHECKED`` raises a domain
+# error or saturates an overflow
 _SCALAR_RAISES = (ValueError, ZeroDivisionError, OverflowError)
 _MAX_NESTING = 100  # inline text with more "(" is bound: Python's parser stops at 200
 
 
-def _tape(exprs: tuple[Expression, ...], ctx: VariableContext) -> tuple[list, list]:
+def _tape(
+    exprs: tuple[Expression, ...], names: Iterable[str], verb: str = "compile"
+) -> tuple[list, list]:
     """The trees' nodes, each numbered once after its operands, and the roots' numbers.
 
     An entry is ``("var", name)``, ``("const", value)`` or an operation: its
-    kind (a key of ``_TEXTS`` and ``_UFUNCS``), then its operands' numbers;
-    ``b^2`` is ``("*", b, b)``.  Nodes are interned, so a subexpression used
-    more than once, across the trees or within them, is one entry, and a
-    shared subtree is walked once.  Too deep a tree raises
-    :class:`ExpressionDepthError`; a coordinate outside ``ctx``,
-    :class:`UnboundVariableError`.
+    kind (a key of ``_TEXTS``, ``_UFUNCS`` and ``_CHECKED``), then its
+    operands' numbers; ``b^2`` is ``("*", b, b)``.  Nodes are interned, so a
+    subexpression used more than once, across the trees or within them, is
+    one entry, and a shared subtree is walked once.  Too deep a tree raises
+    :class:`ExpressionDepthError`, saying it is too deep to ``verb``; a
+    coordinate outside ``names``, :class:`UnboundVariableError`.
     """
     tape: list[tuple] = []
     numbered: dict[Expression, int] = {}
@@ -813,13 +789,50 @@ def _tape(exprs: tuple[Expression, ...], ctx: VariableContext) -> tuple[list, li
     try:
         roots = [number(e) for e in exprs]
     except RecursionError:
-        raise ExpressionDepthError("expression is nested too deeply to compile") from None
+        raise ExpressionDepthError(f"expression is nested too deeply to {verb}") from None
     finally:
         numbered.clear()  # ``number`` calls itself, a cycle: it must not keep nodes alive
-    if unknown := {arg for kind, arg, *_ in tape if kind == "var"} - set(ctx.names):
-        message = f"expression uses {sorted(unknown)} outside context {ctx.names}"
+    if unknown := {arg for kind, arg, *_ in tape if kind == "var"} - set(names):
+        message = f"expression uses {sorted(unknown)} outside context {tuple(names)}"
         raise UnboundVariableError(message)
     return tape, roots
+
+
+def _walker(
+    tape: list[tuple], roots: list[int], ops: Mapping[str, Callable], number: type
+) -> Callable:
+    """``run(coordinate)``, the roots' values as a tuple, from the tape run under ``ops``.
+
+    The run binds each coordinate entry to ``coordinate(name)`` and each
+    constant to ``number(value)``, applies ``ops[kind]`` to each operation's
+    operands in tape order, and drops each value after its last use: the
+    batch backend under ``_UFUNCS`` on numpy columns, the checked scalar run
+    under ``_CHECKED`` on Python floats.  It holds no tree node.
+    """
+    last = {arg: i for i, (kind, *args) in enumerate(tape) if kind in ops for arg in args}
+    last.update(dict.fromkeys(roots))  # a root is never dropped
+    initial: list = [None] * len(tape)  # a run's values before its first operation
+    coordinates, steps = [], []  # (entry, name); (op, operands, entry, drops)
+    for index, (kind, *args) in enumerate(tape):
+        if kind == "var":
+            coordinates.append((index, args[0]))
+        elif kind == "const":
+            initial[index] = number(args[0])
+        else:
+            drops = tuple({arg for arg in args if last[arg] == index})
+            steps.append((ops[kind], tuple(args), index, drops))
+
+    def run(coordinate: Callable[[str], object]) -> tuple:
+        values = initial.copy()
+        for index, name in coordinates:
+            values[index] = coordinate(name)
+        for op, args, index, drops in steps:
+            values[index] = op(*[values[arg] for arg in args])
+            for arg in drops:
+                values[arg] = None
+        return tuple(values[root] for root in roots)
+
+    return run
 
 
 def _python_source(tape: list[tuple], roots: list[int]) -> tuple[list, list, dict]:
@@ -855,13 +868,14 @@ def _emit(e: Expression | Sequence[Expression], ctx: VariableContext) -> Callabl
 
     The function takes a time argument it ignores, then the coordinates as
     separate floats, and runs the statements of :func:`_python_source`;
-    where they raise ValueError, ZeroDivisionError or OverflowError, the
-    point is evaluated again by :func:`evaluate`, so the two agree by
-    construction.
+    where they raise ValueError, ZeroDivisionError or OverflowError, it
+    runs the same tape under ``_CHECKED`` at that point instead (built at
+    the first such point), so it agrees with :func:`evaluate` by
+    construction.  It holds no tree node.
     """
     single = isinstance(e, Expression)
-    exprs = (e,) if single else tuple(e)
-    lines, results, constants = _python_source(*_tape(exprs, ctx))
+    tape, roots = _tape((e,) if single else tuple(e), ctx.names)
+    lines, results, constants = _python_source(tape, roots)
     body = results[0] if single else "(" + "".join(f"{r}, " for r in results) + ")"
     namespace = {**_SCALAR_NAMESPACE, "__builtins__": {}}
     namespace.update((name, float(text)) for text, name in constants.items())
@@ -871,15 +885,17 @@ def _emit(e: Expression | Sequence[Expression], ctx: VariableContext) -> Callabl
         f"def _compiled(_t, {coords}):\n    try:\n{statements}"
         f"    except _raises:\n        return _fallback({coords})\n"
     )
+    run = None  # the checked run, built at the first point that falls back
 
     def fallback(*point):
-        env = dict(zip(ctx.names, point))
-        values = tuple(evaluate(x, env) for x in exprs)
+        nonlocal run
+        run = run or _walker(tape, roots, _CHECKED, float)
+        values = run(dict(zip(ctx.names, map(float, point))).__getitem__)
         return values[0] if single else values
 
     namespace.update(_fallback=fallback, _raises=_SCALAR_RAISES)
     exec(compile(source, "<sodelab-expr>", "exec"), namespace)
-    # taken out of its own globals, so that no cycle keeps the trees alive
+    # taken out of its own globals, so that the two make no reference cycle
     return namespace.pop("_compiled")
 
 
@@ -887,40 +903,22 @@ def _batch(e: Expression | Sequence[Expression], ctx: VariableContext) -> Callab
     """Build the batch function of a tree, or one returning a tuple for a sequence.
 
     The function takes an (m, dim) array, one row per point, binds the
-    coordinates as the columns of its float64 transpose, and runs the tape:
-    one numpy ufunc per operation, every floating-point error ignored, each
-    value dropped after its last use.  It holds floats, ufuncs and entry
-    numbers, no tree node.
+    coordinates as the columns of its float64 transpose, and runs the tape
+    under ``_UFUNCS``: one numpy ufunc per operation, every floating-point
+    error ignored, each value dropped after its last use.  It holds no tree
+    node.
     """
     single = isinstance(e, Expression)
-    tape, roots = _tape((e,) if single else tuple(e), ctx)
-    last = {arg: i for i, (kind, *args) in enumerate(tape) if kind in _UFUNCS for arg in args}
-    last.update(dict.fromkeys(roots))  # a root is never dropped
-    initial: list = [None] * len(tape)  # a call's values before its first operation
-    columns, steps = [], []  # (entry, coordinate index); (ufunc, operands, entry, drops)
-    for index, (kind, *args) in enumerate(tape):
-        if kind == "var":
-            columns.append((index, ctx.index(args[0])))
-        elif kind == "const":
-            initial[index] = np.float64(repr(args[0]))  # so constant 1/0 gives inf
-        else:
-            drops = tuple({arg for arg in args if last[arg] == index})
-            steps.append((_UFUNCS[kind], tuple(args), index, drops))
+    # numpy constants, so that a constant 1/0 gives inf
+    run = _walker(*_tape((e,) if single else tuple(e), ctx.names), _UFUNCS, np.float64)
     dim = ctx.dim
 
     def batch(points):
         coords = np.asarray(points, dtype=np.float64).T
         if len(coords) != dim:
             raise ValueError(f"points have {len(coords)} coordinates, context has {dim}")
-        values = initial.copy()
-        for index, k in columns:
-            values[index] = coords[k]
         with np.errstate(all="ignore"):
-            for ufunc, args, index, drops in steps:
-                values[index] = ufunc(*[values[arg] for arg in args])
-                for arg in drops:
-                    values[arg] = None
-        results = tuple(values[root] for root in roots)
+            results = run(lambda name: coords[ctx.index(name)])
         return results[0] if single else results
 
     return batch
@@ -933,13 +931,12 @@ def compile_scalar(
 
     One tree gives a float; a sequence of trees gives a tuple of floats from
     one call.  Coordinates are bound as Python floats.  Where the generated
-    code raises (a domain error, or an overflow that ``evaluate`` may
-    saturate or pass on), the point is evaluated again by ``evaluate``
-    itself, so the two agree by construction.  With ``stage``, the generated
-    function itself is returned: ``f(t, x1, ..., xn)`` on plain floats,
-    ignoring ``t``, as the integrator calls a field once per stage.  A tree
-    nested deeper than Python's recursion limit raises
-    :class:`ExpressionDepthError`.
+    code raises (a domain error, or an overflow that saturates to inf), the
+    point is run again through the trees' tape under the checked scalar
+    rules that :func:`evaluate` runs, so the two agree by construction.
+    With ``stage``, the generated function itself is returned: ``f(t, x1,
+    ..., xn)`` on plain floats, ignoring ``t``, as the integrator calls a
+    field once per stage.  Too deep a tree raises :class:`ExpressionDepthError`.
     """
     raw = _emit(e, ctx)
     if stage:

@@ -206,9 +206,10 @@ class VectorField(_Shaped):
     def stage_fn(self) -> Callable[..., tuple[float, ...]]:
         """The field function ``(t, x1, ..., xn) -> components`` on plain floats.
 
-        The integration kernel calls it once per stage.  It has the values
-        and the domain errors of :func:`~sodelab.expr.evaluate`, and computes
-        each shared subexpression once.
+        The integration kernel calls it once per stage.  It computes each
+        shared subexpression once, falls back to the checked run of
+        :func:`~sodelab.expr.evaluate` where its code raises, so it has
+        evaluate's values and domain errors, and holds no tree node.
         """
         return compile_scalar(self.components, self.ctx, stage=True)
 
@@ -225,8 +226,8 @@ class FieldRhs:
 
     :func:`~sodelab.dynamics.integrate` recognises this type and calls the
     field's :attr:`VectorField.stage_fn` on plain floats directly.  It holds
-    that function, not the field, so the field's cached ``ode_rhs`` is no
-    reference cycle that would keep the field's trees alive.
+    that function, not the field and none of its trees, so the field's
+    cached ``ode_rhs`` is no reference cycle and keeps no tree alive.
     """
 
     __slots__ = ("stage_fn",)

@@ -3,6 +3,7 @@
 import builtins
 import gc
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -161,6 +162,14 @@ class TestEvaluation:
     def test_integer_power_of_negative_base(self):
         assert evaluate(parse("x^3", CTX), {"x": -2.0}) == -8.0
 
+    def test_values_are_bound_as_python_floats(self):
+        # a numpy zero would divide to inf with a warning, not a domain error
+        with pytest.raises(EvaluationDomainError):
+            evaluate(parse("1/x", CTX), {"x": np.float64(0.0)})
+        value = evaluate(parse("x", CTX), {"x": 3})
+        assert type(value) is float and value == 3.0
+        assert type(evaluate(parse("x*y", CTX), {"x": np.float64(2.0), "y": 3})) is float
+
 
 class TestDifferentiation:
     def test_product_with_exp(self):
@@ -276,6 +285,18 @@ class TestStructuralOps:
         with pytest.raises(EvaluationDomainError):
             evaluate(z, {"x": 0.0})
 
+    def test_constant_powers_and_calls_fold_as_evaluate_computes_them(self):
+        # a square folds as b*b, as every backend squares, not through math.pow
+        b = 359.739456325485
+        assert parse(f"{b!r}^2", CTX) is Const(b * b) is Const(129412.47643735551)
+        assert b * b != math.pow(b, 2.0)
+        assert parse(f"{b!r}^2", CTX) is Const(evaluate(parse("x^2", CTX), {"x": b}))
+        assert parse("2^0.5", CTX) is Const(math.sqrt(2.0))
+        assert parse("sin(0.5)", CTX) is Const(math.sin(0.5))
+        # a domain error or a non-finite value stays a node, for evaluation to meet
+        for source in ("log(-1)", "sqrt(-4)", "(-1)^0.5", "0^(-1)", "exp(1000)", "10^400"):
+            assert not isinstance(parse(source, CTX), Const)
+
 
 class TestInterning:
     def test_equal_trees_built_apart_are_one_node(self):
@@ -331,13 +352,14 @@ class TestInterning:
         gc.collect()
         assert len(expr._NODES) == before
 
-    def test_a_compiled_function_holds_its_trees_only_while_it_lives(self):
+    def test_a_compiled_function_holds_no_tree(self):
         gc.collect()
         before = len(expr._NODES)
         f = compile_scalar([parse("sqrt(x*y) + q1", CTX), parse("1/v1", CTX)], CTX)
+        assert len(expr._NODES) == before  # only floats, functions and entry numbers
         assert f((1.0, 2.0, 4.0, 9.0)) == (7.0, 0.5)
-        assert len(expr._NODES) > before  # the fallback path keeps the trees
-        del f
+        with pytest.raises(EvaluationDomainError):
+            f((1.0, 0.0, 4.0, 9.0))  # the fallback runs the tape, not the trees
         assert len(expr._NODES) == before
 
     def test_a_batch_function_holds_no_tree(self):
@@ -585,6 +607,38 @@ _AT_X_1000 = (0.0, 0.0, 1000.0, -1000.0)
 _X = Var("x")
 
 
+_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
+         "sqrt": math.sqrt, "abs": math.fabs}
+_OPERATORS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def _walk(e, env):
+    """``e`` at ``env`` by a recursive walk on Python floats: the scalar rules
+    written apart from the tape that ``evaluate`` and the fallback run, as
+    an oracle for both.  A square is a product, a division by zero or a math
+    domain error raises ``EvaluationDomainError``, and an overflow is inf."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Neg):
+        return -_walk(e.arg, env)
+    if isinstance(e, Call):
+        fn, args = _MATH[e.fn], (_walk(e.arg, env),)
+    elif isinstance(e, Pow) and e.exponent == Const(2.0):
+        fn, args = operator.mul, (_walk(e.base, env),) * 2
+    elif isinstance(e, Pow):
+        fn, args = math.pow, (_walk(e.base, env), _walk(e.exponent, env))
+    else:
+        fn, args = _OPERATORS[type(e)], (_walk(e.left, env), _walk(e.right, env))
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError):
+        raise EvaluationDomainError(f"{e!r} at {args}") from None
+    except OverflowError:
+        return math.inf
+
+
 def _outcome(fn):
     try:
         return fn()
@@ -613,13 +667,15 @@ def _assert_same_float(got, want):
 @example(tree=_X, point=_AT_X_1000, as_array=True)
 @example(tree=Div(Const(1.0), _X), point=(1.0, 1.0, 0.0, 1.0), as_array=True)
 def test_compiled_scalar_matches_evaluate_exactly(tree, point, as_array):
-    want = _outcome(lambda: evaluate(tree, _env(point)))
+    want = _outcome(lambda: _walk(tree, _env(point)))
+    evaluated = _outcome(lambda: evaluate(tree, _env(point)))
     arg = np.array(point, dtype=float) if as_array else point
     single = _outcome(lambda: compile_scalar(tree, CTX)(arg))
     pair = _outcome(lambda: compile_scalar([tree, _X], CTX)(arg))
     if want is EvaluationDomainError:
-        assert single is EvaluationDomainError and pair is EvaluationDomainError
+        assert evaluated is single is pair is EvaluationDomainError
         return
+    _assert_same_float(evaluated, want)
     _assert_same_float(single, want)
     assert type(pair) is tuple and len(pair) == 2
     _assert_same_float(pair[0], want)
@@ -689,9 +745,10 @@ def test_squares_agree_bitwise_across_backends():
     batch = np.stack(vectorized_scalar(trees, CTX)(points), axis=1)
     scalar = compile_scalar(trees, CTX)
     one_by_one = np.array([scalar(p) for p in points])
-    walked = np.array([[evaluate(t, _env(p)) for t in trees] for p in points])
-    bits = [a.view(np.uint64) for a in (batch, one_by_one, walked)]
-    assert np.array_equal(bits[0], bits[1]) and np.array_equal(bits[0], bits[2])
+    evaluated = np.array([[evaluate(t, _env(p)) for t in trees] for p in points])
+    walked = np.array([[_walk(t, _env(p)) for t in trees] for p in points])
+    bits = [a.view(np.uint64) for a in (walked, batch, one_by_one, evaluated)]
+    assert all(np.array_equal(bits[0], other) for other in bits[1:])
     assert one_by_one[0, 0] == 129412.47643735551 == 359.739456325485 * 359.739456325485
     assert one_by_one[0, 0] != math.pow(359.739456325485, 2.0)
 

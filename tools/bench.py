@@ -95,9 +95,11 @@ timed runs of all the tree's processes for the case, ``_REPEAT`` per
 process after one untimed run that also warms the compiled fields, and
 beside them the same of the CPU time (``time.process_time``) of each timed
 run, which time the process spends waiting for a shared CPU does not
-inflate.  Wall and CPU times depend on the machine and its load; the
-counters do not, and the script fails if they differ between two processes
-of one tree.  Each case
+inflate.  The measuring processes run with BLAS and OpenMP held to one
+thread (where the environment does not set their thread counts), so that
+no idle thread pool's spinning counts as a case's CPU time.  Wall and CPU
+times depend on the machine and its load; the counters do not, and the
+script fails if they differ between two processes of one tree.  Each case
 with RHS evaluations also gets ``us_per_fev``, its median wall time per RHS
 evaluation, and ``rhs_chart_field`` gets ``us_per_call``.
 """
@@ -118,6 +120,12 @@ import tempfile
 import time
 from collections import Counter
 from pathlib import Path
+
+# each case is one single-threaded client: keep BLAS and OpenMP to one thread
+# too, before numpy loads, so that every measuring process inherits it and
+# no idle thread pool adds its spinning to a case's CPU time
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 HERE = Path(__file__).resolve()
 _REPEAT = 5  # timed runs per case and process
