@@ -402,7 +402,7 @@ def _cmd_integrate(run: _Run, opts: dict) -> int:
         states = traj.sample_many(times)
     else:
         times, states = traj.times, traj.states
-    write_csv(run.path("trajectory.csv"), ["t", *ctx.names], np.column_stack([times, states]))
+    write_csv(run.path("trajectory.csv"), ["t", *ctx.names], [times, *states.T])
     summary = {
         "scenario": opts["scenario"],
         "status": traj.status,
@@ -457,7 +457,7 @@ def _cmd_kepler_demo(run: _Run, opts: dict) -> int:
 
     header = ["t", *tpi.dst.names]
     for fname, table in (("projected.csv", projected), ("direct.csv", reference)):
-        write_csv(run.path(fname), header, np.column_stack([times, table]))
+        write_csv(run.path(fname), header, [times, *table.T])
 
     with _refused(options):
         est = estimate_period(

@@ -548,21 +548,194 @@ class Trajectory:
         return out
 
 
-def write_csv(path, header: Sequence[str], rows) -> None:
-    """Write ``header``, then one line per row (an array or a sequence of rows).
+# CSV numbers.  A cell is written as C's "%.17g" writes it, and a vectorised
+# kernel renders each block of about _CSV_BLOCK cells.  It scales |v| by one
+# exact power of ten, 10^(16 - x) for the decimal exponent x, into a
+# longdouble s, whose integer nearest is the 17-digit significand d.  One
+# rounding moves s by at most eps/2 of itself, so a fraction of s further than
+# eps * d from 1/2 settles d (10^p is exact in a longdouble for p <= 27, so
+# 1e-11 <= |v| < 1e17 is laid out); a cell nearer a tie, outside that range or
+# not finite is left blank and written by "%.17g" % v alone.  Where the
+# longdouble is only a double, eps sends every nonzero cell there.  The digits
+# are laid out in a 48-byte cell:
+#   slot 0       the separator, "," or "\n" (set by the caller)
+#   slots 1-3    "-" for a negative v, then "0." ahead of a fixed-notation
+#                number below 1
+#   slots 4-23   0 0 0 d0 d1 .. d16: the integer digits, or for a number below
+#                1 its leading zeros and all its digits
+#   slot 27      "."
+#   slots 28-43  d1 .. d16: the fraction digits
+#   slots 44-47  "e-XX", or "e+17" after a carry
+# and a per-layout mask keeps the slots that %g shows: fixed notation for
+# -4 <= x < 17, else the exponent form; trailing zeros and a bare point
+# dropped.  The zero bytes left are squeezed out.  The kernel keeps to the
+# numpy loops the rest of the program runs (int64 and double arithmetic,
+# comparisons, take) besides the longdouble ones: each loop run for the first
+# time pages in code of its own.
+_CSV_BLOCK = 4096
+_LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
+_CSV_POW10 = np.cumprod(np.r_[np.longdouble(1), np.full(27, np.longdouble(10))])  # exact
+# 10^x as doubles for x = -11 .. 17, to place |v| between two of them
+_CSV_P10 = np.r_[1.0 / _CSV_POW10[11:0:-1].astype(np.float64), _CSV_POW10[:18].astype(np.float64)]
+# the exponent words "e-11" .. "e-05" and "e+17"; -4 <= x <= 16 is written without
+_CSV_EXP = np.frombuffer(b"e-11e-10e-09e-08e-07e-06e-05" + b"\xff" * 84 + b"e+17", np.uint32)
 
-    Each column holds one type, read off the first row: numbers carry 17
-    significant digits, so floats read back exactly; string cells such as
-    labels are written as they are.
+
+def _csv_groups() -> tuple[np.ndarray, np.ndarray]:
+    """Per 4-digit group 0000 .. 9999: its characters as one uint32, and per
+    place g = 0 .. 3 (d1-d4, d5-d8, d9-d12, d13-d16) the significant digits
+    of d through its last nonzero digit (1, d0 alone, for a zero group)."""
+    chars = np.frombuffer(b"0123456789", np.uint8)
+    quad = np.empty((10, 10, 10, 10, 4), np.uint8)
+    quad[..., 0] = chars[:, None, None, None]
+    quad[..., 1] = chars[:, None, None]
+    quad[..., 2] = chars[:, None]
+    quad[..., 3] = chars
+    place = 1 + 4 * np.arange(4).reshape(4, 1, 1, 1, 1)
+    sig = np.ones((4, 10, 10, 10, 10), np.uint8)  # later digits overwrite earlier ones
+    sig[:, 1:] = place + 1
+    sig[:, :, 1:] = place + 2
+    sig[:, :, :, 1:] = place + 3
+    sig[:, :, :, :, 1:] = place + 4
+    return quad.view(np.uint32).ravel(), sig.reshape(4, -1)
+
+
+_CSV_QUAD, _CSV_SIG = _csv_groups()
+
+
+def _csv_layouts() -> np.ndarray:
+    """Masks of the 48-byte cell, per (sign, class, significant digits k):
+    class x + 4 for fixed notation (-4 <= x <= 16), 21 for the exponent form.
+
+    A mask byte is the character its slot always shows, 0xFF where the cell
+    shows its own byte (a digit or the exponent), or 0 where the slot is left
+    out; the cell is the bytewise minimum of the two.
     """
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        if rows:
-            cells = ("%s" if isinstance(c, str) else "%.17g" for c in rows[0])
-            fmt = ",".join(cells) + "\n"
-            fh.write("".join(fmt % tuple(row) for row in rows))
+    sign = np.arange(2)[:, None, None, None]
+    x = np.arange(-4, 18)[:, None, None]  # 17 stands for the exponent form
+    k = np.arange(1, 18)[:, None]
+    slot = np.arange(48)
+    e_form = x == 17
+    below_one = x < 0
+    last_int = np.where(e_form | below_one, 0, x)  # the digit before the point
+    i = slot - 7  # the digit in slots 4-23 (-3 .. -1: leading zeros)
+    j = slot - 27  # the digit in slots 28-43
+    shown = np.zeros((2, len(x), 17, 48), bool)
+    shown |= (slot == 1) & (sign == 1)
+    shown |= ((slot == 2) | (slot == 3)) & below_one
+    digits = np.where(below_one, (i > x) & (i < k), (i >= 0) & (i <= last_int))
+    shown |= (slot >= 4) & (slot < 24) & digits
+    shown |= (slot == 27) & ~below_one & (k > last_int + 1)
+    shown |= (j >= 1) & (j <= 16) & ~below_one & (j > last_int) & (j < k)
+    shown |= (slot >= 44) & e_form
+    char = np.full(48, 0xFF, np.uint8)
+    char[1:4] = np.frombuffer(b"-0.", np.uint8)
+    char[27] = ord(".")
+    return np.where(shown, char, np.uint8(0)).reshape(-1, 48)
+
+
+_CSV_LAYOUT = _csv_layouts()
+_CSV_CLASS = np.r_[np.full(7, 21), np.arange(21), 21] * 17  # per x = -11 .. 17
+
+
+def _csv_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 48-byte cells of the floats ``v``, and the indices of blank ones.
+
+    A blank cell holds a 1 after its separator slot and nothing else.
+    """
+    a = np.abs(v)  # clears the sign bit only, so even a signalling NaN raises nothing
+    bits = a.view(np.int64)
+    e = (bits >> 52) - 1023  # a normal |v| is in [2^e, 2^(e+1)); 1024 if not finite
+    x = (e * 78913) >> 18  # floor(e log10 2): x, or one below it
+    x += a >= _CSV_P10.take(x + 12, mode="clip")
+    laid = (x >= -11) & (x <= 16) & (e < 1024)
+    x = np.where(laid, x, 0)
+    s = np.where(laid, a, 0.0).astype(np.longdouble) * _CSV_POW10[16 - x]
+    t = s.astype(np.int64)
+    f = (s - t).astype(np.float64)
+    d = t + (f > 0.5)
+    # t >= 10^16 also proves x: s below 10^16 may belong to x - 1
+    ok = (np.abs(f - 0.5) > d * _LONGDOUBLE_EPS) & (
+        ((t >= 10**16) & (d <= 10**17)) | (bits == 0)
+    )
+    carry = d == 10**17
+    d[carry] = 10**16
+    x[carry] += 1
+    # floor division by a power of ten, as a double product (exact below 2^53)
+    high = (d * 1e-8).astype(np.int64)
+    low = d - high * 10**8
+    high += low >= 10**8
+    high -= low < 0
+    low = d - high * 10**8
+    d0 = (high * 1e-8).astype(np.int64)
+    mid = high - d0 * 10**8
+    g1, g3 = (mid * 1e-4).astype(np.int64), (low * 1e-4).astype(np.int64)
+    groups = (g1, mid - g1 * 10**4, g3, low - g3 * 10**4)
+    k = np.max([_CSV_SIG[g][group] for g, group in enumerate(groups)], axis=0)
+    xo = x + 11
+    content = np.empty((len(v), 12), np.uint32)
+    content[:, 0] = content[:, 6] = 0xFFFF_FFFF
+    content[:, 1] = _CSV_QUAD[d0]
+    for g, group in enumerate(groups):
+        content[:, 2 + g] = content[:, 7 + g] = _CSV_QUAD[group]
+    content[:, 11] = _CSV_EXP[xo]
+    lid = (v.view(np.int64) < 0) * (22 * 17) + _CSV_CLASS[xo] + k - 1
+    cells = _CSV_LAYOUT.take(lid, axis=0)
+    np.minimum(cells, content.view(np.uint8), out=cells)
+    blank = np.flatnonzero(~ok)
+    cells[blank] = 0
+    cells[blank, 1] = 1
+    return cells, blank
+
+
+def _csv_rows(columns: list, r0: int, r1: int) -> bytes:
+    """Rows r0 .. r1 - 1 of ``columns`` as CSV bytes, each row after a newline."""
+    width = len(columns)
+    values = np.empty((r1 - r0, width))
+    for i, col in enumerate(columns):
+        values[:, i] = np.nan if isinstance(col, list) else col[r0:r1]  # text: blank
+    flat = values.ravel()
+    cells, blank = _csv_cells(flat)
+    cells[:, 0] = ord(",")
+    cells[::width, 0] = ord("\n")
+    rows, cols = np.unravel_index(blank, (r1 - r0, width))
+    fills = [
+        columns[c][r0 + r].encode() if isinstance(columns[c], list) else b"%.17g" % v
+        for r, c, v in zip(rows.tolist(), cols.tolist(), flat[blank].tolist())
+    ]
+    parts = cells[cells > 0].tobytes().split(b"\x01")
+    text = [b""] * (2 * len(parts) - 1)
+    text[::2] = parts
+    text[1::2] = fills
+    return b"".join(text)
+
+
+def write_csv(path, header: Sequence[str], columns) -> None:
+    """Write ``header``, then one line per row of ``columns``.
+
+    A column is a sequence of ``str``, written as they are, or of numbers (a
+    float array, or anything ``np.asarray`` makes one).  Every number is
+    written as C's ``%.17g`` writes it: 17 significant digits with trailing
+    zeros and a bare point dropped, ``inf``, ``-inf`` or ``nan`` where it is
+    not finite, so each float reads back exactly.  A vectorised kernel
+    renders the numbers in blocks and passes each cell it cannot round with
+    certainty to ``"%.17g" % v``, CPython's dtoa, one cell at a time.  The
+    columns must share one length.
+    """
+    cols = [
+        list(c) if len(c) and isinstance(c[0], str) else np.asarray(c, dtype=float)
+        for c in columns
+    ]
+    lengths = {len(c) for c in cols}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of lengths {sorted(lengths)}")
+    rows = lengths.pop() if lengths else 0
+    step = max(1, _CSV_BLOCK // max(1, len(cols)))
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode())
+        for r0 in range(0, rows, step):
+            fh.write(_csv_rows(cols, r0, min(r0 + step, rows)))
+        fh.write(b"\n")
 
 
 def integrate(

@@ -219,19 +219,21 @@ def record_curve(record: MotionRecord, samples_per_period: int):
 
 
 def figure_rows(records, samples_per_period: int):
-    """Rows (t, |Q|, |V|, label) for every record, plus closure residuals."""
-    rows, closures = [], {}
+    """Columns t, |Q|, |V|, label over every record, plus closure residuals."""
+    t, base, fiber, labels, closures = [], [], [], [], {}
     for rec in records:
         times, states, closures[rec.label] = record_curve(rec, samples_per_period)
-        base = np.linalg.norm(states[:, : rec.n], axis=1).tolist()
-        fiber = np.linalg.norm(states[:, rec.n :], axis=1).tolist()
-        rows += zip(times.tolist(), base, fiber, [rec.label] * len(times))
-    return rows, closures
+        t.append(times)
+        base.append(np.linalg.norm(states[:, : rec.n], axis=1))
+        fiber.append(np.linalg.norm(states[:, rec.n :], axis=1))
+        labels += [rec.label] * len(times)
+    numbers = [np.concatenate([np.empty(0), *col]) for col in (t, base, fiber)]
+    return [*numbers, labels], closures
 
 
 def write_figure_csv(path, records, samples_per_period: int) -> dict:
     """One flat CSV with columns t, absQ, absV, label; returns closures."""
-    rows, closures = figure_rows(records, samples_per_period)
-    write_csv(path, ["t", "absQ", "absV", "label"], rows)
+    columns, closures = figure_rows(records, samples_per_period)
+    write_csv(path, ["t", "absQ", "absV", "label"], columns)
     return closures
 

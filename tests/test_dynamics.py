@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -388,8 +389,8 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         traj = integrate(circle_rhs, (1.0, 0.0), 1.0, rtol=1e-8, atol=1e-10)
         path = tmp_path / "orbit.csv"
-        rows = [(t, *state, "circle") for t, state in zip(traj.times, traj.states)]
-        dyn.write_csv(path, ["t", "q1", "v1", "label"], rows)
+        columns = [traj.times, *traj.states.T, ["circle"] * len(traj.times)]
+        dyn.write_csv(path, ["t", "q1", "v1", "label"], columns)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,q1,v1,label"
         assert len(lines) == len(traj.times) + 1
@@ -399,34 +400,102 @@ class TestCsv:
         assert cells[3] == "circle"
 
     @staticmethod
-    def _reference(header, rows):
-        """The per-cell formatting the row template must reproduce."""
+    def _reference(header, columns):
+        """The per-cell formatting the kernel must reproduce, row by row."""
         lines = [",".join(header)]
-        for row in rows:
+        for row in zip(*columns):
             lines.append(",".join(c if isinstance(c, str) else f"{c:.17g}" for c in row))
         return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def _adversarial():
+        """Floats where a fast float-to-text path is most likely to slip."""
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        odd = np.arange(4 * 10**15 + 1, 9 * 10**15, 10**11 + 2) / 4  # exact ties m/4
+        return np.concatenate([
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+             2.2250738585072014e-308, 1.7976931348623157e308],
+            np.nextafter(powers, 0.0), np.nextafter(powers, math.inf),
+            [1e16, 1e17, 99999999999999999.0, 9.9999999999999999e-5,
+             9.9999999999999999e-12, 9.999999999999999e43, 1e44, 0.1, -1 / 3],
+            odd, -odd,
+        ])
 
     def test_bytes_match_the_per_cell_reference(self, tmp_path):
         floats = [math.nan, math.inf, -math.inf, -0.0, 1e-310, 1e300, 0.1, -1 / 3]
         ints = [0, -7, 2**60 + 1, 10**20, 5, 1, 2, 3]
-        rows = [
-            (x, n, np.float64(x) * 3, np.float64(-x), f"label-{n}")
-            for x, n in zip(floats, ints)
+        columns = [
+            floats,
+            ints,
+            np.multiply(floats, 3),
+            np.negative(floats),
+            [f"label-{n}" for n in ints],
         ]
         header = ["x", "n", "x3", "neg", "label"]
         path = tmp_path / "mixed.csv"
-        dyn.write_csv(path, header, rows)
-        assert path.read_bytes() == self._reference(header, rows).encode()
+        dyn.write_csv(path, header, columns)
+        assert path.read_bytes() == self._reference(header, columns).encode()
 
-        table = np.column_stack([floats, np.arange(8.0), np.multiply(floats, 1e-300)])
-        dyn.write_csv(path, ["a", "b", "c"], table)
-        expected = self._reference(["a", "b", "c"], table.tolist())
+        hard = self._adversarial()
+        columns = [hard, hard[::-1].copy(), np.multiply(hard, 1e-300)]
+        dyn.write_csv(path, ["a", "b", "c"], columns)
+        expected = self._reference(["a", "b", "c"], [c.tolist() for c in columns])
         assert path.read_bytes() == expected.encode()
 
-    @pytest.mark.parametrize("rows", [[], np.empty((0, 3))], ids=["list", "array"])
-    def test_no_rows_writes_the_header_alone(self, tmp_path, rows):
+        big = [2**53 + 1, 2**63 - 1, 2**64 + 3, 10**30 + 1, -(2**60) - 1]
+        flags = [True, False, True, False, True]
+        dyn.write_csv(path, ["big", "flag"], [big, flags])
+        assert path.read_bytes() == self._reference(["big", "flag"], [big, flags]).encode()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+            ),
+            max_size=40,
+        )
+    )
+    def test_any_float_and_text_match_the_reference(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "any.csv"
+        floats = [v for v, _ in rows]
+        texts = [s for _, s in rows]
+        columns = [floats, texts] if any(texts) else [floats]
+        header = ["v", "s"][: len(columns)]
+        dyn.write_csv(path, header, columns)
+        assert path.read_bytes() == self._reference(header, columns).encode()
+
+    def test_without_a_wide_longdouble_every_cell_takes_the_fallback(
+        self, tmp_path, monkeypatch
+    ):
+        # as on a platform whose longdouble is a double: no cell can be
+        # rounded with certainty, so each goes to "%.17g" and the bytes stay
+        rng = np.random.default_rng(7)
+        values = np.concatenate([rng.uniform(-10, 10, 300), self._adversarial()])
+        monkeypatch.setattr(dyn, "_LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
+        _, blank = dyn._csv_cells(values)
+        assert set(np.flatnonzero(values != 0)) <= set(blank)
+        path = tmp_path / "fallback.csv"
+        dyn.write_csv(path, ["v"], [values])
+        assert path.read_bytes() == self._reference(["v"], [values.tolist()]).encode()
+
+    def test_non_finite_and_huge_cells_raise_no_warning(self, tmp_path):
+        signalling = np.array([0x7FF0_0000_0000_0001], np.uint64).view(np.float64)
+        values = np.array([math.nan, math.inf, -math.inf, 1e300, -1e300, signalling[0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dyn.write_csv(tmp_path / "odd.csv", ["v"], [values])
+        assert (tmp_path / "odd.csv").read_text().split("\n")[1:4] == ["nan", "inf", "-inf"]
+
+    def test_columns_of_different_lengths_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="lengths"):
+            dyn.write_csv(tmp_path / "bad.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
+
+    @pytest.mark.parametrize("columns", [[[], [], []], np.empty((3, 0))], ids=["list", "array"])
+    def test_no_rows_writes_the_header_alone(self, tmp_path, columns):
         path = tmp_path / "empty.csv"
-        dyn.write_csv(path, ["a", "b", "c"], rows)
+        dyn.write_csv(path, ["a", "b", "c"], columns)
         assert path.read_text() == "a,b,c\n"
 
 

@@ -168,11 +168,12 @@ class TestCurves:
         assert float(np.max(radii) - np.min(radii)) > 0.1
 
     def test_figure_rows_shape(self, oscillator_records):
-        rows, closures = mo.figure_rows(oscillator_records[:1], samples_per_period=32)
-        assert len(rows) == 32
-        assert rows[0][0] == 0.0
-        assert rows[-1][0] == pytest.approx(oscillator_records[0].period)
-        assert all(r[3] == oscillator_records[0].label for r in rows)
+        columns, closures = mo.figure_rows(oscillator_records[:1], samples_per_period=32)
+        t, abs_q, abs_v, labels = columns
+        assert len(t) == len(abs_q) == len(abs_v) == len(labels) == 32
+        assert t[0] == 0.0
+        assert t[-1] == pytest.approx(oscillator_records[0].period)
+        assert labels == [oscillator_records[0].label] * 32
         assert set(closures) == {oscillator_records[0].label}
 
     def test_figure_csv_deterministic(self, tmp_path, oscillator_records):
@@ -208,8 +209,8 @@ class TestOneIntegrationPerMotion:
         records = (*kepler_records, *oscillator_records)
         for rec in records:
             mo.record_curve(rec, 512)
-        rows, closures = mo.figure_rows(records, samples_per_period=16)
-        assert len(rows) == 16 * len(records)
+        columns, closures = mo.figure_rows(records, samples_per_period=16)
+        assert all(len(col) == 16 * len(records) for col in columns)
         assert set(closures) == {rec.label for rec in records}
 
     def test_period_run_repeats_a_fresh_run(self, kepler_records, oscillator_records):

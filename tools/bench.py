@@ -10,7 +10,7 @@ so two trees can be compared in one file.  Each case is measured in a
 process of its own, so that no case runs on the allocator state another
 case left behind.  Each tree gets ``_PROCESSES`` measuring processes per
 case, started alternately in ABBA order (A B, B A, A B, ...), so that load
-drift on a shared machine lands on both trees alike.  Nineteen cases are run:
+drift on a shared machine lands on both trees alike.  Twenty cases are run:
 
 * ``chart_period``: ``integrate`` on the Kepler chart field over one period
   2*pi from the E = -0.5 shell representative, rtol 1e-10, atol 1e-12;
@@ -29,6 +29,10 @@ drift on a shared machine lands on both trees alike.  Nineteen cases are run:
   directory;
 * ``cli_integrate_kepler_chart``: ``sodelab integrate --scenario
   kepler-chart`` from the state of the CLI period example over [0, 20];
+* ``cli_integrate_dense``: ``sodelab integrate --scenario kepler-chart
+  --state=0.73,0,0,0,0,0.93,0,0 --t-end 20 --csv-samples 4096``, into a
+  temporary directory: a dense 4096-row ``trajectory.csv`` whose columns
+  hold exact zeros and tiny exponents;
 * ``cli_verify_kepler_chart``: ``sodelab verify --scenario kepler-chart``,
   into a temporary directory; it makes no ``integrate`` call, since the
   canonical structure of a chart holds by construction;
@@ -89,7 +93,9 @@ settle).  Each case records ``box_draws``, the calls to
 for a case that draws none), and ``codegen``, the functions ``expr._emit``
 generates, and ``batch_evals``, the calls to ``fields.vectorized_scalar``
 (each builds one batch function, which a tree whose batch backend is
-generated code also counts in ``codegen``).
+generated code also counts in ``codegen``).  Each ``cli_`` case records
+``csv_bytes``, the size of the CSV files the command wrote (0 for one that
+writes none).
 Each case also records the median and spread of the wall time over all
 timed runs of all the tree's processes for the case, ``_REPEAT`` per
 process after one untimed run that also warms the compiled fields, and
@@ -342,8 +348,10 @@ def _cases():
         with tempfile.TemporaryDirectory() as out, \
                 contextlib.redirect_stdout(io.StringIO()):
             code = main([*argv, "--out", out])
+            csv_bytes = sum(path.stat().st_size for path in Path(out).rglob("*.csv"))
         if code != 0:
             raise RuntimeError(f"{argv[0]} exited {code}")
+        return {"csv_bytes": csv_bytes}
 
     def plain(fn, *args):
         """The setup of a case that builds all its trees in each run."""
@@ -359,6 +367,10 @@ def _cases():
         "cli_integrate_kepler_chart": plain(
             cli, "integrate", "--scenario", "kepler-chart", "--state", "1,0,0,0,0,0.5,0,0",
             "--t-end", "20",
+        ),
+        "cli_integrate_dense": plain(
+            cli, "integrate", "--scenario", "kepler-chart", "--state=0.73,0,0,0,0,0.93,0,0",
+            "--t-end", "20", "--csv-samples", "4096",
         ),
         "cli_verify_kepler_chart": plain(cli, "verify", "--scenario", "kepler-chart"),
         "cli_verify_oscillator_2": plain(cli, "verify", "--scenario", "oscillator-2"),

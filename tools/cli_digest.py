@@ -68,6 +68,9 @@ INVOCATIONS = (
     ["integrate", "--scenario", "kepler-clock", "--state", "0,0,0,0,0,0,0,0",
      "--t-end", "1"],
     ["period", "--scenario", "oscillator-1", "--state", "1e9,0"],
+    # a dense 8-column CSV with exact zeros and tiny exponents
+    ["integrate", "--scenario", "kepler-chart", "--state=0.73,0,0,0,0,0.93,0,0",
+     "--t-end", "20", "--csv-samples", "4096"],
 )
 
 CONFIG = {"scenario": "uniform-speedup", "rescaled": True, "t_end": 5, "csv-samples": 64}
