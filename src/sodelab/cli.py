@@ -301,7 +301,7 @@ def _check(command: str, opts: dict) -> None:
 
 @contextlib.contextmanager
 def _refused(options: str):
-    """Turn a start state the integrator refuses (ValueError), or an orbit time
+    """Turn a parameter or start state refused with ValueError, or an orbit time
     out of float range (ArithmeticError), into a usage error naming ``options``."""
     try:
         yield
@@ -478,7 +478,8 @@ def _cmd_kepler_demo(run: _Run, opts: dict) -> int:
 
 
 def _cmd_fosc_demo(run: _Run, opts: dict) -> int:
-    deformation = _PROFILES[opts["profile"]](opts["param"])
+    with _refused(f"--param {opts['param']}"):
+        deformation = _PROFILES[opts["profile"]](opts["param"])
     level, tol = opts["level"], opts["tol"]
     system = fo.make_oscillator(2)
     gamma = fo.deformed_field(system, deformation)
@@ -504,6 +505,8 @@ def _cmd_fosc_demo(run: _Run, opts: dict) -> int:
 def _cmd_match(run: _Run, opts: dict) -> int:
     energies = _floats(opts["energies"])
     g, mode, tol = opts["g"], opts["mode"], opts["tol"]
+    with _refused(f"--g {g}"):
+        deformation = fo.kepler_matching_deformation(g)
     params = kp.KeplerParams(g=g)
     if opts["levels"] is None:
         levels = mo.matched_oscillator_grid(energies, g=g, mode=mode)
@@ -514,7 +517,6 @@ def _cmd_match(run: _Run, opts: dict) -> int:
             energies, params, radius_scale=opts["radius_scale"]
         )
     system = fo.make_oscillator(2)
-    deformation = fo.kepler_matching_deformation(g)
     key = "energies" if opts["levels"] is None else "levels"
     with _refused(f"--{key} {opts[key]} with --g {g}"):
         oscillator_records = mo.extract_oscillator_motions(system, deformation, levels)

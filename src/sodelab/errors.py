@@ -39,6 +39,10 @@ class EvaluationDomainError(SodelabError):
     """Evaluation hit a singular point (log/sqrt domain, division by zero)."""
 
 
+class NonFiniteConstantError(SodelabError):
+    """A tree holds an inf or nan constant, which the grammar has no text for."""
+
+
 class ExpressionDepthError(SodelabError):
     """A tree is nested too deeply to evaluate, compile, differentiate, substitute or print."""
 

@@ -27,6 +27,11 @@ construction on, and keeps the derivatives taken of it, by coordinate name,
 for as long as something holds them: a derivative often holds the node
 itself (d exp(u) = exp(u)*u'), so a node holds its derivatives weakly, and
 no memo keeps a tree alive or outlives the trees it was computed for.
+
+Every walk of a tree set but differentiation numbers the nodes once into a
+tape, a shared subtree one entry, and runs it under one column of the op
+table ``_OPS``: evaluation and the batch backend compute, the scalar backend
+writes Python, :func:`to_source` prints and :func:`substitute` rebuilds.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .errors import (
     EvaluationDomainError,
     ExpressionDepthError,
     ExprSyntaxError,
+    NonFiniteConstantError,
     UnboundVariableError,
     UnknownIdentifierError,
 )
@@ -227,15 +233,11 @@ class Call(Expression):
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+TWO = Const(2.0)  # the exponent of a square: the one Const of value 2.0
 
 
 def _is_const(e: Expression, value: float | None = None) -> bool:
     return isinstance(e, Const) and (value is None or e.value == value)
-
-
-def _is_square(e: Pow) -> bool:
-    """``b^2``: every backend computes it as ``b * b``, as ``np.power`` does."""
-    return _is_const(e.exponent, 2.0)
 
 
 # --- folding constructors -------------------------------------------------
@@ -467,7 +469,10 @@ class _Parser:
     def parse_base(self) -> Expression:
         kind, value, pos = self.advance()
         if kind == "num":
-            return Const(float(value))
+            number = float(value)
+            if not math.isfinite(number):
+                raise ExprSyntaxError(f"number '{value}' is out of float range", pos)
+            return Const(number)
         if kind == "ident":
             next_kind, next_value, _ = self.peek()
             if next_kind == "op" and next_value == "(":
@@ -509,7 +514,7 @@ def evaluate(e: Expression, env: Mapping[str, float]) -> float:
     """Evaluate ``e`` with coordinate values from ``env``, bound as Python floats.
 
     Pure: neither the expression nor the environment is mutated.  It runs
-    the tree's tape under ``_CHECKED``, as the generated code's fallback
+    the tree's tape under ``_CHECKED_OPS``, as the generated code's fallback
     does: division by zero, and log, sqrt or a fractional power outside its
     domain, raise :class:`EvaluationDomainError`; overflow saturates to
     ``inf`` so blow-up detection can see it, and an ``inf`` passed on to
@@ -517,7 +522,7 @@ def evaluate(e: Expression, env: Mapping[str, float]) -> float:
     :class:`ExpressionDepthError`; an unbound coordinate,
     :class:`UnboundVariableError`.
     """
-    run = _walker(*_tape((e,), env, "evaluate"), _CHECKED, float)
+    run = _walker(*_tape((e,), env, "evaluate"), _CHECKED_OPS, float)
     return run(lambda name: float(env[name]))[0]
 
 
@@ -525,8 +530,13 @@ def evaluate(e: Expression, env: Mapping[str, float]) -> float:
 
 
 def differentiate(e: Expression, name: str) -> Expression:
-    """Exact partial derivative of ``e`` with respect to coordinate ``name``;
-    a tree nested too deeply to recurse raises :class:`ExpressionDepthError`."""
+    """Exact partial derivative of ``e`` with respect to coordinate ``name``.
+
+    The one walk that does not run the tape: it recurses, because it must
+    look up each node's derivative memo before it walks that node's subtree,
+    and a memo hit skips the subtree.  A tree nested too deeply to recurse
+    raises :class:`ExpressionDepthError`.
+    """
     try:
         return _differentiate(e, name)
     except RecursionError:
@@ -618,96 +628,50 @@ def free_variables(e: Expression) -> frozenset[str]:
 
 
 def substitute(e: Expression, bindings: Mapping[str, Expression]) -> Expression:
-    """Replace variables by expressions, rebuilding through the folding helpers;
-    a tree nested too deeply to recurse raises :class:`ExpressionDepthError`."""
-    try:
-        return _substitute(e, bindings)
-    except RecursionError:
-        raise ExpressionDepthError("expression is nested too deeply to substitute") from None
+    """Replace variables by expressions, rebuilding through the folding helpers.
 
-
-def _substitute(e: Expression, bindings: Mapping[str, Expression]) -> Expression:
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return bindings.get(e.name, e)
-    if isinstance(e, Neg):
-        return neg(_substitute(e.arg, bindings))
-    if isinstance(e, Add):
-        return add(_substitute(e.left, bindings), _substitute(e.right, bindings))
-    if isinstance(e, Sub):
-        return sub(_substitute(e.left, bindings), _substitute(e.right, bindings))
-    if isinstance(e, Mul):
-        return mul(_substitute(e.left, bindings), _substitute(e.right, bindings))
-    if isinstance(e, Div):
-        return div(_substitute(e.left, bindings), _substitute(e.right, bindings))
-    if isinstance(e, Pow):
-        return pow_(_substitute(e.base, bindings), _substitute(e.exponent, bindings))
-    if isinstance(e, Call):
-        return call(e.fn, _substitute(e.arg, bindings))
-    raise TypeError(f"not an expression node: {e!r}")
+    It runs the tree's tape under the folding constructors, binding each
+    coordinate to ``bindings.get(name, Var(name))``, so a shared subtree is
+    rebuilt once.  Too deep a tree raises :class:`ExpressionDepthError`.
+    """
+    run = _walker(*_tape((e,), e._fv, "substitute"), _REBUILD, Const)
+    return run(lambda name: bindings.get(name, Var(name)))[0]
 
 
 # --- printing ---------------------------------------------------------------
 
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_POW = 3
-_PREC_NEG = 4
-_PREC_ATOM = 5
+_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_NEG, _PREC_ATOM = range(1, 6)
 
 
-def _prec(e: Expression) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Pow):
-        return _PREC_POW
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    return _PREC_ATOM
+def _printer(template: str, prec: int, *least: int) -> Callable[..., tuple[str, int]]:
+    """The print rule of an operation of precedence ``prec``: its operands'
+    (text, precedence) pairs in ``template``, each in parentheses where its
+    precedence is below its slot's ``least``."""
+
+    def op(*operands: tuple[str, int]) -> tuple[str, int]:
+        texts = (f"({t})" if p < m else t for (t, p), m in zip(operands, least))
+        return template.format(*texts), prec
+
+    return op
 
 
-def _wrap(e: Expression, minimum: int) -> str:
-    text = _to_source(e)
-    if _prec(e) < minimum:
-        return f"({text})"
-    return text
+def _printed_const(value: float) -> tuple[str, int]:
+    if not math.isfinite(value):
+        raise NonFiniteConstantError(f"constant {value!r} has no source text")
+    text = repr(int(value)) if value == int(value) and abs(value) < 1e16 else repr(value)
+    return text, _PREC_ATOM
 
 
 def to_source(e: Expression) -> str:
-    """Render to text that reparses to an equivalent tree under this grammar;
-    a tree nested too deeply to recurse raises :class:`ExpressionDepthError`."""
-    try:
-        return _to_source(e)
-    except RecursionError:
-        raise ExpressionDepthError("expression is nested too deeply to print") from None
+    """Render to text that reparses to an equivalent tree under this grammar.
 
-
-def _to_source(e: Expression) -> str:
-    if isinstance(e, Const):
-        if e.value == int(e.value) and abs(e.value) < 1e16:
-            return repr(int(e.value))
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, _PREC_ATOM)
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, _PREC_ADD)} - {_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, _PREC_MUL)}*{_wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.left, _PREC_MUL)}/{_wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Pow):
-        # left operand fully wrapped unless atomic: '^' grabs a bare '-x' first
-        return f"{_wrap(e.base, _PREC_ATOM)}^{_wrap(e.exponent, _PREC_POW)}"
-    if isinstance(e, Call):
-        return f"{e.fn}({_to_source(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    It runs the tree's tape under the print rules, so a shared subtree is
+    printed once.  Too deep a tree raises :class:`ExpressionDepthError`; an
+    inf or nan constant, which the grammar cannot write,
+    :class:`NonFiniteConstantError`.
+    """
+    run = _walker(*_tape((e,), e._fv, "print"), _PRINT, _printed_const)
+    return run(lambda name: (name, _PREC_ATOM))[0][0]
 
 
 # --- compilation ------------------------------------------------------------
@@ -729,21 +693,40 @@ def _checked(kind: str, fn: Callable[..., float]) -> Callable[..., float]:
     return op
 
 
-# each operation of a tape: as the generated scalar code's text, as the batch
-# backend's ufunc, and as the float operator or ``math`` function the text
-# calls; ``_CHECKED`` wraps each of the last in the scalar rules, stated only there
-_TEXTS = {"+": "({} + {})", "-": "({} - {})", "*": "({} * {})", "/": "({} / {})"}
-_TEXTS.update({"neg": "(-{})", "pow": "_pow({}, {})"}, **{f: f"_{f}({{}})" for f in _FUNCTIONS})
-_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
-_UFUNCS.update(neg=np.negative, pow=np.power, **{f: getattr(np, f) for f in _FUNCTIONS})
-_FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-_FLOAT_OPS.update(neg=operator.neg, pow=math.pow, **_FUNCTIONS)
-_SCALAR_NAMESPACE = {f"_{kind}": fn for kind, fn in _FLOAT_OPS.items() if kind.isalpha()}
-_CHECKED = {kind: _checked(kind, fn) for kind, fn in _FLOAT_OPS.items()}
+# every operation a tape holds, one row per kind: the one place an operation
+# is stated, apart from the function names and the differentiation rules.
+# Columns: the binary node class of the kind; its folding constructor, which
+# substitution runs; its generated scalar code, a format of the operands'
+# texts; its numpy ufunc, which the batch backend runs; the float operation
+# the code calls, which the checked run wraps; and its print rule.
+_OPS = {
+    "+": (Add, add, "({} + {})", np.add, operator.add,
+          _printer("{} + {}", _PREC_ADD, _PREC_ADD, _PREC_ADD + 1)),
+    "-": (Sub, sub, "({} - {})", np.subtract, operator.sub,
+          _printer("{} - {}", _PREC_ADD, _PREC_ADD, _PREC_ADD + 1)),
+    "*": (Mul, mul, "({} * {})", np.multiply, operator.mul,
+          _printer("{}*{}", _PREC_MUL, _PREC_MUL, _PREC_MUL + 1)),
+    "/": (Div, div, "({} / {})", np.divide, operator.truediv,
+          _printer("{}/{}", _PREC_MUL, _PREC_MUL, _PREC_MUL + 1)),
+    "neg": (None, neg, "(-{})", np.negative, operator.neg, _printer("-{}", _PREC_NEG, _PREC_ATOM)),
+    # a base that is not atomic is parenthesised: '^' grabs a bare '-x' first
+    "pow": (None, pow_, "_pow({}, {})", np.power, math.pow,
+            _printer("{}^{}", _PREC_POW, _PREC_ATOM, _PREC_POW)),
+    # b^2: every backend computes it as b * b, as np.power does
+    "sq": (None, partial(pow_, exponent=TWO), "({0} * {0})", np.square, lambda b: b * b,
+           _printer("{}^2", _PREC_POW, _PREC_ATOM)),
+    **{f: (None, partial(call, f), f"_{f}({{}})", getattr(np, f), fn,
+           _printer(f"{f}({{}})", _PREC_ATOM, 0)) for f, fn in _FUNCTIONS.items()},
+}
+# each runner's table: one column of the rows, by kind
+_REBUILD, _CODE, _BATCH, _FLOAT, _PRINT = (
+    {kind: row[column] for kind, row in _OPS.items()} for column in range(1, 6))
+_NODE_KINDS = {row[0]: kind for kind, row in _OPS.items() if row[0]}
+_CHECKED_OPS = {kind: _checked(kind, fn) for kind, fn in _FLOAT.items()}
 
-_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-# what the generated scalar code may raise where ``_CHECKED`` raises a domain
-# error or saturates an overflow
+
+# what the generated scalar code may raise where ``_CHECKED_OPS`` raises a
+# domain error or saturates an overflow
 _SCALAR_RAISES = (ValueError, ZeroDivisionError, OverflowError)
 _MAX_NESTING = 100  # inline text with more "(" is bound: Python's parser stops at 200
 
@@ -754,8 +737,8 @@ def _tape(
     """The trees' nodes, each numbered once after its operands, and the roots' numbers.
 
     An entry is ``("var", name)``, ``("const", value)`` or an operation: its
-    kind (a key of ``_TEXTS``, ``_UFUNCS`` and ``_CHECKED``), then its
-    operands' numbers; ``b^2`` is ``("*", b, b)``.  Nodes are interned, so a
+    kind (a key of ``_OPS``), then its operands' numbers; ``b^2`` is
+    ``("sq", b)``, apart from a product ``b*b``.  Nodes are interned, so a
     subexpression used more than once, across the trees or within them, is
     one entry, and a shared subtree is walked once.  Too deep a tree raises
     :class:`ExpressionDepthError`, saying it is too deep to ``verb``; a
@@ -774,10 +757,10 @@ def _tape(
         elif isinstance(e, Neg):
             entry = ("neg", number(e.arg))
         elif isinstance(e, _Binary):
-            entry = (_BINARY_OPS[type(e)], number(e.left), number(e.right))
+            entry = (_NODE_KINDS[type(e)], number(e.left), number(e.right))
         elif isinstance(e, Pow):
             base = number(e.base)
-            entry = ("*", base, base) if _is_square(e) else ("pow", base, number(e.exponent))
+            entry = ("sq", base) if e.exponent is TWO else ("pow", base, number(e.exponent))
         elif isinstance(e, Call):
             entry = (e.fn, number(e.arg))
         else:
@@ -799,15 +782,17 @@ def _tape(
 
 
 def _walker(
-    tape: list[tuple], roots: list[int], ops: Mapping[str, Callable], number: type
+    tape: list[tuple], roots: list[int], ops: Mapping[str, Callable], number: Callable
 ) -> Callable:
     """``run(coordinate)``, the roots' values as a tuple, from the tape run under ``ops``.
 
     The run binds each coordinate entry to ``coordinate(name)`` and each
     constant to ``number(value)``, applies ``ops[kind]`` to each operation's
     operands in tape order, and drops each value after its last use: the
-    batch backend under ``_UFUNCS`` on numpy columns, the checked scalar run
-    under ``_CHECKED`` on Python floats.  It holds no tree node.
+    batch backend on numpy columns under the ufuncs, the checked scalar run
+    on Python floats under ``_CHECKED_OPS``, printing on (text, precedence)
+    pairs under the print rules, substitution on trees under the folding
+    constructors.  It holds no tree node.
     """
     last = {arg: i for i, (kind, *args) in enumerate(tape) if kind in ops for arg in args}
     last.update(dict.fromkeys(roots))  # a root is never dropped
@@ -845,7 +830,9 @@ def _python_source(tape: list[tuple], roots: list[int]) -> tuple[list, list, dic
     each, while every nan shares one.  A coordinate is written as its name.
     """
     uses = Counter(roots)
-    uses.update(arg for kind, *args in tape if kind in _TEXTS for arg in args)
+    for kind, *args in tape:
+        if kind in _OPS:  # a square's text names its operand twice
+            uses.update(args * 2 if kind == "sq" else args)
     lines: list[str] = []
     texts: list[str] = []  # each entry's inline text, or its local
     constants: dict[str, str] = {}
@@ -855,7 +842,7 @@ def _python_source(tape: list[tuple], roots: list[int]) -> tuple[list, list, dic
         elif kind == "const":
             text = constants.setdefault(repr(args[0]), f"_k{len(constants)}")
         else:
-            text = _TEXTS[kind].format(*(texts[arg] for arg in args))
+            text = _CODE[kind].format(*(texts[arg] for arg in args))
             if uses[index] > 1 or text.count("(") > _MAX_NESTING:
                 lines.append(f"_{index} = {text}")
                 text = f"_{index}"
@@ -869,7 +856,7 @@ def _emit(e: Expression | Sequence[Expression], ctx: VariableContext) -> Callabl
     The function takes a time argument it ignores, then the coordinates as
     separate floats, and runs the statements of :func:`_python_source`;
     where they raise ValueError, ZeroDivisionError or OverflowError, it
-    runs the same tape under ``_CHECKED`` at that point instead (built at
+    runs the same tape under ``_CHECKED_OPS`` at that point instead (built at
     the first such point), so it agrees with :func:`evaluate` by
     construction.  It holds no tree node.
     """
@@ -877,7 +864,9 @@ def _emit(e: Expression | Sequence[Expression], ctx: VariableContext) -> Callabl
     tape, roots = _tape((e,) if single else tuple(e), ctx.names)
     lines, results, constants = _python_source(tape, roots)
     body = results[0] if single else "(" + "".join(f"{r}, " for r in results) + ")"
-    namespace = {**_SCALAR_NAMESPACE, "__builtins__": {}}
+    # the operations the code calls by name, and no builtins
+    namespace = {f"_{kind}": fn for kind, fn in _FLOAT.items() if _CODE[kind][0] == "_"}
+    namespace["__builtins__"] = {}
     namespace.update((name, float(text)) for text, name in constants.items())
     statements = "".join(f"        {line}\n" for line in [*lines, f"return {body}"])
     coords = ", ".join(ctx.names)
@@ -889,7 +878,7 @@ def _emit(e: Expression | Sequence[Expression], ctx: VariableContext) -> Callabl
 
     def fallback(*point):
         nonlocal run
-        run = run or _walker(tape, roots, _CHECKED, float)
+        run = run or _walker(tape, roots, _CHECKED_OPS, float)
         values = run(dict(zip(ctx.names, map(float, point))).__getitem__)
         return values[0] if single else values
 
@@ -904,13 +893,13 @@ def _batch(e: Expression | Sequence[Expression], ctx: VariableContext) -> Callab
 
     The function takes an (m, dim) array, one row per point, binds the
     coordinates as the columns of its float64 transpose, and runs the tape
-    under ``_UFUNCS``: one numpy ufunc per operation, every floating-point
+    under ``_BATCH``, one numpy ufunc per operation, every floating-point
     error ignored, each value dropped after its last use.  It holds no tree
     node.
     """
     single = isinstance(e, Expression)
     # numpy constants, so that a constant 1/0 gives inf
-    run = _walker(*_tape((e,) if single else tuple(e), ctx.names), _UFUNCS, np.float64)
+    run = _walker(*_tape((e,) if single else tuple(e), ctx.names), _BATCH, np.float64)
     dim = ctx.dim
 
     def batch(points):

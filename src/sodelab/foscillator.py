@@ -134,8 +134,8 @@ def kepler_matching_deformation(g: float) -> Deformation:
     sqrt(2|E|), the shell frequency of the unfolded Kepler chart at
     energy E, which is what makes frequency-true motion matching possible.
     """
-    if g <= 0:
-        raise ValueError("coupling g must be positive")
+    if not 0 < 10.0 * g < math.inf:  # the profile's text holds 10 g
+        raise ValueError(f"coupling g must be positive, with 10 g finite; got {g!r}")
     return deformation_from_source(
         f"kepler-match-g{g:g}", f"(2 * xi)^2.5 / ({float(10.0 * g)!r})"
     )

@@ -93,10 +93,15 @@ def test_state_the_integrator_refuses_is_usage_error(tmp_path, capsys, argv):
         (["match", "--energies=-1e-20"], "--energies -1e-20 with --g 1.0"),
         (["match", "--levels", "1e30"], "--levels 1e30 with --g 1.0"),
         (["fosc-demo", "--level", "1e30"], "--level 1e+30"),
+        (["fosc-demo", "--profile", "kepler-match", "--param", "2e307"], "--param 2e+307"),
+        (["match", "--g", "2e307"], "--g 2e+307"),
+        (["match", "--g", "1e308", "--levels", "1"], "--g 1e+308"),
     ],
 )
 def test_derived_start_the_integrator_refuses_is_usage_error(tmp_path, capsys, argv, flags):
-    # each start state, derived from the options, lies past the blow-up threshold
+    # each start state, derived from the options, lies past the blow-up
+    # threshold; the last three couplings overflow 10 g, which the
+    # kepler-match profile divides by, before any start is derived
     code, out = run_to(tmp_path, "run", argv)
     assert code == 2
     err = capsys.readouterr().err

@@ -15,6 +15,7 @@ from sodelab.errors import (
     EvaluationDomainError,
     ExpressionDepthError,
     ExprSyntaxError,
+    NonFiniteConstantError,
     UnboundVariableError,
     UnknownIdentifierError,
 )
@@ -48,6 +49,19 @@ CTX = VariableContext.of("q1", "v1", "x", "y")
 def _env(point):
     """A point of ``CTX`` as an evaluation environment."""
     return dict(zip(CTX.names, map(float, point)))
+
+
+def _clock_and_probe():
+    """The kepler-clock scenario, and the probe field with components
+    (next coordinate)^2 - (coordinate), both built afresh."""
+    from sodelab import scenarios
+
+    clock = scenarios.get_conformal_scenario("kepler-clock")
+    names = clock.ctx.names
+    return clock, VectorField(clock.ctx, tuple(
+        parse(f"{names[(i + 1) % len(names)]}^2 - {name}", clock.ctx)
+        for i, name in enumerate(names)
+    ))
 
 
 def central_difference(e, name, env, h=1e-6):
@@ -126,6 +140,13 @@ class TestParsing:
     def test_trailing_token(self):
         with pytest.raises(ExprSyntaxError):
             parse("x 1", CTX)
+
+    @pytest.mark.parametrize("source, offset", [("x + 1e309", 4), ("1e400*x", 0)])
+    def test_literal_out_of_float_range_rejected(self, source, offset):
+        with pytest.raises(ExprSyntaxError, match="out of float range") as info:
+            parse(source, CTX)
+        assert info.value.position == offset
+        assert parse("x + 1.7976931348623157e308", CTX) == Add(Var("x"), Const(1.7976931348623157e308))
 
 
 class TestEvaluation:
@@ -334,16 +355,11 @@ class TestInterning:
         assert differentiate(parse("-(x*y)", CTX), "q1") is Const(0.0)
 
     def test_trees_and_their_memos_go_when_nothing_holds_them(self):
-        from sodelab import conformal, scenarios
+        from sodelab import conformal
 
         gc.collect()
         before = len(expr._NODES)
-        clock = scenarios.get_conformal_scenario("kepler-clock")
-        names = clock.ctx.names
-        probe = VectorField(clock.ctx, tuple(
-            parse(f"{names[(i + 1) % len(names)]}^2 - {name}", clock.ctx)
-            for i, name in enumerate(names)
-        ))
+        clock, probe = _clock_and_probe()
         points = clock.box.sample(n_random=50, grid_points=3)
         conformal.bracket_rescaling_residual(clock.field, clock.factor, probe, points)
         assert len(expr._NODES) > before
@@ -430,6 +446,14 @@ class TestPrinting:
         assert e == Add(kept, Var("x"))
         assert parse(to_source(e), CTX) == e
         assert evaluate(e, {"x": 1.0}) == value
+
+    @pytest.mark.parametrize("value, text", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")])
+    def test_non_finite_constant_is_refused_by_name(self, value, text):
+        # the grammar has no text for it: a printed 'inf' would reparse as an identifier
+        tree = Add(Var("x"), Mul(Const(value), Var("y")))
+        for render in (to_source, str):
+            with pytest.raises(NonFiniteConstantError, match=f"constant {text} "):
+                render(tree)
 
 
 class TestCompilation:
@@ -639,6 +663,53 @@ def _walk(e, env):
         return math.inf
 
 
+_PRECEDENCE = {Add: 1, Sub: 1, Mul: 2, Div: 2, Pow: 3, Neg: 4}  # any other node: 5
+_INFIX = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
+
+
+def _printed(e):
+    """``e`` printed by a recursive walk, written apart from the tape that
+    ``to_source`` runs, as an oracle for it: an operand is parenthesised
+    where it binds more loosely than its slot needs."""
+
+    def wrapped(operand, least):
+        text = _printed(operand)
+        return f"({text})" if _PRECEDENCE.get(type(operand), 5) < least else text
+
+    if isinstance(e, Const):
+        v = e.value
+        return repr(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Neg):
+        return "-" + wrapped(e.arg, 5)
+    if isinstance(e, Call):
+        return f"{e.fn}({_printed(e.arg)})"
+    if isinstance(e, Pow):
+        return f"{wrapped(e.base, 5)}^{wrapped(e.exponent, 3)}"
+    least = _PRECEDENCE[type(e)]
+    return wrapped(e.left, least) + _INFIX[type(e)] + wrapped(e.right, least + 1)
+
+
+_FOLDS = {Add: expr.add, Sub: expr.sub, Mul: expr.mul, Div: expr.div, Pow: expr.pow_}
+
+
+def _substituted(e, bindings):
+    """``e`` with its variables replaced by a recursive walk through the
+    folding constructors, written apart from the tape that ``substitute``
+    runs, as an oracle for it."""
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Var):
+        return bindings.get(e.name, e)
+    if isinstance(e, Neg):
+        return expr.neg(_substituted(e.arg, bindings))
+    if isinstance(e, Call):
+        return expr.call(e.fn, _substituted(e.arg, bindings))
+    left, right = (e.base, e.exponent) if isinstance(e, Pow) else (e.left, e.right)
+    return _FOLDS[type(e)](_substituted(left, bindings), _substituted(right, bindings))
+
+
 def _outcome(fn):
     try:
         return fn()
@@ -760,7 +831,7 @@ def test_batch_computes_a_repeated_subexpression_once(monkeypatch):
         calls.append(value)
         return np.sin(value)
 
-    monkeypatch.setitem(expr._UFUNCS, "sin", counting_sin)
+    monkeypatch.setitem(expr._BATCH, "sin", counting_sin)
     points = np.array(_BACKEND_POINTS, dtype=float)
     fn = vectorized_scalar(parse("sin(x)*sin(x) + sin(x)", CTX), CTX)
     values = fn(points)
@@ -793,14 +864,9 @@ def test_doubling_dag_compiles_in_both_backends():
 
 
 def test_batch_evaluation_calls_no_compile(monkeypatch):
-    from sodelab import conformal, scenarios
+    from sodelab import conformal
 
-    clock = scenarios.get_conformal_scenario("kepler-clock")
-    names = clock.ctx.names
-    probe = VectorField(clock.ctx, tuple(
-        parse(f"{names[(i + 1) % len(names)]}^2 - {name}", clock.ctx)
-        for i, name in enumerate(names)
-    ))
+    clock, probe = _clock_and_probe()
     points = clock.box.sample(n_random=50, grid_points=3)
     captured = []
     monkeypatch.setattr(conformal, "max_abs_on", lambda *args: captured.append(args) or 0.0)
@@ -906,3 +972,76 @@ def test_batch_and_scalar_backends_agree_bitwise(a, b):
         nan = np.isnan(want)
         assert np.array_equal(nan, np.isnan(got))
         assert np.array_equal(want[~nan].view(np.int64), got[~nan].view(np.int64))
+
+
+# bindings that rename, that fold to constants (a 2 folds a square through
+# pow_) and that nest a tree in place of a variable
+_BINDINGS = (
+    {"x": Var("y"), "y": Var("x")},
+    {"x": Const(0.0), "y": Const(1.0), "q1": Const(2.0), "v1": Const(-0.5)},
+    {"x": Neg(Var("y")), "q1": Add(_X, Const(2.0))},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_wide_trees, bindings=st.sampled_from(_BINDINGS))
+@example(tree=Pow(Neg(_X), Sub(Var("y"), Pow(_X, Const(2.0)))), bindings=_BINDINGS[1])
+@example(tree=Neg(Pow(Mul(Const(-2.5), _X), Div(Var("y"), Neg(_X)))), bindings=_BINDINGS[2])
+def test_printing_and_substitution_match_the_recursive_oracles(tree, bindings):
+    assert to_source(tree) == _printed(tree)
+    assert substitute(tree, bindings) is _substituted(tree, bindings)
+
+
+def test_printing_and_substitution_match_the_recursive_oracles_on_the_library():
+    from sodelab import scenarios
+    from sodelab.geometry import lie_bracket
+
+    sets = [(s.ctx.names, s.field.components) for s in scenarios.sode_scenarios()]
+    for c in scenarios.conformal_scenarios():
+        sets += [(c.ctx.names, c.field.components), (c.ctx.names, (c.factor.expr,))]
+    for _, chart in scenarios.structure_library():
+        names = chart.forward.src.names
+        sets += [(names, chart.forward.components), (names, sum(chart.forward.jacobian, ())),
+                 (chart.gamma.ctx.names, chart.gamma.components)]
+    # the kepler-clock bracket, and the bracket of it: a DAG of 4,949 tape entries
+    clock, probe = _clock_and_probe()
+    names = clock.ctx.names
+    bracket = lie_bracket(clock.field.scaled(clock.factor.expr), probe)
+    sets += [(names, bracket.components), (names, lie_bracket(bracket, probe).components)]
+    assert len(expr._tape(sets[-1][1], names)[0]) == 4949
+    for names, trees in sets:
+        renamed = {name: Var(names[(k + 1) % len(names)]) for k, name in enumerate(names)}
+        folded = {name: Const(float(k)) if k < 3 else Neg(Var(name)) for k, name in enumerate(names)}
+        for tree in trees:
+            assert to_source(tree) == _printed(tree)
+            for bindings in (renamed, folded):
+                assert substitute(tree, bindings) is _substituted(tree, bindings)
+
+
+def test_substitute_rebuilds_each_shared_node_once(monkeypatch):
+    tree = Var("x")
+    for _ in range(16):  # 16 distinct Add nodes on 2^16 - 1 root-to-Add paths
+        tree = Add(tree, Mul(tree, Var("y")))
+    distinct, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node not in distinct:
+            distinct.add(node)
+            stack += [getattr(node, f) for f in node._fields]
+            stack = [e for e in stack if isinstance(e, expr.Expression)]
+    calls = []
+    add = expr.add
+
+    def counting_add(a, b):
+        calls.append((a, b))
+        return add(a, b)
+
+    # the folding constructor, under its name and in the op table's column
+    monkeypatch.setattr(expr, "add", counting_add)
+    monkeypatch.setitem(expr._REBUILD, "+", counting_add)
+    result = substitute(tree, {"x": Var("q1")})
+    assert len(calls) == sum(isinstance(node, Add) for node in distinct) == 16
+    want = Var("q1")
+    for _ in range(16):
+        want = Add(want, Mul(want, Var("y")))
+    assert result is want

@@ -107,6 +107,11 @@ class TestDeformation:
             fo.power_deformation(-1.0)
         with pytest.raises(ValueError):
             fo.kepler_matching_deformation(0.0)
+        # the profile's text holds 10 g, and inf has no text in the grammar
+        for g in (2e307, math.inf, math.nan):
+            with pytest.raises(ValueError, match="10 g finite"):
+                fo.kepler_matching_deformation(g)
+        assert fo.kepler_matching_deformation(1.7e307).name == "kepler-match-g1.7e+307"
 
 
 # ------------------------------------------------------- rescaled dynamics

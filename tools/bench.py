@@ -10,7 +10,7 @@ so two trees can be compared in one file.  Each case is measured in a
 process of its own, so that no case runs on the allocator state another
 case left behind.  Each tree gets ``_PROCESSES`` measuring processes per
 case, started alternately in ABBA order (A B, B A, A B, ...), so that load
-drift on a shared machine lands on both trees alike.  Twenty cases are run:
+drift on a shared machine lands on both trees alike.  Twenty-one cases are run:
 
 * ``chart_period``: ``integrate`` on the Kepler chart field over one period
   2*pi from the E = -0.5 shell representative, rtol 1e-10, atol 1e-12;
@@ -58,6 +58,13 @@ drift on a shared machine lands on both trees alike.  Twenty cases are run:
   builds the probe afresh, as a benchmark op does: a tree node keeps the
   derivatives taken of it, so runs that reused one field would find the
   brackets' derivatives already taken;
+* ``substitute_print_bracket``: ``expr.substitute`` (each coordinate
+  renamed to the next) and then ``expr.to_source`` on each component of the
+  bracket of the rescaled ``kepler-clock`` field with the probe field above,
+  bracketed with the probe once more: 8 trees over 4,949 tape entries, whose
+  shared subtrees a walk meets many times over.  Each run builds the
+  brackets afresh, and records ``chars``, the printed length of the renamed
+  trees;
 * ``sample_kepler_box``: ``kepler.unfolded_domain().sample(seed=0)``, the
   8-dim box draw (an 11-point grid on four axes, 500 seeded draws, the
   collision ball taken out) that chart building and verification repeat;
@@ -260,8 +267,9 @@ def _cases():
     from sodelab import scenarios as sc
     from sodelab.cli import _scenario, main
     from sodelab.dynamics import estimate_period, integrate
-    from sodelab.expr import VariableContext, parse, qv_context
+    from sodelab.expr import Var, VariableContext, parse, qv_context, substitute, to_source
     from sodelab.fields import Box, VectorField
+    from sodelab.geometry import lie_bracket
 
     def chart_start():
         """The Kepler chart field, built afresh, and the E = -0.5 shell start."""
@@ -309,22 +317,34 @@ def _cases():
 
         return run
 
+    def clock_and_probe():
+        """The kepler-clock scenario, looked up afresh, and the probe field."""
+        clock = sc.get_conformal_scenario("kepler-clock")
+        names = clock.ctx.names
+        return clock, VectorField(clock.ctx, tuple(
+            parse(f"{names[(i + 1) % len(names)]}^2 - {name}", clock.ctx)
+            for i, name in enumerate(names)
+        ))
+
     def bracket():
         clock_points = sc.get_conformal_scenario("kepler-clock").box.sample()
 
         def run():
-            clock = sc.get_conformal_scenario("kepler-clock")
-            names = clock.ctx.names
-            probe = VectorField(clock.ctx, tuple(
-                parse(f"{names[(i + 1) % len(names)]}^2 - {name}", clock.ctx)
-                for i, name in enumerate(names)
-            ))
+            clock, probe = clock_and_probe()
             conformal.bracket_rescaling_residual(
                 clock.field, clock.factor, probe, clock_points
             )
             return {"points": len(clock_points)}
 
         return run
+
+    def substitute_print_bracket():
+        clock, probe = clock_and_probe()
+        names = clock.ctx.names
+        bracket = lie_bracket(lie_bracket(clock.field.scaled(clock.factor.expr), probe), probe)
+        renamed = {name: Var(names[(i + 1) % len(names)]) for i, name in enumerate(names)}
+        texts = [to_source(substitute(e, renamed)) for e in bracket.components]
+        return {"chars": sum(map(len, texts))}
 
     def sample_kepler_box():
         kepler.unfolded_domain().sample(seed=0)
@@ -380,6 +400,7 @@ def _cases():
         "lookup_kepler_chart": plain(lookup, "kepler-chart"),
         "cli_build_kepler_chart": plain(cli, "build", "--scenario", "kepler-chart"),
         "bracket_kepler_clock": bracket,
+        "substitute_print_bracket": plain(substitute_print_bracket),
         "sample_kepler_box": plain(sample_kepler_box),
         "build_library": plain(build_library),
         "build_coupled_fibres_7": plain(build_coupled_fibres, 7),
