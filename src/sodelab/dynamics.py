@@ -17,9 +17,10 @@ norm) and another the dense output of an accepted step, both in scalar
 locals with the zero table entries left out.  Every sum runs in a fixed
 order with no BLAS call inside a step, so a run's bits do not depend on the
 CPU or its BLAS build.  Each stage calls a stage function ``(t, y1, ..., yn)
--> tuple``: for ``VectorField.ode_rhs`` (recognised by its type) the field's
-own generated function, which shares common subexpressions, and for any
-other ``f(t, y)`` a small adapter that hands ``f`` the state as an array.
+-> tuple``: for ``VectorField.ode_rhs`` (recognised by its type) the one
+generated function of the field's entries, which its point calls also run
+and which shares common subexpressions, and for any other ``f(t, y)`` a
+small adapter that hands ``f`` the state as an array.
 An :class:`~sodelab.errors.EvaluationDomainError` raised by the field, once
 its checked scalar fallback has run, makes the whole stage NaN, so
 that attempt's error is infinite and the step is rejected.

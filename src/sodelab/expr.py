@@ -313,7 +313,9 @@ def pow_(base: Expression, exponent: Expression) -> Expression:
     if _is_const(exponent, 0.0):
         return ONE
     if isinstance(base, Const) and isinstance(exponent, Const):
-        return _folded(Pow(base, exponent))
+        if exponent is TWO:
+            return _folded("sq", base.value) or Pow(base, exponent)
+        return _folded("pow", base.value, exponent.value) or Pow(base, exponent)
     return Pow(base, exponent)
 
 
@@ -321,18 +323,19 @@ def call(fn: str, arg: Expression) -> Expression:
     if fn not in _FUNCTIONS:
         raise ValueError(f"unknown function '{fn}'")
     if isinstance(arg, Const):
-        return _folded(Call(fn, arg))
+        return _folded(fn, arg.value) or Call(fn, arg)
     return Call(fn, arg)
 
 
-def _folded(e: Expression) -> Expression:
-    """A node of constant operands as the constant :func:`evaluate` gives it,
-    or the node itself where that is a domain error or not finite."""
+def _folded(kind: str, *operands: float) -> Const | None:
+    """The constant ``_CHECKED_OPS[kind]`` gives the operands, the value
+    :func:`evaluate` computes for that operation, or None where that is a
+    domain error or not finite."""
     try:
-        value = evaluate(e, {})
+        value = _CHECKED_OPS[kind](*operands)
     except EvaluationDomainError:
-        return e
-    return Const(value) if math.isfinite(value) else e
+        return None
+    return Const(value) if math.isfinite(value) else None
 
 
 # --- variable contexts ----------------------------------------------------
@@ -850,15 +853,43 @@ def _python_source(tape: list[tuple], roots: list[int]) -> tuple[list, list, dic
     return lines, [texts[root] for root in roots], constants
 
 
-def _emit(e: Expression | Sequence[Expression], ctx: VariableContext) -> Callable:
-    """Generate the scalar function of a tree, or one returning a tuple for a sequence.
+def _batch(e: Expression | Sequence[Expression], ctx: VariableContext) -> Callable:
+    """Build the batch function of a tree, or one returning a tuple for a sequence.
 
-    The function takes a time argument it ignores, then the coordinates as
-    separate floats, and runs the statements of :func:`_python_source`;
-    where they raise ValueError, ZeroDivisionError or OverflowError, it
-    runs the same tape under ``_CHECKED_OPS`` at that point instead (built at
-    the first such point), so it agrees with :func:`evaluate` by
-    construction.  It holds no tree node.
+    The function takes an (m, dim) array, one row per point, binds the
+    coordinates as the columns of its float64 transpose, and runs the tape
+    under ``_BATCH``, one numpy ufunc per operation, every floating-point
+    error ignored, each value dropped after its last use.  It holds no tree
+    node.
+    """
+    single = isinstance(e, Expression)
+    # numpy constants, so that a constant 1/0 gives inf
+    run = _walker(*_tape((e,) if single else tuple(e), ctx.names), _BATCH, np.float64)
+    dim = ctx.dim
+
+    def batch(points):
+        coords = np.asarray(points, dtype=np.float64).T
+        if len(coords) != dim:
+            raise ValueError(f"points have {len(coords)} coordinates, context has {dim}")
+        with np.errstate(all="ignore"):
+            results = run(lambda name: coords[ctx.index(name)])
+        return results[0] if single else results
+
+    return batch
+
+
+def compile_scalar(e: Expression | Sequence[Expression], ctx: VariableContext) -> Callable:
+    """Generate ``f(t, x1, ..., xn)`` with exactly the values of :func:`evaluate`.
+
+    The function ignores its time argument ``t`` and takes the coordinates,
+    ordered as ``ctx.names``, as separate floats: the integrator calls it
+    once per stage, and a point call as ``f(0.0, *point)``.  One tree gives
+    a float; a sequence of trees gives a tuple of floats from one call.  It
+    runs the statements of :func:`_python_source`; where they raise
+    ValueError, ZeroDivisionError or OverflowError, it runs the same tape
+    under ``_CHECKED_OPS`` at that point instead (built at the first such
+    point), so it agrees with :func:`evaluate` by construction.  It holds no
+    tree node.  Too deep a tree raises :class:`ExpressionDepthError`.
     """
     single = isinstance(e, Expression)
     tape, roots = _tape((e,) if single else tuple(e), ctx.names)
@@ -886,56 +917,3 @@ def _emit(e: Expression | Sequence[Expression], ctx: VariableContext) -> Callabl
     exec(compile(source, "<sodelab-expr>", "exec"), namespace)
     # taken out of its own globals, so that the two make no reference cycle
     return namespace.pop("_compiled")
-
-
-def _batch(e: Expression | Sequence[Expression], ctx: VariableContext) -> Callable:
-    """Build the batch function of a tree, or one returning a tuple for a sequence.
-
-    The function takes an (m, dim) array, one row per point, binds the
-    coordinates as the columns of its float64 transpose, and runs the tape
-    under ``_BATCH``, one numpy ufunc per operation, every floating-point
-    error ignored, each value dropped after its last use.  It holds no tree
-    node.
-    """
-    single = isinstance(e, Expression)
-    # numpy constants, so that a constant 1/0 gives inf
-    run = _walker(*_tape((e,) if single else tuple(e), ctx.names), _BATCH, np.float64)
-    dim = ctx.dim
-
-    def batch(points):
-        coords = np.asarray(points, dtype=np.float64).T
-        if len(coords) != dim:
-            raise ValueError(f"points have {len(coords)} coordinates, context has {dim}")
-        with np.errstate(all="ignore"):
-            results = run(lambda name: coords[ctx.index(name)])
-        return results[0] if single else results
-
-    return batch
-
-
-def compile_scalar(
-    e: Expression | Sequence[Expression], ctx: VariableContext, *, stage: bool = False
-) -> Callable[..., float | tuple[float, ...]]:
-    """Compile to ``f(point)`` with exactly the values of :func:`evaluate`.
-
-    One tree gives a float; a sequence of trees gives a tuple of floats from
-    one call.  Coordinates are bound as Python floats.  Where the generated
-    code raises (a domain error, or an overflow that saturates to inf), the
-    point is run again through the trees' tape under the checked scalar
-    rules that :func:`evaluate` runs, so the two agree by construction.
-    With ``stage``, the generated function itself is returned: ``f(t, x1,
-    ..., xn)`` on plain floats, ignoring ``t``, as the integrator calls a
-    field once per stage.  Too deep a tree raises :class:`ExpressionDepthError`.
-    """
-    raw = _emit(e, ctx)
-    if stage:
-        return raw
-    dim = ctx.dim
-
-    def compiled(point):
-        coords = np.asarray(point, dtype=float).tolist()
-        if len(coords) != dim:
-            raise ValueError(f"point has {len(coords)} coordinates, context has {dim}")
-        return raw(0.0, *coords)
-
-    return compiled

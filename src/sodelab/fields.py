@@ -1,9 +1,11 @@
 """Coordinate fields over a variable context.
 
 A field here is a tuple (or matrix) of expression trees tied to one
-:class:`~sodelab.expr.VariableContext`.  Evaluation compiles all entries once
-into one cached function, so repeated calls (numeric integration) stay cheap
-while every derivative used to build the field was taken symbolically.
+:class:`~sodelab.expr.VariableContext`.  Its entries are compiled once, on
+first use, into one :func:`~sodelab.expr.compile_scalar` function, which
+every point call and, for a vector field, every integrator stage runs; a
+map's Jacobian entries are one more such function.  So repeated calls stay
+cheap while every derivative used to build the field was taken symbolically.
 :func:`vectorized_scalar`, :func:`evaluate_on` and :func:`max_abs_on` evaluate
 trees on point arrays by walking them, with no code generated: one numpy ufunc
 per operation, and a subexpression the trees share computed once.
@@ -128,17 +130,14 @@ def _entries(ctx: VariableContext, entries, shape: tuple[int, ...]):
     return entries
 
 
-def _fused(ctx: VariableContext, rows) -> Callable[..., float | np.ndarray]:
-    """One scalar-backend call for a tree, a vector or a matrix of trees.
-
-    The callable returns a float for one tree and otherwise an ndarray shaped
-    like ``rows``.
-    """
-    if isinstance(rows, Expression):
-        return compile_scalar(rows, ctx)
-    flat, shape = _flattened(rows)
-    fn = compile_scalar(flat, ctx)
-    return lambda point: np.array(fn(point), dtype=float).reshape(shape)
+def _at(fn: Callable, ctx: VariableContext, shape: tuple[int, ...], point):
+    """``fn(0.0, *point)``, the compiled entries at one point of ``ctx``:
+    a float for one tree, otherwise an ndarray of ``shape``."""
+    coords = np.asarray(point, dtype=float).tolist()
+    if len(coords) != ctx.dim:
+        raise ValueError(f"point has {len(coords)} coordinates, context has {ctx.dim}")
+    value = fn(0.0, *coords)
+    return np.array(value, dtype=float).reshape(shape) if shape else value
 
 
 class _Shaped:
@@ -146,8 +145,10 @@ class _Shaped:
 
     A subclass is a frozen dataclass whose entries sit in the attribute
     ``_attr``; ``_layout`` gives the context they live on and their shape.
-    Construction coerces and checks the entries, and evaluation compiles all
-    of them into one cached function.
+    Construction coerces and checks the entries.  ``_fn`` is the one
+    :func:`~sodelab.expr.compile_scalar` function of all of them, flattened
+    row by row, which point calls and, for a :class:`VectorField`, the
+    integrator's stages both run.
     """
 
     _attr = "components"
@@ -160,11 +161,13 @@ class _Shaped:
         object.__setattr__(self, self._attr, _entries(ctx, getattr(self, self._attr), shape))
 
     @cached_property
-    def _fn(self) -> Callable[..., float | np.ndarray]:
-        return _fused(self._layout()[0], getattr(self, self._attr))
+    def _fn(self) -> Callable[..., float | tuple[float, ...]]:
+        ctx, shape = self._layout()
+        entries = getattr(self, self._attr)
+        return compile_scalar(_flattened(entries)[0] if shape else entries, ctx)
 
     def __call__(self, point):
-        return self._fn(point)
+        return _at(self._fn, *self._layout(), point)
 
 
 @dataclass(frozen=True)
@@ -202,17 +205,6 @@ class VectorField(_Shaped):
         """Adapter f(t, y) for the integrator; the field is autonomous."""
         return FieldRhs(self)
 
-    @cached_property
-    def stage_fn(self) -> Callable[..., tuple[float, ...]]:
-        """The field function ``(t, x1, ..., xn) -> components`` on plain floats.
-
-        The integration kernel calls it once per stage.  It computes each
-        shared subexpression once, falls back to the checked run of
-        :func:`~sodelab.expr.evaluate` where its code raises, so it has
-        evaluate's values and domain errors, and holds no tree node.
-        """
-        return compile_scalar(self.components, self.ctx, stage=True)
-
     def negated(self) -> "VectorField":
         return VectorField(self.ctx, tuple(neg(c) for c in self.components))
 
@@ -224,16 +216,17 @@ class VectorField(_Shaped):
 class FieldRhs:
     """``VectorField.ode_rhs``: ``f(t, y)`` is the field at ``y``, as an array.
 
-    :func:`~sodelab.dynamics.integrate` recognises this type and calls the
-    field's :attr:`VectorField.stage_fn` on plain floats directly.  It holds
-    that function, not the field and none of its trees, so the field's
-    cached ``ode_rhs`` is no reference cycle and keeps no tree alive.
+    :func:`~sodelab.dynamics.integrate` recognises this type and calls
+    ``stage_fn``, the field's one compiled function ``(t, x1, ..., xn) ->
+    components``, on plain floats directly.  It holds that function, not the
+    field and none of its trees, so the field's cached ``ode_rhs`` is no
+    reference cycle and keeps no tree alive.
     """
 
     __slots__ = ("stage_fn",)
 
     def __init__(self, field: VectorField) -> None:
-        self.stage_fn = field.stage_fn
+        self.stage_fn = field._fn
 
     def __call__(self, t: float, y) -> np.ndarray:
         return np.array(self.stage_fn(t, *np.asarray(y, dtype=float).tolist()))
@@ -296,12 +289,12 @@ class PointMap(_Shaped):
         )
 
     @cached_property
-    def _jacobian_fn(self) -> Callable[..., np.ndarray]:
-        return _fused(self.src, self.jacobian)
+    def _jacobian_fn(self) -> Callable[..., tuple[float, ...]]:
+        return compile_scalar(_flattened(self.jacobian)[0], self.src)
 
     def jacobian_at(self, point) -> np.ndarray:
         """d(components)/d(src coordinates), shape (dst.dim, src.dim)."""
-        return self._jacobian_fn(point)
+        return _at(self._jacobian_fn, self.src, (self.dst.dim, self.src.dim), point)
 
 
 @dataclass(frozen=True)

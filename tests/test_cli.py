@@ -436,7 +436,7 @@ def test_verify_compiles_each_tree_tuple_once(tmp_path, monkeypatch, name):
 
         return spied
 
-    monkeypatch.setattr(expr, "_emit", spy("scalar", expr._emit))
+    monkeypatch.setattr(fields, "compile_scalar", spy("scalar", expr.compile_scalar))
     monkeypatch.setattr(fields, "_batch", spy("batch", expr._batch))
     run_to(tmp_path, "run", ["verify", "--scenario", name])
     assert [key for key, count in builds.items() if count > 1] == []

@@ -41,7 +41,7 @@ from sodelab.expr import (
     to_source,
 )
 from sodelab.dynamics import _derivative
-from sodelab.fields import VectorField, evaluate_on, max_abs_on, vectorized_scalar
+from sodelab.fields import ScalarField, VectorField, evaluate_on, max_abs_on, vectorized_scalar
 
 CTX = VariableContext.of("q1", "v1", "x", "y")
 
@@ -373,9 +373,9 @@ class TestInterning:
         before = len(expr._NODES)
         f = compile_scalar([parse("sqrt(x*y) + q1", CTX), parse("1/v1", CTX)], CTX)
         assert len(expr._NODES) == before  # only floats, functions and entry numbers
-        assert f((1.0, 2.0, 4.0, 9.0)) == (7.0, 0.5)
+        assert f(0.0, 1.0, 2.0, 4.0, 9.0) == (7.0, 0.5)
         with pytest.raises(EvaluationDomainError):
-            f((1.0, 0.0, 4.0, 9.0))  # the fallback runs the tape, not the trees
+            f(0.0, 1.0, 0.0, 4.0, 9.0)  # the fallback runs the tape, not the trees
         assert len(expr._NODES) == before
 
     def test_a_batch_function_holds_no_tree(self):
@@ -471,16 +471,16 @@ class TestCompilation:
         f = compile_scalar(e, CTX)
         point = (0.9, -1.1, 0.4, 2.2)
         env = _env(point)
-        assert f(point) == pytest.approx(evaluate(e, env), rel=1e-15)
+        assert f(0.0, *point) == pytest.approx(evaluate(e, env), rel=1e-15)
 
     def test_domain_errors_shared(self):
         f = compile_scalar(parse("1/x", CTX), CTX)
         with pytest.raises(EvaluationDomainError):
-            f((0.0, 0.0, 0.0, 0.0))
+            f(0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_overflow_shared(self):
         f = compile_scalar(parse("exp(x)", CTX), CTX)
-        assert f((0.0, 0.0, 1e4, 0.0)) == math.inf
+        assert f(0.0, 0.0, 0.0, 1e4, 0.0) == math.inf
 
     def test_context_mismatch_rejected(self):
         e = parse("x + y", CTX)
@@ -740,14 +740,18 @@ def _assert_same_float(got, want):
 def test_compiled_scalar_matches_evaluate_exactly(tree, point, as_array):
     want = _outcome(lambda: _walk(tree, _env(point)))
     evaluated = _outcome(lambda: evaluate(tree, _env(point)))
+    coords = tuple(map(float, point))
+    single = _outcome(lambda: compile_scalar(tree, CTX)(0.0, *coords))
+    pair = _outcome(lambda: compile_scalar([tree, _X], CTX)(0.0, *coords))
+    # a point call takes a sequence or an array and runs the same function
     arg = np.array(point, dtype=float) if as_array else point
-    single = _outcome(lambda: compile_scalar(tree, CTX)(arg))
-    pair = _outcome(lambda: compile_scalar([tree, _X], CTX)(arg))
+    called = _outcome(lambda: ScalarField(CTX, tree)(arg))
     if want is EvaluationDomainError:
-        assert evaluated is single is pair is EvaluationDomainError
+        assert evaluated is single is pair is called is EvaluationDomainError
         return
     _assert_same_float(evaluated, want)
     _assert_same_float(single, want)
+    _assert_same_float(called, want)
     assert type(pair) is tuple and len(pair) == 2
     _assert_same_float(pair[0], want)
     _assert_same_float(pair[1], float(point[2]))
@@ -763,7 +767,7 @@ def test_field_function_matches_plain_evaluation_exactly(a, b, point):
     # the integrator turns that stage into NaN
     components = (a, Mul(a, b), Sub(b, a), Pow(Add(a, b), Const(2.0)))
     plain = _outcome(lambda: tuple(evaluate(c, _env(point)) for c in components))
-    fn = VectorField(CTX, components).stage_fn
+    fn = VectorField(CTX, components).ode_rhs.stage_fn
     got = _outcome(lambda: fn(0.5, *map(float, point)))
     stage = _derivative(fn, 0.5, tuple(map(float, point)))
     if plain is EvaluationDomainError:
@@ -815,7 +819,7 @@ def test_squares_agree_bitwise_across_backends():
     trees = [parse("x^2", CTX), parse("(x + y)^2", CTX)]
     batch = np.stack(vectorized_scalar(trees, CTX)(points), axis=1)
     scalar = compile_scalar(trees, CTX)
-    one_by_one = np.array([scalar(p) for p in points])
+    one_by_one = np.array([scalar(0.0, *p.tolist()) for p in points])
     evaluated = np.array([[evaluate(t, _env(p)) for t in trees] for p in points])
     walked = np.array([[_walk(t, _env(p)) for t in trees] for p in points])
     bits = [a.view(np.uint64) for a in (walked, batch, one_by_one, evaluated)]
@@ -848,7 +852,7 @@ def test_long_single_use_chains_compile_in_both_backends():
         tree = Add(tree, Mul(Const(k + 0.5), Var("y")))
     point = (0.0, 0.0, 0.25, -1.5)
     want = evaluate(tree, _env(point))
-    assert compile_scalar(tree, CTX)(point) == want
+    assert compile_scalar(tree, CTX)(0.0, *point) == want
     assert vectorized_scalar(tree, CTX)(np.array([point]))[0] == want
 
 
@@ -859,7 +863,7 @@ def test_doubling_dag_compiles_in_both_backends():
     for _ in range(40):
         tree = Add(tree, tree)
     point = (0.0, 0.0, 1.5, 0.0)
-    assert compile_scalar(tree, CTX)(point) == 2.0**40 * 1.5
+    assert compile_scalar(tree, CTX)(0.0, *point) == 2.0**40 * 1.5
     assert vectorized_scalar(tree, CTX)(np.array([point]))[0] == 2.0**40 * 1.5
 
 
@@ -900,7 +904,7 @@ def test_batch_frees_each_value_after_its_last_use():
         tracemalloc.stop()
     assert peak < 4 * column
     scalar = compile_scalar(tree, CTX)
-    want = np.array([scalar(point) for point in points[::1000]])
+    want = np.array([scalar(0.0, *point.tolist()) for point in points[::1000]])
     assert np.array_equal(values[::1000].view(np.int64), want.view(np.int64))
 
 
@@ -932,7 +936,7 @@ def test_too_deep_a_tree_is_refused_with_a_typed_error():
     assert expr.sub(deep, chain(2000)) is Const(0.0)
     shallow = chain(200)  # y - (y - x) = x, 100 times over
     assert evaluate(shallow, _env(point)) == 0.25
-    assert compile_scalar(shallow, CTX)(point) == 0.25
+    assert compile_scalar(shallow, CTX)(0.0, *point) == 0.25
     assert vectorized_scalar(shallow, CTX)(np.array([point]))[0] == 0.25
     assert evaluate(differentiate(shallow, "x"), _env(point)) == 1.0
     assert evaluate(substitute(shallow, {"x": Var("y")}), _env(point)) == 1.0
@@ -967,7 +971,7 @@ def test_batch_and_scalar_backends_agree_bitwise(a, b):
     for k, point in enumerate(_BACKEND_POINTS):
         if _outcome(lambda: evaluate(Add(a, b), _env(point))) is EvaluationDomainError:
             continue
-        want = np.array(scalar(point))
+        want = np.array(scalar(0.0, *map(float, point)))
         got = np.array([np.broadcast_to(value, (len(points),))[k] for value in batch])
         nan = np.isnan(want)
         assert np.array_equal(nan, np.isnan(got))

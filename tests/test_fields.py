@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sodelab import expr
+from sodelab import expr, fields
+from sodelab.dynamics import integrate
 from sodelab.errors import ChartDimensionError, DomainSamplingError
 from sodelab.expr import Const, Var, VariableContext, parse, qv_context
 from sodelab.fields import (
@@ -165,6 +166,13 @@ class TestPointMap:
         dst = VariableContext.of("u", "w")
         with pytest.raises(ValueError):
             PointMap(src, dst, ("a",))
+
+    def test_point_and_jacobian_calls_check_the_point_length(self):
+        m = PointMap(VariableContext.of("a", "b"), VariableContext.of("u"), ("a*b",))
+        for call in (m, m.jacobian_at):
+            with pytest.raises(ValueError, match="point has 3 coordinates, context has 2"):
+                call((1.0, 2.0, 3.0))
+        assert m.jacobian_at(np.array([2.0, 3.0])).tolist() == [[3.0, 2.0]]
 
 
 class TestBatch:
@@ -325,6 +333,23 @@ class TestCanonicalStructures:
         assert dq1 @ m @ dp1 == 1.0
         assert dp1 @ m @ dq1 == -1.0
         np.testing.assert_array_equal(m, -m.T)
+
+
+def test_point_calls_and_integration_share_one_compiled_function(monkeypatch):
+    compiled = []
+
+    def spy(e, ctx):
+        compiled.append(e)
+        return expr.compile_scalar(e, ctx)
+
+    monkeypatch.setattr(fields, "compile_scalar", spy)
+    field = VectorField.of(CTX2, "v1", "v2", "-q1", "-q2")
+    start = np.array([1.0, 0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(field(start), [0.0, 1.0, -1.0, -0.0])
+    traj = integrate(field.ode_rhs, start, 1.0)
+    assert traj.status == "completed"
+    assert len(compiled) == 1
+    assert field.ode_rhs.stage_fn is field._fn
 
 
 def test_a_field_and_its_rhs_hold_no_reference_cycle():

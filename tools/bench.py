@@ -20,8 +20,8 @@ drift on a shared machine lands on both trees alike.  Twenty-one cases are run:
   of the end state from the start, which is the global error there);
 * ``estimate_period``: ``estimate_period`` on the same field and start;
 * ``rhs_chart_field``: ``_RHS_CALLS`` calls of the chart field's RHS at that
-  start, as the integrator makes them: the field's ``stage_fn``
-  function where the tree has one, else ``ode_rhs(t, y)``;
+  start, as the integrator makes them: the stage function
+  ``field.ode_rhs.stage_fn`` on plain floats;
 * ``integrator_zero_rhs``: ``integrate`` on the zero field of dimension 8
   over [0, 1e6], so that its time per RHS call is the integrator's own work
   (its steps grow tenfold each, 13 of them);
@@ -97,8 +97,8 @@ of calls, and ``svd_points``, the matrices handed to
 ``bundle._singular_values`` (the points whose rank a cheaper test did not
 settle).  Each case records ``box_draws``, the calls to
 ``fields.Box.sample``, and ``box_points``, the rows they return (0 and 0
-for a case that draws none), and ``codegen``, the functions ``expr._emit``
-generates, and ``batch_evals``, the calls to ``fields.vectorized_scalar``
+for a case that draws none), and ``codegen``, the calls to
+``expr.compile_scalar`` (each generates one function), and ``batch_evals``, the calls to ``fields.vectorized_scalar``
 (each builds one batch function, which a tree whose batch backend is
 generated code also counts in ``codegen``).  Each ``cli_`` case records
 ``csv_bytes``, the size of the CSV files the command wrote (0 for one that
@@ -183,7 +183,7 @@ def _counters():
 
         return wrapper
 
-    _rebind("_emit", expr._emit, counted("codegen", expr._emit))
+    _rebind("compile_scalar", expr.compile_scalar, counted("codegen", expr.compile_scalar))
     _rebind("vectorized_scalar", fields.vectorized_scalar,
             counted("batch_evals", fields.vectorized_scalar))
 
@@ -217,7 +217,7 @@ def _counters():
 
     fields.Box.sample = sample
 
-    kernel = getattr(dynamics, "_kernel", None)  # trees before the generated kernel lack it
+    kernel = dynamics._kernel
 
     def counted_kernel(dim):
         attempt, dense = kernel(dim)
@@ -228,9 +228,8 @@ def _counters():
 
         return attempt, counted_dense
 
-    if kernel is not None:
-        dynamics._kernel = counted_kernel
-        built["interpolants"] = 0
+    dynamics._kernel = counted_kernel
+    built["interpolants"] = 0
 
     def totals() -> dict:
         counts = {"svd_points": 0, **charts} if charts else {}
@@ -302,17 +301,12 @@ def _cases():
 
     def rhs_calls():
         field, x0 = chart_start()
-        # trees from before the generated step kernel have no stage function
-        stage = getattr(field, "stage_fn", None)
+        stage = field.ode_rhs.stage_fn
         coords = x0.tolist()
 
         def run():
-            if stage is None:
-                for _ in range(_RHS_CALLS):
-                    field.ode_rhs(0.0, x0)
-            else:
-                for _ in range(_RHS_CALLS):
-                    stage(0.0, *coords)
+            for _ in range(_RHS_CALLS):
+                stage(0.0, *coords)
             return {"calls": _RHS_CALLS}
 
         return run
