@@ -582,13 +582,11 @@ def _derivative(e: Expression, name: str) -> Expression:
             mul(e.left, _differentiate(e.right, name)),
         )
     if isinstance(e, Div):
-        return div(
-            sub(
-                mul(_differentiate(e.left, name), e.right),
-                mul(e.left, _differentiate(e.right, name)),
-            ),
-            mul(e.right, e.right),
-        )
+        dnum, dden = _differentiate(e.left, name), _differentiate(e.right, name)
+        if dden is ZERO:
+            # d(a/c) = a'/c: the quotient rule's c*c would overflow for a large c
+            return div(dnum, e.right)
+        return div(sub(mul(dnum, e.right), mul(e.left, dden)), mul(e.right, e.right))
     if isinstance(e, Pow):
         dbase = _differentiate(e.base, name)
         dexp = _differentiate(e.exponent, name)

@@ -111,6 +111,16 @@ def test_derived_start_the_integrator_refuses_is_usage_error(tmp_path, capsys, a
     assert manifest["outputs"] == []
 
 
+def test_a_huge_kepler_match_coupling_starts_at_a_finite_field(tmp_path, capsys):
+    # the slope at level 0.5 is 0.5 / g = 5e-308, finite; the orbit is too
+    # slow for a period to be found, which is a run failure, not a usage error
+    code, out = run_to(tmp_path, "run", ["fosc-demo", "--profile", "kepler-match",
+                                         "--param", "1e307"])
+    assert code == 1
+    assert "not finite" not in capsys.readouterr().err
+    assert read_json(out / "error.json")["error"] == "NotPeriodicError"
+
+
 @pytest.mark.parametrize(
     "argv, flags, cause",
     [

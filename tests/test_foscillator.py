@@ -83,6 +83,11 @@ class TestDeformation:
                     math.sqrt(2.0 * xi**3) / g, rel=1e-12
                 )
 
+    @pytest.mark.parametrize("g", [1e155, 1e300])
+    def test_matching_slope_for_a_huge_coupling(self, g):
+        # the slope (2 xi)^1.5 * 2.5 * 2 / (10 g) divides by 10 g once, not by its square
+        assert abs(fo.kepler_matching_deformation(g).slope_at(0.5) - 0.5 / g) <= 2 * math.ulp(0.5 / g)
+
     def test_linear_profile(self):
         d = fo.linear_deformation(3.0)
         assert d.slope_at(0.7) == pytest.approx(3.0)

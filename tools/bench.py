@@ -61,7 +61,7 @@ drift on a shared machine lands on both trees alike.  Twenty-one cases are run:
 * ``substitute_print_bracket``: ``expr.substitute`` (each coordinate
   renamed to the next) and then ``expr.to_source`` on each component of the
   bracket of the rescaled ``kepler-clock`` field with the probe field above,
-  bracketed with the probe once more: 8 trees over 4,949 tape entries, whose
+  bracketed with the probe once more: 8 trees over 3,965 tape entries, whose
   shared subtrees a walk meets many times over.  Each run builds the
   brackets afresh, and records ``chars``, the printed length of the renamed
   trees;
