@@ -328,9 +328,9 @@ def call(fn: str, arg: Expression) -> Expression:
 
 
 def _folded(kind: str, *operands: float) -> Const | None:
-    """The constant ``_CHECKED_OPS[kind]`` gives the operands, the value
-    :func:`evaluate` computes for that operation, or None where that is a
-    domain error or not finite."""
+    """``_CHECKED_OPS[kind]`` of the operands, the value :func:`evaluate`
+    computes for that operation, as a constant; None where that is a domain
+    error or not finite."""
     try:
         value = _CHECKED_OPS[kind](*operands)
     except EvaluationDomainError:
