@@ -71,6 +71,20 @@ def test_bench_counters_sum_each_wrapped_layer():
     assert verify["batch_evals"] > 0 and verify["codegen"] > 0
 
 
+def test_cli_digest_matches_the_golden_file():
+    """Every byte the fixed CLI runs of ``tools/cli_digest.py`` write is pinned
+    by ``tests/cli_digest.txt``; a change that moves output bytes rewrites that
+    file (``python3 tools/cli_digest.py > tests/cli_digest.txt``), so its diff
+    names each moved output."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cli_digest.py")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    golden = (ROOT / "tests" / "cli_digest.txt").read_text(encoding="utf-8")
+    assert proc.stdout.splitlines() == golden.splitlines()
+
+
 # public names (module.name) and class members (module.Class.member) that
 # no program code reaches yet, each kept for a stated reason
 _UNREACHED_BY_DESIGN = {
