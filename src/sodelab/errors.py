@@ -88,7 +88,7 @@ class SignChangeError(SodelabError):
 
 
 class NotPeriodicError(SodelabError):
-    """No consistent orbit closure was detected within the time horizon."""
+    """No return to the start was found within the time horizon."""
 
 
 # --- kepler --------------------------------------------------------------

@@ -45,7 +45,7 @@ class MotionRecord:
     state: np.ndarray
     n: int  # base dimension: |Q| uses state[:n], |V| the rest
     period: float
-    trajectory: Trajectory  # covers [0, 2T]; the figure curves sample it
+    trajectory: Trajectory  # covers [0, T]; the figure curves sample it
     observables: dict[str, float] = dataclass_field(default_factory=dict)
 
     @property

@@ -121,6 +121,24 @@ def test_a_huge_kepler_match_coupling_starts_at_a_finite_field(tmp_path, capsys)
     assert read_json(out / "error.json")["error"] == "NotPeriodicError"
 
 
+def test_a_slow_start_is_refused_for_its_horizon_not_as_an_equilibrium(tmp_path):
+    # the field at the start is (0, 0, -5e-308, 0): it moves, but its period,
+    # about 1.26e308, lies past t_max
+    code, out = run_to(tmp_path, "run", ["fosc-demo", "--profile", "kepler-match",
+                                         "--param", "1e307"])
+    assert code == 1
+    message = read_json(out / "error.json")["message"]
+    assert message == "no return to the start within t = 1000.0"
+
+
+def test_a_tiny_oscillator_level_measures_its_frequency(tmp_path):
+    # |x0| = 1.4e-10: the run's tolerances and return test scale with the orbit
+    code, out = run_to(tmp_path, "run", ["fosc-demo", "--profile", "linear",
+                                         "--param", "1", "--level", "1e-20"])
+    assert code == 0
+    assert read_json(out / "fosc_demo.json")["rel_error"] < 1e-9
+
+
 @pytest.mark.parametrize(
     "argv, flags, cause",
     [

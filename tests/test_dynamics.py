@@ -504,33 +504,32 @@ class TestPeriodDetection:
         estimate = estimate_period(circle_rhs, (1.0, 0.0))
         assert estimate.period == pytest.approx(2 * math.pi, rel=1e-8)
         assert estimate.residual < 1e-6
-        assert estimate.second_return == pytest.approx(4 * math.pi, rel=1e-6)
+        assert estimate.trajectory.status == "stopped"
 
-    def test_stops_at_the_second_return(self):
+    def test_stops_at_the_first_return(self):
         rhs = counting(circle_rhs)
         estimate = estimate_period(rhs, (1.0, 0.0))
-        # the run ends just past the second return at 4*pi (about 620 calls;
-        # 3,075 with the DP5 core)
-        assert rhs.calls < 4000
-        # DP5 core: 0x1.921fb54442a66p+2 and 0x1.921fb54442882p+3; DOP853 with
-        # numpy stages: 0x1.921fb5444f768p+2 and 0x1.921fb5444ed40p+3
+        # the run ends in the step that holds the first return at 2*pi (about
+        # 270 calls; 620 when it went on to a second return, 3,075 with the
+        # DP5 core)
+        assert rhs.calls < 400
+        times = estimate.trajectory.times
+        assert times[-2] < estimate.period <= times[-1]
+        # DP5 core: 0x1.921fb54442a66p+2; DOP853 with numpy stages:
+        # 0x1.921fb5444f768p+2
         assert estimate.period.hex() == "0x1.921fb5444f766p+2"
-        assert estimate.second_return.hex() == "0x1.921fb5444ed42p+3"
 
     def test_kepler_chart_period_bits(self):
         field = kp.chart_field()
         estimate = estimate_period(field.ode_rhs, kp.shell_representative(-0.5))
         # DP5 core: 0x1.921fb5444b32ap+2; DOP853 with numpy stages: unchanged
         assert estimate.period.hex() == "0x1.921fb54413636p+2"
-        # unchanged since the crossing is bisected on plain floats
-        assert estimate.second_return.hex() == "0x1.921fb5440caeap+3"
 
     def test_matched_oscillator_period_bits(self):
         # the f-oscillator partner of the chart field in ``sodelab match``
         field = deformed_field(make_oscillator(2), kepler_matching_deformation(1.0))
         estimate = estimate_period(field.ode_rhs, shell_state(make_oscillator(2), 0.5))
         assert estimate.period.hex() == "0x1.921fb543f4e33p+3"
-        assert estimate.second_return.hex() == "0x1.921fb54408153p+4"
 
     @pytest.mark.parametrize("case", ["circle", "chart-field"])
     def test_period_run_builds_only_its_crossing_steps(self, case):
@@ -542,7 +541,7 @@ class TestPeriodDetection:
         # the section value at each node; only upward crossings are bisected
         g = (traj.states - x0) @ f(0.0, x0)
         crossings = int(np.count_nonzero((g[:-1] < 0.0) & (g[1:] >= 0.0)))
-        assert crossings == 2  # one per lap
+        assert crossings == 1  # the first lap's return ends the run
         assert traj.nfev == 2 + 12 * (traj.accepted + traj.rejected) + 3 * crossings
 
     def test_anisotropic_start_point(self):
@@ -572,6 +571,39 @@ class TestPeriodDetection:
         with pytest.raises(NotPeriodicError):
             estimate_period(circle_rhs, (0.0, 0.0))
 
+    def test_the_period_does_not_depend_on_the_orbits_size(self):
+        # the linear oscillator has period 2*pi at every amplitude, down to
+        # starts whose field is subnormal
+        periods = [
+            estimate_period(circle_rhs, (scale, 0.0)).period
+            for scale in (1e-300, 1e-150, 1e-20, 1e-10, 1e-4, 1.0, 1e4, 1e7)
+        ]
+        for period in periods:
+            assert period == pytest.approx(2 * math.pi, rel=1e-9)
+        assert max(periods) - min(periods) <= 1e-9 * min(periods)
+
+    def test_a_subnormal_field_is_not_an_equilibrium(self):
+        with pytest.raises(NotPeriodicError, match="no return to the start within t = 1"):
+            estimate_period(lambda t, y: np.array([1e-320, 0.0]), (0.0, 0.0), t_max=1.0)
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-7])
+    def test_near_resonant_pairs_are_refused(self, delta):
+        # 1 : 1 + delta closes only after 2*pi/delta; its near miss after one
+        # lap lies about 4.4 delta from the start
+        def rhs(t, y):
+            return np.array([y[2], y[3], -y[0], -(1.0 + delta) ** 2 * y[1]])
+
+        with pytest.raises(NotPeriodicError, match="no return to the start"):
+            estimate_period(rhs, (1.0, 1.0, 0.0, 0.0), t_max=1000.0)
+
+    def test_a_rational_pair_returns_after_its_common_period(self):
+        # 1 : 1.01 closes after 100 laps of the first oscillator, at 200*pi
+        def rhs(t, y):
+            return np.array([y[2], y[3], -y[0], -1.01 * 1.01 * y[1]])
+
+        estimate = estimate_period(rhs, (1.0, 1.0, 0.0, 0.0))
+        assert estimate.period == pytest.approx(200 * math.pi, rel=1e-9)
+
     def test_domain_error_at_the_start_is_the_integrators_value_error(self):
         field = VectorField.of(qv_context(1), "v1", "-1/q1")
         with pytest.raises(ValueError, match="field is not finite at the initial state"):
@@ -590,7 +622,6 @@ class TestPeriodDetection:
         x0 = np.array([math.cos(phase), -omega * math.sin(phase)])
         estimate = estimate_period(rhs, x0)
         assert estimate.period == pytest.approx(2 * math.pi / omega, rel=1e-9)
-        assert estimate.second_return == pytest.approx(2 * estimate.period, rel=1e-9)
         normal = rhs(0.0, x0) / np.linalg.norm(rhs(0.0, x0))
         assert abs((estimate.trajectory.sample(estimate.period) - x0) @ normal) <= 1e-12
 
