@@ -510,8 +510,7 @@ class TestPeriodDetection:
         rhs = counting(circle_rhs)
         estimate = estimate_period(rhs, (1.0, 0.0))
         # the run ends in the step that holds the first return at 2*pi (about
-        # 270 calls; 620 when it went on to a second return, 3,075 with the
-        # DP5 core)
+        # 270 calls)
         assert rhs.calls < 400
         times = estimate.trajectory.times
         assert times[-2] < estimate.period <= times[-1]
