@@ -44,7 +44,6 @@ import numpy as np
 from .errors import (
     ChartDimensionError,
     DegenerateBaseError,
-    EvaluationDomainError,
     FixedPointOnBaseError,
     FunctionalDependenceError,
     NonInvertibleChartError,
@@ -65,6 +64,7 @@ from .fields import (
     ScalarField,
     VectorField,
     _entries,
+    _stacked,
     max_abs_on,
     vectorized_scalar,
 )
@@ -213,44 +213,53 @@ def _screened_rank_failure(
     return _rank_failure(sigma, points[doubtful]), abs_det
 
 
-def _newton_solve(forward: PointMap, target: np.ndarray, guess: np.ndarray) -> np.ndarray:
+def _newton_solve(
+    forward: Callable, jacobian: Callable, target: np.ndarray, guess: np.ndarray
+) -> tuple[np.ndarray, dict[int, str]]:
+    """Damped Newton on each row of the (m, d) ``target``, from that row of ``guess``.
+
+    ``forward`` and ``jacobian`` are the batch functions of the chart map's
+    trees and of its Jacobian's, row after row.  A row converges at a residual
+    norm within 1e-12 * (1 + |target|); each of its at most 100 steps is
+    halved, down to 1/4096, until the norm falls below (1 - lambda/4) of the
+    last (Deuflhard, Newton Methods for Nonlinear Problems, ch. 3).  Returns
+    the rows, and each failing row's message by its index.
+    """
     x = np.array(guess, dtype=float)
-    tol = 1e-12 * (1.0 + float(np.linalg.norm(target)))
-    try:
-        fx = forward(x) - target
-    except EvaluationDomainError:
-        raise NonInvertibleChartError("chart map undefined at the starting guess") from None
-    norm = float(np.linalg.norm(fx))
+    d = x.shape[1]
+    tol = 1e-12 * (1.0 + np.linalg.norm(target, axis=1))
+    fx = _stacked(forward(x), len(x), (d,)) - target
+    norm = np.linalg.norm(fx, axis=1)
+    failures = dict.fromkeys(np.flatnonzero(~np.isfinite(norm)).tolist(),
+                             "chart map undefined at the starting guess")
     for _ in range(_NEWTON_MAX_ITER):
-        if norm <= tol:
-            return x
-        try:
-            step = np.linalg.solve(forward.jacobian_at(x), fx)
-        except (np.linalg.LinAlgError, EvaluationDomainError):
-            raise NonInvertibleChartError(
-                f"chart Jacobian is singular near {_point_text(x)}"
-            ) from None
+        rows = np.array([k for k in np.flatnonzero(norm > tol).tolist() if k not in failures], int)
+        if not len(rows):
+            break
+        jac = _stacked(jacobian(x[rows]), len(rows), (d, d))
+        # a stacked solve refuses the whole stack: singular rows (LU sign 0) go first
+        regular = np.isfinite(jac).all(axis=(1, 2))
+        regular[regular] = np.linalg.slogdet(jac[regular])[0] != 0.0
+        for k in rows[~regular].tolist():
+            failures[k] = f"chart Jacobian is singular near {_point_text(x[k])}"
+        rows, jac = rows[regular], jac[regular]
+        step = np.linalg.solve(jac, fx[rows][..., None])[..., 0]
         lam = 1.0
-        while True:
-            candidate = x - lam * step
-            try:
-                f_candidate = forward(candidate) - target
-                n_candidate = float(np.linalg.norm(f_candidate))
-            except EvaluationDomainError:
-                n_candidate = np.inf
-            if np.isfinite(n_candidate) and n_candidate < (1.0 - 0.25 * lam) * norm:
-                break
-            lam *= 0.5
-            if lam < 1.0 / 4096.0:
-                raise NonInvertibleChartError(
-                    "chart inversion stalled: no descent direction"
-                )
-        x, fx, norm = candidate, f_candidate, n_candidate
-    if norm <= tol:
-        return x
-    raise NonInvertibleChartError(
-        f"chart inversion did not converge (residual {norm:.3e})"
-    )
+        while len(rows) and lam >= 1.0 / 4096.0:
+            candidate = x[rows] - lam * step
+            f_candidate = _stacked(forward(candidate), len(rows), (d,)) - target[rows]
+            n_candidate = np.linalg.norm(f_candidate, axis=1)
+            # the norm is finite, so a nan or inf candidate is no descent
+            descent = n_candidate < (1.0 - 0.25 * lam) * norm[rows]
+            done = rows[descent]
+            x[done], fx[done] = candidate[descent], f_candidate[descent]
+            norm[done] = n_candidate[descent]
+            rows, step, lam = rows[~descent], step[~descent], lam * 0.5
+        stalled = "chart inversion stalled: no descent direction"
+        failures.update(dict.fromkeys(rows.tolist(), stalled))
+    for k in np.flatnonzero(norm > tol).tolist():
+        failures.setdefault(k, f"chart inversion did not converge (residual {norm[k]:.3e})")
+    return x, failures
 
 
 @dataclass(frozen=True)
@@ -260,11 +269,11 @@ class TangentStructure:
     ``forward`` maps source coordinates to the chart (base block first, then
     the derived velocity block).  The chart's tangent structure is always
     ``canonical_tangent_structure(chart_ctx)``, so it is not stored.
-    ``inverse`` is one damped Newton solve for every chart, from
-    ``newton_guess``, the box centre (or the first sample point when the box
-    excludes it); when the base is distinct plain coordinates, the target's
-    Q is first written into their ``base_slots``.  An affine chart's solve,
-    and a seeded one across linear fibres, ends after one exact step.
+    ``inverse`` is the batched damped Newton solve of ``build``'s round trip
+    on one row, from ``newton_guess``, the box centre (or the first sample
+    point when the box excludes it), with the target's Q in the ``base_slots``
+    of a base of distinct plain coordinates.  An affine chart's solve, and a
+    seeded one across linear fibres, ends after one exact step.
     ``inverse_kind`` names only the chart's shape: "affine", "triangular"
     (a coordinate base, affine across the other coordinates) or "newton".
     ``jacobian_min_abs_det`` is the smallest |det| of the chart
@@ -310,16 +319,28 @@ class TangentStructure:
         """The base's slots when it is distinct plain coordinates, else None."""
         return _coordinate_slots(self.base_exprs, self.src_ctx)
 
+    def _guesses(self, targets: np.ndarray) -> np.ndarray:
+        """``newton_guess`` for each row of chart points, seeded with its Q."""
+        guess = np.tile(self.newton_guess, (len(targets), 1))
+        if self.base_slots is not None:
+            guess[:, list(self.base_slots)] = targets[:, : self.n]
+        return guess
+
     def inverse(self, chart_point) -> np.ndarray:
         target = np.asarray(chart_point, dtype=float)
         if target.shape != (self.chart_ctx.dim,):
             raise ValueError(
                 f"chart point needs {self.chart_ctx.dim} coordinates, got {target.shape}"
             )
-        guess = np.array(self.newton_guess)
-        if self.base_slots is not None:
-            guess[list(self.base_slots)] = target[: self.n]
-        return _newton_solve(self.forward, target, guess)
+        x, failures = _newton_solve(
+            vectorized_scalar(self.forward.components, self.src_ctx),
+            vectorized_scalar([e for row in self.forward.jacobian for e in row], self.src_ctx),
+            target[None],
+            self._guesses(target[None]),
+        )
+        if failures:
+            raise NonInvertibleChartError(failures[0])
+        return x[0]
 
     def to_json(self) -> dict:
         # what each rank claim rests on: unit base rows, one evaluation of a
@@ -401,15 +422,16 @@ def build(
     affine = _affine_in(forward.jacobian, ctx, ctx.names)
     ranked = points[:1] if affine else points
     slots = _coordinate_slots(base_exprs, ctx)
+    jacobian = vectorized_scalar([e for row in forward.jacobian for e in row], ctx)
+    trees, entries = forward.jacobian, jacobian
     if slots is not None:
         # columns ordered (base, fibre) give J = [[I, 0], [A, B]]: rank J is
         # n + rank B and |det J| = |det B|, so only B = dV/dfibre is evaluated
         fibre = [j for j in range(dim) if j not in slots]
         trees = [[row[j] for j in fibre] for row in forward.jacobian[n:]]
-    else:
-        trees = forward.jacobian
+        entries = vectorized_scalar([e for row in trees for e in row], ctx)
     # one batch call gives each entry of the square block as a column of points
-    values = vectorized_scalar([e for row in trees for e in row], ctx)(ranked)
+    values = entries(ranked)
     m = len(trees)
     block = [values[i * m : (i + 1) * m] for i in range(m)]
     dependent, abs_det = _screened_rank_failure(block, ranked)
@@ -476,14 +498,18 @@ def build(
         newton_guess=guess,
     )
 
-    # round-trip spot check certifies the inversion on the domain
-    stride = max(1, len(points) // 8)
-    for p in points[::stride][:8]:
-        recovered = structure.inverse(forward(p))
-        if float(np.max(np.abs(recovered - p))) > 1e-6 * (1.0 + float(np.max(np.abs(p)))):
-            raise NonInvertibleChartError(
-                f"chart is not injective over the domain: round trip moved {_point_text(p)}"
-            )
+    # round-trip spot check certifies the inversion on the domain; the
+    # earliest spot point to fail, in sample order, names the error
+    spots = points[:: max(1, len(points) // 8)][:8]
+    chart_map = vectorized_scalar(forward.components, ctx)
+    targets = _stacked(chart_map(spots), len(spots), (dim,))
+    recovered, failures = _newton_solve(chart_map, jacobian, targets, structure._guesses(targets))
+    scale = 1e-6 * (1.0 + np.max(np.abs(spots), axis=1))
+    for k in np.flatnonzero(np.max(np.abs(recovered - spots), axis=1) > scale).tolist():
+        moved = f"chart is not injective over the domain: round trip moved {_point_text(spots[k])}"
+        failures.setdefault(k, moved)
+    if failures:
+        raise NonInvertibleChartError(failures[min(failures)])
     return structure
 
 

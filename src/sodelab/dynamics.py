@@ -880,9 +880,10 @@ def estimate_period(
     normal, and the crossing is bisected on that polynomial in plain floats.
     The crossing at t* is a return, and ends the run, where |x(t*) - x0| is
     at most ``_RETURN_TOLS`` (100) times ``atol + rtol * s``, s = max |x0_i|;
-    the run takes ``atol`` down to ``rtol * s`` where that is smaller, so its
-    accuracy and the test scale with the orbit.  A start is an equilibrium
-    only where the field is exactly zero.
+    the run takes ``atol`` down to ``rtol * s`` where that is smaller (a
+    start where it underflows to 0 raises ValueError), so its accuracy and
+    the test scale with the orbit.  A start is an equilibrium only where the
+    field is exactly zero.
     """
     x0 = np.asarray(x0, dtype=float)
     f0 = np.array(_derivative(_stage_function(f, len(x0)), 0.0, x0.tolist()))
@@ -893,6 +894,8 @@ def estimate_period(
     pairs = tuple(zip(x0.tolist(), normal.tolist()))
     scale = float(np.max(np.abs(x0), initial=0.0))
     if scale > 0.0:
+        if 0.0 < rtol and rtol * scale == 0.0:
+            raise ValueError(f"the start's scale {scale!r} underflows rtol * scale to 0")
         atol = min(atol, rtol * scale)
     bound = _RETURN_TOLS * (atol + rtol * scale)
 

@@ -73,14 +73,19 @@ def _flattened(rows) -> tuple[list[Expression], tuple[int, ...]]:
     return list(rows), (len(rows),)
 
 
+def _stacked(columns, count: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Batch columns over ``count`` points (a constant's a scalar) as (count, *shape)."""
+    out = np.empty((count, len(columns)))
+    for k, value in enumerate(columns):
+        out[:, k] = value
+    return out.reshape(count, *shape)
+
+
 def evaluate_on(exprs: Sequence, ctx: VariableContext, points: np.ndarray) -> np.ndarray:
     """Batch values on an (m, dim) point array, in one call: shape (m, k) for a
     sequence of k trees, (m, rows, cols) for rows of trees such as a Jacobian's."""
     flat, shape = _flattened(exprs)
-    out = np.empty((len(points), len(flat)))
-    for k, value in enumerate(vectorized_scalar(flat, ctx)(points)):
-        out[:, k] = value
-    return out.reshape(len(points), *shape)
+    return _stacked(vectorized_scalar(flat, ctx)(points), len(points), shape)
 
 
 def max_abs_on(
@@ -304,7 +309,8 @@ class Box:
     ``exclude_radius > 0`` removes points whose Euclidean norm over
     ``exclude_dims`` (all coordinates when None) is below the radius; this is
     how singular loci like a collision set or a degenerate fiber are kept out
-    of verification grids.
+    of verification grids.  Column sums of squares screen the rows, and only
+    those within a relative 1e-12 of radius^2 are decided by ``np.linalg.norm``.
     """
 
     ctx: VariableContext
@@ -342,9 +348,14 @@ class Box:
     def _excluded(self, points: np.ndarray) -> np.ndarray:
         if self.exclude_radius <= 0.0:
             return np.zeros(len(points), dtype=bool)
-        if self.exclude_dims is not None:
-            points = points[:, list(self.exclude_dims)]
-        return np.linalg.norm(points, axis=1) < self.exclude_radius
+        dims = list(range(self.ctx.dim) if self.exclude_dims is None else self.exclude_dims)
+        squares = sum((points[:, k] * points[:, k] for k in dims), np.zeros(len(points)))
+        bound = self.exclude_radius * self.exclude_radius
+        excluded = squares < bound
+        # the norm's sum of these squares differs by a few eps: only rows this near may differ
+        near = np.flatnonzero(np.abs(squares - bound) <= 1e-12 * bound)
+        excluded[near] = np.linalg.norm(points[near][:, dims], axis=1) < self.exclude_radius
+        return excluded
 
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
@@ -376,7 +387,7 @@ class Box:
         rng = np.random.default_rng(seed)
         points[n_grid:] = rng.uniform(self.lo, self.hi, size=(n_random, dim))
         if self.exclude_radius > 0.0:
-            points = points[~self._excluded(points)]
+            points = np.compress(~self._excluded(points), points, axis=0)
         if len(points) < 10:
             raise DomainSamplingError(
                 f"only {len(points)} sample points survive the exclusion ball"

@@ -211,11 +211,11 @@ def record_curve(record: MotionRecord, samples_per_period: int):
     """
     if samples_per_period != 0 and samples_per_period < 2:
         raise ValueError(f"samples_per_period must be 0 or >= 2, not {samples_per_period}")
-    traj = record.trajectory
     times = np.linspace(0.0, record.period, samples_per_period)
-    states = traj.sample_many(times)
-    closure = float(np.max(np.abs(traj.sample(record.period) - record.state)))
-    return times, states, closure
+    # one dense read: the curve's rows, then x(T) for the closure
+    rows = record.trajectory.sample_many(np.append(times, record.period))
+    closure = float(np.max(np.abs(rows[-1] - record.state)))
+    return times, rows[:-1], closure
 
 
 def figure_rows(records, samples_per_period: int):

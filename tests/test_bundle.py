@@ -32,7 +32,6 @@ from sodelab.expr import (
 )
 from sodelab.fields import (
     Box,
-    PointMap,
     ScalarField,
     VectorField,
     canonical_tangent_structure,
@@ -57,6 +56,15 @@ def quick_build(field, base, box, **kw):
 def force_block(t):
     """The chart's force trees: the field's derivative of each velocity function."""
     return tuple(lie_scalar(t.gamma, ScalarField(t.src_ctx, v)).expr for v in t.velocity_exprs)
+
+
+def newton_maps(t):
+    """The batch functions of the chart map's trees and of its Jacobian's."""
+    entries = [e for row in t.forward.jacobian for e in row]
+    return (
+        fields.vectorized_scalar(t.forward.components, t.src_ctx),
+        fields.vectorized_scalar(entries, t.src_ctx),
+    )
 
 
 def chart_velocity(t, zeta):
@@ -94,18 +102,26 @@ class TestOscillatorBases:
     def test_affine_chart_inverts_in_one_newton_step(self, monkeypatch):
         t = quick_build(SPIN4, ("x1", "x3"), BOX4)
         assert t.inverse_kind == "affine"
+        entries = [e for row in t.forward.jacobian for e in row]
         calls = []
-        original = PointMap.jacobian_at
+        original = bundle.vectorized_scalar
 
-        def count(self, point):
-            calls.append(tuple(point))
-            return original(self, point)
+        def spy(trees, ctx):
+            batch = original(trees, ctx)
+            if list(trees) != entries:  # nodes are interned: this compares identities
+                return batch
 
-        monkeypatch.setattr(PointMap, "jacobian_at", count)
+            def count(points):
+                calls.append(np.array(points))
+                return batch(points)
+
+            return count
+
+        monkeypatch.setattr(bundle, "vectorized_scalar", spy)
         # the fibre values -0.25 and 1.0 lie away from the seed's centre values
         p = np.array([0.5, -0.25, 0.75, 1.0])
         np.testing.assert_allclose(t.inverse(t.forward(p)), p, atol=1e-12)
-        assert len(calls) == 1
+        assert len(calls) == 1 and calls[0].shape == (1, 4)
 
     def test_chart_field_is_linear_oscillator(self):
         t = quick_build(SPIN4, ("x1", "x3"), BOX4)
@@ -596,14 +612,14 @@ class TestInversionStrategies:
         guesses = []
         original = bundle._newton_solve
 
-        def record(forward, target, guess):
+        def record(forward, jacobian, target, guess):
             guesses.append(np.array(guess))
-            return original(forward, target, guess)
+            return original(forward, jacobian, target, guess)
 
         monkeypatch.setattr(bundle, "_newton_solve", record)
         target = st.forward(np.array([0.3, -0.2, 0.4, 0.1]))
         st.inverse(target)
-        (guess,) = guesses
+        ((guess,),) = guesses
         np.testing.assert_array_equal(guess[list(st.base_slots)], target[: st.n])
         # the fibre slots keep the box-centre start
         np.testing.assert_array_equal(guess[2:], np.array(st.newton_guess)[2:])
@@ -638,11 +654,70 @@ class TestInversionStrategies:
         field = VectorField.of(ctx, "v1 - v1^3/3", "-q1")
         t = quick_build(field, ("q1",), Box.cube(ctx, 0.9))
         assert t.inverse_kind == "newton"
-        with pytest.raises(NonInvertibleChartError) as info:
-            bundle._newton_solve(t.forward, t.forward([0.2, 0.5]), np.array([0.5, 1.0]))
-        message = str(info.value)
+        _, failures = bundle._newton_solve(
+            *newton_maps(t), np.array([t.forward([0.2, 0.5])]), np.array([[0.5, 1.0]])
+        )
+        message = failures[0]
         assert "np." not in message
         assert ast.literal_eval(message.split(" near ")[1]) == (0.5, 1.0)
+
+    def test_each_row_of_a_batch_fails_for_its_own_reason(self):
+        ctx = qv_context(1)
+        field = VectorField.of(ctx, "v1 - v1^3/3", "-q1")
+        t = quick_build(field, ("q1",), Box.cube(ctx, 0.9))
+        target = np.tile(t.forward([0.2, 0.5]), (3, 1))
+        guess = np.array([[0.5, 1.0], [math.nan, 0.5], [0.2, 0.4]])
+        x, failures = bundle._newton_solve(*newton_maps(t), target, guess)
+        assert failures == {
+            0: "chart Jacobian is singular near (0.5, 1.0)",
+            1: "chart map undefined at the starting guess",
+        }
+        np.testing.assert_allclose(x[2], [0.2, 0.5], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "failures, moved, message",
+        [
+            ({5: "chart inversion stalled", 2: "chart map undefined"}, None,
+             "chart map undefined"),
+            ({5: "chart inversion stalled"}, 3, "round trip moved"),
+            ({1: "chart Jacobian is singular"}, 3, "chart Jacobian is singular"),
+        ],
+    )
+    def test_the_first_failing_spot_point_names_the_error(
+        self, monkeypatch, failures, moved, message
+    ):
+        # the spot points are solved in one batch; the error is the one the
+        # earliest failing point in sample order raises on its own
+        original = bundle._newton_solve
+        solved = []
+
+        def solve(forward, jacobian, target, guess):
+            x, found = original(forward, jacobian, target, guess)
+            assert found == {}
+            solved.append(x.copy())
+            if moved is not None:
+                x[moved] += 1.0
+            return x, failures
+
+        monkeypatch.setattr(bundle, "_newton_solve", solve)
+        with pytest.raises(NonInvertibleChartError, match=message) as info:
+            quick_build(SPIN4, ("x1", "x3"), BOX4)
+        if message == "round trip moved":  # it names its spot point
+            assert str(info.value).endswith(bundle._point_text(solved[0][moved]))
+
+    def test_building_the_library_generates_no_code(self, monkeypatch):
+        # every sampled check, the round trip included, runs on the batch backend
+        compiled = []
+        original = fields.compile_scalar
+
+        def spy(e, ctx):
+            compiled.append(e)
+            return original(e, ctx)
+
+        monkeypatch.setattr(fields, "compile_scalar", spy)
+        for scenario in sc.buildable_scenarios():
+            sc.build_scenario(scenario)
+        assert compiled == []
 
     def test_non_injective_chart_caught(self):
         # v1^2 folds the fiber; the round-trip certificate must fail

@@ -131,6 +131,18 @@ def test_a_slow_start_is_refused_for_its_horizon_not_as_an_equilibrium(tmp_path)
     assert message == "no return to the start within t = 1000.0"
 
 
+def test_a_start_too_small_for_its_tolerance_is_usage_error(tmp_path, capsys):
+    # rtol 1e-10 times the start's scale 1e-314 underflows to 0
+    code, out = run_to(tmp_path, "run", ["period", "--scenario", "oscillator-1",
+                                         "--state", "1e-314,0"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --state 1e-314,0: the start's scale 1e-314 underflows "
+        "rtol * scale to 0\n"
+    )
+    assert read_json(out / "run_manifest.json")["outputs"] == []
+
+
 def test_a_tiny_oscillator_level_measures_its_frequency(tmp_path):
     # |x0| = 1.4e-10: the run's tolerances and return test scale with the orbit
     code, out = run_to(tmp_path, "run", ["fosc-demo", "--profile", "linear",
@@ -468,6 +480,21 @@ def test_verify_compiles_each_tree_tuple_once(tmp_path, monkeypatch, name):
     monkeypatch.setattr(fields, "_batch", spy("batch", expr._batch))
     run_to(tmp_path, "run", ["verify", "--scenario", name])
     assert [key for key, count in builds.items() if count > 1] == []
+
+
+@pytest.mark.parametrize("name", [s.name for s in sc.buildable_scenarios()])
+def test_verify_generates_no_code(tmp_path, monkeypatch, name):
+    # a chart is built and certified on the batch backend alone
+    compiled = []
+    original = fields.compile_scalar
+
+    def spy(e, ctx):
+        compiled.append(e)
+        return original(e, ctx)
+
+    monkeypatch.setattr(fields, "compile_scalar", spy)
+    code, _ = run_to(tmp_path, "run", ["verify", "--scenario", name])
+    assert code == 0 and compiled == []
 
 
 def _spy_on_draws(monkeypatch):

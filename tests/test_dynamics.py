@@ -581,6 +581,18 @@ class TestPeriodDetection:
             assert period == pytest.approx(2 * math.pi, rel=1e-9)
         assert max(periods) - min(periods) <= 1e-9 * min(periods)
 
+    @pytest.mark.parametrize("scale", [1e-314, 1e-316, 5e-324])
+    def test_a_start_whose_tolerance_underflows_is_refused_for_its_scale(self, scale):
+        # rtol * scale underflows to 0 here, and the message says so rather
+        # than blaming the tolerances
+        with pytest.raises(ValueError, match=rf"the start.s scale {scale!r} underflows"):
+            estimate_period(circle_rhs, (scale, 0.0))
+
+    def test_the_smallest_start_with_a_tolerance_keeps_its_period(self):
+        # rtol * scale = 1e-323, a subnormal but positive tolerance
+        period = estimate_period(circle_rhs, (1e-313, 0.0)).period
+        assert period == pytest.approx(2 * math.pi, rel=1e-9)
+
     def test_a_subnormal_field_is_not_an_equilibrium(self):
         with pytest.raises(NotPeriodicError, match="no return to the start within t = 1"):
             estimate_period(lambda t, y: np.array([1e-320, 0.0]), (0.0, 0.0), t_max=1.0)

@@ -223,6 +223,22 @@ class TestBox:
         # fiber coordinates are free to be small
         assert np.any(np.linalg.norm(pts[:, 2:], axis=1) < 0.5)
 
+    @pytest.mark.parametrize("radius", [0.5, 0.3, 1.0, 7.25, 1e-155, 1e-160, 1e150])
+    def test_exclusion_at_the_sphere_matches_the_norm(self, radius):
+        # points within 4 ulp of the sphere, where the screening sum of
+        # squares and the norm round apart; tiny radii square to subnormals
+        dims = [0, 2, 3]
+        ctx = VariableContext(tuple(f"x{k}" for k in range(5)))
+        box = Box(ctx, (-1.0,) * 5, (1.0,) * 5, exclude_radius=radius, exclude_dims=dims)
+        directions = np.random.default_rng(0).normal(size=(200, 5))
+        directions /= np.linalg.norm(directions[:, dims], axis=1)[:, None]
+        directions = np.vstack([directions, np.eye(5)[dims]])
+        edge = radius + np.arange(-4, 5) * np.spacing(radius)
+        points = (directions[:, None, :] * edge[None, :, None]).reshape(-1, 5)
+        expected = np.linalg.norm(points[:, dims], axis=1) < radius
+        np.testing.assert_array_equal(box._excluded(points), expected)
+        assert expected.any() and not expected.all()
+
     def test_empty_domain_raises(self):
         with pytest.raises(DomainSamplingError):
             Box.cube(CTX2, 1.0, exclude_radius=10.0).sample(seed=0, n_random=10)
@@ -273,15 +289,18 @@ def _meshgrid_sample(box, seed, n_random, grid_points):
 def _boxes(draw):
     dim = draw(st.integers(1, 8))
     ctx = VariableContext(tuple(f"x{k}" for k in range(dim)))
+    # coordinates near 1e-160 square to subnormals, and near 1e150 overflow
+    # in a sum of squares
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e150]))
     bounds = st.floats(-10.0, 10.0)
-    lo = draw(st.lists(bounds, min_size=dim, max_size=dim))
+    lo = [scale * a for a in draw(st.lists(bounds, min_size=dim, max_size=dim))]
     widths = draw(st.lists(st.floats(1e-3, 10.0), min_size=dim, max_size=dim))
-    radius = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+    radius = scale * draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
     dims = draw(st.one_of(
         st.none(),
         st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True),
     ))
-    hi = [a + w for a, w in zip(lo, widths)]
+    hi = [a + scale * w for a, w in zip(lo, widths)]
     return Box(ctx, tuple(lo), tuple(hi), exclude_radius=radius, exclude_dims=dims)
 
 
