@@ -44,7 +44,8 @@ class NonFiniteConstantError(SodelabError):
 
 
 class ExpressionDepthError(SodelabError):
-    """A tree is nested too deeply to evaluate, compile, differentiate, substitute or print."""
+    """A tree or its text is nested too deeply to parse, evaluate, compile, differentiate,
+    substitute or print."""
 
 
 # --- sampling / domains --------------------------------------------------

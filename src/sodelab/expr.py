@@ -249,9 +249,7 @@ def add(a: Expression, b: Expression) -> Expression:
     if _is_const(b, 0.0):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
-        folded = a.value + b.value
-        if math.isfinite(folded):
-            return Const(folded)
+        return _folded("+", a.value, b.value) or Add(a, b)
     return Add(a, b)
 
 
@@ -261,9 +259,8 @@ def sub(a: Expression, b: Expression) -> Expression:
     if _is_const(a, 0.0):
         return neg(b)
     if isinstance(a, Const) and isinstance(b, Const):
-        folded = a.value - b.value
         # a non-finite difference stays a node, before `a is b` could fold inf - inf to 0
-        return Const(folded) if math.isfinite(folded) else Sub(a, b)
+        return _folded("-", a.value, b.value) or Sub(a, b)
     return ZERO if a is b else Sub(a, b)
 
 
@@ -275,9 +272,7 @@ def mul(a: Expression, b: Expression) -> Expression:
     if _is_const(b, 1.0):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
-        folded = a.value * b.value
-        if math.isfinite(folded):
-            return Const(folded)
+        return _folded("*", a.value, b.value) or Mul(a, b)
     return Mul(a, b)
 
 
@@ -292,10 +287,8 @@ def sum_of_products(pairs: Iterable[tuple[Expression, Expression]]) -> Expressio
 def div(a: Expression, b: Expression) -> Expression:
     if _is_const(b, 1.0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        folded = a.value / b.value
-        if math.isfinite(folded):
-            return Const(folded)
+    if isinstance(a, Const) and isinstance(b, Const):
+        return _folded("/", a.value, b.value) or Div(a, b)
     return Div(a, b)
 
 
@@ -394,117 +387,94 @@ def qv_context(n: int) -> VariableContext:
 
 # --- parsing ----------------------------------------------------------------
 
+# binding powers: the parser binds by them, and the print rules parenthesise by them
+_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_NEG, _PREC_ATOM = range(1, 6)
+# each left-associative operator: its binding power and its folding constructor
+_BINARY = {"+": (_PREC_ADD, add), "-": (_PREC_ADD, sub),
+           "*": (_PREC_MUL, mul), "/": (_PREC_MUL, div)}
+
+# ``\s`` is the whitespace of ``str.isspace``; a character no token starts with is ``bad``
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token, then ``("end", "", len(source))``."""
     tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(source):
-        if source[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            raise ExprSyntaxError(f"unexpected character '{source[pos]}'", pos)
-        kind = match.lastgroup or "op"
-        tokens.append((kind, match.group(), pos))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        pos = match.start(kind)
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character '{match[kind]}'", pos)
+        tokens.append((kind, match[kind], pos))
     tokens.append(("end", "", len(source)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], ctx: VariableContext) -> None:
-        self.tokens = tokens
-        self.ctx = ctx
-        self.i = 0
+def parse(source: str, ctx: VariableContext) -> Expression:
+    """Parse ``source`` against ``ctx``; identifiers must be coordinates of ctx.
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
+    One loop reads the binary operators by their binding powers in
+    ``_BINARY``.  Text nested too deeply raises :class:`ExpressionDepthError`.
+    """
+    tokens = _tokenize(source)
+    i = 0  # the next token's index
 
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.i]
-        self.i += 1
-        return token
+    def binary(least: int) -> Expression:
+        nonlocal i
+        node = factor()
+        while (op := _BINARY.get(tokens[i][1])) and op[0] >= least:
+            i += 1
+            node = op[1](node, binary(op[0] + 1))
+        return node
 
-    def expect_op(self, text: str) -> None:
-        kind, value, pos = self.peek()
-        if kind != "op" or value != text:
-            raise ExprSyntaxError(f"expected '{text}'", pos)
-        self.advance()
+    def factor() -> Expression:
+        nonlocal i
+        node = base()
+        if tokens[i][1] != "^":
+            return node
+        i += 1
+        return pow_(node, factor())  # right-associative
 
-    def parse_expr(self) -> Expression:
-        node = self.parse_term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                node = add(node, rhs) if value == "+" else sub(node, rhs)
-            else:
-                return node
-
-    def parse_term(self) -> Expression:
-        node = self.parse_factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.parse_factor()
-                node = mul(node, rhs) if value == "*" else div(node, rhs)
-            else:
-                return node
-
-    def parse_factor(self) -> Expression:
-        base = self.parse_base()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            exponent = self.parse_factor()  # right-associative
-            return pow_(base, exponent)
-        return base
-
-    def parse_base(self) -> Expression:
-        kind, value, pos = self.advance()
+    def base() -> Expression:
+        nonlocal i
+        kind, value, pos = tokens[i]
+        i += 1
         if kind == "num":
             number = float(value)
             if not math.isfinite(number):
                 raise ExprSyntaxError(f"number '{value}' is out of float range", pos)
             return Const(number)
-        if kind == "ident":
-            next_kind, next_value, _ = self.peek()
-            if next_kind == "op" and next_value == "(":
-                if value not in _FUNCTIONS:
-                    raise UnknownIdentifierError(value, pos)
-                self.advance()
-                inner = self.parse_expr()
-                self.expect_op(")")
-                return call(value, inner)
-            if value not in self.ctx:
+        if kind == "ident" and tokens[i][1] != "(":
+            if value not in ctx:
                 raise UnknownIdentifierError(value, pos)
             return Var(value)
-        if kind == "op" and value == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        if kind == "op" and value == "-":
-            return neg(self.parse_base())
-        if kind == "end":
-            raise ExprSyntaxError("unexpected end of input", pos)
-        raise ExprSyntaxError(f"unexpected token '{value}'", pos)
+        if value == "-":
+            return neg(base())
+        if kind == "ident":  # a call
+            if value not in _FUNCTIONS:
+                raise UnknownIdentifierError(value, pos)
+            i += 1
+        elif value != "(":
+            message = f"unexpected token '{value}'" if value else "unexpected end of input"
+            raise ExprSyntaxError(message, pos)
+        inner = binary(_PREC_ADD)
+        if tokens[i][1] != ")":
+            raise ExprSyntaxError("expected ')'", tokens[i][2])
+        i += 1
+        return call(value, inner) if kind == "ident" else inner
 
-
-def parse(source: str, ctx: VariableContext) -> Expression:
-    """Parse ``source`` against ``ctx``; identifiers must be coordinates of ctx."""
-    tokens = _tokenize(source)
-    parser = _Parser(tokens, ctx)
-    node = parser.parse_expr()
-    kind, value, pos = parser.peek()
+    try:
+        node = binary(_PREC_ADD)
+    except RecursionError:
+        raise ExpressionDepthError("expression text is nested too deeply to parse") from None
+    finally:
+        del binary, factor, base  # they call one another: a cycle that holds the tokens
+    kind, value, pos = tokens[i]
     if kind != "end":
         raise ExprSyntaxError(f"unexpected token '{value}'", pos)
     return node
@@ -641,8 +611,6 @@ def substitute(e: Expression, bindings: Mapping[str, Expression]) -> Expression:
 
 # --- printing ---------------------------------------------------------------
 
-_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_NEG, _PREC_ATOM = range(1, 6)
-
 
 def _printer(template: str, prec: int, *least: int) -> Callable[..., tuple[str, int]]:
     """The print rule of an operation of precedence ``prec``: its operands'
@@ -696,6 +664,8 @@ def _checked(kind: str, fn: Callable[..., float]) -> Callable[..., float]:
 
 # every operation a tape holds, one row per kind: the one place an operation
 # is stated, apart from the function names and the differentiation rules.
+# The folding constructors fold two constants by its checked float column,
+# and the parser builds through them, by the binding powers of its print rules.
 # Columns: the binary node class of the kind; its folding constructor, which
 # substitution runs; its generated scalar code, a format of the operands'
 # texts; its numpy ufunc, which the batch backend runs; the float operation

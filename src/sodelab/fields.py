@@ -358,7 +358,9 @@ class Box:
         return excluded
 
     def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
+        p = np.asarray(point, dtype=float).reshape(-1)
+        if len(p) != self.ctx.dim:
+            raise ValueError(f"point has {len(p)} coordinates, context has {self.ctx.dim}")
         inside = bool(np.all(p >= self.lo) and np.all(p <= self.hi))
         return inside and not bool(self._excluded(p.reshape(1, -1))[0])
 

@@ -2,8 +2,11 @@
 
 import builtins
 import gc
+import itertools
 import math
 import operator
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -147,6 +150,189 @@ class TestParsing:
             parse(source, CTX)
         assert info.value.position == offset
         assert parse("x + 1.7976931348623157e308", CTX) == Add(Var("x"), Const(1.7976931348623157e308))
+
+
+# the recursive-descent parser that the precedence loop replaced, kept as a reference
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^()])"
+)
+
+
+def _reference_tokenize(source):
+    tokens = []
+    pos = 0
+    while pos < len(source):
+        if source[pos].isspace():
+            pos += 1
+            continue
+        match = _REFERENCE_TOKEN_RE.match(source, pos)
+        if match is None:
+            raise ExprSyntaxError(f"unexpected character '{source[pos]}'", pos)
+        kind = match.lastgroup or "op"
+        tokens.append((kind, match.group(), pos))
+        pos = match.end()
+    tokens.append(("end", "", len(source)))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, tokens, ctx):
+        self.tokens = tokens
+        self.ctx = ctx
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        token = self.tokens[self.i]
+        self.i += 1
+        return token
+
+    def expect_op(self, text):
+        kind, value, pos = self.peek()
+        if kind != "op" or value != text:
+            raise ExprSyntaxError(f"expected '{text}'", pos)
+        self.advance()
+
+    def parse_expr(self):
+        node = self.parse_term()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in "+-":
+                self.advance()
+                rhs = self.parse_term()
+                node = expr.add(node, rhs) if value == "+" else expr.sub(node, rhs)
+            else:
+                return node
+
+    def parse_term(self):
+        node = self.parse_factor()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in "*/":
+                self.advance()
+                rhs = self.parse_factor()
+                node = expr.mul(node, rhs) if value == "*" else expr.div(node, rhs)
+            else:
+                return node
+
+    def parse_factor(self):
+        base = self.parse_base()
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "^":
+            self.advance()
+            exponent = self.parse_factor()  # right-associative
+            return expr.pow_(base, exponent)
+        return base
+
+    def parse_base(self):
+        kind, value, pos = self.advance()
+        if kind == "num":
+            number = float(value)
+            if not math.isfinite(number):
+                raise ExprSyntaxError(f"number '{value}' is out of float range", pos)
+            return Const(number)
+        if kind == "ident":
+            next_kind, next_value, _ = self.peek()
+            if next_kind == "op" and next_value == "(":
+                if value not in expr._FUNCTIONS:
+                    raise UnknownIdentifierError(value, pos)
+                self.advance()
+                inner = self.parse_expr()
+                self.expect_op(")")
+                return expr.call(value, inner)
+            if value not in self.ctx:
+                raise UnknownIdentifierError(value, pos)
+            return Var(value)
+        if kind == "op" and value == "(":
+            inner = self.parse_expr()
+            self.expect_op(")")
+            return inner
+        if kind == "op" and value == "-":
+            return expr.neg(self.parse_base())
+        if kind == "end":
+            raise ExprSyntaxError("unexpected end of input", pos)
+        raise ExprSyntaxError(f"unexpected token '{value}'", pos)
+
+
+def _reference_parse(source, ctx):
+    parser = _ReferenceParser(_reference_tokenize(source), ctx)
+    node = parser.parse_expr()
+    kind, value, pos = parser.peek()
+    if kind != "end":
+        raise ExprSyntaxError(f"unexpected token '{value}'", pos)
+    return node
+
+
+def _parsed(parser, source, ctx=CTX):
+    """The tree ``parser`` returns, or the class, text and offset of its syntax error."""
+    try:
+        return parser(source, ctx)
+    except ExprSyntaxError as error:
+        return type(error), str(error), error.position
+
+
+def _assert_parsers_agree(source, ctx=CTX):
+    got, want = _parsed(parse, source, ctx), _parsed(_reference_parse, source, ctx)
+    assert got is want if isinstance(want, expr.Expression) else got == want, source
+
+
+_SPACES = (" ", "\t", "\n", "\x0b", "\x1c", "\x85", "\xa0", "\u2003", "\u2028", "\u3000")
+_TEXT_PIECES = st.sampled_from(
+    (*CTX.names, *"0123456789", ".", "e", "E", *"+-*/^()", *expr._FUNCTIONS, "tan", "$", "_",
+     *_SPACES)
+)
+# operands between operators, which mostly parse: each an optional '-', a
+# number, coordinate, call or parenthesised text, then an operator
+_OPERAND_RUNS = st.lists(st.tuples(
+    st.sampled_from(("", "", "-", "--")),
+    st.sampled_from((*CTX.names, "2", "0", ".5", "1e3", "2.5e-1", "sin(x)", "sqrt(y^2)",
+                     "(x - y)", "(2*q1)", "-(v1/2)^3", "(x^-y", "x)")),
+    st.sampled_from(tuple("+-*/^")),
+), min_size=1, max_size=8).map(lambda runs: "".join(map("".join, runs))[:-1])
+_TEXTS = st.one_of(st.lists(_TEXT_PIECES, max_size=16).map("".join), _OPERAND_RUNS)
+
+
+class TestAgainstReferenceParser:
+    @settings(max_examples=500, deadline=None)
+    @given(_TEXTS)
+    @example("-x^2*3/-(q1 - .5e-3)^y^2")
+    @example("sin(x)^2 + 1e400")
+    @example("2 +\u2003\u3000sqrt(x $")
+    def test_short_texts_parse_as_the_reference_parses_them(self, source):
+        _assert_parsers_agree(source)
+
+    def test_every_library_text_parses_as_the_reference_parses_it(self, monkeypatch):
+        from sodelab import foscillator, kepler, scenarios
+
+        texts = []
+
+        def recorded(source, ctx):
+            texts.append((source, ctx))
+            return parse(source, ctx)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sodelab") and getattr(module, "parse", None) is parse:
+                monkeypatch.setattr(module, "parse", recorded)
+        scenarios.sode_scenarios()
+        scenarios.conformal_scenarios()
+        for build in (kepler.chart_field, kepler.unfolded_field, kepler.rescaled_field,
+                      kepler.kepler3d_field, kepler.chart_energy, kepler.energy,
+                      kepler.lagrangian, kepler.conformal_factor, kepler.constraint_field,
+                      kepler.tangent_map):
+            build()
+        kepler.shell_field(-0.5)
+        for n in (1, 2, 3):
+            foscillator.make_oscillator(n)
+        foscillator.linear_deformation(2.0)
+        foscillator.power_deformation(2.0)
+        foscillator.kepler_matching_deformation(1.0)
+        assert len(texts) > 100
+        for source, ctx in texts:
+            _assert_parsers_agree(source, ctx)
 
 
 class TestEvaluation:
@@ -311,6 +497,19 @@ class TestStructuralOps:
         z = expr.div(Const(0.0), Var("x"))
         with pytest.raises(EvaluationDomainError):
             evaluate(z, {"x": 0.0})
+
+    def test_two_constants_fold_where_their_float_result_is_finite(self):
+        # no operand is 0 or 1, so no algebraic no-op decides the result
+        values = (-2.5, 3.0, 1e308, -1e308, 5e-324, 1e-300, math.inf, -math.inf, math.nan)
+        rows = ((expr.add, Add, operator.add), (expr.sub, Sub, operator.sub),
+                (expr.mul, Mul, operator.mul), (expr.div, Div, operator.truediv))
+        for build, node, fn in rows:
+            for a, b in itertools.product(values, repeat=2):
+                value = fn(a, b)
+                want = Const(value) if math.isfinite(value) else node(Const(a), Const(b))
+                assert build(Const(a), Const(b)) is want, (node, a, b)
+        for zero in (0.0, -0.0):  # a division by zero stays a node, for evaluation to meet
+            assert expr.div(Const(1.0), Const(zero)) is Div(Const(1.0), Const(zero))
 
     def test_constant_powers_and_calls_fold_as_evaluate_computes_them(self):
         # a square folds as b*b, as every backend squares, not through math.pow
@@ -948,6 +1147,24 @@ def test_too_deep_a_tree_is_refused_with_a_typed_error():
     assert evaluate(substitute(shallow, {"x": Var("y")}), _env(point)) == 1.0
     assert evaluate(parse(str(shallow), CTX), _env(point)) == 0.25
     assert expr.sub(shallow, chain(200)) == Const(0.0)
+
+
+@pytest.mark.parametrize(
+    "source", ["(" * 2000 + "x" + ")" * 2000, "-" * 5000 + "x", "x^" * 3000 + "x"],
+    ids=["parentheses", "unary-minus", "power"],
+)
+def test_too_deeply_nested_text_is_refused_with_a_typed_error(source):
+    with pytest.raises(ExpressionDepthError, match="^expression text is nested too deeply to parse"):
+        parse(source, CTX)
+
+
+def test_a_long_flat_sum_parses_without_recursing():
+    tree = parse(" + ".join(["x"] * 100_000), CTX)
+    depth = 0
+    while isinstance(tree, Add):
+        assert tree.right is Var("x")
+        tree, depth = tree.left, depth + 1
+    assert tree is Var("x") and depth == 99_999
 
 
 # the exactly rounded operations: on these, numpy and Python give the same bits

@@ -261,6 +261,16 @@ class TestBox:
         assert not box.contains((2.0, 0.0, 0.0, 0.0))
         assert not box.contains((0.1, 0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("exclude_radius", [0.0, 0.25])
+    def test_contains_refuses_a_point_of_the_wrong_length(self, exclude_radius):
+        ctx2 = VariableContext.of("x", "y")
+        box = Box.cube(ctx2, 1.0, exclude_radius=exclude_radius)
+        for point in ([0.5], [0.5, 0.5, 0.5]):
+            message = f"^point has {len(point)} coordinates, context has 2$"
+            with pytest.raises(ValueError, match=message):
+                box.contains(point)
+        assert box.contains([0.5, 0.5])
+
 
 def _meshgrid_sample(box, seed, n_random, grid_points):
     """The draw as it was written before ``Box.sample`` filled one array:

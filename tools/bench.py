@@ -10,7 +10,7 @@ so two trees can be compared in one file.  Each case is measured in a
 process of its own, so that no case runs on the allocator state another
 case left behind.  Each tree gets ``_PROCESSES`` measuring processes per
 case, started alternately in ABBA order (A B, B A, A B, ...), so that load
-drift on a shared machine lands on both trees alike.  Twenty-one cases are run:
+drift on a shared machine lands on both trees alike.  Twenty-two cases are run:
 
 * ``chart_period``: ``integrate`` on the Kepler chart field over one period
   2*pi from the E = -0.5 shell representative, rtol 1e-10, atol 1e-12;
@@ -65,6 +65,11 @@ drift on a shared machine lands on both trees alike.  Twenty-one cases are run:
   shared subtrees a walk meets many times over.  Each run builds the
   brackets afresh, and records ``chars``, the printed length of the renamed
   trees;
+* ``parse_library_fields``: ``kepler.chart_field``, ``unfolded_field``,
+  ``rescaled_field`` and ``kepler3d_field``, ``foscillator.make_oscillator(2)``
+  and ``foscillator.kepler_matching_deformation(1.0)``, built afresh in each
+  run: every formula of the paper's construction enters as text, so this is
+  the parser at work on the library's own fields;
 * ``sample_kepler_box``: ``kepler.unfolded_domain().sample(seed=0)``, the
   8-dim box draw (an 11-point grid on four axes, 500 seeded draws, the
   collision ball taken out) that chart building and verification repeat;
@@ -132,6 +137,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 # each case is one single-threaded client: keep BLAS and OpenMP to one thread
@@ -263,6 +269,7 @@ def _cases():
     and returns the case's run, which holds them for as long as it lives."""
     import numpy as np
     from sodelab import bundle, conformal, kepler
+    from sodelab import foscillator as fo
     from sodelab import scenarios as sc
     from sodelab.cli import _scenario, main
     from sodelab.dynamics import estimate_period, integrate
@@ -340,6 +347,12 @@ def _cases():
         texts = [to_source(substitute(e, renamed)) for e in bracket.components]
         return {"chars": sum(map(len, texts))}
 
+    def parse_library_fields():
+        for build in (kepler.chart_field, kepler.unfolded_field, kepler.rescaled_field,
+                      kepler.kepler3d_field, partial(fo.make_oscillator, 2),
+                      partial(fo.kepler_matching_deformation, 1.0)):
+            build()
+
     def sample_kepler_box():
         kepler.unfolded_domain().sample(seed=0)
 
@@ -395,6 +408,7 @@ def _cases():
         "cli_build_kepler_chart": plain(cli, "build", "--scenario", "kepler-chart"),
         "bracket_kepler_clock": bracket,
         "substitute_print_bracket": plain(substitute_print_bracket),
+        "parse_library_fields": plain(parse_library_fields),
         "sample_kepler_box": plain(sample_kepler_box),
         "build_library": plain(build_library),
         "build_coupled_fibres_7": plain(build_coupled_fibres, 7),
