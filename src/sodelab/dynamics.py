@@ -22,8 +22,9 @@ generated function of the field's entries, which its point calls also run
 and which shares common subexpressions, and for any other ``f(t, y)`` a
 small adapter that hands ``f`` the state as an array.
 An :class:`~sodelab.errors.EvaluationDomainError` raised by the field, once
-its checked scalar fallback has run, makes the whole stage NaN, so
-that attempt's error is infinite and the step is rejected.
+its checked scalar fallback has run, fails the whole attempt at any of its 12
+stages, the FSAL one too: its error is infinite and the step is rejected.
+One raised while an interpolant is built makes all of its coefficients NaN.
 
 It only runs forward in time; backward flows are handled upstream by negating
 the field.  Failures are reported, not raised, each with a time bracket and
@@ -330,20 +331,13 @@ def _names(prefix: str, dim: int) -> str:
 
 
 def _stage_lines(rows: range, dim: int) -> list[str]:
-    """Lines computing ``k{s}_i``, stage s of the field at t + C[s] h, for ``rows``.
-
-    A domain error in the field makes the stage NaN, which rejects the step.
-    """
-    lines = []
-    for s in rows:
-        args = ", ".join(f"y_{i} + h * ({_terms(_A[s, :s], i)})" for i in range(dim))
-        lines += [
-            "    try:",
-            f"        {_names(f'k{s}', dim)}= f(t + {float(_C[s])!r} * h, {args})",
-            "    except EvaluationDomainError:",
-            f"        {' = '.join(f'k{s}_{i}' for i in range(dim))} = nan",
-        ]
-    return lines
+    """Lines computing ``k{s}_i``, stage s of the field at t + C[s] h, for ``rows``."""
+    return [
+        f"{_names(f'k{s}', dim)}= f(t + {float(_C[s])!r} * h, "
+        + "".join(f"y_{i} + h * ({_terms(_A[s, :s], i)}), " for i in range(dim))
+        + ")"
+        for s in rows
+    ]
 
 
 @functools.lru_cache(maxsize=None)
@@ -356,42 +350,38 @@ def _kernel(dim: int) -> tuple[Callable, Callable]:
     finite; ``k12`` is the derivative at ``y_new`` and ``ks`` the other
     stages the dense output reads.  ``dense(f, t, h, y, y_new, k12, ks)``
     adds the 3 dense-output stages of an accepted step and returns its 7
-    interpolant coefficients as one flat tuple, row after row.  Every sum
-    runs in stage order and skips zero table entries, so a step's bits
-    depend neither on BLAS nor on the CPU.
+    interpolant coefficients as one flat tuple, row after row.  A domain
+    error at any stage fails the whole call, as the generated field functions
+    fail: ``attempt`` returns ``(inf, None, None, None)``, so the step is
+    rejected, and ``dense`` returns 7 * ``dim`` NaN.  Every sum runs in
+    stage order and skips zero table entries, so a step's bits depend
+    neither on BLAS nor on the CPU.
     """
     rng = range(dim)
     kept = "".join(_names(f"k{s}", dim) for s in (0, *range(5, 12)))
     attempt = [
-        "def attempt(f, t, h, y, k0, atol, rtol):",
-        f"    {_names('y', dim)}= y",
-        f"    {_names('k0', dim)}= k0",
+        f"{_names('y', dim)}= y",
+        f"{_names('k0', dim)}= k0",
         *_stage_lines(range(1, 12), dim),
-        *(f"    yn_{i} = y_{i} + h * ({_terms(_A[12, :12], i)})" for i in rng),
-        "    try:",
-        f"        {_names('k12', dim)}= f(t + h, {_names('yn', dim)})",
-        "    except EvaluationDomainError:",
-        f"        {' = '.join(f'k12_{i}' for i in rng)} = nan",
-        "    n5 = n3 = 0.0",
-        "    try:",
+        *(f"yn_{i} = y_{i} + h * ({_terms(_A[12, :12], i)})" for i in rng),
+        f"{_names('k12', dim)}= f(t + h, {_names('yn', dim)})",
+        "n5 = n3 = 0.0",
     ]
     for i in rng:
         attempt += [
-            f"        a = abs(y_{i})",
-            f"        b = abs(yn_{i})",
-            "        scale = atol + rtol * (a if a > b else b)",  # nan in yn wins
-            f"        e = ({_terms(_E5, i)}) / scale",
-            "        n5 += e * e",
-            f"        e = ({_terms(_E3, i)}) / scale",
-            "        n3 += e * e",
+            f"a = abs(y_{i})",
+            f"b = abs(yn_{i})",
+            "scale = atol + rtol * (a if a > b else b)",  # nan in yn wins
+            f"e = ({_terms(_E5, i)}) / scale",  # scale >= atol > 0, or nan
+            "n5 += e * e",
+            f"e = ({_terms(_E3, i)}) / scale",
+            "n3 += e * e",
         ]
     attempt += [
-        "    except ZeroDivisionError:",
-        "        n5 = inf",
-        f"    err = 0.0 if n5 == 0.0 else h * n5 / sqrt((n5 + 0.01 * n3) * {dim})",
-        "    if not (isfinite(err) and isfinite(n3)):",
-        "        err = inf",
-        f"    return err, ({_names('yn', dim)}), ({_names('k12', dim)}), ({kept})",
+        f"err = 0.0 if n5 == 0.0 else h * n5 / sqrt((n5 + 0.01 * n3) * {dim})",
+        "if not (isfinite(err) and isfinite(n3)):",
+        "    err = inf",
+        f"return err, ({_names('yn', dim)}), ({_names('k12', dim)}), ({kept})",
     ]
     rows = [
         [f"d_{i}" for i in rng],
@@ -400,26 +390,32 @@ def _kernel(dim: int) -> tuple[Callable, Callable]:
         *([f"h * ({_terms(_D[r], i)})" for i in rng] for r in range(4)),
     ]
     dense = [
-        "def dense(f, t, h, y, yn, k12, ks):",
-        f"    {_names('y', dim)}= y",
-        f"    {_names('yn', dim)}= yn",
-        f"    {_names('k12', dim)}= k12",
-        f"    {kept}= ks",
+        f"{_names('y', dim)}= y",
+        f"{_names('yn', dim)}= yn",
+        f"{_names('k12', dim)}= k12",
+        f"{kept}= ks",
         *_stage_lines(range(13, 16), dim),
-        *(f"    d_{i} = yn_{i} - y_{i}" for i in rng),
-        f"    return ({''.join(f'{c}, ' for row in rows for c in row)})",
+        *(f"d_{i} = yn_{i} - y_{i}" for i in rng),
+        f"return ({''.join(f'{c}, ' for row in rows for c in row)})",
     ]
     namespace = {
         "__builtins__": {},
         "EvaluationDomainError": EvaluationDomainError,
-        "ZeroDivisionError": ZeroDivisionError,
         "abs": abs,
         "inf": math.inf,
         "isfinite": math.isfinite,
         "nan": math.nan,
         "sqrt": math.sqrt,
     }
-    source = "\n".join(attempt + dense) + "\n"
+    # each body under one guard, the shape of a generated field function
+    source = "".join(
+        f"def {signature}:\n    try:\n" + "".join(f"        {line}\n" for line in body)
+        + f"    except EvaluationDomainError:\n        return {failed}\n"
+        for signature, body, failed in (
+            ("attempt(f, t, h, y, k0, atol, rtol)", attempt, "inf, None, None, None"),
+            ("dense(f, t, h, y, yn, k12, ks)", dense, f"(nan,) * {7 * dim}"),
+        )
+    )
     exec(compile(source, f"<dop853-kernel-{dim}>", "exec"), namespace)
     return namespace["attempt"], namespace["dense"]
 

@@ -38,7 +38,6 @@ __all__ = [
     "OscillatorSystem",
     "make_oscillator",
     "Deformation",
-    "deformation_from_source",
     "linear_deformation",
     "power_deformation",
     "kepler_matching_deformation",
@@ -90,6 +89,7 @@ def make_oscillator(n: int) -> OscillatorSystem:
 class Deformation:
     """A smooth profile f(xi) applied to the oscillator energy.
 
+    ``profile`` is given as a tree or as text over xi, and kept as a tree.
     ``slope`` is the tree f'(xi), and ``slope_at`` its value at one level:
     the level's frequency.
     """
@@ -108,15 +108,11 @@ class Deformation:
         return evaluate(self.slope, {"xi": float(xi)})
 
 
-def deformation_from_source(name: str, source: str) -> Deformation:
-    return Deformation(name, parse(source, XI_CTX))
-
-
 def linear_deformation(k: float) -> Deformation:
     """Constant rescaling of the spectrum: every level beats at frequency k."""
     if k <= 0:
         raise ValueError("slope must be positive")
-    return deformation_from_source(f"linear-{k:g}", f"{float(k)!r} * xi")
+    return Deformation(f"linear-{k:g}", f"{float(k)!r} * xi")
 
 
 def power_deformation(exponent: float) -> Deformation:
@@ -124,7 +120,7 @@ def power_deformation(exponent: float) -> Deformation:
     if exponent <= 0:
         raise ValueError("exponent must be positive")
     p = float(exponent)
-    return deformation_from_source(f"power-{exponent:g}", f"xi^{p!r} / {p!r}")
+    return Deformation(f"power-{exponent:g}", f"xi^{p!r} / {p!r}")
 
 
 def kepler_matching_deformation(g: float) -> Deformation:
@@ -136,9 +132,7 @@ def kepler_matching_deformation(g: float) -> Deformation:
     """
     if not 0 < 10.0 * g < math.inf:  # the profile's text holds 10 g
         raise ValueError(f"coupling g must be positive, with 10 g finite; got {g!r}")
-    return deformation_from_source(
-        f"kepler-match-g{g:g}", f"(2 * xi)^2.5 / ({float(10.0 * g)!r})"
-    )
+    return Deformation(f"kepler-match-g{g:g}", f"(2 * xi)^2.5 / ({float(10.0 * g)!r})")
 
 
 def _slope_on(system: OscillatorSystem, deformation: Deformation) -> Expression:

@@ -21,7 +21,7 @@ from sodelab.dynamics import (
     estimate_period,
     integrate,
 )
-from sodelab.errors import NotPeriodicError
+from sodelab.errors import EvaluationDomainError, NotPeriodicError
 from sodelab.expr import VariableContext, qv_context
 from sodelab.fields import VectorField
 from sodelab.foscillator import (
@@ -49,6 +49,20 @@ def counting(f):
         return f(t, y)
 
     wrapped.calls = 0
+    return wrapped
+
+
+def failing_once(f, n):
+    """``f`` that raises a domain error on its ``n``-th call, and only there."""
+    calls = 0
+
+    def wrapped(t, y):
+        nonlocal calls
+        calls += 1
+        if calls == n:
+            raise EvaluationDomainError("transient")
+        return f(t, y)
+
     return wrapped
 
 
@@ -257,14 +271,13 @@ class TestBlowUp:
 
     def test_domain_error_treated_as_failure(self):
         def rhs(t, y):
-            from sodelab.errors import EvaluationDomainError
-
             if y[0] > 2.0:
                 raise EvaluationDomainError("outside the chart")
             return np.array([y[0]])
 
         traj = integrate(rhs, (1.0,), 5.0, rtol=1e-8, atol=1e-10)
-        # the NaN stages reject every step until the step underflows
+        # every attempt with a stage past y = 2 fails and is rejected, until
+        # the step underflows
         assert traj.status == "step_underflow"
         lo, hi = traj.blow_up_bracket
         assert lo <= math.log(2.0) + 1e-6 <= hi + 0.5
@@ -277,6 +290,27 @@ class TestBlowUp:
         assert traj.status == "step_underflow"
         lo, hi = traj.blow_up_bracket
         assert lo <= math.log(2.0) + 1e-6 <= hi + 0.5
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_a_domain_error_at_any_stage_rejects_its_attempt(self, n):
+        # calls 1 and 2 are the initial value and the step probe, calls 3-14
+        # stages 1-12 of the first attempt: the last is the FSAL stage, which
+        # the error norm does not weigh, so its failure must reject too
+        traj = integrate(failing_once(circle_rhs, n), (1.0, 0.0), 1.0)
+        assert (traj.status, traj.accepted, traj.rejected) == ("completed", 7, 1)
+
+    def test_a_field_undefined_at_one_node_steps_around_it(self):
+        # the field below is the plain one but undefined at x, the plain run's
+        # 4th node: the run on it reaches x as an attempt's end, whose FSAL
+        # stage fails there, and that attempt is retried smaller
+        ctx = VariableContext.of("x")
+        plain = integrate(VectorField.of(ctx, "1 + 0.5*x").ode_rhs, (0.0,), 3.0)
+        x = float(plain.states[3, 0])
+        field = VectorField.of(ctx, f"(1 + 0.5*x) * ((x - {x!r}) / (x - {x!r}))")
+        traj = integrate(field.ode_rhs, (0.0,), 3.0)
+        assert traj.status == "completed"
+        assert traj.rejected == 1
+        assert x not in traj.states[:, 0].tolist()
 
     def test_chattering_field_ends_at_the_step_limit(self, monkeypatch):
         # -sign(y - 0.5) flips at 0.5: the run crawls there on tiny accepted
@@ -353,6 +387,20 @@ class TestDenseOutput:
             np.testing.assert_allclose(
                 traj.sample(float(traj.times[i])), traj.states[i], atol=1e-12
             )
+
+    @pytest.mark.parametrize("stage", [13, 14, 15])
+    def test_a_domain_error_while_building_an_interpolant_makes_it_nan(self, stage):
+        # the run's own calls come first; the first read then builds step 0
+        # (stages 13-15), and one of them fails
+        calls = integrate(circle_rhs, (1.0, 0.0), 1.0).nfev
+        traj = integrate(failing_once(circle_rhs, calls + stage - 12), (1.0, 0.0), 1.0)
+        t0, t1, t2 = traj.times[:3]
+        inside = t0 + (t1 - t0) * np.array([1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9])
+        values = traj.sample_many([t0, *inside, t1, 0.5 * (t1 + t2)])
+        assert np.all(np.isnan(values[1:-2]))
+        assert np.all(np.isnan(dyn._interpolant(traj._steps, 0)))  # all 7 rows
+        assert np.array_equal(values[[0, -2]], traj.states[:2])
+        assert np.all(np.isfinite(values[-1]))  # step 1 is built from its own stages
 
     def test_sample_many_equals_sample_bitwise(self):
         traj = integrate(circle_rhs, (1.0, 0.0), 10.0, rtol=1e-8, atol=1e-10)

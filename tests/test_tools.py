@@ -49,10 +49,11 @@ def test_bench_cases_leave_no_node_behind():
 
 def test_bench_counters_sum_each_wrapped_layer():
     """``tools/bench.py --measure`` counts every wrapped layer of one case:
-    integration runs alongside code generation and batch builds.  Each timed
-    run records its wall and its CPU time."""
+    integration runs, and the interpolants their trajectories built,
+    alongside code generation and batch builds.  Each timed run records its
+    wall and its CPU time."""
     counters = {}
-    for case in ("chart_period", "cli_verify_oscillator_2"):
+    for case in ("chart_period", "estimate_period", "cli_verify_oscillator_2"):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "tools" / "bench.py"), "--measure", case],
             capture_output=True, text=True, timeout=120, cwd=ROOT,
@@ -66,6 +67,10 @@ def test_bench_counters_sum_each_wrapped_layer():
     period = counters["chart_period"]
     assert period["runs"] == 1 and period["nfev"] > 0
     assert (period["codegen"], period["batch_evals"]) == (1, 0)
+    # a plain run reads no interpolant; period detection builds the one step
+    # that crosses its section at the first return
+    assert period["interpolants"] == 0
+    assert counters["estimate_period"]["interpolants"] == 1
     verify = counters["cli_verify_oscillator_2"]
     assert verify["builds"] == 1 and verify["box_draws"] == 1
     # a chart is built and certified on the batch backend alone

@@ -94,9 +94,10 @@ its trees afresh in each run.
 
 Each case records deterministic counters summed over every ``integrate``
 call it makes (RHS evaluations ``nfev``, ``accepted`` and ``rejected``
-steps, ``runs``, and ``interpolants``, the dense-output interpolants built;
-a case that makes none records none).  They are totalled when the case
-ends, so interpolants built by reads after ``integrate`` returns count too.
+steps, ``runs``, and ``interpolants``, the built steps of the recorded
+trajectories, each charged 3 RHS evaluations in ``nfev``; a case that makes
+none records none).  They are totalled when the case ends, so interpolants
+built by reads after ``integrate`` returns count too.
 Each case that calls ``bundle.build`` also records ``builds``, the number
 of calls, and ``svd_points``, the matrices handed to
 ``bundle._singular_values`` (the points whose rank a cheaper test did not
@@ -113,13 +114,18 @@ timed runs of all the tree's processes for the case, ``_REPEAT`` per
 process after one untimed run that also warms the compiled fields, and
 beside them the same of the CPU time (``time.process_time``) of each timed
 run, which time the process spends waiting for a shared CPU does not
-inflate.  The measuring processes run with BLAS and OpenMP held to one
-thread (where the environment does not set their thread counts), so that
-no idle thread pool's spinning counts as a case's CPU time.  Wall and CPU
-times depend on the machine and its load; the counters do not, and the
-script fails if they differ between two processes of one tree.  Each case
-with RHS evaluations also gets ``us_per_fev``, its median wall time per RHS
-evaluation, and ``rhs_chart_field`` gets ``us_per_call``.
+inflate.  ``cpu_s_process_medians`` keeps each measuring process's own CPU
+median, in run order: on a shared machine a whole process can run in a
+slow or a fast phase, and a case whose process medians form two clusters
+cannot show a small gain, since its pooled median depends on how many
+processes of each tree landed in each phase.  The measuring processes run
+with BLAS and OpenMP held to one thread (where the environment does not set
+their thread counts), so that no idle thread pool's spinning counts as a
+case's CPU time.  Wall and CPU times depend on the machine and its load;
+the counters do not, and the script fails if they differ between two
+processes of one tree.  Each case with RHS evaluations also gets
+``us_per_fev``, its median wall time per RHS evaluation, and
+``rhs_chart_field`` gets ``us_per_call``.
 """
 
 from __future__ import annotations
@@ -160,14 +166,14 @@ def _rebind(name: str, original, wrapper) -> None:
 
 
 def _counters():
-    """Wrap ``integrate``, the dense kernel, ``build`` and its SVD, the code
-    generator and the batch builder wherever ``sodelab`` bound them, and
-    ``Box.sample`` on its class.
+    """Wrap ``integrate``, ``build`` and its SVD, the code generator and the
+    batch builder wherever ``sodelab`` bound them, and ``Box.sample`` on its
+    class.
 
     Returns ``(totals, reset)``.  ``totals()`` sums the counters of the runs
-    made since the last ``reset()``, reading each trajectory's ``nfev`` only
-    then: a tree that builds interpolants on read counts their RHS calls
-    after ``integrate`` returns.
+    made since the last ``reset()``, reading each trajectory's ``nfev`` and
+    built steps only then: a tree that builds interpolants on read counts
+    them, and their RHS calls, after ``integrate`` returns.
     """
     import sodelab.bundle as bundle
     import sodelab.cli  # noqa: F401  (binds the names patched below)
@@ -177,7 +183,6 @@ def _counters():
 
     original = dynamics.integrate
     runs: list = []
-    built = Counter()
     charts = Counter()
     draws = Counter(box_draws=0, box_points=0)
     built_code = Counter(codegen=0, batch_evals=0)
@@ -223,20 +228,6 @@ def _counters():
 
     fields.Box.sample = sample
 
-    kernel = dynamics._kernel
-
-    def counted_kernel(dim):
-        attempt, dense = kernel(dim)
-
-        def counted_dense(*args):
-            built["interpolants"] += 1
-            return dense(*args)
-
-        return attempt, counted_dense
-
-    dynamics._kernel = counted_kernel
-    built["interpolants"] = 0
-
     def totals() -> dict:
         counts = {"svd_points": 0, **charts} if charts else {}
         counts.update(draws)
@@ -249,13 +240,13 @@ def _counters():
             "nfev": sum(traj.nfev for traj in runs),
             "accepted": sum(traj.accepted for traj in runs),
             "rejected": sum(traj.rejected for traj in runs),
-            **built,
+            "interpolants": sum(
+                not callable(step) for traj in runs for step in traj._steps
+            ),
         }
 
     def reset() -> None:
         runs.clear()
-        for key in built:
-            built[key] = 0
         charts.clear()
         for counter in (draws, built_code):
             for key in counter:
@@ -473,6 +464,9 @@ def _measure_trees(trees: dict[str, Path]) -> dict:
                 entry[f"{clock}_s_median"] = statistics.median(times)
                 entry[f"{clock}_s_min"] = min(times)
                 entry[f"{clock}_s_max"] = max(times)
+            entry["cpu_s_process_medians"] = [
+                statistics.median(result["cpus"]) for result in results
+            ]
             for count, key in (("nfev", "us_per_fev"), ("calls", "us_per_call")):
                 if counters.get(count):
                     entry[key] = entry["wall_s_median"] / counters[count] * 1e6
