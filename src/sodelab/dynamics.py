@@ -24,7 +24,9 @@ small adapter that hands ``f`` the state as an array.
 An :class:`~sodelab.errors.EvaluationDomainError` raised by the field, once
 its checked scalar fallback has run, fails the whole attempt at any of its 12
 stages, the FSAL one too: its error is infinite and the step is rejected.
-One raised while an interpolant is built makes all of its coefficients NaN.
+One raised while an interpolant is built makes all of its coefficients NaN:
+a sample at a node time still reads that node's exact state, and period
+detection refuses a crossing step so built by name.
 
 It only runs forward in time; backward flows are handled upstream by negating
 the field.  Failures are reported, not raised, each with a time bracket and
@@ -449,16 +451,21 @@ def _interpolate(y_old, row, x):
     """The dense output y_old + x(F0 + (1-x)(F1 + x(F2 + ... (1-x)(F5 + x F6)))).
 
     Fk is ``row(k)``: of one step, a state row or, projected on a normal, a
-    float, with ``x`` a float; or of many, a ``(times, dim)`` block with
-    ``x`` a column of fractions, fetched only when the sum reaches it.  All
-    take the same operations in the same order, so their values agree bit
-    for bit.
+    float, with ``x`` a float; or of many, a ``(times, dim)`` block gathered
+    from the steps' coefficients when the sum reaches it, with ``x`` a column
+    of fractions.  The sum runs in place on the first product, so a read of
+    many makes no temporary besides the gathered blocks.  All take the same
+    operations in the same order, so their values agree bit for bit.
+    :meth:`Trajectory.sample_many` reads a node time as the node's state
+    instead, exact even where the interpolant of the step there is NaN.
     """
     u = 1.0 - x
     acc = row(6) * x
     for k, w in ((5, u), (4, x), (3, u), (2, x), (1, u), (0, x)):
-        acc = (row(k) + acc) * w
-    return y_old + acc
+        acc += row(k)
+        acc *= w
+    acc += y_old
+    return acc
 
 
 def _interpolant(steps: list, j: int) -> tuple:
@@ -519,32 +526,34 @@ class Trajectory:
     def sample_many(self, ts: Sequence[float]) -> np.ndarray:
         """Dense-output values at each of ``ts``, one row per time.
 
-        A time up to 1e-12 outside the covered range gives the end state on
-        that side; further out, or nan, raises ValueError.
+        A node time reads that node's state exactly, and a time up to 1e-12
+        outside the covered range the end state on that side; further out,
+        or nan, raises ValueError.  Every other time reads the interpolant of
+        the step it falls in, which is built on that first read.
         """
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        times = self.times
+        times, states = self.times, self.states
         outside = ~((ts >= times[0] - 1e-12) & (ts <= times[-1] + 1e-12))
         if np.any(outside):
             raise ValueError(
                 f"t = {ts[outside][0]} outside the covered range "
                 f"[{times[0]}, {times[-1]}]"
             )
-        dim = self.states.shape[1]
-        out = np.empty((len(ts), dim))
-        last = ts >= times[-1]
-        first = ~last & (ts <= times[0])
-        inner = ~(last | first)
-        out[last] = self.states[-1]
-        out[first] = self.states[0]
-        t = ts[inner]
-        i = np.searchsorted(times, t, side="right") - 1
-        x = (t - times[i]) / (times[i + 1] - times[i])
+        i = np.searchsorted(times, ts, side="right") - 1
+        np.clip(i, 0, len(times) - 1, out=i)
+        node = (ts <= times[0]) | (ts >= times[-1]) | (ts == times.take(i))
+        out = states.take(i, axis=0)
+        inner = np.flatnonzero(~node)
+        t, i = ts.take(inner), i.take(inner)
+        start = times.take(i)
+        x = (t - start) / (times.take(i + 1) - start)
         # build each step the times fall in once, in one pass
         read, row = np.unique(i, return_inverse=True)
         table = np.array([_interpolant(self._steps, j) for j in read.tolist()])
-        table = table.reshape(len(read), 7, dim)
-        out[inner] = _interpolate(self.states[i], lambda k: table[row, k], x[:, None])
+        coeffs = table.reshape(len(read), 7, states.shape[1]).transpose(1, 0, 2)
+        out[inner] = _interpolate(
+            states.take(i, axis=0), lambda k: coeffs[k].take(row, axis=0), x[:, None]
+        )
         return out
 
 
@@ -879,7 +888,9 @@ def estimate_period(
     the run takes ``atol`` down to ``rtol * s`` where that is smaller (a
     start where it underflows to 0 raises ValueError), so its accuracy and
     the test scale with the orbit.  A start is an equilibrium only where the
-    field is exactly zero.
+    field is exactly zero.  A crossing step whose projected interpolant or
+    state at t* is not finite (a domain error while its interpolant was
+    built) ends the run with NotPeriodicError naming the step's time bracket.
     """
     x0 = np.asarray(x0, dtype=float)
     f0 = np.array(_derivative(_stage_function(f, len(x0)), 0.0, x0.tolist()))
@@ -920,6 +931,11 @@ def estimate_period(
             np.array(states[-2]), coeffs.__getitem__, (t_star - t0) / (t1 - t0)
         )
         residual = math.hypot(*(state - x0).tolist())
+        if not (math.isfinite(residual) and all(map(math.isfinite, projected))):
+            # refusing it would report a later lap as the period
+            raise NotPeriodicError(
+                f"the interpolant of the crossing step [{t0}, {t1}] is not finite"
+            )
         if residual > bound:
             return False  # crosses the section away from the start
         found = (t_star, residual)

@@ -27,7 +27,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositiveEnergyError
-from .expr import Var, VariableContext, differentiate, parse, sum_of_products
+from .expr import (
+    Const,
+    Expression,
+    Var,
+    VariableContext,
+    add,
+    differentiate,
+    div,
+    mul,
+    parse,
+    pow_,
+    sub,
+    sum_of_products,
+)
 from .fields import Box, PointMap, ScalarField, VectorField
 
 __all__ = [
@@ -122,26 +135,36 @@ def constraint_field() -> ScalarField:
 # ------------------------------------------------- unfolded dynamics
 
 
+def _slow_clock_terms(params: KeplerParams) -> tuple[Expression, Expression]:
+    """2 |y|^2 |v|^2 and g / |y|^2, the terms of the Lagrangian and the energy."""
+    r2 = parse(_R2, KS_CTX)
+    return mul(mul(Const(2.0), r2), parse(_VSQ, KS_CTX)), div(Const(params.g), r2)
+
+
 def lagrangian(params: KeplerParams = KeplerParams()) -> ScalarField:
     """Unfolded Lagrangian 2 |y|^2 |v|^2 + g / |y|^2 on the slow clock."""
-    return ScalarField(KS_CTX, parse(f"2 * {_R2} * {_VSQ} + {params.g!r} / {_R2}", KS_CTX))
+    return ScalarField(KS_CTX, add(*_slow_clock_terms(params)))
 
 
 def energy(params: KeplerParams = KeplerParams()) -> ScalarField:
     """Conserved energy 2 |y|^2 |v|^2 - g / |y|^2 of the unfolded field."""
-    return ScalarField(KS_CTX, parse(f"2 * {_R2} * {_VSQ} - {params.g!r} / {_R2}", KS_CTX))
+    return ScalarField(KS_CTX, sub(*_slow_clock_terms(params)))
 
 
 def unfolded_field(params: KeplerParams = KeplerParams()) -> VectorField:
-    """Variational field of the unfolded Lagrangian; time is physical time."""
-    comps = [parse(f"v{k}", KS_CTX) for k in range(4)]
+    """Variational field of the unfolded Lagrangian; time is physical time.
+
+    y_k'' = |v|^2 y_k / |y|^2 - g y_k / (2 |y|^6) - 2 (y . v) v_k / |y|^2,
+    built from the shared factors by the constructors ``parse`` runs.
+    """
+    r2, vsq, ydv = (parse(src, KS_CTX) for src in (_R2, _VSQ, _YDV))
+    g, two = Const(params.g), Const(2.0)
+    two_r6 = mul(two, pow_(r2, Const(3.0)))
+    comps = [Var(f"v{k}") for k in range(4)]
     for k in range(4):
-        src = (
-            f"{_VSQ} * y{k} / {_R2}"
-            f" - {params.g!r} * y{k} / (2 * {_R2}^3)"
-            f" - 2 * {_YDV} * v{k} / {_R2}"
-        )
-        comps.append(parse(src, KS_CTX))
+        y, v = Var(f"y{k}"), Var(f"v{k}")
+        radial = sub(div(mul(vsq, y), r2), div(mul(g, y), two_r6))
+        comps.append(sub(radial, div(mul(mul(two, ydv), v), r2)))
     return VectorField(KS_CTX, tuple(comps))
 
 
@@ -177,13 +200,15 @@ def rescaled_field(params: KeplerParams = KeplerParams()) -> VectorField:
 # ----------------------------------------------------- chart-side field
 
 
-def _chart_energy_src(params: KeplerParams) -> str:
-    return f"({_W2} / (2 * {_Q2}) - {params.g!r} / {_Q2})"
+def _chart_energy(params: KeplerParams) -> Expression:
+    """|V|^2 / (2 |Q|^2) - g / |Q|^2, built as ``parse`` builds its text."""
+    q2 = parse(_Q2, CHART_CTX)
+    return sub(div(parse(_W2, CHART_CTX), mul(Const(2.0), q2)), div(Const(params.g), q2))
 
 
 def chart_energy(params: KeplerParams = KeplerParams()) -> ScalarField:
     """Unfolded energy written in the chart variables (Q, V)."""
-    return ScalarField(CHART_CTX, parse(_chart_energy_src(params), CHART_CTX))
+    return ScalarField(CHART_CTX, _chart_energy(params))
 
 
 def chart_field(params: KeplerParams = KeplerParams()) -> VectorField:
@@ -192,9 +217,9 @@ def chart_field(params: KeplerParams = KeplerParams()) -> VectorField:
     On each negative-energy shell this is a harmonic block of frequency
     sqrt(2|E|); the energy factor varies only across shells.
     """
-    e_src = _chart_energy_src(params)
-    comps = [parse(f"V{k}", CHART_CTX) for k in range(1, 5)]
-    comps += [parse(f"2 * {e_src} * Q{k}", CHART_CTX) for k in range(1, 5)]
+    twice_energy = mul(Const(2.0), _chart_energy(params))
+    comps = [Var(f"V{k}") for k in range(1, 5)]
+    comps += [mul(twice_energy, Var(f"Q{k}")) for k in range(1, 5)]
     return VectorField(CHART_CTX, tuple(comps))
 
 

@@ -1,5 +1,6 @@
 """Integrator accuracy, blow-up reporting, dense output, period detection."""
 
+import dataclasses
 import functools
 import math
 import os
@@ -80,6 +81,33 @@ def budgeted(f, calls):
         return wrapped(t, y)
 
     return guarded
+
+
+def reference_read(traj, ts):
+    """``traj.sample_many(ts)`` as it read before it gathered each coefficient
+    row once: every row fetched from one ``(steps, 7, dim)`` table by fancy
+    indexing, and the Horner form summed into new arrays.  It reads a node
+    time from the step starting there, at fraction 0."""
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    times, dim = traj.times, traj.states.shape[1]
+    out = np.empty((len(ts), dim))
+    last = ts >= times[-1]
+    first = ~last & (ts <= times[0])
+    inner = ~(last | first)
+    out[last] = traj.states[-1]
+    out[first] = traj.states[0]
+    t = ts[inner]
+    i = np.searchsorted(times, t, side="right") - 1
+    x = ((t - times[i]) / (times[i + 1] - times[i]))[:, None]
+    read, row = np.unique(i, return_inverse=True)
+    table = np.array([dyn._interpolant(traj._steps, j) for j in read.tolist()])
+    table = table.reshape(len(read), 7, dim)
+    u = 1.0 - x
+    acc = table[row, 6] * x
+    for k, w in ((5, u), (4, x), (3, u), (2, x), (1, u), (0, x)):
+        acc = (table[row, k] + acc) * w
+    out[inner] = traj.states[i] + acc
+    return out
 
 
 class TestAccuracy:
@@ -417,6 +445,52 @@ class TestDenseOutput:
         assert many.shape == one_by_one.shape == (len(ts), 2)
         assert np.array_equal(many.view(np.uint64), one_by_one.view(np.uint64))
 
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8])
+    def test_the_read_keeps_the_bits_and_nfev_of_the_reference(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        # a seeded linear field: a rotation-dominated matrix with a small damping
+        a = rng.normal(size=(dim, dim))
+        a = a - a.T - 0.05 * np.eye(dim)
+        y0 = rng.uniform(-1.0, 1.0, dim)
+        runs = [integrate(lambda t, y: a @ y, y0, t_end) for t_end in (3.0, 1e-4)]
+        assert runs[1].accepted == 1
+        for run in runs:
+            t0, t1 = float(run.times[0]), float(run.final_time)
+            grid = np.linspace(t0, t1, 257)[1:-1]
+            drawn = rng.uniform(t0, t1, 100)
+            cases = {
+                "sorted": grid,
+                "unsorted": rng.permutation(np.concatenate([grid, drawn])),
+                "repeated": np.repeat(drawn[:20], 3),
+                "ends": [t0, t1, t1, t0],
+                "just outside": [t0 - 1e-12, t1 + 1e-12, t0 - 5e-13, t1 + 5e-13],
+                "empty": [],
+            }
+            for name, ts in cases.items():
+                ts = np.asarray(ts, dtype=float)
+                assert not np.isin(ts, run.times[1:-1]).any()  # node times read exactly
+                # two copies of the run, each with no interpolant built yet
+                ours = dataclasses.replace(run, _steps=list(run._steps))
+                theirs = dataclasses.replace(run, _steps=list(run._steps))
+                got, want = ours.sample_many(ts), reference_read(theirs, ts)
+                assert got.shape == want.shape == (len(ts), dim), name
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+                assert ours.nfev == theirs.nfev, name
+
+    def test_a_node_time_reads_its_state_where_its_step_is_nan(self):
+        # the run's own calls come first; the first read then builds step 1,
+        # and its first dense stage fails
+        calls = integrate(circle_rhs, (1.0, 0.0), 1.0).nfev
+        traj = integrate(failing_once(circle_rhs, calls + 1), (1.0, 0.0), 1.0)
+        t1, t2 = traj.times[1:3]
+        assert np.all(np.isnan(traj.sample(0.5 * (t1 + t2))))
+        assert np.array_equal(traj.sample(t1), traj.states[1])
+        # a node time builds no step
+        nfev = traj.nfev
+        nodes = traj.sample_many(traj.times)
+        assert traj.nfev == nfev
+        assert np.array_equal(nodes.view(np.uint64), traj.states.view(np.uint64))
+
     def test_range_check_shared_and_rejects_nan(self):
         traj = integrate(circle_rhs, (1.0, 0.0), 1.0)
         for bad in (2.0, -0.5, math.nan):
@@ -662,6 +736,16 @@ class TestPeriodDetection:
 
         estimate = estimate_period(rhs, (1.0, 1.0, 0.0, 0.0))
         assert estimate.period == pytest.approx(200 * math.pi, rel=1e-9)
+
+    @pytest.mark.parametrize("from_last", [2, 1, 0])
+    def test_a_nan_interpolant_at_the_return_is_refused(self, from_last):
+        # the last 3 calls build the crossing step's interpolant (stages
+        # 13-15); one failing makes it NaN, and no later lap may stand in
+        rhs = counting(circle_rhs)
+        estimate_period(rhs, (1.0, 0.0))
+        failing = failing_once(circle_rhs, rhs.calls - from_last)
+        with pytest.raises(NotPeriodicError, match=r"crossing step \[6\.228\d*, 6\.539\d*\]"):
+            estimate_period(failing, (1.0, 0.0))
 
     def test_domain_error_at_the_start_is_the_integrators_value_error(self):
         field = VectorField.of(qv_context(1), "v1", "-1/q1")

@@ -277,6 +277,33 @@ class TestUnfoldedDynamics:
             assert abs(_ell(state[:4], state[4:])) < 1e-14
 
 
+@pytest.mark.parametrize("g", [1.0, 2.37, 1e-3, 1e155])
+def test_builders_give_the_nodes_their_formulas_parse_to(g):
+    """Each builder combines its shared fragments, parsed once, into the very
+    interned nodes that parsing its whole formula as text gives."""
+    r2, vsq, ydv, q2, w2 = kp._R2, kp._VSQ, kp._YDV, kp._Q2, kp._W2
+    params = kp.KeplerParams(g)
+    e = f"({w2} / (2 * {q2}) - {g!r} / {q2})"
+    texts = {
+        kp.lagrangian: [f"2 * {r2} * {vsq} + {g!r} / {r2}"],
+        kp.energy: [f"2 * {r2} * {vsq} - {g!r} / {r2}"],
+        kp.unfolded_field: [f"v{k}" for k in range(4)] + [
+            f"{vsq} * y{k} / {r2} - {g!r} * y{k} / (2 * {r2}^3) - 2 * {ydv} * v{k} / {r2}"
+            for k in range(4)
+        ],
+        kp.chart_energy: [e],
+        kp.chart_field: [f"V{k}" for k in range(1, 5)]
+        + [f"2 * {e} * Q{k}" for k in range(1, 5)],
+    }
+    for builder, sources in texts.items():
+        built = builder(params)
+        nodes = built.components if isinstance(built, fields.VectorField) else (built.expr,)
+        ctx = built.ctx
+        assert len(nodes) == len(sources)
+        for node, source in zip(nodes, sources):
+            assert node is parse(source, ctx), (builder.__name__, source)
+
+
 # ------------------------------------------------------------- projection
 
 

@@ -10,7 +10,7 @@ so two trees can be compared in one file.  Each case is measured in a
 process of its own, so that no case runs on the allocator state another
 case left behind.  Each tree gets ``_PROCESSES`` measuring processes per
 case, started alternately in ABBA order (A B, B A, A B, ...), so that load
-drift on a shared machine lands on both trees alike.  Twenty-two cases are run:
+drift on a shared machine lands on both trees alike.  Twenty-three cases are run:
 
 * ``chart_period``: ``integrate`` on the Kepler chart field over one period
   2*pi from the E = -0.5 shell representative, rtol 1e-10, atol 1e-12;
@@ -33,6 +33,12 @@ drift on a shared machine lands on both trees alike.  Twenty-two cases are run:
   --state=0.73,0,0,0,0,0.93,0,0 --t-end 20 --csv-samples 4096``, into a
   temporary directory: a dense 4096-row ``trajectory.csv`` whose columns
   hold exact zeros and tiny exponents;
+* ``sample_dense``: ``Trajectory.sample_many`` of the ``cli_integrate_dense``
+  run at its 4096 evenly spaced times, the read that command makes: the run
+  is integrated once, before the runs, and each run reads a fresh copy of it
+  with no interpolant built yet, so every run builds the steps it reads.  It
+  records ``interpolants``, the steps the read built, and ``nfev``, their
+  RHS calls (3 each);
 * ``cli_verify_kepler_chart``: ``sodelab verify --scenario kepler-chart``,
   into a temporary directory; it makes no ``integrate`` call, since the
   canonical structure of a chart holds by construction;
@@ -88,9 +94,9 @@ drift on a shared machine lands on both trees alike.  Twenty-two cases are run:
 Each case builds its own expression trees and keeps none of them past its
 end, so no case finds another's trees alive.  Nodes are interned and keep
 the derivatives taken of them, so a case that did would run warm where a
-cold op would not.  The four chart-field cases build the field once, before
-their runs, which then share its compiled function; every other case builds
-its trees afresh in each run.
+cold op would not.  The four chart-field cases and ``sample_dense`` build
+the field once, before their runs, which then share its compiled function;
+every other case builds its trees afresh in each run.
 
 Each case records deterministic counters summed over every ``integrate``
 call it makes (RHS evaluations ``nfev``, ``accepted`` and ``rejected``
@@ -132,6 +138,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -289,6 +296,23 @@ def _cases():
 
         return run
 
+    def sample_dense():
+        _, scenario = _scenario("kepler-chart", "construction", "rescaling")
+        traj = integrate(
+            scenario.field.ode_rhs, [0.73, 0, 0, 0, 0, 0.93, 0, 0], 20.0,
+            rtol=1e-10, atol=1e-12,
+        )
+        times = np.linspace(traj.times[0], traj.final_time, 4096)
+        unbuilt = list(traj._steps)
+
+        def run():
+            fresh = dataclasses.replace(traj, _steps=list(unbuilt))
+            fresh.sample_many(times)
+            built = sum(not callable(step) for step in fresh._steps)
+            return {"interpolants": built, "nfev": 3 * built}
+
+        return run
+
     def zero_rhs():
         zero = VectorField(qv_context(4), (0.0,) * 8)
 
@@ -390,6 +414,7 @@ def _cases():
             cli, "integrate", "--scenario", "kepler-chart", "--state=0.73,0,0,0,0,0.93,0,0",
             "--t-end", "20", "--csv-samples", "4096",
         ),
+        "sample_dense": sample_dense,
         "cli_verify_kepler_chart": plain(cli, "verify", "--scenario", "kepler-chart"),
         "cli_verify_oscillator_2": plain(cli, "verify", "--scenario", "oscillator-2"),
         "cli_verify_fosc_power_2": plain(cli, "verify", "--scenario", "fosc-power-2"),
